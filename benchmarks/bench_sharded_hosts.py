@@ -3,24 +3,26 @@
 One machine serves ``N_FLOWS`` concurrent ALF flows, one ADU each, all
 sharing one wire-plan shape.  Two engineerings:
 
-* **1 shard** — the PR-5 baseline: every flow registers with one
-  host-wide :class:`~repro.transport.drain.SharedDrainEngine`.  Each
-  completion pays the engine's backlog scan over *every* registered
-  flow, so the host does O(flows²) shared-structure work.
+* **1 shard** — every flow registers with one host-wide
+  :class:`~repro.transport.drain.SharedDrainEngine`.  The engine's
+  backlog bookkeeping is linear: a completion touches only its own flow
+  (a running pending count) and a drain window examines only the
+  backlogged flows, so the host does O(flows) shared-structure work.
 * **4 shards** — a :class:`~repro.net.shard.ShardedHost` demuxes flows
   by stable hash to four workers, each with its own loop, engine and rx
-  pool.  The same scan covers only the shard's flows: O(flows²/N).
+  pool.  The bookkeeping per ADU is the same; what sharding adds is
+  isolation (private loops, pools and counters) and a front-end demux.
 
 Both engineerings run the identical packets through the identical
 demux/reassembly/verify/deliver path (zero-copy, per-shard DMA pools);
 delivery is asserted byte-identical and exactly-once, and every shard
-tears down to a clean ``leak_report``.  The headline gate: aggregate
-drained ADUs/sec at 4 shards ≥ 2.5× the 1-shard baseline.  The ratio is
-measured in the deterministic serial scheduler (the structural win —
-scan work divided by N — needs no parallelism, so the gate holds on a
-single-core runner); a threaded 4-shard run is recorded alongside for
-machines with real cores.  Emits a machine-readable JSON record
-(``SHARDED_HOSTS_JSON`` line and ``benchmarks/out/
+tears down to a clean ``leak_report``.  The gates are honest about what
+sharding buys on one core: the scan stays O(1) per ADU (1-shard backlog
+visits per ADU ≤ 2 — one notification plus one window visit), and the
+4-shard serial scheduler keeps at least 0.75× the 1-shard ADUs/sec (it
+pays a front-end demux and four loops for no parallelism).  A threaded
+4-shard run is recorded alongside.  Emits a machine-readable JSON
+record (``SHARDED_HOSTS_JSON`` line and ``benchmarks/out/
 bench_sharded_hosts.json``) for the CI gate and artifact.
 """
 
@@ -50,7 +52,8 @@ PAYLOAD = 64
 MAX_ROWS = 16384  # one coalesced dispatch per shard per drain epoch
 BUFFER = 256  # per-shard rx pool buffer size (one segment per packet)
 N_SHARDS = 4
-SCALING_GATE = 2.5
+SCAN_GATE = 2.0  # backlog visits per ADU, 1 shard
+SCALING_GATE = 0.75  # 4-shard serial ADUs/sec over 1-shard
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -93,8 +96,7 @@ def build_scenario(n_shards: int, threaded: bool = False):
     # Construct receivers grouped by home shard so each shard's flow
     # state is contiguous in the heap — the same placement a real
     # sharded host gets for free by allocating flow state on the owning
-    # worker.  Interleaved construction strides every backlog scan
-    # across all shards' objects and inflates per-visit cache misses.
+    # worker.
     by_shard: dict[int, list[int]] = {}
     for flow_id in range(N_FLOWS):
         index = shard_index("alf", flow_id, n_shards)
@@ -211,12 +213,14 @@ def record():
             "wall_s": single["wall_s"],
             "adus_per_s": N_FLOWS / single["wall_s"],
             "scan_visits": single["scan_visits"],
+            "scan_visits_per_adu": single["scan_visits"] / N_FLOWS,
             "dispatches": single["dispatches"],
         },
         "sharded": {
             "wall_s": sharded["wall_s"],
             "adus_per_s": N_FLOWS / sharded["wall_s"],
             "scan_visits": sharded["scan_visits"],
+            "scan_visits_per_adu": sharded["scan_visits"] / N_FLOWS,
             "dispatches": sharded["dispatches"],
             "demux": sharded["demux"],
         },
@@ -225,8 +229,6 @@ def record():
             "adus_per_s": N_FLOWS / threaded["wall_s"],
         },
         "scaling": scaling,
-        "scan_reduction": single["scan_visits"]
-        / max(sharded["scan_visits"], 1),
     }
 
 
@@ -244,13 +246,14 @@ def test_bench_single_shard(benchmark):
 
 
 def test_acceptance_sharded_hosts(record):
-    # Headline gate: aggregate drained ADUs/sec at 4 shards is at
-    # least 2.5x the 1-shard baseline (near-linear structural scaling).
+    # The drain bookkeeping is O(1) per ADU: one notification visit
+    # plus one window visit per backlogged flow, however many flows
+    # share the engine.
+    assert record["single"]["scan_visits_per_adu"] <= SCAN_GATE, record
+    assert record["sharded"]["scan_visits_per_adu"] <= SCAN_GATE, record
+    # Serial sharding costs a front-end demux and four loops; it must
+    # not cost more than a quarter of the 1-shard throughput.
     assert record["scaling"] >= SCALING_GATE, record
-    # The mechanism is the one claimed: the per-completion backlog scan
-    # shrank by ~N (every flow visited once per completion before,
-    # only its shard's flows after).
-    assert record["scan_reduction"] >= N_SHARDS * 0.9, record
     # One coalesced dispatch per shard (max_rows covers the backlog).
     assert record["sharded"]["dispatches"] == N_SHARDS, record
     assert record["single"]["dispatches"] == 1, record

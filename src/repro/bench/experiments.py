@@ -2584,13 +2584,14 @@ def sharded_hosts(
 ) -> ExperimentResult:
     """P6: one receive stack vs four per-shard drain workers.
 
-    The shared engine's ``notify_ready`` walks every registered flow to
-    size its backlog, so each completion costs O(flows-on-host) — the
-    per-host shared-structure cost the paper's end-system argument
-    predicts.  Sharding divides it: each worker's scan covers only its
-    own flows, so the total visit count drops toward 1/N while delivery
-    stays byte-identical and exactly-once.  All counters are
-    deterministic (serial scheduler, fixed flow ids, no wall clock).
+    The shared engine's backlog bookkeeping is linear: each completion
+    touches only its own flow (a running pending count) and a drain
+    window examines only the backlogged flows, so the scan costs O(1)
+    per ADU whether one engine holds every flow or four engines split
+    them.  Sharding therefore does not divide a scan; it isolates
+    shard-private loops, pools and counters while delivery stays
+    byte-identical and exactly-once.  All counters are deterministic
+    (serial scheduler, fixed flow ids, no wall clock).
     """
     single = _sharded_scenario(1, n_flows, n_adus, payload_bytes)
     sharded = _sharded_scenario(4, n_flows, n_adus, payload_bytes)
@@ -2601,27 +2602,21 @@ def sharded_hosts(
         len(rows) == n_adus for rows in sharded["payloads"].values()
     ), "a flow delivered more or fewer ADUs than were sent"
     assert single["leaked"] == sharded["leaked"] == 0
-    reduction = single["scan_visits"] / max(sharded["scan_visits"], 1)
+    adus = n_flows * n_adus
     rows = [
         Row(
-            "backlog scan visits, 1 shard",
+            "backlog scan visits per ADU, 1 shard",
             paper=None,
-            measured=float(single["scan_visits"]),
-            unit="flow visits",
+            measured=round(single["scan_visits"] / adus, 3),
+            unit="visits/ADU",
             extra={"flows": n_flows, "adus_per_flow": n_adus},
         ),
         Row(
-            "backlog scan visits, 4 shards",
+            "backlog scan visits per ADU, 4 shards",
             paper=None,
-            measured=float(sharded["scan_visits"]),
-            unit="flow visits",
+            measured=round(sharded["scan_visits"] / adus, 3),
+            unit="visits/ADU",
             extra={"flows_per_shard": sharded["flows_per_shard"]},
-        ),
-        Row(
-            "shared-structure scan reduction",
-            paper=None,
-            measured=round(reduction, 2),
-            unit="x",
         ),
         Row(
             "demux memo hit rate",
@@ -2650,9 +2645,9 @@ def sharded_hosts(
         rows,
         notes=f"{n_flows} flows on one machine, demuxed by stable flow "
         "hash to 4 worker shards (own loop, engine and rx pool each): "
-        "the drain engine's per-completion backlog scan shrinks from "
-        "O(flows-on-host) to O(flows-per-shard), delivery stays "
-        "byte-identical and exactly-once, and every shard tears down "
-        "to a clean leak report — counters only, so the result is "
-        "deterministic under the serial shard scheduler",
+        "the drain engine's backlog bookkeeping is O(1) per ADU on one "
+        "shard and on four, delivery stays byte-identical and "
+        "exactly-once, and every shard tears down to a clean leak "
+        "report — counters only, so the result is deterministic under "
+        "the serial shard scheduler",
     )

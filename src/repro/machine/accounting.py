@@ -240,17 +240,23 @@ class DrainCounters:
         with self._lock:
             self.corrupt_rows += 1
 
-    def record_notify_scan(self, flows: int) -> None:
-        """Account one backlog scan over ``flows`` registered receivers.
+    def record_notify_scan(self) -> None:
+        """Account one ``notify_ready``: one flow visited.
 
-        ``notify_ready`` walks every registered flow to size the
-        backlog, so the cost of one completion scales with how many
-        flows share the engine — the shared-structure cost that
-        per-shard engines divide by the shard count.  Counting the
-        visits makes that division measurable (P6).
+        The engine sizes its backlog from a running count, so a
+        completion touches only the notifying flow however many flows
+        share the engine.  Together with :meth:`record_window_scan`,
+        ``scan_visits`` counts every flow the bookkeeping touches — the
+        number P6 and the traced end-to-end bench report per ADU.
         """
         with self._lock:
             self.notify_scans += 1
+            self.scan_visits += 1
+
+    def record_window_scan(self, flows: int) -> None:
+        """Account one dispatch window examining ``flows`` backlogged
+        flows (idle registered flows are never visited)."""
+        with self._lock:
             self.scan_visits += flows
 
     def reset(self) -> None:

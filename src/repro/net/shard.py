@@ -1,13 +1,13 @@
 """Sharded parallel hosts: flow-hash demux to per-shard drain workers.
 
-After PRs 1–5 the end system is the bottleneck the paper predicts — and
-our end system is *one* ``Host``, *one* ``EventLoop`` and *one*
+Once per-flow manipulation is compiled and batched, the end system is
+the bottleneck the paper predicts — and an unsharded end system is
+*one* ``Host``, *one* ``EventLoop`` and *one*
 :class:`~repro.transport.drain.SharedDrainEngine`: every flow on a
-machine serializes through one demux loop and one drain backlog.  The
-engine's ``notify_ready`` walks every registered flow to size the
-backlog, so the cost of each completion grows with the number of flows
-sharing the host — a per-host shared-structure cost that no amount of
-per-flow optimization removes.
+machine serializes through one demux loop and one drain backlog.  (The
+engine's backlog bookkeeping is linear — O(1) per completion however
+many flows share it — so sharding buys isolation and, with real
+parallelism, throughput; it does not divide a scan.)
 
 :class:`ShardedHost` splits the machine into N worker shards, each a
 self-contained receive stack:
@@ -15,9 +15,8 @@ self-contained receive stack:
 * its own :class:`~repro.sim.eventloop.EventLoop` (drain epochs and
   timers are shard-private — no cross-shard event contention);
 * its own :class:`~repro.transport.drain.SharedDrainEngine` with
-  private :class:`~repro.machine.accounting.DrainCounters`, so the
-  backlog scan covers only the shard's flows — the O(flows) walk
-  becomes O(flows / N);
+  private :class:`~repro.machine.accounting.DrainCounters`, so a
+  shard's drain epochs batch only its own flows;
 * its own rx :class:`~repro.buffers.pool.BufferPool`, so DMA segment
   recycling never crosses a shard boundary;
 * its own deterministic RNG family, derived from the root seed and the

@@ -12,6 +12,7 @@ own terms.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
@@ -171,7 +172,7 @@ class AlfReceiver:
 
         self.acks = SelectiveAckTracker(counter=self.counter)
         self._partial: dict[int, _PartialAdu] = {}
-        self._ready: list[ReadyAdu] = []
+        self._ready: deque[ReadyAdu] = deque()
         self._drain_scheduled = False
         self._defer_acks = 0
         self._ack_pending = False
@@ -422,7 +423,7 @@ class AlfReceiver:
         output bytes (no chain loan — the fragment buffers are released
         here).  Returns the number of ADUs delivered.
         """
-        ready, self._ready = self._ready, []
+        ready = self._take_ready()
         if not ready:
             return 0
         batch = self.wire_plan.run_batch([entry.adu.payload for entry in ready])
@@ -472,7 +473,15 @@ class AlfReceiver:
 
     def pop_ready(self) -> ReadyAdu:
         """Hand the oldest ready row to the drain engine (FIFO)."""
-        return self._ready.pop(0)
+        return self._ready.popleft()
+
+    def _take_ready(self) -> deque[ReadyAdu]:
+        """Empty the ready queue outside an engine window, keeping a
+        registered engine's backlog count exact."""
+        ready, self._ready = self._ready, deque()
+        if ready and self.drain_engine is not None:
+            self.drain_engine.ready_discarded(self, len(ready))
+        return ready
 
     def resolve_drained(self, entry: ReadyAdu, checksum: int, out) -> int:
         """Resolve one drained row: verify, then deliver exactly once.
@@ -528,8 +537,7 @@ class AlfReceiver:
         Used at teardown (engine shutdown or :meth:`close`) so flows
         with in-flight ready rows return their pooled segments.
         """
-        ready, self._ready = self._ready, []
-        for entry in ready:
+        for entry in self._take_ready():
             self._discard_payload(entry.adu.payload)
             self._release_fragments(entry.partial)
 

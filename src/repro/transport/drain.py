@@ -48,10 +48,21 @@ sharing a key into one ``run_batch`` call:
   ever sees depth-1 queues and size-1 dispatches no matter how fast
   rows pour in.
 
+Backlog bookkeeping is linear in the rows, not in the registered
+flows.  The engine keeps a running count of queued rows (so sizing the
+backlog on each notification is O(1)) and, per plan group, the set of
+flows that actually hold rows: ``notify_ready`` adds a flow, a drain
+window removes the flows it empties, and ``unregister``, ``shutdown``
+and the receiver's own :meth:`ready_discarded` hook retire the rest.
+A window orders just those backlogged flows by registration ordinal and
+rotates the start, so dispatch order is the registration-order
+round-robin a walk over every flow would produce — without visiting
+the idle ones.
+
 Dispatch amortization is measured, not asserted:
 :class:`~repro.machine.accounting.DrainCounters` (surfaced by
 ``repro drain stats``) counts dispatches, rows per dispatch, cross-flow
-batches and fairness stalls.
+batches, fairness stalls and the flows the bookkeeping touches.
 """
 
 from __future__ import annotations
@@ -96,9 +107,16 @@ class ReadyAdu:
 
 @dataclass
 class _PlanGroup:
-    """The flows sharing one wire-plan shape, in registration order."""
+    """The flows sharing one wire-plan shape.
 
-    flows: list["AlfReceiver"] = field(default_factory=list)
+    ``flows`` maps each receiver to its registration ordinal (and
+    iterates in registration order); ``ready`` holds only the flows
+    with queued rows, so a drain window never visits an idle flow.
+    """
+
+    key: Hashable
+    flows: dict["AlfReceiver", int] = field(default_factory=dict)
+    ready: set["AlfReceiver"] = field(default_factory=set)
     rotation: int = 0
 
 
@@ -169,8 +187,9 @@ class SharedDrainEngine:
         self.counters = counters if counters is not None else drain_counters()
         self.tracer = tracer or Tracer(enabled=False)
         self._groups: dict[Hashable, _PlanGroup] = {}
-        self._keys: dict[int, Hashable] = {}  # id(receiver) -> group key
-        self._receivers: dict[int, "AlfReceiver"] = {}
+        self._flow_groups: dict["AlfReceiver", _PlanGroup] = {}
+        self._ordinal = 0  # next registration ordinal
+        self._pending = 0  # ready rows queued across registered flows
         self._flush_event: Event | None = None
         self._flush_due: float = 0.0
         self.delivered_total = 0
@@ -187,15 +206,20 @@ class SharedDrainEngine:
     def register(self, receiver: "AlfReceiver") -> None:
         """Add a flow; its ready rows join its plan-shape group."""
         with self._mutex:
-            handle = id(receiver)
-            if handle in self._keys:
+            if receiver in self._flow_groups:
                 raise TransportError(
                     f"flow {receiver.flow_id} already registered with this engine"
                 )
             key = receiver.drain_key
-            self._groups.setdefault(key, _PlanGroup()).flows.append(receiver)
-            self._keys[handle] = key
-            self._receivers[handle] = receiver
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = _PlanGroup(key)
+            group.flows[receiver] = self._ordinal
+            self._ordinal += 1
+            self._flow_groups[receiver] = group
+            if receiver.pending_ready:
+                group.ready.add(receiver)
+                self._pending += receiver.pending_ready
             self.tracer.emit(self.loop.now, "drain", "register",
                              flow_id=receiver.flow_id, groups=len(self._groups))
 
@@ -204,20 +228,30 @@ class SharedDrainEngine:
         callers that are tearing the flow down should
         ``receiver.discard_ready()`` first)."""
         with self._mutex:
-            handle = id(receiver)
-            key = self._keys.pop(handle, None)
-            if key is None:
+            group = self._flow_groups.pop(receiver, None)
+            if group is None:
                 return
-            self._receivers.pop(handle, None)
-            group = self._groups[key]
-            group.flows = [flow for flow in group.flows if flow is not receiver]
+            del group.flows[receiver]
+            group.ready.discard(receiver)
+            self._pending -= receiver.pending_ready
             if not group.flows:
-                del self._groups[key]
+                del self._groups[group.key]
+
+    def ready_discarded(self, receiver: "AlfReceiver", rows: int) -> None:
+        """A flow emptied its ready queue of ``rows`` rows outside a
+        drain window (teardown, or its own ``run_batch``).  No-op for a
+        flow that is not registered here."""
+        with self._mutex:
+            group = self._flow_groups.get(receiver)
+            if group is None:
+                return
+            group.ready.discard(receiver)
+            self._pending -= rows
 
     @property
     def flow_count(self) -> int:
         """Registered flows."""
-        return len(self._keys)
+        return len(self._flow_groups)
 
     @property
     def group_count(self) -> int:
@@ -226,10 +260,9 @@ class SharedDrainEngine:
 
     @property
     def pending_rows(self) -> int:
-        """Ready ADUs queued across every registered flow."""
-        return sum(
-            receiver.pending_ready for receiver in self._receivers.values()
-        )
+        """Ready ADUs queued across every registered flow (a running
+        count: O(1), however many flows are registered)."""
+        return self._pending
 
     # ------------------------------------------------------------------
     # Adaptive epochs
@@ -320,21 +353,24 @@ class SharedDrainEngine:
     # Flush scheduling
 
     def notify_ready(self, receiver: "AlfReceiver") -> None:
-        """A registered flow queued a completed ADU: (re)arm the flush.
+        """A registered flow queued one completed ADU: (re)arm the flush.
 
         Backlog at or past ``max_rows`` flushes on the next zero-delay
         event; otherwise the epoch fires ``max_delay`` after the first
         pending row (never later than an already-armed flush).
         """
         with self._mutex:
-            if id(receiver) not in self._keys:
+            group = self._flow_groups.get(receiver)
+            if group is None:
                 raise TransportError(
                     f"flow {receiver.flow_id} is not registered with this engine"
                 )
-            # pending_rows walks every registered flow: the O(flows)
-            # shared-structure scan that per-shard engines divide by N.
-            self.counters.record_notify_scan(len(self._receivers))
-            pending = self.pending_rows
+            # O(1): the notifying flow joins its group's ready set and
+            # the running count sizes the backlog — no walk over flows.
+            group.ready.add(receiver)
+            self._pending += 1
+            self.counters.record_notify_scan()
+            pending = self._pending
             delay = (
                 0.0
                 if pending >= self.effective_max_rows
@@ -382,28 +418,32 @@ class SharedDrainEngine:
 
     def _drain_group(self, group: _PlanGroup, row_cap: int) -> int:
         delivered = 0
-        while True:
-            backlog = [flow for flow in group.flows if flow.pending_ready]
-            if not backlog:
-                return delivered
+        while group.ready:
+            # Only backlogged flows, in registration order: the same
+            # window a walk over every registered flow would select.
+            backlog = sorted(group.ready, key=group.flows.__getitem__)
+            self.counters.record_window_scan(len(backlog))
             start = group.rotation % len(backlog)
             order = backlog[start:] + backlog[:start]
             group.rotation += 1
             rows: list[tuple["AlfReceiver", ReadyAdu]] = []
-            while len(rows) < row_cap:
-                took = False
-                for flow in order:
-                    if flow.pending_ready:
-                        rows.append((flow, flow.pop_ready()))
-                        took = True
-                        if len(rows) >= row_cap:
-                            break
-                if not took:
-                    break
-            capped = any(flow.pending_ready for flow in order)
+            # Round-robin passes, one row per flow per pass; each pass
+            # keeps only the flows that still hold rows.
+            active = order
+            while active and len(rows) < row_cap:
+                active = active[: row_cap - len(rows)]
+                for flow in active:
+                    rows.append((flow, flow.pop_ready()))
+                active = [flow for flow in active if flow.pending_ready]
+            for flow in order[:row_cap]:  # every flow this window touched
+                if not flow.pending_ready:
+                    group.ready.discard(flow)
+            self._pending -= len(rows)
+            capped = bool(group.ready)
             delivered += self._dispatch(rows, capped)
             if not capped:
-                return delivered
+                break
+        return delivered
 
     def _dispatch(
         self, rows: list[tuple["AlfReceiver", ReadyAdu]], capped: bool
@@ -452,7 +492,7 @@ class SharedDrainEngine:
             if self._flush_event is not None:
                 self._flush_event.cancel()
                 self._flush_event = None
-            for receiver in list(self._receivers.values()):
+            for receiver in list(self._flow_groups):
                 receiver.discard_ready()
                 self.unregister(receiver)
 

@@ -5,14 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buffers import BufferPool
 from repro.core.adu import Adu, fragment_adu
 from repro.errors import TransportError
-from repro.machine.accounting import DrainCounters
+from repro.machine.accounting import DrainCounters, ShardCounters
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet
+from repro.net.shard import ShardedHost
 from repro.net.topology import two_hosts
 from repro.sim.eventloop import EventLoop
 from repro.stages.checksum import internet_checksum
@@ -21,6 +23,8 @@ from repro.transport.alf import AlfReceiver, AlfSender
 from repro.transport.alf.receiver import PROTOCOL
 from repro.transport.drain import SharedDrainEngine
 
+from tests.test_net_shard import adu_packets
+
 KEY = 0x0BADF00D
 
 
@@ -28,12 +32,13 @@ def adu_payload(seed: int, n_bytes: int = 256) -> bytes:
     return random.Random(seed).randbytes(n_bytes)
 
 
-def encrypted_packets(flow_id, payloads, mtu=2048, key=KEY):
+def encrypted_packets(flow_id, payloads, mtu=2048, key=KEY, start=0):
     """The wire stream an encrypting sender emits for one flow: the
-    ciphertext fragments, checksummed over the ciphertext."""
+    ciphertext fragments, checksummed over the ciphertext, with ADU
+    sequences numbered from ``start``."""
     cipher = WordXorStage(key)
     packets = []
-    for sequence, payload in enumerate(payloads):
+    for sequence, payload in enumerate(payloads, start):
         ciphertext = cipher.apply(payload)
         checksum = internet_checksum(ciphertext)
         adu = Adu(sequence=sequence, payload=ciphertext, name={"i": sequence})
@@ -401,9 +406,259 @@ class TestConcurrentSnapshot:
             for packet in encrypted_packets(receiver.flow_id, payloads[receiver.flow_id]):
                 path.b.receive(packet)
         counters = engine.counters
-        # One backlog scan per completed ADU, each walking all 3 flows.
+        # One O(1) notification per completed ADU: one flow visited each.
         assert counters.notify_scans == 3
-        assert counters.scan_visits == 9
+        assert counters.scan_visits == 3
+        # The flush's single window examines the 3 backlogged flows.
+        assert engine.flush() == 3
+        assert counters.scan_visits == 6
         snap = counters.snapshot()
         assert snap["notify_scans"] == 3
-        assert snap["scan_visits"] == 9
+        assert snap["scan_visits"] == 6
+
+
+def assert_exact(engine, registered):
+    """The running count and the per-group ready sets match a full walk."""
+    assert engine.pending_rows == sum(r.pending_ready for r in registered)
+    for group in engine._groups.values():
+        assert group.ready == {r for r in group.flows if r.pending_ready}
+
+
+class TestLinearBookkeeping:
+    @pytest.mark.parametrize("idle_flows", [16, 1024])
+    def test_scan_visits_per_adu_independent_of_idle_flows(self, idle_flows):
+        # Four active flows, three ADUs each, however many idle flows
+        # share the engine: the bookkeeping never visits the idle ones.
+        path, engine, receivers, _ = make_env(n_flows=idle_flows)
+        for receiver in receivers[:4]:
+            payloads = [adu_payload(1000 * receiver.flow_id + i) for i in range(3)]
+            for packet in encrypted_packets(receiver.flow_id, payloads):
+                path.b.receive(packet)
+        assert engine.flush() == 12
+        # 12 notifications + one window over the 4 backlogged flows.
+        assert engine.counters.scan_visits == 16
+
+    def make_engine_env(self, n_flows, max_rows):
+        """An engine whose receivers check the bookkeeping on every
+        delivery — i.e. between the windows of a split flush."""
+        path = two_hosts(seed=5)
+        engine = SharedDrainEngine(
+            path.loop, max_rows=max_rows, counters=DrainCounters()
+        )
+        registered: list[AlfReceiver] = []
+        for flow_id in range(1, n_flows + 1):
+            registered.append(
+                AlfReceiver(
+                    path.loop, path.b, "a", flow_id,
+                    deliver=lambda d: assert_exact(engine, registered),
+                    ack_interval=0,
+                    zero_copy=False,
+                    encryption=KEY,
+                    drain_engine=engine,
+                )
+            )
+        return path, engine, registered
+
+    def feed(self, path, engine, registered, receiver, n_adus, start=0):
+        payloads = [
+            adu_payload(100 * receiver.flow_id + start + i) for i in range(n_adus)
+        ]
+        for packet in encrypted_packets(receiver.flow_id, payloads, start=start):
+            path.b.receive(packet)
+            assert_exact(engine, registered)
+
+    def test_pending_count_exact_through_lifecycle(self):
+        path, engine, registered = self.make_engine_env(4, 2)
+        flows = list(registered)
+        assert_exact(engine, registered)
+        for flow, n_adus in zip(flows, (3, 2, 1, 0)):
+            self.feed(path, engine, registered, flow, n_adus)
+        assert engine.pending_rows == 6
+        # Split flush: max_rows=2 forces three windows; every delivery
+        # re-checks the bookkeeping mid-flush.
+        assert engine.flush() == 6
+        assert engine.counters.dispatches == 3
+        assert_exact(engine, registered)
+
+        # Unregister with rows still queued: they leave the count.
+        self.feed(path, engine, registered, flows[0], 2, start=3)
+        engine.unregister(flows[0])
+        registered.remove(flows[0])
+        assert_exact(engine, registered)
+        assert engine.pending_rows == 0
+        # Re-registering brings the queued rows back into the count.
+        engine.register(flows[0])
+        registered.append(flows[0])
+        assert engine.pending_rows == 2
+        assert_exact(engine, registered)
+
+        # discard_ready on a registered flow.
+        self.feed(path, engine, registered, flows[1], 2, start=2)
+        flows[0].discard_ready()
+        assert_exact(engine, registered)
+        assert engine.pending_rows == 2
+
+        # close() with rows queued.
+        flows[1].close()
+        registered.remove(flows[1])
+        assert_exact(engine, registered)
+        assert engine.pending_rows == 0
+
+        # shutdown with rows queued.
+        self.feed(path, engine, registered, flows[2], 3, start=1)
+        assert engine.pending_rows == 3
+        engine.shutdown()
+        registered.clear()
+        assert engine.pending_rows == 0
+        assert engine.flow_count == 0
+
+    def test_pending_count_exact_through_migration(self):
+        path = two_hosts(seed=11)
+        sharded = ShardedHost(path.b, 4, counters=ShardCounters())
+        delivered: dict[int, list[bytes]] = {}
+        receivers = {}
+        for flow_id in range(8):
+            shard = sharded.shard_for(PROTOCOL, flow_id)
+            receivers[flow_id] = AlfReceiver(
+                shard.loop, shard.host, "a", flow_id,
+                deliver=lambda d, fid=flow_id: delivered.setdefault(
+                    fid, []
+                ).append(bytes(d.payload)),
+                ack_interval=0,
+                drain_engine=shard.engine,
+            )
+            sharded.register_flow(PROTOCOL, flow_id, receivers[flow_id])
+
+        def check():
+            for shard in sharded.shards:
+                assert_exact(
+                    shard.engine,
+                    [r for r in receivers.values() if r.drain_engine is shard.engine],
+                )
+
+        payloads = {fid: [adu_payload(40 * fid + i) for i in range(4)] for fid in receivers}
+        streams = {fid: adu_packets(fid, payloads[fid]) for fid in receivers}
+        for fid in receivers:
+            sharded.receive_burst(streams[fid][:2])
+        check()
+        assert sum(s.engine.pending_rows for s in sharded.shards) == 16
+        sharded.drain()
+        check()
+        # Forced bucket migration of a quiescent flow.
+        bucket = sharded.steering.bucket_of(PROTOCOL, 3)
+        source = sharded.steering.map[bucket]
+        assert sharded.migrate_bucket(bucket, (source + 1) % 4)
+        check()
+        # Direct rehome of another quiescent flow.
+        mover = receivers[5]
+        target = sharded.shards[(sharded.shard_for(PROTOCOL, 5).index + 2) % 4]
+        sharded.unregister_flow(PROTOCOL, 5)
+        assert mover.rehome(target.loop, target.host, target.engine)
+        check()
+        for fid in receivers:
+            if fid != 5:
+                sharded.receive_burst(streams[fid][2:])
+        check()
+        sharded.drain()
+        check()
+        leaks = sharded.shutdown()
+        check()
+        assert all(report == [] for report in leaks.values())
+        for fid in receivers:
+            expected = payloads[fid][:2] if fid == 5 else payloads[fid]
+            assert delivered[fid] == expected
+
+
+def reference_dispatch(registration, queues, row_cap, rotation):
+    """The registration-order round-robin drain, walking every flow.
+
+    ``registration`` lists flow ids in registration order; ``queues``
+    maps each to its FIFO of ready sequences (consumed).  Returns the
+    drained ``(flow, seq)`` rows per dispatch and the final rotation.
+    """
+    windows = []
+    while True:
+        backlog = [fid for fid in registration if queues[fid]]
+        if not backlog:
+            return windows, rotation
+        start = rotation % len(backlog)
+        order = backlog[start:] + backlog[:start]
+        rotation += 1
+        rows = []
+        while len(rows) < row_cap:
+            took = False
+            for fid in order:
+                if queues[fid]:
+                    rows.append((fid, queues[fid].pop(0)))
+                    took = True
+                    if len(rows) >= row_cap:
+                        break
+            if not took:
+                break
+        windows.append(rows)
+        if not any(queues[fid] for fid in order):
+            return windows, rotation
+
+
+class TestDispatchOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        row_cap=st.integers(min_value=1, max_value=7),
+        counts=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=6),
+        rejoin=st.lists(st.booleans(), min_size=6, max_size=6),
+        shuffle_seed=st.integers(min_value=0, max_value=2**16),
+        rounds=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_registration_order_round_robin(
+        self, row_cap, counts, rejoin, shuffle_seed, rounds
+    ):
+        path = two_hosts(seed=3)
+        engine = SharedDrainEngine(
+            path.loop, max_rows=row_cap, counters=DrainCounters()
+        )
+        delivered: list[tuple[int, int]] = []
+        receivers = {}
+        for flow_id in range(1, len(counts) + 1):
+            receivers[flow_id] = AlfReceiver(
+                path.loop, path.b, "a", flow_id,
+                deliver=lambda d, fid=flow_id: delivered.append((fid, d.sequence)),
+                ack_interval=0,
+                zero_copy=False,
+                encryption=KEY,
+                drain_engine=engine,
+            )
+        # Leave-and-rejoin moves a flow to the back of registration order.
+        registration = list(receivers)
+        for flow_id, again in zip(list(receivers), rejoin):
+            if again:
+                engine.unregister(receivers[flow_id])
+                engine.register(receivers[flow_id])
+                registration.remove(flow_id)
+                registration.append(flow_id)
+        rng = random.Random(shuffle_seed)
+        rotation = 0
+        next_seq = dict.fromkeys(receivers, 0)
+        for _ in range(rounds):
+            arrivals = [
+                (fid, next_seq[fid] + i)
+                for fid, n in zip(receivers, counts)
+                for i in range(n)
+            ]
+            for fid, n in zip(receivers, counts):
+                next_seq[fid] += n
+            rng.shuffle(arrivals)
+            queues = {fid: [] for fid in receivers}
+            for fid, seq in arrivals:
+                queues[fid].append(seq)
+                payload = adu_payload(97 * fid + seq)
+                for packet in encrypted_packets(fid, [payload], start=seq):
+                    path.b.receive(packet)
+            windows, rotation = reference_dispatch(
+                registration, queues, row_cap, rotation
+            )
+            delivered.clear()
+            before = engine.counters.dispatches
+            engine.flush()
+            assert delivered == [row for rows in windows for row in rows]
+            assert engine.counters.dispatches - before == len(windows)
+            assert engine.pending_rows == 0
