@@ -60,16 +60,15 @@ class AckGenerator:
         # In-order (or overlapping) data advances the cumulative point,
         # then any contiguous islands are absorbed.
         self.cumulative = max(self.cumulative, end)
-        absorbed = True
-        while absorbed:
-            absorbed = False
+        if self._out_of_order:
+            # One ascending pass: each absorbed island can only extend
+            # the point, so the first island past it ends the pass.
             for island_start in sorted(self._out_of_order):
-                if island_start <= self.cumulative:
-                    self.cumulative = max(
-                        self.cumulative, self._out_of_order.pop(island_start)
-                    )
-                    absorbed = True
+                if island_start > self.cumulative:
                     break
+                self.cumulative = max(
+                    self.cumulative, self._out_of_order.pop(island_start)
+                )
 
         self._since_last_ack += 1
         if self._since_last_ack >= self.delayed_ack_every:
@@ -86,14 +85,27 @@ class AckGenerator:
 class SelectiveAckTracker:
     """Per-ADU receipt tracking: ACKs name ADUs, not bytes.
 
-    The receiver records complete ADUs by name; :meth:`ack_payload`
-    returns the set of names to acknowledge and the names known missing
-    (for sender-side recovery decisions).
+    The receiver's single record of receipt, held in a form whose size
+    is set by the reorder window, not by the flow's history:
+
+    * ``cumulative`` — the next ADU not yet received in order (every
+      ADU below it has arrived);
+    * the set of ADUs received above that point;
+    * the holes: ADUs between the point and the highest arrival that
+      have not arrived, kept in an insertion-ordered dict as arrivals
+      open and fill them.  New holes are always above every existing
+      one, so insertion order is ascending order.
+
+    :meth:`ack_payload` is what an ALF ACK carries.  An in-order flow
+    sends an empty ``received`` list and holds no holes, however long
+    it runs.
     """
 
     def __init__(self, counter: InstructionCounter | None = None):
         self.counter = counter or InstructionCounter()
-        self._received: set[int] = set()
+        self.cumulative = 0
+        self._above: set[int] = set()
+        self._holes: dict[int, None] = {}
         self._highest = -1
 
     def on_adu(self, adu_sequence: int) -> bool:
@@ -102,31 +114,53 @@ class SelectiveAckTracker:
             raise TransportError("adu_sequence must be >= 0")
         self.counter.record("sequence_check")
         self.counter.record("ack_compute")
-        if adu_sequence in self._received:
+        if adu_sequence < self.cumulative or adu_sequence in self._above:
             return False
-        self._received.add(adu_sequence)
-        self._highest = max(self._highest, adu_sequence)
+        if adu_sequence > self._highest:
+            if adu_sequence > self._highest + 1:
+                self._holes.update(
+                    dict.fromkeys(range(self._highest + 1, adu_sequence))
+                )
+            self._highest = adu_sequence
+        else:
+            del self._holes[adu_sequence]
+        if adu_sequence == self.cumulative:
+            point = adu_sequence + 1
+            above = self._above
+            while point in above:
+                above.remove(point)
+                point += 1
+            self.cumulative = point
+        else:
+            self._above.add(adu_sequence)
         return True
 
-    def received_names(self) -> set[int]:
-        """All ADU sequences received so far."""
-        return set(self._received)
+    def __contains__(self, adu_sequence: int) -> bool:
+        """Whether the ADU has been received."""
+        return adu_sequence < self.cumulative or adu_sequence in self._above
+
+    def __len__(self) -> int:
+        """ADUs received so far."""
+        return self.cumulative + len(self._above)
+
+    def received_above(self) -> list[int]:
+        """ADUs received above the cumulative point, ascending."""
+        return sorted(self._above)
 
     def missing_below_highest(self) -> list[int]:
-        """ADU sequences with a received successor but not yet received.
+        """ADU sequences with a received successor but not yet received,
+        ascending.
 
         These are the holes a sender (or its application) must decide
         about: retransmit, recompute, or ignore.
         """
-        return [
-            sequence
-            for sequence in range(self._highest + 1)
-            if sequence not in self._received
-        ]
+        return list(self._holes)
 
     def ack_payload(self) -> dict[str, list[int] | int]:
         """The control information an ALF ACK carries."""
         return {
-            "highest": self._highest,
+            "cum": self.cumulative,
+            "received": self.received_above(),
             "missing": self.missing_below_highest(),
+            "highest": self._highest,
         }

@@ -583,9 +583,12 @@ class SerialShardScheduler:
             best.step()
             ran += 1
         if until is not None:
+            # The merge stopped because every loop's next live event is
+            # later than `until` (or it has none): nothing is left to
+            # run, so each clock moves forward directly.
             for loop in self.loops:
                 if loop.now < until:
-                    loop.run(until=until)
+                    loop.now = until
         self.steps += ran
         return ran
 

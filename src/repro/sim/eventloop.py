@@ -3,6 +3,11 @@
 Events are callbacks scheduled at absolute times; ties are broken by a
 monotonically increasing sequence number, so runs are exactly
 reproducible.  Time is a float in seconds.
+
+The heap holds ``(time, sequence, event)`` tuples.  ``sequence`` is
+unique, so heapq's C tuple comparison settles every ordering on the
+first two fields and never reaches the :class:`Event`: no sift step
+calls back into Python, whatever the callback's arguments.
 """
 
 from __future__ import annotations
@@ -10,22 +15,38 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback (ordering fields first for the heap)."""
+    """A scheduled callback: the handle :meth:`EventLoop.schedule`
+    returns.  Events are not orderable; the loop orders its heap
+    entries, not the events inside them."""
 
-    time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    _loop: "EventLoop | None" = field(compare=False, default=None, repr=False)
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "_loop")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: Callable[..., None],
+        args: tuple[Any, ...] = (),
+        loop: "EventLoop | None" = None,
+    ):
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self._loop = loop
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, sequence={self.sequence!r}, "
+            f"callback={self.callback!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -47,7 +68,7 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         # Heap mutations are locked: a sharded host in threaded mode
         # shares loops across threads at well-defined points (a worker
         # ACKing through the front's uplink schedules on the front
@@ -72,10 +93,11 @@ class EventLoop:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay {delay})")
-        event = Event(self.now + delay, next(self._sequence), callback, args)
-        event._loop = self
+        time = self.now + delay
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback, args, self)
         with self._heap_lock:
-            heapq.heappush(self._heap, event)
+            heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def _on_cancel(self) -> None:
@@ -86,9 +108,11 @@ class EventLoop:
             self._compact()
 
     def _compact(self) -> None:
+        # In place: a running `run` holds a reference to the list.
         with self._heap_lock:
-            self._heap = [event for event in self._heap if not event.cancelled]
-            heapq.heapify(self._heap)
+            heap = self._heap
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 
@@ -105,17 +129,17 @@ class EventLoop:
                 quiescence.
             max_events: safety valve against runaway simulations.
         """
+        heap = self._heap
+        lock = self._heap_lock
+        heappop = heapq.heappop
         processed = 0
         while True:
             if max_events is not None and processed >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
-            with self._heap_lock:
-                if not self._heap:
+            with lock:
+                if not heap or (until is not None and heap[0][0] > until):
                     break
-                event = self._heap[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._heap)
+                event = heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -141,11 +165,12 @@ class EventLoop:
         :class:`~repro.net.shard.SerialShardScheduler` merge several
         loops into one global time order without running any of them.
         """
+        heap = self._heap
         with self._heap_lock:
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
+            while heap and heap[0][2].cancelled:
+                heapq.heappop(heap)
                 self._cancelled -= 1
-            return self._heap[0].time if self._heap else None
+            return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run exactly one (live) event; returns False when idle.
@@ -153,11 +178,12 @@ class EventLoop:
         The single-event counterpart of :meth:`run`, used by the serial
         shard scheduler to interleave several loops deterministically.
         """
+        heap = self._heap
         while True:
             with self._heap_lock:
-                if not self._heap:
+                if not heap:
                     return False
-                event = heapq.heappop(self._heap)
+                event = heapq.heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue

@@ -4,9 +4,9 @@ Stage one of the paper's two-stage receive structure: fragments are
 examined to determine "which ADU they belong to (the demultiplexing
 control operation) and where in the ADU they go (the re-ordering control
 operation)".  The moment an ADU completes — regardless of other ADUs —
-it is verified and handed up.  ACKs carry ADU names (received set +
-missing set), so the sender's application can reason about losses in its
-own terms.
+it is verified and handed up.  ACKs carry ADU names — a cumulative
+point, the ADUs received above it, and the missing set — so the sender's
+application can reason about losses in its own terms.
 """
 
 from __future__ import annotations
@@ -176,8 +176,6 @@ class AlfReceiver:
         self._drain_scheduled = False
         self._defer_acks = 0
         self._ack_pending = False
-        self._delivered: set[int] = set()
-        self._next_in_order = 0
         self._closed = False
         self.out_of_order_deliveries = 0
         self.fec_recoveries = 0
@@ -208,7 +206,7 @@ class AlfReceiver:
         header = packet.header
         sequence = int(header["adu_seq"])
 
-        if sequence in self._delivered:
+        if sequence in self.acks:
             self.stats.duplicates_discarded += 1
             self._discard_payload(packet.payload)
             # A retransmission of a delivered ADU means the sender
@@ -490,7 +488,7 @@ class AlfReceiver:
         shared engine's cross-flow dispatch.  A checksum mismatch
         penalizes only this flow (its ``stats.checksum_failures``); a
         verified row rides the normal delivery path, whose
-        delivered-set dedupe guarantees exactly-once.  Returns ADUs
+        receipt-tracker dedupe guarantees exactly-once.  Returns ADUs
         delivered (0 or 1).
         """
         self.batch_drained_adus += 1
@@ -501,14 +499,14 @@ class AlfReceiver:
             self._release_fragments(entry.partial)
             return 0
         self._release_fragments(entry.partial)
-        before = len(self._delivered)
+        before = len(self.acks)
         self._deliver_adu(
             entry.sequence,
             entry.adu,
             plan_out=out,
             corrupt_spans=entry.corrupt_spans,
         )
-        return len(self._delivered) - before
+        return len(self.acks) - before
 
     def begin_drain_dispatch(self) -> None:
         """Start coalescing ACKs for one engine dispatch.
@@ -606,7 +604,7 @@ class AlfReceiver:
         plan_out: bytes | BufferChain | None = None,
         corrupt_spans: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        if sequence in self._delivered:
+        if sequence in self.acks:
             self.stats.duplicates_discarded += 1
             self._discard_payload(adu.payload)
             if isinstance(plan_out, BufferChain) and plan_out is not adu.payload:
@@ -619,11 +617,8 @@ class AlfReceiver:
                 plan_out, _ = self.wire_plan.run_chain(adu.payload)
             else:
                 plan_out, _ = self.wire_plan.run(adu.payload)
-        self._delivered.add(sequence)
+        in_order = sequence == self.acks.cumulative
         self.acks.on_adu(sequence)
-        in_order = sequence == self._next_in_order
-        while self._next_in_order in self._delivered:
-            self._next_in_order += 1
         if not in_order:
             self.out_of_order_deliveries += 1
 
@@ -687,7 +682,7 @@ class AlfReceiver:
     # Acknowledgement
 
     def _periodic_ack(self) -> None:
-        if self._delivered or self._partial:
+        if len(self.acks) or self._partial:
             self._send_ack()
         self.loop.schedule(self.ack_interval, self._periodic_ack)
 
@@ -697,22 +692,16 @@ class AlfReceiver:
             return
         self.counter.record("ack_compute")
         self.stats.acks_sent += 1
-        payload = self.acks.ack_payload()
+        sack = self.acks.ack_payload()
         # ADUs with fragments present — or complete and queued for the
         # batched drain — are in flight, not missing yet.
         pending = {entry.sequence for entry in self._ready}
-        missing = [
+        sack["missing"] = [
             sequence
-            for sequence in payload["missing"]
+            for sequence in sack["missing"]
             if sequence not in self._partial and sequence not in pending
         ]
-        header: dict = {
-            "sack": {
-                "received": sorted(self._delivered),
-                "missing": missing,
-                "highest": payload["highest"],
-            }
-        }
+        header: dict = {"sack": sack}
         if self.drain_engine is not None:
             # Piggyback the drain engine's pressure quantum (§3: the
             # rate is "computed on an out-of-band basis" — here, from
@@ -739,14 +728,14 @@ class AlfReceiver:
     @property
     def delivered_count(self) -> int:
         """Complete ADUs handed to the application."""
-        return len(self._delivered)
+        return len(self.acks)
 
     @property
     def complete(self) -> bool:
         """True when every expected ADU has been delivered."""
         if self.expected_adus is None:
             return False
-        return len(self._delivered) >= self.expected_adus
+        return len(self.acks) >= self.expected_adus
 
     def missing_names(self) -> list[dict[str, Any]]:
         """Names of partially received ADUs (loss in application terms)."""

@@ -1,7 +1,8 @@
 """ALF sender: fragments ADUs, repairs per the application's policy.
 
 The sender keeps per-ADU state, not a byte stream.  ACKs from the
-receiver name ADUs (highest seen + missing set); repair of a missing ADU
+receiver name ADUs (a cumulative point, the ADUs received above it, and
+the missing set); repair of a missing ADU
 follows the :class:`RecoveryMode`: retransmit a buffered copy, ask the
 application to recompute it, or let it go.  A coarse timer covers tail
 loss (an ADU whose every fragment — or whose ACK — vanished).
@@ -10,6 +11,7 @@ loss (an ADU whose every fragment — or whose ACK — vanished).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -241,6 +243,7 @@ class AlfSender:
         self.adus_abandoned: set[int] = set()
         self._outstanding: dict[int, _Outstanding] = {}
         self._acked: set[int] = set()
+        self._acked_up_to = 0  # the highest ACK cumulative point seen
         self._closed = False
         self._completed = False
         self._next_send_time = 0.0
@@ -545,17 +548,22 @@ class AlfSender:
         if quantum is not None and self.pacing is not None:
             self.pacing.on_pressure(int(quantum))
         sack = packet.header["sack"]
-        received: set[int] = set(sack["received"])
-        missing: list[int] = list(sack["missing"])
-
-        for sequence in received:
-            entry = self._outstanding.pop(sequence, None)
-            if entry is not None:
+        # Everything below the ACK's cumulative point has arrived, and
+        # earlier ACKs already retired what lay below the point they
+        # carried: only the stretch this ACK newly covers, plus the ADUs
+        # it lists above its point, can still be outstanding.  A
+        # reordered, older ACK covers no new stretch.
+        cumulative = sack["cum"]
+        covered = range(self._acked_up_to, cumulative)
+        self._acked_up_to = max(self._acked_up_to, cumulative)
+        outstanding = self._outstanding
+        for sequence in itertools.chain(covered, sack["received"]):
+            if outstanding.pop(sequence, None) is not None:
                 self.counter.record("sequence_check")
                 self._acked.add(sequence)
                 self._drop_wire_memo(sequence)
 
-        for sequence in missing:
+        for sequence in sack["missing"]:
             self._repair(sequence)
 
         self._pump_pending()

@@ -1,5 +1,7 @@
 """ACK generation and timestamp machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,12 +63,56 @@ class TestAckGenerator:
         assert acks.pending_islands == 0
 
 
+def reference_absorb(cumulative: int, islands: dict[int, int]) -> int:
+    """The generator's former absorb loop: re-sort, take one, repeat."""
+    absorbed = True
+    while absorbed:
+        absorbed = False
+        for island_start in sorted(islands):
+            if island_start <= cumulative:
+                cumulative = max(cumulative, islands.pop(island_start))
+                absorbed = True
+                break
+    return cumulative
+
+
+class TestAckGeneratorIslands:
+    def test_five_hundred_shuffled_islands_match_reference(self):
+        rng = random.Random(7)
+        # 500 islands of varied length, some overlapping, tiling
+        # [10, end) with no gap: the fill of [0, 10) absorbs them all
+        # in one call.
+        segments = []
+        start = 10
+        for _ in range(500):
+            length = rng.randint(1, 12)
+            segments.append((start, length))
+            start += length - rng.randint(0, length - 1)
+        rng.shuffle(segments)
+        acks = AckGenerator()
+        cumulative, islands = 0, {}
+        for seg_start, length in segments + [(0, 10)]:
+            acks.on_segment(seg_start, length)
+            end = seg_start + length
+            if seg_start > cumulative:
+                islands[seg_start] = max(islands.get(seg_start, seg_start), end)
+            else:
+                cumulative = reference_absorb(max(cumulative, end), islands)
+            assert acks.cumulative == cumulative
+            assert acks.pending_islands == len(islands)
+        assert acks.pending_islands == 0
+        assert acks.cumulative == max(s + n for s, n in segments)
+
+
 class TestSelectiveAck:
     def test_records_and_dedups(self):
         tracker = SelectiveAckTracker()
         assert tracker.on_adu(3) is True
         assert tracker.on_adu(3) is False
-        assert tracker.received_names() == {3}
+        assert 3 in tracker and 2 not in tracker
+        assert len(tracker) == 1
+        assert tracker.cumulative == 0
+        assert tracker.received_above() == [3]
 
     def test_missing_below_highest(self):
         tracker = SelectiveAckTracker()
@@ -78,8 +124,10 @@ class TestSelectiveAck:
         tracker = SelectiveAckTracker()
         tracker.on_adu(1)
         payload = tracker.ack_payload()
-        assert payload["highest"] == 1
-        assert payload["missing"] == [0]
+        assert payload == {"cum": 0, "received": [1], "missing": [0], "highest": 1}
+        tracker.on_adu(0)
+        payload = tracker.ack_payload()
+        assert payload == {"cum": 2, "received": [], "missing": [], "highest": 1}
 
     def test_negative_rejected(self):
         with pytest.raises(TransportError):

@@ -220,6 +220,49 @@ class TestSerialShardScheduler:
         with pytest.raises(NetworkError):
             SerialShardScheduler([])
 
+    def test_tail_clock_advance_matches_running_each_loop(self):
+        """A tie at ``until`` and an idle loop end the same either way.
+
+        The reference is the scheduler's earlier tail, which called
+        ``loop.run(until)`` on every loop once the merge stopped.
+        """
+
+        def build():
+            loops = [EventLoop(), EventLoop(), EventLoop()]
+            order: list[str] = []
+            loops[0].schedule(0.5, order.append, "a@0.5")
+            loops[1].schedule(1.0, order.append, "b@until")  # tie at until
+            loops[0].schedule(1.0, order.append, "a@until")
+            loops[1].schedule(1.5, order.append, "b@1.5")
+            loops[0].schedule(0.7, order.append, "dead").cancel()
+            # loops[2] is idle throughout.
+            return loops, order
+
+        def reference_run(loops, until):
+            while True:
+                live = [(loop.next_event_time(), i) for i, loop in enumerate(loops)]
+                live = [entry for entry in live if entry[0] is not None]
+                if not live or min(live)[0] > until:
+                    break
+                loops[min(live)[1]].step()
+            for loop in loops:
+                if loop.now < until:
+                    loop.run(until=until)
+
+        loops, order = build()
+        scheduler = SerialShardScheduler(loops)
+        ref_loops, ref_order = build()
+        for until in (1.0, 1.2, 2.0):
+            scheduler.run(until=until)
+            reference_run(ref_loops, until)
+            assert order == ref_order
+            assert [loop.now for loop in loops] == [loop.now for loop in ref_loops]
+            assert all(loop.now == until for loop in loops)
+            assert [loop.pending for loop in loops] == [
+                loop.pending for loop in ref_loops
+            ]
+        assert order == ["a@0.5", "a@until", "b@until", "b@1.5"]
+
 
 class TestShardRng:
     def test_derived_streams_replay_per_shard(self):

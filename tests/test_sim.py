@@ -115,6 +115,54 @@ class TestEventLoop:
         assert loop.now == 2.0  # the clock never rewound
 
 
+    def test_ten_thousand_ties_fire_fifo_with_unorderable_args(self):
+        # Heap entries are (time, sequence, event) tuples and sequence
+        # is unique, so neither the Event nor its args (dicts here) are
+        # ever compared.
+        loop = EventLoop()
+        log = []
+        for index in range(10_000):
+            loop.schedule(1.0, log.append, {"index": index})
+        loop.run()
+        assert [entry["index"] for entry in log] == list(range(10_000))
+        assert loop.now == 1.0
+
+    def test_events_are_not_orderable(self):
+        loop = EventLoop()
+        first = loop.schedule(1.0, lambda: None)
+        second = loop.schedule(2.0, lambda: None)
+        with pytest.raises(TypeError):
+            first < second  # noqa: B015
+        with pytest.raises(TypeError):
+            sorted([second, first])
+        assert (first.time, first.sequence) < (second.time, second.sequence)
+
+    def test_next_event_time_skips_cancelled_heads(self):
+        loop = EventLoop()
+        assert loop.next_event_time() is None
+        early = loop.schedule(1.0, lambda: None)
+        loop.schedule(1.0, lambda: None).cancel()
+        loop.schedule(3.0, lambda: None)
+        assert loop.next_event_time() == 1.0
+        early.cancel()
+        assert loop.next_event_time() == 3.0
+        assert loop.pending == 1  # the cancelled heads were discarded
+        assert loop._cancelled == 0
+        assert loop.step() is True
+        assert loop.now == 3.0
+        assert loop.next_event_time() is None
+        assert loop.step() is False
+
+    def test_schedule_at_keeps_relative_arithmetic(self):
+        # schedule_at(t) lands at now + (t - now), which can differ from
+        # t in the last bit; event times must not change with the heap.
+        loop = EventLoop()
+        loop.schedule(0.1, lambda: None)
+        loop.run()
+        event = loop.schedule_at(0.3, lambda: None)
+        assert event.time == loop.now + (0.3 - loop.now)
+
+
 class TestRngStreams:
     def test_same_seed_same_draws(self):
         a = RngStreams(1).stream("x")
