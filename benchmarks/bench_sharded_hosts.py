@@ -1,4 +1,4 @@
-"""Sharded hosts — per-shard drain workers vs one receive stack.
+"""Sharded hosts — per-shard receive stacks vs one receive stack.
 
 One machine serves ``N_FLOWS`` concurrent ALF flows, one ADU each, all
 sharing one wire-plan shape.  Two engineerings:
@@ -9,7 +9,7 @@ sharing one wire-plan shape.  Two engineerings:
   (a running pending count) and a drain window examines only the
   backlogged flows, so the host does O(flows) shared-structure work.
 * **4 shards** — a :class:`~repro.net.shard.ShardedHost` demuxes flows
-  by stable hash to four workers, each with its own loop, engine and rx
+  by stable hash to four shards, each with its own loop, engine and rx
   pool.  The bookkeeping per ADU is the same; what sharding adds is
   isolation (private loops, pools and counters) and a front-end demux.
 
@@ -20,10 +20,10 @@ tears down to a clean ``leak_report``.  The gates are honest about what
 sharding buys on one core: the scan stays O(1) per ADU (1-shard backlog
 visits per ADU ≤ 2 — one notification plus one window visit), and the
 4-shard serial scheduler keeps at least 0.75× the 1-shard ADUs/sec (it
-pays a front-end demux and four loops for no parallelism).  A threaded
-4-shard run is recorded alongside.  Emits a machine-readable JSON
-record (``SHARDED_HOSTS_JSON`` line and ``benchmarks/out/
-bench_sharded_hosts.json``) for the CI gate and artifact.
+pays a front-end demux and four loops for no parallelism).  Emits a
+machine-readable JSON record (``SHARDED_HOSTS_JSON`` line and
+``benchmarks/out/bench_sharded_hosts.json``) for the CI gate and
+artifact.
 """
 
 from __future__ import annotations
@@ -63,15 +63,14 @@ PAYLOADS = [
 ]
 
 
-def build_scenario(n_shards: int, threaded: bool = False):
-    """A front host, N worker shards, and one receiver per flow."""
+def build_scenario(n_shards: int):
+    """A front host, N shards, and one receiver per flow."""
     front = Host(EventLoop(), "b")
     demux = ShardCounters()
     sharded = ShardedHost(
         front,
         n_shards,
         rng=RngStreams(5),
-        threaded=threaded,
         pool_buffers=N_FLOWS // n_shards + 64,
         buffer_size=BUFFER,
         max_rows=MAX_ROWS,
@@ -81,7 +80,7 @@ def build_scenario(n_shards: int, threaded: bool = False):
     ack_rng = RngStreams(9)
     for shard in sharded.shards:
         # ACK egress rides a shard-local link (events stay on the
-        # shard's own loop — required for the threaded mode).
+        # shard's own loop).
         sink = Host(shard.loop, "a")
         link = Link(
             shard.loop,
@@ -96,7 +95,7 @@ def build_scenario(n_shards: int, threaded: bool = False):
     # Construct receivers grouped by home shard so each shard's flow
     # state is contiguous in the heap — the same placement a real
     # sharded host gets for free by allocating flow state on the owning
-    # worker.
+    # shard.
     by_shard: dict[int, list[int]] = {}
     for flow_id in range(N_FLOWS):
         index = shard_index("alf", flow_id, n_shards)
@@ -148,10 +147,10 @@ def build_packets(cache: PlanCache) -> list[Packet]:
     return packets
 
 
-def run_once(n_shards: int, threaded: bool = False) -> dict[str, object]:
+def run_once(n_shards: int) -> dict[str, object]:
     """One full run; returns the wall time of the demux+drain hot path
     plus correctness evidence (payload map, counters, leak reports)."""
-    sharded, demux, delivered, cache = build_scenario(n_shards, threaded)
+    sharded, demux, delivered, cache = build_scenario(n_shards)
     packets = build_packets(cache)
     gc.collect()
     start = time.perf_counter()
@@ -200,8 +199,7 @@ def best_of(fn, repeats: int = 3):
 def record():
     single = best_of(lambda: run_once(1))
     sharded = best_of(lambda: run_once(N_SHARDS))
-    threaded = run_once(N_SHARDS, threaded=True)
-    for result in (single, sharded, threaded):
+    for result in (single, sharded):
         check_delivery(result)
 
     scaling = single["wall_s"] / sharded["wall_s"]
@@ -223,10 +221,6 @@ def record():
             "scan_visits_per_adu": sharded["scan_visits"] / N_FLOWS,
             "dispatches": sharded["dispatches"],
             "demux": sharded["demux"],
-        },
-        "threaded": {
-            "wall_s": threaded["wall_s"],
-            "adus_per_s": N_FLOWS / threaded["wall_s"],
         },
         "scaling": scaling,
     }

@@ -1827,7 +1827,7 @@ def zero_copy_datapath(
     Deterministic accounting of the zero-copy datapath: the same ALF
     transfer (64 KB ADUs in 8 fragments by default) run once with every
     layer materializing bytes and once with refcounted buffer chains
-    threaded end to end, counting actual Python-side materializations on
+    carried end to end, counting actual Python-side materializations on
     :func:`repro.machine.accounting.datapath_counters`.  Delivered ADUs
     are asserted byte-identical.  (The wall-clock figures live in
     ``benchmarks/bench_zero_copy.py``; this battery stays

@@ -315,10 +315,12 @@ class ShardCounters:
 
     The demux decision is §4 header prediction applied to shard
     placement: the common case is "next packet belongs to the same flow
-    as the last one", so the front end memoizes the last flow's shard
-    and skips the hash.  ``memo_hits`` vs ``hash_dispatches`` measures
-    how often that prediction holds; ``worker_services`` counts how many
-    times a shard worker woke to service its ingress ring.
+    as the last one", so the steering table memoizes the last flow's
+    placement and skips the hash.  ``memo_hits`` vs ``hash_dispatches``
+    measures how often that prediction holds on the front end's
+    placement walk; ``worker_services`` counts shard
+    hand-offs — one per shard a packet or train delivered to, so a train
+    touching K shards counts K.
 
     Packet trains add run-level accounting: when the front demuxes a
     whole train in one pass, consecutive same-flow packets form a *run*
@@ -333,7 +335,8 @@ class ShardCounters:
     shard (no front-end demux at all), ``fallback_trains`` the
     mixed-shard or stale-epoch trains that still took the front-end
     slow path, and ``steering_hits`` / ``steering_misses`` the
-    steering-table memo behaviour behind those decisions.
+    steering-table memo behaviour over every probe of the table — the
+    link's while coalescing and the front end's placement walk.
     ``migrations`` / ``migrated_flows`` count committed bucket remaps;
     ``shard_packets`` and ``shard_backlog_hist`` break arrival volume
     and sampled backlog depth (power-of-two buckets; 0 = idle) down per
@@ -362,17 +365,6 @@ class ShardCounters:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def record_packet(self, memo_hit: bool) -> None:
-        """Account one demuxed packet (``memo_hit`` when the shard came
-        from the hot-flow memo rather than the hash)."""
-        with self._lock:
-            self.packets += 1
-            self.demux_runs += 1
-            if memo_hit:
-                self.memo_hits += 1
-            else:
-                self.hash_dispatches += 1
 
     def record_run(self, n_packets: int, memo_hit: bool) -> None:
         """Account one same-flow run of ``n_packets`` inside a train.
@@ -405,7 +397,7 @@ class ShardCounters:
                 )
 
     def record_service(self) -> None:
-        """Account one shard worker pass over its ingress ring."""
+        """Account one hand-off of packets to a shard."""
         with self._lock:
             self.worker_services += 1
 

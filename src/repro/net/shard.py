@@ -1,4 +1,4 @@
-"""Sharded parallel hosts: flow-hash demux to per-shard drain workers.
+"""Sharded hosts: flow-hash demux to per-shard receive stacks.
 
 Once per-flow manipulation is compiled and batched, the end system is
 the bottleneck the paper predicts — and an unsharded end system is
@@ -9,7 +9,7 @@ engine's backlog bookkeeping is linear — O(1) per completion however
 many flows share it — so sharding buys isolation and, with real
 parallelism, throughput; it does not divide a scan.)
 
-:class:`ShardedHost` splits the machine into N worker shards, each a
+:class:`ShardedHost` splits the machine into N shards, each a
 self-contained receive stack:
 
 * its own :class:`~repro.sim.eventloop.EventLoop` (drain epochs and
@@ -27,59 +27,48 @@ The front end routes each packet by a stable flow hash, split through
 a bucket indirection — ``crc32(protocol/flow_id) % n_buckets`` names a
 bucket, a flat :class:`SteeringTable` names the bucket's shard (the
 identity mapping reproduces the historical ``crc32 % N`` placement
-exactly) — and memoizes the last flow's shard (§4 header prediction
-applied to shard placement), so a packet train dispatches without
-re-hashing.  Placement is a pure function of the flow key *and the
-table epoch*: between migrations a flow can never change shards — not
-across bursts, not across rebinds, not across close-and-reopen — and a
-migration is only committed at a train boundary with the flow
-quiescent, by a :class:`RebalancePolicy` chasing flow-hash skew.
+exactly).  The table memoizes the last flow's placement (§4 header
+prediction applied to shard placement), so a packet train dispatches
+without re-hashing; it is the one placement memo on the shard path.
+Placement is a pure function of the flow key *and the table epoch*:
+between migrations a flow can never change shards — not across bursts,
+not across rebinds, not across close-and-reopen — and a migration is
+only committed at a train boundary with the flow quiescent, by a
+:class:`RebalancePolicy` chasing flow-hash skew.
 
 **Zero-hop ingress** (§4 demultiplex-once, pushed to the wire): a
 link attached with ``attach_link(link, steer=True)`` consults the
 exported steering table *while coalescing trains*, so a train whose
 packets all place on one shard is delivered straight onto that shard
-via :meth:`ShardedHost.steer_burst` — no front-end demux walk, no
-placement-memo probes.  The front end survives as the slow path for
-mixed-shard trains, stale-epoch trains (a migration committed while
-the train was open) and unclaimed protocols.
+via :meth:`ShardedHost.steer_burst` — no front-end placement walk, no
+further probes.  The walk survives as the slow path for mixed-shard
+trains, stale-epoch trains (a migration committed while the train was
+open) and unclaimed protocols.
 
-**Train demux** (§4 burst amortization): :meth:`ShardedHost.receive_burst`
-walks a whole train in one pass, charging one placement-memo probe per
-*flow-run* (consecutive packets of one flow) instead of one per packet,
-and accumulates one :class:`Burst` descriptor per shard per train.  In
-threaded mode that burst is appended to the shard's :class:`BurstRing`
-— replacing the old per-packet ingress deque — and the worker pops
-bursts whole, delivering each through the shard host's own
-``receive_burst``.  Control cost per train: one ring append and one
-service submission per touched shard, however long the train.
+**One placement walk** (§4 burst amortization): every arrival the link
+did not place — a single packet through :meth:`ShardedHost.receive` or
+a train through :meth:`ShardedHost.receive_burst` — takes the same
+walk.  It probes the table once per *flow-run* (consecutive packets of
+one flow) instead of once per packet and collects all of a shard's
+packets, consecutive or not, into one list.  Control cost per train:
+one hand-off per touched shard, however long the train.
 
 Plan and codec caches are intentionally **not** sharded: compiled plans
-are immutable and shared *by key* across every worker (their counters
+are immutable and shared *by key* across every shard (their counters
 are atomic — see :class:`~repro.machine.accounting.AtomicCacheStats`),
 so all shards serving the same wire-plan shape hit one cache entry.
 
-Two execution modes share the same demux and shard state:
-
-* **serial** (default): deterministic simulation.  Packets are
-  delivered inline; a :class:`SerialShardScheduler` merges the shard
-  loops into one global time order, so existing tests and experiments
-  stay exactly reproducible.
-* **threaded**: one single-thread ``ThreadPoolExecutor`` per shard.
-  The front appends burst descriptors to the shard's ring and submits a
-  service pass; each worker drains its own loop independently.  Egress
-  in threaded mode should ride shard-local links (the front's links
-  belong to the front's loop); the serial mode may instead fall back to
-  the front host via ``uplink``.
+Shards run serially: packets are delivered inline and a
+:class:`SerialShardScheduler` merges the shard loops into one global
+time order, so tests and experiments stay exactly reproducible.  The
+word loops are GIL-bound, so running shards on threads cannot beat the
+serial schedule.  Flows bound on a shard may send through shard-local
+links or fall back to the front host via ``uplink``.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.buffers.pool import BufferPool
@@ -131,9 +120,9 @@ class SteeringTable:
     mutation bumps ``epoch`` and clears the single-entry lookup memo,
     so a consulting link can tell a stale decision from a fresh one.
 
-    Counters are plain ints on purpose: lookups happen on the link's
-    per-packet hot path, always from the front loop's thread, and the
-    sharded host flushes deltas into the locked
+    Counters are plain ints on purpose: lookups happen on the hot path
+    of the link and of the front end's placement walk, and the sharded
+    host flushes deltas into
     :class:`~repro.machine.accounting.ShardCounters` once per train.
     """
 
@@ -385,97 +374,8 @@ class RebalancePolicy:
         }
 
 
-@dataclass
-class Burst:
-    """One shard's slice of a delivered train: a run of packets handed
-    across the front→worker boundary as a single descriptor."""
-
-    packets: list[Packet] = field(default_factory=list)
-
-
-class BurstRing:
-    """A lock-guarded ring of :class:`Burst` descriptors.
-
-    The front→worker handoff queue: the front end appends one
-    descriptor per shard per train (however many packets the train
-    carried), and the shard worker pops bursts whole — so the queue
-    traffic, and the lock traffic with it, is per *train*, not per
-    packet.  The ring is bounded but never drops: a full ring doubles
-    in place (counted in :attr:`expansions`), because the shard owns
-    the only consumer and backpressure belongs to the rx pool, not the
-    handoff.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise NetworkError(f"capacity must be positive, got {capacity}")
-        self._slots: list[Burst | None] = [None] * capacity
-        self._head = 0
-        self._tail = 0
-        self._count = 0
-        self._lock = threading.Lock()
-        self.pushes = 0
-        self.pops = 0
-        self.packets = 0
-        self.expansions = 0
-        self.max_depth = 0
-
-    def push(self, burst: Burst) -> None:
-        """Append one burst descriptor (grows when full, never drops)."""
-        with self._lock:
-            if self._count == len(self._slots):
-                self._grow()
-            self._slots[self._tail] = burst
-            self._tail = (self._tail + 1) % len(self._slots)
-            self._count += 1
-            self.pushes += 1
-            self.packets += len(burst.packets)
-            if self._count > self.max_depth:
-                self.max_depth = self._count
-
-    def _grow(self) -> None:
-        old = self._slots
-        size = len(old)
-        fresh: list[Burst | None] = [None] * (size * 2)
-        for offset in range(self._count):
-            fresh[offset] = old[(self._head + offset) % size]
-        self._slots = fresh
-        self._head = 0
-        self._tail = self._count
-        self.expansions += 1
-
-    def pop(self) -> Burst | None:
-        """Take the oldest burst, or None when the ring is empty."""
-        with self._lock:
-            if self._count == 0:
-                return None
-            burst = self._slots[self._head]
-            self._slots[self._head] = None
-            self._head = (self._head + 1) % len(self._slots)
-            self._count -= 1
-            self.pops += 1
-            return burst
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._count
-
-    def snapshot(self) -> dict[str, int]:
-        """Ring counters, for the sharded host's snapshot."""
-        with self._lock:
-            return {
-                "depth": self._count,
-                "capacity": len(self._slots),
-                "pushes": self.pushes,
-                "pops": self.pops,
-                "packets": self.packets,
-                "expansions": self.expansions,
-                "max_depth": self.max_depth,
-            }
-
-
 class HostShard:
-    """One worker shard: a private loop, host, engine and rx pool.
+    """One shard: a private loop, host, engine and rx pool.
 
     Built by :class:`ShardedHost`; not normally constructed directly.
     The shard's host shares the front's *name* (transport replies must
@@ -494,7 +394,6 @@ class HostShard:
         max_rows: int,
         max_delay: float,
         adaptive: bool,
-        ring_capacity: int,
         tracer: Tracer,
     ):
         self.index = index
@@ -529,9 +428,6 @@ class HostShard:
             counters=self.counters,
             tracer=tracer,
         )
-        self.ring = BurstRing(ring_capacity)
-        self.executor: ThreadPoolExecutor | None = None
-        self.futures: deque[Future] = deque()
 
     def advance_to(self, time: float) -> None:
         """Run this shard's loop up to ``time`` (clock catches up too)."""
@@ -546,11 +442,11 @@ class HostShard:
 class SerialShardScheduler:
     """Deterministic merge of several event loops into one time order.
 
-    The serial fallback that keeps sharded simulations reproducible: at
-    each step the loop with the earliest live event runs exactly one
-    event (ties broken by registration order), so N shard loops behave
-    as one global discrete-event simulation — same semantics whether
-    the host runs 1 shard or 8.
+    The one shard execution model, and what keeps sharded simulations
+    reproducible: at each step the loop with the earliest live event
+    runs exactly one event (ties broken by registration order), so N
+    shard loops behave as one global discrete-event simulation — same
+    semantics whether the host runs 1 shard or 8.
     """
 
     def __init__(self, loops: list[EventLoop]):
@@ -594,24 +490,20 @@ class SerialShardScheduler:
 
 
 class ShardedHost:
-    """A host front end that demuxes flows to N worker shards.
+    """A host front end that demuxes flows to N shards.
 
     Args:
         front: the machine's outward-facing host (owns the links;
             arriving packets reach the demux through protocol fallback
             bindings on it, or by calling :meth:`receive` directly).
-        shards: worker count (N ≥ 1).
+        shards: shard count (N ≥ 1).
         rng: root RNG family; each shard derives its own from the root
             seed and its index.  Defaults to a seed-0 family.
-        threaded: run each shard on its own single-thread executor.
-            False (default) keeps the deterministic serial scheduler.
         pool_buffers / buffer_size: size of each shard's private rx
             pool (0 buffers disables pooling — payloads stay bytes).
         max_rows / max_delay: forwarded to each shard's drain engine.
         adaptive: forwarded to each shard's drain engine — epochs deepen
             under backlog and collapse to immediate flush when idle.
-        ring_capacity: initial burst-ring slots per shard (the ring
-            grows on overflow rather than dropping).
         protocols: protocol names the front end claims
             (``front.bind_protocol``) and demuxes; pass ``()`` when the
             caller routes packets to :meth:`receive` itself.
@@ -631,13 +523,11 @@ class ShardedHost:
         front: Host,
         shards: int,
         rng: RngStreams | None = None,
-        threaded: bool = False,
         pool_buffers: int = 0,
         buffer_size: int = 2048,
         max_rows: int = 256,
         max_delay: float = 0.0,
         adaptive: bool = False,
-        ring_capacity: int = 64,
         protocols: tuple[str, ...] = ("alf",),
         buckets_per_shard: int = 64,
         rebalance: "RebalancePolicy | None" = None,
@@ -647,7 +537,6 @@ class ShardedHost:
         if shards <= 0:
             raise NetworkError(f"shards must be positive, got {shards}")
         self.front = front
-        self.threaded = bool(threaded)
         self.tracer = tracer or Tracer(enabled=False)
         self.counters = counters if counters is not None else shard_counters()
         root = rng if rng is not None else RngStreams(0)
@@ -661,20 +550,11 @@ class ShardedHost:
                 max_rows,
                 max_delay,
                 adaptive,
-                ring_capacity,
                 self.tracer,
             )
             for index in range(shards)
         ]
         self.scheduler = SerialShardScheduler([shard.loop for shard in self.shards])
-        # §4 header prediction applied to placement: the last flow's
-        # shard is memoized, so a packet train skips the hash.  The
-        # placement is a pure function of the flow key *and the
-        # steering epoch*: only a committed bucket migration can change
-        # the answer, and every commit clears this memo.
-        self._memo_key: tuple[str, int] | None = None
-        self._memo_shard: HostShard | None = None
-        self._memo_bucket = -1
         self._pump_scheduled = False
         self._protocols = tuple(protocols)
         self._claimed = frozenset(self._protocols) or None
@@ -689,29 +569,23 @@ class ShardedHost:
         self._bucket_flows: dict[int, set[tuple[str, int]]] = {}
         self._steer_hits_seen = 0
         self._steer_misses_seen = 0
-        self._started = False
         self._closed = False
         for protocol in self._protocols:
             front.bind_protocol(protocol, self.receive)
-        if self.threaded:
-            # Threaded mode shares loops across threads at defined
-            # points (a worker ACKing through the uplink schedules on
-            # the front loop; a migration commit advances the target
-            # loop from the front thread), so an event can land timed
-            # before the receiving loop's clock — run it late rather
-            # than treating it as heap corruption.
-            front.loop.tolerate_late = True
-            for shard in self.shards:
-                shard.loop.tolerate_late = True
-            self.start()
 
     # ------------------------------------------------------------------
     # Demux
 
     def shard_for(self, protocol: str, flow_id: int) -> HostShard:
         """The home shard of (protocol, flow) under the live steering
-        table — the historical pure hash until a migration commits."""
-        return self.shards[self.steering.place(protocol, flow_id)[0]]
+        table — the historical pure hash until a migration commits.
+
+        A control-path query (binding a receiver, say): it bypasses the
+        table's placement memo, so it neither disturbs nor counts as a
+        data-path probe.
+        """
+        table = self.steering
+        return self.shards[table.map[table.bucket_of(protocol, flow_id)]]
 
     def attach_link(self, link, steer: bool = False) -> None:
         """Point a link's delivery at this front end, trains included.
@@ -719,14 +593,14 @@ class ShardedHost:
         Per-packet delivery goes through the front host's normal demux
         (so unclaimed protocols still reach their own handlers); a
         train-mode link hands whole trains to :meth:`receive_burst`, so
-        the one-pass shard demux sees the same aggregation the link
+        the one-pass placement walk sees the same aggregation the link
         built.
 
         ``steer=True`` additionally exports the steering table to the
         link: a coalescing train whose packets all place on one shard
         is delivered straight onto that shard via :meth:`steer_burst` —
-        zero front-end hops, zero placement-memo probes — while
-        mixed-shard, stale-epoch and unclaimed-protocol trains keep the
+        zero front-end hops, zero placement walks — while mixed-shard,
+        stale-epoch and unclaimed-protocol trains keep the
         :meth:`receive_burst` slow path.
         """
         link.connect(self.front.receive, burst_receiver=self.receive_burst)
@@ -734,109 +608,102 @@ class ShardedHost:
             link.set_steering(self.steering, self.steer_burst)
             self._steered = True
 
-    def _route(self, packet: Packet) -> HostShard:
-        key = (packet.protocol, packet.flow_id)
-        if key == self._memo_key:
-            self.counters.record_packet(memo_hit=True)
-            self.steering.charge(self._memo_bucket, self._memo_shard.index, 1)
-            return self._memo_shard
-        index, bucket = self.steering.place(packet.protocol, packet.flow_id)
-        shard = self.shards[index]
-        self._memo_key = key
-        self._memo_shard = shard
-        self._memo_bucket = bucket
-        self.counters.record_packet(memo_hit=False)
-        self.steering.charge(bucket, index, 1)
-        return shard
-
     def receive(self, packet: Packet) -> None:
         """Demux one packet to its home shard."""
-        self._dispatch(self._route(packet), [packet])
+        self._ingress([packet])
 
     def receive_burst(self, packets: list[Packet]) -> None:
-        """Demux a packet train in one pass: one burst per shard.
-
-        The train is walked once, charging one placement-memo probe per
-        flow-run (consecutive packets of one flow) rather than one per
-        packet — the saved probes are counted in the demux ledger.  All
-        of a shard's packets across the train, consecutive or not, land
-        in a single :class:`Burst` descriptor, so a train touching K
-        shards costs K handoffs however many packets it carried.
+        """Demux a packet train in one pass: one hand-off per shard.
 
         With link steering active this is the *slow path* — only
         mixed-shard, stale-epoch or unclaimed-protocol trains land
         here, counted as fallbacks.
         """
-        if not packets:
+        if packets:
+            self._ingress(packets, train=True)
+
+    def steer_burst(self, index: int, packets: list[Packet]) -> None:
+        """Zero-hop ingress: a steered link delivers a single-shard
+        train here, straight onto the shard — no placement walk (the
+        link already consulted the steering table while coalescing)."""
+        self._ingress(packets, train=True, steered=self.shards[index])
+
+    def _ingress(
+        self,
+        packets: list[Packet],
+        train: bool = False,
+        steered: HostShard | None = None,
+    ) -> None:
+        """The one ingress path behind the three entry points.
+
+        A ``steered`` train goes straight to its shard.  Anything else
+        takes the placement walk: one :meth:`SteeringTable.place` probe
+        per flow-run (consecutive packets of one flow), whose memo hit
+        or miss is what ``memo_hits`` / ``hash_dispatches`` count; the
+        run's other packets are counted as saved probes.  Packets of
+        protocols this front never claimed take the front host's
+        ordinary demux.  Each touched shard then gets all of its
+        packets in one :meth:`_deliver`.  A train (not a single packet)
+        ends at a rebalance boundary.
+        """
+        if self._closed:
+            # shutdown() unbound the claimed protocols from the front,
+            # so the front counts these as undeliverable.
+            for packet in packets:
+                self.front.receive(packet)
             return
-        self.counters.record_burst(len(packets))
-        if self._steered:
-            self.counters.record_fallback(len(packets))
-        per_shard: dict[int, list[Packet]] = {}
-        touched: list[HostShard] = []
-        run_key: tuple[str, int] | None = None
-        run_shard: HostShard | None = None
-        run_bucket = -1
-        run_len = 0
-        run_memo_hit = False
+        counters = self.counters
+        if steered is not None:
+            counters.record_steered(len(packets))
+            self._flush_steering_counters()
+            self._deliver(steered, packets)
+            self._train_boundary()
+            return
+        if train:
+            counters.record_burst(len(packets))
+            if self._steered:
+                counters.record_fallback(len(packets))
+        table = self.steering
         claimed = self._claimed
-        steering = self.steering
+        per_shard: dict[HostShard, list[Packet]] = {}
+        run_key: tuple[str, int] | None = None
+        run_into: list[Packet] = []  # the run's shard's packet list
+        run_index = run_bucket = run_len = 0
+        run_hit = False
         for packet in packets:
             key = (packet.protocol, packet.flow_id)
             if key == run_key:
                 run_len += 1
-                per_shard[run_shard.index].append(packet)
+                run_into.append(packet)
                 continue
             if run_len:
-                self.counters.record_run(run_len, run_memo_hit)
-                steering.charge(run_bucket, run_shard.index, run_len)
+                counters.record_run(run_len, run_hit)
+                table.charge(run_bucket, run_index, run_len)
             if claimed is not None and packet.protocol not in claimed:
-                # A train arriving off a link may interleave protocols
-                # this front never claimed; those packets take the front
-                # host's ordinary per-packet demux instead.
                 run_key = None
                 run_len = 0
                 self.front.receive(packet)
                 continue
+            hits = table.memo_hits
+            run_index, run_bucket = table.place(packet.protocol, packet.flow_id)
+            run_hit = table.memo_hits != hits
             run_key = key
             run_len = 1
-            run_memo_hit = key == self._memo_key
-            if run_memo_hit:
-                run_shard = self._memo_shard
-                run_bucket = self._memo_bucket
-            else:
-                index, run_bucket = steering.place(
-                    packet.protocol, packet.flow_id
-                )
-                run_shard = self.shards[index]
-                self._memo_key = key
-                self._memo_shard = run_shard
-                self._memo_bucket = run_bucket
-            bucket = per_shard.get(run_shard.index)
-            if bucket is None:
-                bucket = per_shard[run_shard.index] = []
-                touched.append(run_shard)
-            bucket.append(packet)
+            shard = self.shards[run_index]
+            run_into = per_shard.get(shard)
+            if run_into is None:
+                run_into = per_shard[shard] = []
+            run_into.append(packet)
         if run_len:
-            self.counters.record_run(run_len, run_memo_hit)
-            steering.charge(run_bucket, run_shard.index, run_len)
-        for shard in touched:
-            self._dispatch(shard, per_shard[shard.index])
-        self._train_boundary()
-
-    def steer_burst(self, index: int, packets: list[Packet]) -> None:
-        """Zero-hop ingress: a steered link delivers a single-shard
-        train here, straight onto the shard — no front-end demux walk,
-        no placement-memo probes (the link already consulted the
-        steering table while coalescing)."""
-        shard = self.shards[index]
-        self.counters.record_steered(len(packets))
-        self._flush_steering_counters()
-        self._dispatch(shard, packets)
-        self._train_boundary()
+            counters.record_run(run_len, run_hit)
+            table.charge(run_bucket, run_index, run_len)
+        for shard, shard_packets in per_shard.items():
+            self._deliver(shard, shard_packets)
+        if train:
+            self._train_boundary()
 
     def _flush_steering_counters(self) -> None:
-        """Fold the table's lock-free lookup counts into the ledger."""
+        """Fold the table's plain-int lookup counts into the ledger."""
         table = self.steering
         hits, misses = table.memo_hits, table.lookups
         self.counters.record_steering(
@@ -845,31 +712,14 @@ class ShardedHost:
         self._steer_hits_seen = hits
         self._steer_misses_seen = misses
 
-    def _dispatch(self, shard: HostShard, packets: list[Packet]) -> None:
-        if self.threaded:
-            # One ring append and one service submission per burst —
-            # the per-train (not per-packet) front→worker handoff.
-            if len(packets) > 1:
-                self.counters.record_shard_load(
-                    shard.index, len(packets), len(shard.ring)
-                )
-            shard.ring.push(Burst(packets))
-            # The single worker completes FIFO, so settled futures form
-            # a prefix: prune it on every append to keep the outstanding
-            # set (and the migration-commit scan over it) bounded by
-            # in-flight work instead of growing for the whole run.
-            futures = shard.futures
-            while futures and futures[0].done():
-                futures.popleft()
-            futures.append(shard.executor.submit(self._service, shard))
-            return
+    def _deliver(self, shard: HostShard, packets: list[Packet]) -> None:
+        """Hand one shard its packets, inline at the front's current
+        time.  The shard's clock catches up first so flush epochs
+        scheduled by this delivery land at the same global timestep."""
         if len(packets) > 1:
             self.counters.record_shard_load(
                 shard.index, len(packets), shard.engine.pending_rows
             )
-        # Serial mode: deliver inline at the front's current time.  The
-        # shard's clock catches up first so flush epochs scheduled by
-        # this delivery land at the same global timestep.
         shard.advance_to(self.front.loop.now)
         if len(packets) == 1:
             shard.host.receive(packets[0])
@@ -884,27 +734,6 @@ class ShardedHost:
         """Front-loop event: run shard events due at the current time."""
         self._pump_scheduled = False
         self.scheduler.run(until=self.front.loop.now)
-
-    def _service(self, shard: HostShard) -> None:
-        """Worker-thread pass: pop whole bursts off the ring, run the loop."""
-        serviced = False
-        while True:
-            burst = shard.ring.pop()
-            if burst is None:
-                break
-            serviced = True
-            if len(burst.packets) == 1:
-                shard.host.receive(burst.packets[0])
-            else:
-                shard.host.receive_burst(burst.packets)
-        # Zero-delay flush epochs are due now; a delayed-flush engine
-        # needs its window run out too.  The settle horizon comes from
-        # the engine itself: an adaptive engine's effective delay can
-        # exceed the configured max_delay, so running to max_delay
-        # would return with armed epochs stranded in the future.
-        shard.loop.run(until=shard.loop.now + shard.engine.flush_horizon)
-        if serviced:
-            self.counters.record_service()
 
     # ------------------------------------------------------------------
     # Skew-aware rebalancing
@@ -968,19 +797,16 @@ class ShardedHost:
         """Remap one bucket and rehome its registered flows.
 
         The stability contract: a commit happens at a train boundary,
-        with both the source and the target shard's ingress settled
-        (the source defers when busy; the target's in-flight service
-        passes are waited out — they are short and only the front
-        thread submits new ones), every registered flow in the bucket
-        quiescent (no in-flight
-        reassembly rows, no undrained ready rows), and no *unregistered*
-        flow bound on the source shard inside the bucket (remapping one
-        would route its future packets to a shard where nothing is
-        bound).  Anything else defers — the policy will simply
-        re-propose at the next boundary.  Exactly-once delivery
-        survives because no fragment of any ADU is in flight across the
-        rebind, and the placement memos (front, table, link) are all
-        epoch-invalidated before the next packet routes.
+        with the shards' zero-delay work settled, every registered flow
+        in the bucket quiescent (no in-flight reassembly rows, no
+        undrained ready rows), and no *unregistered* flow bound on the
+        source shard inside the bucket (remapping one would route its
+        future packets to a shard where nothing is bound).  Anything
+        else defers — the policy will simply re-propose at the next
+        boundary.  Exactly-once delivery survives because no fragment
+        of any ADU is in flight across the rebind, and the placement
+        memos (table, link) are all epoch-invalidated before the next
+        packet routes.
         """
         if not 0 <= bucket < self.steering.n_buckets:
             return False
@@ -990,35 +816,10 @@ class ShardedHost:
         flows = self._bucket_flows.get(bucket, ())
         source_shard = self.shards[source]
         target_shard = self.shards[target]
-        if self.threaded:
-            # The source worker must have nothing queued or in flight:
-            # a burst being serviced could still hold this bucket's
-            # packets, and the quiescence check below is only
-            # meaningful once the source has settled.  Defer — the
-            # policy re-proposes at the next boundary.
-            if len(source_shard.ring) or any(
-                not future.done() for future in source_shard.futures
-            ):
-                return False
-            # The commit runs the target's loop (advance_to) and
-            # rebinds receivers onto its host and engine from this
-            # thread — none of which is safe under a concurrent
-            # service pass on the target's worker.  Its passes are
-            # short (pop the queued bursts, run the flush horizon) and
-            # only this thread submits new ones, so wait them out
-            # rather than deferring forever on a busy shard.
-            for future in list(target_shard.futures):
-                future.result()
-            if len(target_shard.ring):
-                # Every push pairs with a submission, so a settled
-                # worker leaves an empty ring; anything else means the
-                # target is not safely idle — defer.
-                return False
-        else:
-            # Settle zero-delay flush epochs first (the pump that would
-            # run them is scheduled behind this event at the same
-            # timestamp) so "quiescent" reflects this train's drains.
-            self.scheduler.run(until=self.front.loop.now)
+        # Settle zero-delay flush epochs first (the pump that would run
+        # them is scheduled behind this event at the same timestamp) so
+        # "quiescent" reflects this train's drains.
+        self.scheduler.run(until=self.front.loop.now)
         # The register_flow contract: a bucket carrying traffic the
         # migration registry doesn't know about keeps its placement.  A
         # per-flow handler bound on the source shard (e.g. a receiver
@@ -1048,9 +849,6 @@ class ShardedHost:
             )
             receiver.rehome(target_shard.loop, target_shard.host, engine)
         self.steering.remap(bucket, target)
-        self._memo_key = None
-        self._memo_shard = None
-        self._memo_bucket = -1
         self.counters.record_migration(len(receivers))
         self.tracer.emit(
             self.front.loop.now, "shard", "migrate", bucket=bucket,
@@ -1059,63 +857,21 @@ class ShardedHost:
         return True
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
-
-    def start(self) -> None:
-        """Spin up one single-thread executor per shard (threaded mode)."""
-        if not self.threaded or self._started:
-            return
-        for shard in self.shards:
-            shard.executor = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix=f"{self.front.name}-shard{shard.index}",
-            )
-        self._started = True
-
-    def stop(self) -> None:
-        """Wait for in-flight service passes and stop the executors."""
-        if not self._started:
-            return
-        for shard in self.shards:
-            if shard.executor is not None:
-                shard.executor.shutdown(wait=True)
-                shard.executor = None
-            shard.futures.clear()
-        self._started = False
+    # Lifecycle
 
     def drain(self, until: float | None = None) -> None:
-        """Settle every shard.
-
-        Serial mode runs the merged scheduler up to ``until`` (default:
-        the front's current time).  Threaded mode waits for every
-        submitted service pass — workers self-drain, so once the
-        futures resolve the burst rings and flush epochs are done.
-        """
-        if self.threaded:
-            while True:
-                futures, pending = [], False
-                for shard in self.shards:
-                    futures.extend(shard.futures)
-                    shard.futures = deque()
-                for future in futures:
-                    future.result()
-                for shard in self.shards:
-                    if len(shard.ring) or shard.futures:
-                        pending = True
-                if not pending:
-                    return
-        else:
-            self.scheduler.run(
-                until=self.front.loop.now if until is None else until
-            )
+        """Settle every shard: run the merged scheduler up to ``until``
+        (default: the front's current time)."""
+        self.scheduler.run(until=self.front.loop.now if until is None else until)
 
     def shutdown(self) -> dict[int, list[str]]:
         """Tear every shard down; returns per-shard leak reports.
 
         Drains outstanding work, shuts each shard's engine down (ready
-        rows release their pooled segments), unbinds the claimed
-        protocols from the front and stops the workers.  A clean
-        teardown reports an empty list for every shard.
+        rows release their pooled segments) and unbinds the claimed
+        protocols from the front, so later arrivals count as
+        undeliverable there.  A clean teardown reports an empty list
+        for every shard.
         """
         if self._closed:
             return {shard.index: shard.leak_report() for shard in self.shards}
@@ -1127,7 +883,6 @@ class ShardedHost:
             reports[shard.index] = shard.leak_report()
         for protocol in self._protocols:
             self.front.unbind_protocol(protocol)
-        self.stop()
         return reports
 
     # ------------------------------------------------------------------
@@ -1143,7 +898,6 @@ class ShardedHost:
         self._flush_steering_counters()
         return {
             "shards": len(self.shards),
-            "threaded": self.threaded,
             "demux": self.counters.snapshot(),
             "steering": self.steering.snapshot(),
             "rebalance": (
@@ -1153,7 +907,6 @@ class ShardedHost:
                 {
                     "index": shard.index,
                     "received": shard.host.received,
-                    "ring": shard.ring.snapshot(),
                     "pressure_quantum": shard.engine.pressure_quantum,
                     "backlog": shard.engine.backlog_export(),
                     "engine": shard.engine.snapshot(),

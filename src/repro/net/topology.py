@@ -127,7 +127,6 @@ def sharded_ingress(
     seed: int = 0,
     shards: int = 4,
     steer: bool = True,
-    threaded: bool = False,
     bandwidth_bps: float = 1e9,
     propagation_delay: float = 0.001,
     loss_rate: float = 0.0,
@@ -187,7 +186,6 @@ def sharded_ingress(
         b,
         shards,
         rng=rng,
-        threaded=threaded,
         pool_buffers=pool_buffers,
         max_rows=max_rows,
         max_delay=max_delay,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -69,25 +68,10 @@ class EventLoop:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
-        # Heap mutations are locked: a sharded host in threaded mode
-        # shares loops across threads at well-defined points (a worker
-        # ACKing through the front's uplink schedules on the front
-        # loop), and CPython's heapq aborts if a push lands mid-sift.
-        # Callbacks always run unlocked, so event execution order and
-        # serial-mode determinism are untouched.
-        self._heap_lock = threading.Lock()
         self._sequence = itertools.count()
         self._cancelled = 0
         self.events_run = 0
         self.compactions = 0
-        # Serial simulations treat an event timed before `now` as heap
-        # corruption.  A loop shared across threads (threaded sharded
-        # ingress) can legitimately receive one — a worker schedules
-        # against a clock snapshot the owning thread has since advanced
-        # past — so the owner opts in to running such events late
-        # (at `now`, never rewinding the clock).
-        self.tolerate_late = False
-        self.late_events = 0
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
@@ -96,8 +80,7 @@ class EventLoop:
         time = self.now + delay
         sequence = next(self._sequence)
         event = Event(time, sequence, callback, args, self)
-        with self._heap_lock:
-            heapq.heappush(self._heap, (time, sequence, event))
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def _on_cancel(self) -> None:
@@ -109,10 +92,9 @@ class EventLoop:
 
     def _compact(self) -> None:
         # In place: a running `run` holds a reference to the list.
-        with self._heap_lock:
-            heap = self._heap
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 
@@ -130,27 +112,20 @@ class EventLoop:
             max_events: safety valve against runaway simulations.
         """
         heap = self._heap
-        lock = self._heap_lock
         heappop = heapq.heappop
         processed = 0
         while True:
             if max_events is not None and processed >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
-            with lock:
-                if not heap or (until is not None and heap[0][0] > until):
-                    break
-                event = heappop(heap)[2]
+            if not heap or (until is not None and heap[0][0] > until):
+                break
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             if event.time < self.now:
-                if not self.tolerate_late:
-                    raise SimulationError(
-                        "event heap corrupted: time went backwards"
-                    )
-                self.late_events += 1
-            else:
-                self.now = event.time
+                raise SimulationError("event heap corrupted: time went backwards")
+            self.now = event.time
             event.callback(*event.args)
             self.events_run += 1
             processed += 1
@@ -166,11 +141,10 @@ class EventLoop:
         loops into one global time order without running any of them.
         """
         heap = self._heap
-        with self._heap_lock:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            return heap[0][0] if heap else None
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run exactly one (live) event; returns False when idle.
@@ -179,25 +153,18 @@ class EventLoop:
         shard scheduler to interleave several loops deterministically.
         """
         heap = self._heap
-        while True:
-            with self._heap_lock:
-                if not heap:
-                    return False
-                event = heapq.heappop(heap)[2]
+        while heap:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             if event.time < self.now:
-                if not self.tolerate_late:
-                    raise SimulationError(
-                        "event heap corrupted: time went backwards"
-                    )
-                self.late_events += 1
-            else:
-                self.now = event.time
+                raise SimulationError("event heap corrupted: time went backwards")
+            self.now = event.time
             event.callback(*event.args)
             self.events_run += 1
             return True
+        return False
 
     @property
     def pending(self) -> int:

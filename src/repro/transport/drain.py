@@ -334,21 +334,6 @@ class SharedDrainEngine:
 
         return quantize_pressure(self.backlog_ewma, self.ramp_rows)
 
-    @property
-    def flush_horizon(self) -> float:
-        """How far a worker must run its loop to settle this engine.
-
-        At least the current effective delay, and never less than the
-        remaining wait of an already-armed flush — an adaptive engine's
-        effective delay can exceed ``max_delay``, so settling against
-        the configured value would strand armed epochs.
-        """
-        with self._mutex:
-            horizon = self.effective_max_delay
-            if self._flush_event is not None:
-                horizon = max(horizon, self._flush_due - self.loop.now)
-            return max(horizon, 0.0)
-
     # ------------------------------------------------------------------
     # Flush scheduling
 

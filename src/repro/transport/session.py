@@ -201,7 +201,7 @@ class SessionListener:
             is set without an engine, the listener creates one for this
             host.
         shards: run accepted flows on a
-            :class:`~repro.net.shard.ShardedHost` with this many worker
+            :class:`~repro.net.shard.ShardedHost` with this many
             shards: each accepted receiver is built on its flow's home
             shard (that shard's loop, host and drain engine), so the
             machine's flows divide across N independent receive stacks

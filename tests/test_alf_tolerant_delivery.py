@@ -13,9 +13,9 @@ positions and policies:
   flip there, no matter the policy or payload.
 
 Both hold on the serial two-host path (real Link corruption with the
-``corrupt_span``-pinned PHY hint) and through a *threaded* sharded host
-(hand-damaged packets with explicit ``phy_corrupt`` hints riding the
-shared drain engine).
+``corrupt_span``-pinned PHY hint) and through a sharded host
+(hand-damaged packets with explicit ``phy_corrupt`` hints riding each
+shard's shared drain engine).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def test_serial_covered_damage_never_accepted(length, span_lo, seed):
     assert sender.stats.retransmissions > 0
 
 
-# --- threaded sharded path: explicit PHY hints -------------------------
+# --- sharded path: explicit PHY hints ----------------------------------
 
 def damaged_packet(
     plan, flow_id: int, payload: bytes, span: tuple[int, int]
@@ -168,13 +168,12 @@ def damaged_packet(
     )
 
 
-def run_threaded(policy: IntegrityPolicy, packets: list[Packet], n_flows: int):
+def run_sharded(policy: IntegrityPolicy, packets: list[Packet], n_flows: int):
     front = Host(EventLoop(), "b")
     sharded = ShardedHost(
         front,
         2,
         rng=RngStreams(3),
-        threaded=True,
         pool_buffers=n_flows * 2,
         buffer_size=PAYLOAD_MAX,
         max_rows=1024,
@@ -219,7 +218,7 @@ def run_threaded(policy: IntegrityPolicy, packets: list[Packet], n_flows: int):
     st.integers(min_value=HEADER_BYTES + 16, max_value=PAYLOAD_MAX),
     st.data(),
 )
-def test_threaded_sharded_uncovered_damage_delivers_flagged(
+def test_sharded_uncovered_damage_delivers_flagged(
     n_flows, length, data
 ):
     policy = tolerant_policy()
@@ -240,7 +239,7 @@ def test_threaded_sharded_uncovered_damage_delivers_flagged(
         )
         originals[flow_id] = (payload, (lo, hi))
         packets.append(damaged_packet(plan, flow_id, payload, (lo, hi)))
-    delivered, _ = run_threaded(policy, packets, n_flows)
+    delivered, _ = run_sharded(policy, packets, n_flows)
     for flow_id, (payload, span) in originals.items():
         rows = delivered.get(flow_id, [])
         assert len(rows) == 1, f"flow {flow_id} lost its damaged ADU"
@@ -260,7 +259,7 @@ def test_threaded_sharded_uncovered_damage_delivers_flagged(
     st.integers(min_value=HEADER_BYTES + 16, max_value=PAYLOAD_MAX),
     st.data(),
 )
-def test_threaded_sharded_covered_damage_never_accepted(n_flows, length, data):
+def test_sharded_covered_damage_never_accepted(n_flows, length, data):
     policy = tolerant_policy()
     plan = _PLANS.get_or_compile(
         wire_pipeline(None, integrity=policy), MIPS_R2000
@@ -273,7 +272,7 @@ def test_threaded_sharded_covered_damage_never_accepted(n_flows, length, data):
             label=f"span_lo[{flow_id}]",
         )
         packets.append(damaged_packet(plan, flow_id, payload, (lo, lo + 1)))
-    delivered, receivers = run_threaded(policy, packets, n_flows)
+    delivered, receivers = run_sharded(policy, packets, n_flows)
     assert delivered == {}
     for flow_id, receiver in receivers.items():
         assert receiver.stats.checksum_failures == 1, flow_id

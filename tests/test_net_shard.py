@@ -307,7 +307,6 @@ class TestEndToEnd:
         assert all(count > 0 for count in spread)
         snap = sharded.snapshot()
         assert snap["shards"] == 4
-        assert snap["threaded"] is False
         assert len(snap["per_shard"]) == 4
         assert snap["demux"]["packets"] == n_flows * n_adus
         for receiver in receivers:
@@ -330,13 +329,14 @@ class TestEndToEnd:
         path.b.receive(adu_packets(1, [adu_payload(6)])[0])
         assert path.b.undeliverable == before + 1
 
-    def test_threaded_sharded_delivery_exactly_once(self):
+    def test_shard_local_egress_delivery_exactly_once(self):
+        # protocols=(): the caller hands packets over itself, and each
+        # shard sends its ACKs on a shard-local link, not the uplink.
         front = Host(EventLoop(), "b")
         sharded = ShardedHost(
             front,
             2,
             rng=RngStreams(3),
-            threaded=True,
             pool_buffers=128,
             buffer_size=2048,
             max_rows=1024,
@@ -344,8 +344,10 @@ class TestEndToEnd:
             counters=ShardCounters(),
         )
         ack_rng = RngStreams(4)
+        sinks = []
         for shard in sharded.shards:
             sink = Host(shard.loop, "a")
+            sinks.append(sink)
             link = Link(
                 shard.loop,
                 ack_rng.stream(f"ack-{shard.index}"),
@@ -364,10 +366,12 @@ class TestEndToEnd:
             for packet in adu_packets(fid, payloads[fid])
         ]
         sharded.receive_burst(packets)
-        sharded.drain()
+        sharded.drain(until=1.0)
         assert sharded.delivered_total == n_flows
         for fid in range(n_flows):
             assert delivered[fid] == payloads[fid]
+        # One ACK per completed ADU, every one through a shard-local link.
+        assert sum(sink.received for sink in sinks) == n_flows
         reports = sharded.shutdown()
         assert reports == {0: [], 1: []}
 

@@ -1,9 +1,8 @@
 """Property: paced egress is byte-identical and exactly-once.
 
 The invariant the pacer promises: shaping is a *timing* change, never a
-semantic one.  For any mix of flows, loss, reordering and duplication —
-and whether the receiving shards run serial or threaded — a transfer
-driven through a :class:`TrainPacer` recovers to the exact same
+semantic one.  For any mix of flows, loss, reordering and duplication,
+a transfer driven through a :class:`TrainPacer` recovers to the exact same
 delivered bytes as the unpaced sender, each ADU exactly once.
 
 ADUs stay single-fragment (payloads below the MTU) and recovery runs in
@@ -43,7 +42,7 @@ CASES = st.fixed_dictionaries(
 )
 
 
-def run_case(case: dict, paced: bool, threaded: bool) -> dict:
+def run_case(case: dict, paced: bool) -> dict:
     """One recovered end-to-end run; per-flow delivered payload lists."""
     path = two_hosts(
         seed=case["seed"],
@@ -57,9 +56,7 @@ def run_case(case: dict, paced: bool, threaded: bool) -> dict:
         rate=case["rate"],
         target_train=case["target_train"],
     )
-    sharded = ShardedHost(
-        path.b, 4, threaded=threaded, counters=ShardCounters()
-    )
+    sharded = ShardedHost(path.b, 4, counters=ShardCounters())
     sharded.attach_link(path.a_to_b)
     delivered: dict[int, list[bytes]] = {}
     flows = list(range(1, case["n_flows"] + 1))
@@ -111,17 +108,8 @@ def offered(case: dict) -> dict[int, list[bytes]]:
 @settings(max_examples=20, deadline=None)
 @given(case=CASES)
 def test_serial_paced_recovers_to_unpaced_bytes(case):
-    unpaced = run_case(case, paced=False, threaded=False)
-    paced = run_case(case, paced=True, threaded=False)
+    unpaced = run_case(case, paced=False)
+    paced = run_case(case, paced=True)
     assert_exactly_once(unpaced)
-    assert_exactly_once(paced)
-    assert fingerprint(paced) == fingerprint(unpaced) == offered(case)
-
-
-@settings(max_examples=6, deadline=None)
-@given(case=CASES)
-def test_threaded_paced_recovers_to_unpaced_bytes(case):
-    unpaced = run_case(case, paced=False, threaded=False)
-    paced = run_case(case, paced=True, threaded=True)
     assert_exactly_once(paced)
     assert fingerprint(paced) == fingerprint(unpaced) == offered(case)

@@ -12,7 +12,7 @@ from repro.machine.accounting import ShardCounters, TrainCounters
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.shard import Burst, BurstRing, ShardedHost
+from repro.net.shard import ShardedHost
 from repro.net.switch import StoreAndForwardSwitch
 from repro.net.topology import two_hosts
 from repro.sim.eventloop import EventLoop
@@ -281,42 +281,6 @@ class TestSwitchBurst:
         assert switch.route_memo_hits == 1
 
 
-class TestBurstRing:
-    def test_fifo_across_growth(self):
-        ring = BurstRing(capacity=2)
-        bursts = [Burst([packet(n=n)]) for n in range(5)]
-        for burst in bursts:
-            ring.push(burst)
-        assert len(ring) == 5
-        assert ring.expansions >= 1
-        popped = [ring.pop() for _ in range(5)]
-        assert popped == bursts
-        assert ring.pop() is None
-        snap = ring.snapshot()
-        assert snap["pushes"] == 5
-        assert snap["pops"] == 5
-        assert snap["packets"] == 5
-        assert snap["max_depth"] == 5
-        assert snap["depth"] == 0
-
-    def test_interleaved_push_pop_wraps(self):
-        ring = BurstRing(capacity=4)
-        out = []
-        for n in range(10):
-            ring.push(Burst([packet(n=n)]))
-            if n >= 1:
-                out.append(ring.pop())
-        while (burst := ring.pop()) is not None:
-            out.append(burst)
-        # FIFO order survives wrapping around the fixed slots.
-        assert [b.packets[0].header["n"] for b in out] == list(range(10))
-        assert ring.snapshot()["expansions"] == 0  # never held more than 2
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(NetworkError):
-            BurstRing(capacity=0)
-
-
 class TestAdaptiveEpochs:
     def test_validation(self):
         loop = EventLoop()
@@ -332,7 +296,6 @@ class TestAdaptiveEpochs:
         engine = SharedDrainEngine(loop, max_rows=64, max_delay=1e-3)
         assert engine.effective_max_rows == 64
         assert engine.effective_max_delay == 1e-3
-        assert engine.flush_horizon == 1e-3
 
     def test_idle_adaptive_engine_flushes_immediately(self):
         loop = EventLoop()
@@ -341,7 +304,6 @@ class TestAdaptiveEpochs:
         )
         assert engine.effective_max_delay == 0.0
         assert engine.effective_max_rows == 4  # the 1/16th floor
-        assert engine.flush_horizon == 0.0
 
     def test_backlog_deepens_epochs_past_configured_delay(self):
         loop = EventLoop()
@@ -358,7 +320,6 @@ class TestAdaptiveEpochs:
             engine.adaptive_boost * engine.max_delay
         )
         assert engine.effective_max_rows == 64
-        assert engine.flush_horizon >= engine.effective_max_delay
 
     def test_silence_decays_pressure_back_to_immediate(self):
         loop = EventLoop()
@@ -425,55 +386,6 @@ class TestShardedTrainDemux:
         assert snap["worker_services"] == 2
         assert snap["demux_runs"] == 4  # four runs of one packet each
         assert delivered[flow_a] and delivered[flow_b]
-
-    def test_threaded_ring_carries_whole_bursts(self):
-        path, sharded, counters = make_sharded(threaded=True)
-        try:
-            delivered: dict[int, list[bytes]] = {}
-            bind_flow(sharded, 3, delivered)
-            payloads = [adu_payload(40 + i) for i in range(6)]
-            sharded.receive_burst(adu_packets(3, payloads))
-            sharded.drain()
-            assert delivered[3] == payloads
-            home = sharded.shard_for(PROTOCOL, 3)
-            ring = home.ring.snapshot()
-            assert ring["pushes"] == 1  # one descriptor for the train
-            assert ring["packets"] == 6
-            assert ring["depth"] == 0
-        finally:
-            sharded.shutdown()
-
-    def test_threaded_adaptive_settles_deep_epochs(self):
-        # Satellite regression: the worker's settle horizon must come
-        # from the engine's *effective* delay.  With adaptive epochs the
-        # effective window can exceed max_delay, and a worker that only
-        # ran to max_delay would strand armed flushes undelivered.
-        path, sharded, counters = make_sharded(
-            threaded=True, adaptive=True, max_delay=2e-4
-        )
-        try:
-            delivered: dict[int, list[bytes]] = {}
-            flows = [1, 2, 3, 4]
-            for flow_id in flows:
-                bind_flow(sharded, flow_id, delivered)
-            expected = {
-                flow_id: [adu_payload(100 * flow_id + i) for i in range(6)]
-                for flow_id in flows
-            }
-            streams = {
-                flow_id: adu_packets(flow_id, expected[flow_id])
-                for flow_id in flows
-            }
-            for round_no in range(6):
-                for flow_id in flows:
-                    sharded.receive_burst([streams[flow_id][round_no]])
-            sharded.drain()
-            for flow_id in flows:
-                assert delivered[flow_id] == expected[flow_id]
-            reports = sharded.shutdown()
-            assert all(not leaks for leaks in reports.values())
-        finally:
-            sharded.stop()
 
     def test_serial_adaptive_delivers_everything(self):
         path, sharded, counters = make_sharded(adaptive=True, max_delay=1e-4)

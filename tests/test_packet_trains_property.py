@@ -4,8 +4,7 @@ The invariant the link's train mode promises: aggregation is a control
 optimization, never a semantic change.  For any mix of flows, loss,
 corruption, duplication and train boundaries, a seeded run delivers the
 exact same ADU bytes — each at most once — whether the link hands the
-sharded host one packet per upcall or whole trains, and whether the
-shards run serial or threaded.
+sharded host one packet per upcall or whole trains.
 
 ADUs stay single-fragment (payloads below the MTU) so a lost packet is
 a lost ADU in both modes and the comparison stays crisp.
@@ -39,7 +38,7 @@ CASES = st.fixed_dictionaries(
 )
 
 
-def run_case(case: dict, max_train: int, threaded: bool) -> dict:
+def run_case(case: dict, max_train: int) -> dict:
     """One end-to-end run; returns per-flow delivered payload lists."""
     path = two_hosts(
         seed=case["seed"],
@@ -50,9 +49,7 @@ def run_case(case: dict, max_train: int, threaded: bool) -> dict:
         max_train=max_train,
         train_window=case["train_window"] if max_train > 1 else 0.0,
     )
-    sharded = ShardedHost(
-        path.b, 4, threaded=threaded, counters=ShardCounters()
-    )
+    sharded = ShardedHost(path.b, 4, counters=ShardCounters())
     sharded.attach_link(path.a_to_b)
     delivered: dict[int, list[bytes]] = {}
     flows = list(range(1, case["n_flows"] + 1))
@@ -95,17 +92,8 @@ def fingerprint(delivered: dict[int, list[bytes]]) -> dict[int, list[bytes]]:
 @settings(max_examples=30, deadline=None)
 @given(case=CASES)
 def test_serial_train_delivery_matches_packet_at_a_time(case):
-    baseline = run_case(case, max_train=1, threaded=False)
-    trains = run_case(case, max_train=case["max_train"], threaded=False)
+    baseline = run_case(case, max_train=1)
+    trains = run_case(case, max_train=case["max_train"])
     assert_exactly_once(baseline)
-    assert_exactly_once(trains)
-    assert fingerprint(trains) == fingerprint(baseline)
-
-
-@settings(max_examples=10, deadline=None)
-@given(case=CASES)
-def test_threaded_train_delivery_matches_packet_at_a_time(case):
-    baseline = run_case(case, max_train=1, threaded=False)
-    trains = run_case(case, max_train=case["max_train"], threaded=True)
     assert_exactly_once(trains)
     assert fingerprint(trains) == fingerprint(baseline)

@@ -87,33 +87,21 @@ class TestEventLoop:
         loop.run()
         assert loop.events_run == 5
 
-    def test_late_event_raises_unless_tolerated(self):
-        # A cross-thread scheduler can land an event timed before the
-        # loop's clock (it snapshotted `now` before the owner advanced
-        # it).  The strict serial default treats that as corruption;
-        # a threaded sharded host opts in to running it late instead,
-        # without ever rewinding the clock.
+    def test_late_event_raises(self):
+        # An event timed before the loop's clock can only come from heap
+        # corruption: both the run and the single-step path refuse it.
         def make_late():
             loop = EventLoop()
             loop.schedule(2.0, lambda: None)
             loop.run()
-            # Simulate the race: an event carrying a stale timestamp.
-            event = loop.schedule(0.0, log.append, "late")
+            event = loop.schedule(0.0, lambda: None)
             event.time = 1.0
             return loop
 
-        log = []
-        loop = make_late()
         with pytest.raises(SimulationError, match="time went backwards"):
-            loop.run()
-        log = []
-        loop = make_late()
-        loop.tolerate_late = True
-        loop.run()
-        assert log == ["late"]
-        assert loop.late_events == 1
-        assert loop.now == 2.0  # the clock never rewound
-
+            make_late().run()
+        with pytest.raises(SimulationError, match="time went backwards"):
+            make_late().step()
 
     def test_ten_thousand_ties_fire_fifo_with_unorderable_args(self):
         # Heap entries are (time, sequence, event) tuples and sequence

@@ -99,11 +99,9 @@ class TestSteeringTable:
 
 
 class TestZeroHopDelivery:
-    @pytest.mark.parametrize("threaded", [False, True])
-    def test_single_shard_train_skips_front_demux(self, threaded):
+    def test_single_shard_train_skips_front_demux(self):
         ing = make_ingress(
-            shards=4, steer=True, threaded=threaded,
-            max_train=8, train_window=1e-3,
+            shards=4, steer=True, max_train=8, train_window=1e-3,
         )
         got = bind_sinks(ing.sharded)
         for i in range(16):
@@ -123,6 +121,22 @@ class TestZeroHopDelivery:
         assert snap["demux"]["steered_packets"] == 16
         ing.sharded.shutdown()
 
+    @pytest.mark.parametrize("steer", [True, False])
+    def test_trains_after_shutdown_are_undeliverable(self, steer):
+        # shutdown() unbinds the claimed protocols from the front; a
+        # train-mode link still hands trains to the sharded host (by
+        # steer_burst or receive_burst), which must pass them to the
+        # front to be counted undeliverable, not deliver them to shards.
+        ing = make_ingress(seed=1, shards=4, steer=steer, max_train=16)
+        ing.sharded.shutdown()
+        received = [shard.host.received for shard in ing.sharded.shards]
+        undeliverable = ing.b.undeliverable
+        for i in range(3):
+            ing.a.send(data_packet(7, i))
+        ing.loop.run()
+        assert [shard.host.received for shard in ing.sharded.shards] == received
+        assert ing.b.undeliverable == undeliverable + 3
+
     def test_mixed_shard_train_falls_back_to_front(self):
         ing = make_ingress(shards=4, steer=True, max_train=8,
                               train_window=1e-3)
@@ -140,6 +154,8 @@ class TestZeroHopDelivery:
         snap = ing.sharded.snapshot()
         assert ing.a_to_b.stats.steered_trains == 0
         assert snap["demux"]["fallback_trains"] >= 1
+        # The walk charges each arrival to the rebalance ledger once.
+        assert snap["steering"]["shard_packets"] == [len(got[i]) for i in range(4)]
         ing.sharded.shutdown()
 
     def test_unclaimed_protocol_reaches_front_handler(self):
@@ -372,57 +388,6 @@ class TestMigration:
         sharded.drain()
         assert delivered[7] == payloads
         sharded.shutdown()
-
-    def test_threaded_migration_requires_idle_target(self):
-        # Committing a migration runs the target shard's loop and
-        # rebinds onto its host from the front thread — unsafe while
-        # the target worker could be servicing.  In-flight service
-        # passes are waited out, but a burst sitting on the target's
-        # ring with no settled worker must defer the commit.
-        from repro.net.shard import Burst
-
-        path, sharded, home, receiver, delivered = self.make_flow(
-            threaded=True
-        )
-        payloads = [adu_payload(80 + i) for i in range(2)]
-        stream = adu_packets(7, payloads)
-        sharded.receive_burst(stream[:1])
-        sharded.drain()
-        bucket = sharded.steering.bucket_of(PROTOCOL, 7)
-        target = (home.index + 1) % 4
-        target_shard = sharded.shards[target]
-        target_shard.ring.push(Burst([]))
-        assert not sharded.migrate_bucket(bucket, target)
-        assert sharded.steering.epoch == 0
-        target_shard.ring.pop()
-        assert sharded.migrate_bucket(bucket, target)
-        sharded.receive_burst(stream[1:])
-        sharded.drain()
-        assert delivered[7] == payloads
-        reports = sharded.shutdown()
-        assert all(report == [] for report in reports.values())
-
-    def test_threaded_futures_stay_bounded_without_drain(self):
-        # One future per dispatched burst, pruned on append: a long run
-        # that never drains must not accumulate settled futures.
-        path, sharded, home, receiver, delivered = self.make_flow(
-            threaded=True
-        )
-        payloads = [adu_payload(90 + i) for i in range(64)]
-        stream = adu_packets(7, payloads)
-        for packet in stream[:-1]:
-            sharded.receive(packet)
-        # Settle every outstanding service pass without drain(), then
-        # dispatch once more: the append-time prune must drop the whole
-        # settled prefix rather than keep one future per burst forever.
-        for future in list(home.futures):
-            future.result()
-        sharded.receive(stream[-1])
-        assert len(home.futures) == 1
-        sharded.drain()
-        assert delivered[7] == payloads
-        reports = sharded.shutdown()
-        assert all(report == [] for report in reports.values())
 
     def test_policy_driven_rebalance_end_to_end(self):
         # Skew every packet onto one shard, let the policy see it at

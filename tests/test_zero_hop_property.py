@@ -5,7 +5,7 @@ For any mix of flows, loss, corruption, duplication, reordering and
 train boundaries — and even with a bucket migration forced between the
 first and second half of the run — a seeded steered run delivers the
 exact same ADU bytes, each at most once, as the same run demuxed
-per-packet through the front end.  Serial and threaded shards both.
+per-packet through the front end.
 
 ADUs stay single-fragment (payloads below the MTU) so a lost packet is
 a lost ADU in both modes and the comparison stays crisp.
@@ -42,9 +42,7 @@ CASES = st.fixed_dictionaries(
 )
 
 
-def run_case(
-    case: dict, steer: bool, max_train: int, threaded: bool
-) -> dict:
+def run_case(case: dict, steer: bool, max_train: int) -> dict:
     """One end-to-end run; returns per-flow delivered payload lists.
 
     ``case["migrate"]`` forces every flow's bucket one shard over
@@ -60,9 +58,7 @@ def run_case(
         max_train=max_train,
         train_window=case["train_window"] if max_train > 1 else 0.0,
     )
-    sharded = ShardedHost(
-        path.b, 4, threaded=threaded, counters=ShardCounters()
-    )
+    sharded = ShardedHost(path.b, 4, counters=ShardCounters())
     sharded.attach_link(path.a_to_b, steer=steer and max_train > 1)
     delivered: dict[int, list[bytes]] = {}
     flows = list(range(1, case["n_flows"] + 1))
@@ -101,21 +97,8 @@ def run_case(
 @settings(max_examples=30, deadline=None)
 @given(case=CASES)
 def test_serial_steered_matches_front_demux(case):
-    baseline = run_case(case, steer=False, max_train=1, threaded=False)
-    steered = run_case(
-        case, steer=True, max_train=case["max_train"], threaded=False
-    )
+    baseline = run_case(case, steer=False, max_train=1)
+    steered = run_case(case, steer=True, max_train=case["max_train"])
     assert_exactly_once(baseline)
-    assert_exactly_once(steered)
-    assert fingerprint(steered) == fingerprint(baseline)
-
-
-@settings(max_examples=10, deadline=None)
-@given(case=CASES)
-def test_threaded_steered_matches_front_demux(case):
-    baseline = run_case(case, steer=False, max_train=1, threaded=False)
-    steered = run_case(
-        case, steer=True, max_train=case["max_train"], threaded=True
-    )
     assert_exactly_once(steered)
     assert fingerprint(steered) == fingerprint(baseline)
