@@ -24,8 +24,8 @@ with *fewer* switch queue drops.
 **Train boundaries.**  The same paced run, with and without the
 cross-traffic.  The switch's train-unit queues plus the downlink's
 tag-boundary close keep each shaped train contiguous, so the sharded
-receiver's one-pass demux still probes the placement memo about once
-per train.  Gate: contended memo probes per delivered ADU within 1.25×
+receiver's one-pass demux still probes the steering table about once
+per train.  Gate: contended placement probes per delivered ADU within 1.25×
 the uncontended level.
 
 **Backpressure convergence.**  A direct path to a slow receiver (an
@@ -347,7 +347,7 @@ def test_acceptance_pacing(record):
     ), record
 
     # Train boundaries survive the contended switch: the sharded
-    # receiver's memo probes per delivered ADU stay at the uncontended
+    # receiver's placement probes per delivered ADU stay at the uncontended
     # train level.
     assert record["probe_ratio"] <= PROBE_GATE, record
     assert record["paced"]["train_units"] > 0, record

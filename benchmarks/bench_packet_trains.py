@@ -8,17 +8,17 @@ receive path.
 link into a 4-shard :class:`~repro.net.shard.ShardedHost`:
 
 * **per-packet** — the PR-6 baseline: the link upcalls once per packet,
-  the demux probes the placement memo once per packet, each worker is
+  the demux probes the steering table once per packet, each worker is
   poked once per packet.
 * **trains of 32** — the link coalesces back-to-back deliveries into
   one ``receive_burst`` upcall; the demux walks the train in one pass
-  (one memo probe per flow-run), pushes one burst descriptor per shard
+  (one placement probe per flow-run), pushes one burst descriptor per shard
   per train, and pokes each worker once per train.
 
 Both engineerings run the identical packets; delivery is asserted
 byte-identical and exactly-once, and every shard tears down to a clean
 ``leak_report``.  Headline gates: drained ADUs/sec with trains ≥ 2x the
-per-packet baseline, and demux memo probes cut ≥ 4x.
+per-packet baseline, and demux placement probes cut ≥ 4x.
 
 **Adaptive epochs.**  A host-wide drain engine serves 16 flows through
 two regimes — a lone idle ADU, then 32 waves of 16 rows arriving every
@@ -362,7 +362,7 @@ def test_acceptance_packet_trains(record):
     # at least 2x the per-packet baseline.
     assert record["speedup"] >= SPEEDUP_GATE, record
     # The mechanism is the one claimed: flow-run demux probes the
-    # placement memo once per run, not once per packet.
+    # steering table once per run, not once per packet.
     assert record["probe_reduction"] >= PROBE_GATE, record
     # The link really formed near-full trains (flow-major send order,
     # window far wider than the serialization gap).

@@ -9,18 +9,18 @@ timed region is the *host-side* ingest path — what the receiving
 machine executes per train:
 
 * **front-end hop** — :meth:`ShardedHost.receive_burst`: the front end
-  walks the train, resolves each flow-run against the placement memo,
-  splits per shard and hands off.  Every packet pays a second demux
+  walks the train, resolves each flow-run with one steering-table
+  lookup, splits per shard and hands off.  Every packet pays a second demux
   walk on its shard host.
 * **zero-hop** — :meth:`ShardedHost.steer_burst`: the placement the
-  link already resolved while coalescing (one memoized table lookup
-  per run, off the timed path in both configurations) lands the train
+  link already resolved while coalescing (one table lookup per run,
+  off the timed path in both configurations) lands the train
   directly; the only per-packet walk left is the shard host's own.
 
 Payload bytes are folded into per-flow CRCs so the two paths are
 asserted byte-identical, and the steered run's demux counters prove
 the hot path really is zero-probe (no front-end packets, no demux
-runs, no placement-memo traffic).  Headline gate: steered ADUs/sec ≥
+runs — every front-end placement probe is a demux run).  Headline gate: steered ADUs/sec ≥
 1.3× the front-end hop.
 
 **Skew rebalancing.**  An end-to-end run through a real train-mode
@@ -344,11 +344,11 @@ def test_acceptance_zero_hop_ingress(record):
     assert record["speedup"] >= SPEEDUP_GATE, record
 
     # The steered hot path really is zero-hop: no front-end per-packet
-    # demux, no front-end train walks, no placement-memo probes.
+    # demux, no front-end train walks, no placement probes (each walk
+    # probe is a demux run).
     demux = record["zero_hop"]["demux"]
     assert demux["packets"] == 0, demux
     assert demux["demux_runs"] == 0, demux
-    assert demux["memo_hits"] + demux["hash_dispatches"] == 0, demux
     assert demux["steered_packets"] == N_FLOWS * WAVES * TRAIN, demux
     assert demux["fallback_trains"] == 0, demux
     # The baseline, by contrast, walked every packet through the front.

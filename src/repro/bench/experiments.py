@@ -1078,7 +1078,7 @@ def rate_paced_trains(
             unit="ratio",
         ),
         Row(
-            "memo probes per ADU, contended",
+            "placement probes per ADU, contended",
             paper=None,
             measured=paced["probes_per_adu"],
             unit="probes",
@@ -1108,7 +1108,7 @@ def rate_paced_trains(
         "queues) under 2:1 cross-traffic.  The blast loses to the §5 "
         "retransmission storm; the pacer's 8-packet trains at 400 KB/s "
         "traverse the train-preserving switch essentially lossless, and "
-        "the sharded receiver's memo probes stay at the uncontended "
+        "the sharded receiver's placement probes stay at the uncontended "
         "train level.  Against a slow adaptive-epoch receiver the "
         "dp-quantum AIMD loop backs the rate off within a couple of "
         "RTTs and finishes with zero retransmissions",
@@ -2553,8 +2553,8 @@ def _sharded_scenario(
         for seq in range(n_adus)
     }
     # Each flow sends its ADUs back-to-back: the packet trains §4's
-    # header prediction is built for, so the demux memo gets the same
-    # locality the per-host hot-flow memo sees.
+    # header prediction is built for, so the per-host hot-flow memo on
+    # each shard sees the same locality.
     for sender in senders:
         for seq in range(n_adus):
             sender.send_adu(Adu(seq, payloads[(sender.flow_id, seq)]))
@@ -2619,10 +2619,12 @@ def sharded_hosts(
             extra={"flows_per_shard": sharded["flows_per_shard"]},
         ),
         Row(
-            "demux memo hit rate",
+            "placement probes per packet",
             paper=None,
-            measured=round(sharded["demux"]["memo_hit_rate"], 3),
-            unit="fraction",
+            measured=round(
+                sharded["demux"]["demux_runs"] / sharded["demux"]["packets"], 3
+            ),
+            unit="probes",
             extra={"packets": sharded["demux"]["packets"]},
         ),
         Row(

@@ -228,9 +228,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             f"worker_services {counters['worker_services']}"
         )
         print(
-            f"  memo_hits {counters['memo_hits']}  "
-            f"hash_dispatches {counters['hash_dispatches']}  "
-            f"memo_hit_rate {counters['memo_hit_rate']:.2f}"
+            f"  demux_runs {counters['demux_runs']}  "
+            f"probes_saved {counters['probes_saved']}"
         )
         print("zero-hop steering:")
         print(
@@ -238,11 +237,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             f"steered_packets {counters['steered_packets']}  "
             f"fallback_trains {counters['fallback_trains']}  "
             f"fallback_packets {counters['fallback_packets']}"
-        )
-        print(
-            f"  table_hits {counters['steering_hits']}  "
-            f"table_misses {counters['steering_misses']}  "
-            f"table_hit_rate {counters['steering_hit_rate']:.2f}"
         )
         print(
             f"  migrations {counters['migrations']}  "
@@ -488,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=["stats"],
         help="'stats' prints the flow-hash demux counters "
-        "(packets, memo hit rate, worker services)",
+        "(packets, placement probes, worker services)",
     )
     shard_parser.set_defaults(handler=_cmd_shard)
 

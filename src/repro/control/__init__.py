@@ -14,7 +14,6 @@ experiment E5 can measure the paper's claim directly.
 """
 
 from repro.control.instructions import InstructionCounter, InstructionCosts
-from repro.control.demux import DemuxTable
 from repro.control.flow import SlidingWindow, RatePacer, AimdCongestionControl
 from repro.control.ack import AckGenerator, SelectiveAckTracker
 from repro.control.timestamp import JitterEstimator, PlayoutBuffer
@@ -25,7 +24,6 @@ from repro.control.rtt import RttEstimator
 __all__ = [
     "InstructionCounter",
     "InstructionCosts",
-    "DemuxTable",
     "SlidingWindow",
     "RatePacer",
     "AimdCongestionControl",

@@ -313,42 +313,31 @@ def _train_bucket(n_packets: int) -> int:
 class ShardCounters:
     """Front-end demux counters for :class:`~repro.net.shard.ShardedHost`.
 
-    The demux decision is §4 header prediction applied to shard
-    placement: the common case is "next packet belongs to the same flow
-    as the last one", so the steering table memoizes the last flow's
-    placement and skips the hash.  ``memo_hits`` vs ``hash_dispatches``
-    measures how often that prediction holds on the front end's
-    placement walk; ``worker_services`` counts shard
+    The front end's placement walk probes the steering table once per
+    *run* — consecutive packets of one flow — not once per packet (§4
+    burst amortization).  ``demux_runs`` counts the probes actually
+    made, ``probes_saved`` the per-packet probes a packet-at-a-time
+    front would have paid on top, and ``train_len_hist`` buckets train
+    lengths (power-of-two buckets) so the amortization per train is
+    visible, not just the aggregate.  ``worker_services`` counts shard
     hand-offs — one per shard a packet or train delivered to, so a train
     touching K shards counts K.
 
-    Packet trains add run-level accounting: when the front demuxes a
-    whole train in one pass, consecutive same-flow packets form a *run*
-    that costs one placement probe total.  ``demux_runs`` counts the
-    probes actually made, ``probes_saved`` the per-packet probes a
-    packet-at-a-time front would have paid on top, and
-    ``train_len_hist`` buckets train lengths (power-of-two buckets) so
-    the amortization per train is visible, not just the aggregate.
-
     Zero-hop ingress adds steering accounting: ``steered_trains`` /
     ``steered_packets`` count trains the link delivered straight onto a
-    shard (no front-end demux at all), ``fallback_trains`` the
+    shard (no front-end demux at all), and ``fallback_trains`` the
     mixed-shard or stale-epoch trains that still took the front-end
-    slow path, and ``steering_hits`` / ``steering_misses`` the
-    steering-table memo behaviour over every probe of the table — the
-    link's while coalescing and the front end's placement walk.
-    ``migrations`` / ``migrated_flows`` count committed bucket remaps;
-    ``shard_packets`` and ``shard_backlog_hist`` break arrival volume
-    and sampled backlog depth (power-of-two buckets; 0 = idle) down per
-    shard so hash skew — and a rebalancer fixing it — is visible.
+    slow path.  ``migrations`` / ``migrated_flows`` count committed
+    bucket remaps; ``shard_packets`` and ``shard_backlog_hist`` break
+    arrival volume and sampled backlog depth (power-of-two buckets;
+    0 = idle) down per shard so hash skew — and a rebalancer fixing
+    it — is visible.
     """
 
     packets: int = 0
     bursts: int = 0
     train_packets: int = 0
     train_len_hist: dict[int, int] = field(default_factory=dict)
-    memo_hits: int = 0
-    hash_dispatches: int = 0
     demux_runs: int = 0
     probes_saved: int = 0
     worker_services: int = 0
@@ -356,8 +345,6 @@ class ShardCounters:
     steered_packets: int = 0
     fallback_trains: int = 0
     fallback_packets: int = 0
-    steering_hits: int = 0
-    steering_misses: int = 0
     migrations: int = 0
     migrated_flows: int = 0
     shard_packets: dict[int, int] = field(default_factory=dict)
@@ -366,24 +353,16 @@ class ShardCounters:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record_run(self, n_packets: int, memo_hit: bool) -> None:
+    def record_run(self, n_packets: int) -> None:
         """Account one same-flow run of ``n_packets`` inside a train.
 
-        The run's first packet pays the single placement probe (a memo
-        compare or the hash); the rest ride the run for free — they are
-        counted as memo hits so the per-packet rates stay comparable
-        with packet-at-a-time demux, and as ``probes_saved`` so the
-        train amortization is measurable on its own.
+        The run's first packet pays the single placement probe; the
+        rest ride the run for free and are counted as ``probes_saved``.
         """
         with self._lock:
             self.packets += n_packets
             self.demux_runs += 1
             self.probes_saved += n_packets - 1
-            self.memo_hits += n_packets - 1
-            if memo_hit:
-                self.memo_hits += 1
-            else:
-                self.hash_dispatches += 1
 
     def record_burst(self, n_packets: int = 0) -> None:
         """Account one ``receive_burst`` train through the demux."""
@@ -415,16 +394,6 @@ class ShardCounters:
             self.fallback_trains += 1
             self.fallback_packets += n_packets
 
-    def record_steering(self, hits: int, misses: int) -> None:
-        """Fold a steering-table lookup delta into the ledger (the
-        table keeps lock-free counts; the sharded host flushes deltas
-        once per train, not per lookup)."""
-        if hits == 0 and misses == 0:
-            return
-        with self._lock:
-            self.steering_hits += hits
-            self.steering_misses += misses
-
     def record_migration(self, flows: int) -> None:
         """Account one committed bucket remap carrying ``flows`` flows."""
         with self._lock:
@@ -449,8 +418,6 @@ class ShardCounters:
             self.bursts = 0
             self.train_packets = 0
             self.train_len_hist.clear()
-            self.memo_hits = 0
-            self.hash_dispatches = 0
             self.demux_runs = 0
             self.probes_saved = 0
             self.worker_services = 0
@@ -458,8 +425,6 @@ class ShardCounters:
             self.steered_packets = 0
             self.fallback_trains = 0
             self.fallback_packets = 0
-            self.steering_hits = 0
-            self.steering_misses = 0
             self.migrations = 0
             self.migrated_flows = 0
             self.shard_packets.clear()
@@ -468,17 +433,11 @@ class ShardCounters:
     def snapshot(self) -> dict[str, object]:
         """One consistent plain-dict view for the CLI and bench records."""
         with self._lock:
-            steering_probes = self.steering_hits + self.steering_misses
             return {
                 "packets": self.packets,
                 "bursts": self.bursts,
                 "train_packets": self.train_packets,
                 "train_len_hist": dict(sorted(self.train_len_hist.items())),
-                "memo_hits": self.memo_hits,
-                "hash_dispatches": self.hash_dispatches,
-                "memo_hit_rate": (
-                    self.memo_hits / self.packets if self.packets else 0.0
-                ),
                 "demux_runs": self.demux_runs,
                 "probes_saved": self.probes_saved,
                 "worker_services": self.worker_services,
@@ -486,13 +445,6 @@ class ShardCounters:
                 "steered_packets": self.steered_packets,
                 "fallback_trains": self.fallback_trains,
                 "fallback_packets": self.fallback_packets,
-                "steering_hits": self.steering_hits,
-                "steering_misses": self.steering_misses,
-                "steering_hit_rate": (
-                    self.steering_hits / steering_probes
-                    if steering_probes
-                    else 0.0
-                ),
                 "migrations": self.migrations,
                 "migrated_flows": self.migrated_flows,
                 "shard_packets": dict(sorted(self.shard_packets.items())),

@@ -3,8 +3,9 @@
 A host owns an outgoing link per destination and dispatches arriving
 packets to bound protocol handlers.  The dispatch is the first transfer-
 control operation of the paper's receive path: "the packet must be
-properly demultiplexed or dispatched" — its instruction cost is accounted
-by :mod:`repro.control.demux` when a transport binds one.
+properly demultiplexed or dispatched" — a transport charges its
+instruction cost (``header_parse`` plus ``demux_lookup``) to its own
+:class:`~repro.control.instructions.InstructionCounter`.
 """
 
 from __future__ import annotations

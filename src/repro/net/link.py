@@ -52,7 +52,6 @@ class LinkStats:
     steered_trains: int = 0
     steered_packets: int = 0
     stale_steer_trains: int = 0
-    steer_hints: int = 0
 
 
 @dataclass
@@ -391,14 +390,7 @@ class Link:
         train.steer_epoch = epoch
         if train.steer_first_epoch < 0:
             train.steer_first_epoch = epoch
-        hint = packet.header.get("steer")
-        if hint is not None and hint[0] == epoch:
-            # A switch upstream already placed this flow (steered
-            # forwarding); trust the stamp while its epoch is current.
-            placed = (hint[1], hint[2])
-            self.stats.steer_hints += 1
-        else:
-            placed = table.steer(packet.protocol, packet.flow_id)
+        placed = table.steer(packet.protocol, packet.flow_id)
         if placed is None:
             # Unclaimed protocol: the whole train takes the slow path.
             train.steer_shard = -1

@@ -27,9 +27,9 @@ The front end routes each packet by a stable flow hash, split through
 a bucket indirection — ``crc32(protocol/flow_id) % n_buckets`` names a
 bucket, a flat :class:`SteeringTable` names the bucket's shard (the
 identity mapping reproduces the historical ``crc32 % N`` placement
-exactly).  The table memoizes the last flow's placement (§4 header
-prediction applied to shard placement), so a packet train dispatches
-without re-hashing; it is the one placement memo on the shard path.
+exactly).  The table keeps no memo: a lookup is one hash and one list
+index, and the callers already amortize it — the link and the
+placement walk each probe once per *flow-run*, not once per packet.
 Placement is a pure function of the flow key *and the table epoch*:
 between migrations a flow can never change shards — not across bursts,
 not across rebinds, not across close-and-reopen — and a migration is
@@ -88,16 +88,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.transport.drain import SharedDrainEngine
 
 
-def shard_index(protocol: str, flow_id: int, n_shards: int) -> int:
-    """The home shard of a flow: stable hash of the flow key, mod N.
+def flow_hash(protocol: str, flow_id: int) -> int:
+    """The stable placement hash of a flow key: CRC32 of
+    ``protocol/flow_id``.
 
     CRC32 rather than ``hash()`` so the placement is identical across
     processes and immune to ``PYTHONHASHSEED`` — replayable experiments
     need the demux itself to be deterministic.
     """
+    return zlib.crc32(f"{protocol}/{flow_id}".encode())
+
+
+def shard_index(protocol: str, flow_id: int, n_shards: int) -> int:
+    """The home shard of a flow: its placement hash mod N."""
     if n_shards <= 0:
         raise NetworkError(f"n_shards must be positive, got {n_shards}")
-    return zlib.crc32(f"{protocol}/{flow_id}".encode()) % n_shards
+    return flow_hash(protocol, flow_id) % n_shards
 
 
 class SteeringTable:
@@ -117,13 +123,9 @@ class SteeringTable:
     The table is exported by a :class:`ShardedHost` and consulted by a
     :class:`~repro.net.link.Link` while coalescing trains — §4's
     "demultiplex once, as low as possible" pushed to the wire.  Every
-    mutation bumps ``epoch`` and clears the single-entry lookup memo,
-    so a consulting link can tell a stale decision from a fresh one.
-
-    Counters are plain ints on purpose: lookups happen on the hot path
-    of the link and of the front end's placement walk, and the sharded
-    host flushes deltas into
-    :class:`~repro.machine.accounting.ShardCounters` once per train.
+    mutation bumps ``epoch``, so a consulting link can tell a stale
+    decision from a fresh one.  :meth:`place` is a pure function of the
+    flow key and the live map; ``lookups`` counts every hash it makes.
     """
 
     def __init__(
@@ -147,31 +149,21 @@ class SteeringTable:
         self.epoch = 0
         self.remaps = 0
         self.lookups = 0
-        self.memo_hits = 0
         # Per-bucket / per-shard arrival ledgers (cumulative packets).
         # The rebalance policy plans from these: a bucket's share of the
         # traffic predicts its share after a remap.
         self.bucket_packets = [0] * self.n_buckets
         self.shard_packets = [0] * n_shards
-        self._memo_key: tuple[str, int] | None = None
-        self._memo_place: tuple[int, int] = (0, 0)
 
     def bucket_of(self, protocol: str, flow_id: int) -> int:
         """The (stable, remap-independent) bucket of a flow key."""
-        return zlib.crc32(f"{protocol}/{flow_id}".encode()) % self.n_buckets
+        return flow_hash(protocol, flow_id) % self.n_buckets
 
     def place(self, protocol: str, flow_id: int) -> tuple[int, int]:
         """Resolve ``(shard, bucket)`` for a flow key (any protocol)."""
-        key = (protocol, flow_id)
-        if key == self._memo_key:
-            self.memo_hits += 1
-            return self._memo_place
-        bucket = zlib.crc32(f"{protocol}/{flow_id}".encode()) % self.n_buckets
-        placed = (self.map[bucket], bucket)
-        self._memo_key = key
-        self._memo_place = placed
+        bucket = flow_hash(protocol, flow_id) % self.n_buckets
         self.lookups += 1
-        return placed
+        return self.map[bucket], bucket
 
     def steer(self, protocol: str, flow_id: int) -> tuple[int, int] | None:
         """Link-side lookup: ``(shard, bucket)``, or None for protocols
@@ -196,8 +188,8 @@ class SteeringTable:
             shards[shard] += n_packets
 
     def remap(self, bucket: int, shard: int) -> None:
-        """Point ``bucket`` at ``shard``; bumps the epoch and drops the
-        memo so every cached placement revalidates."""
+        """Point ``bucket`` at ``shard``; bumps the epoch so a link's
+        open-train placements revalidate."""
         if not 0 <= bucket < self.n_buckets:
             raise NetworkError(f"no bucket {bucket}")
         if not 0 <= shard < self.n_shards:
@@ -205,7 +197,6 @@ class SteeringTable:
         self.map[bucket] = shard
         self.epoch += 1
         self.remaps += 1
-        self._memo_key = None
 
     def predicted_loads(self, mapping: list[int] | None = None) -> list[float]:
         """Per-shard traffic share implied by the cumulative bucket
@@ -218,14 +209,11 @@ class SteeringTable:
         return loads
 
     def snapshot(self) -> dict[str, object]:
-        probes = self.lookups + self.memo_hits
         return {
             "n_buckets": self.n_buckets,
             "epoch": self.epoch,
             "remaps": self.remaps,
             "lookups": self.lookups,
-            "memo_hits": self.memo_hits,
-            "memo_hit_rate": self.memo_hits / probes if probes else 0.0,
             "shard_packets": list(self.shard_packets),
         }
 
@@ -567,8 +555,6 @@ class ShardedHost:
         self._steered = False
         self._flows: dict[tuple[str, int], object] = {}
         self._bucket_flows: dict[int, set[tuple[str, int]]] = {}
-        self._steer_hits_seen = 0
-        self._steer_misses_seen = 0
         self._closed = False
         for protocol in self._protocols:
             front.bind_protocol(protocol, self.receive)
@@ -580,9 +566,9 @@ class ShardedHost:
         """The home shard of (protocol, flow) under the live steering
         table — the historical pure hash until a migration commits.
 
-        A control-path query (binding a receiver, say): it bypasses the
-        table's placement memo, so it neither disturbs nor counts as a
-        data-path probe.
+        A control-path query (binding a receiver, say): it hashes
+        through :meth:`SteeringTable.bucket_of`, so it does not count as
+        a data-path probe in ``lookups``.
         """
         table = self.steering
         return self.shards[table.map[table.bucket_of(protocol, flow_id)]]
@@ -638,13 +624,12 @@ class ShardedHost:
 
         A ``steered`` train goes straight to its shard.  Anything else
         takes the placement walk: one :meth:`SteeringTable.place` probe
-        per flow-run (consecutive packets of one flow), whose memo hit
-        or miss is what ``memo_hits`` / ``hash_dispatches`` count; the
-        run's other packets are counted as saved probes.  Packets of
-        protocols this front never claimed take the front host's
-        ordinary demux.  Each touched shard then gets all of its
-        packets in one :meth:`_deliver`.  A train (not a single packet)
-        ends at a rebalance boundary.
+        per flow-run (consecutive packets of one flow), counted in
+        ``demux_runs``; the run's other packets are counted as saved
+        probes.  Packets of protocols this front never claimed take the
+        front host's ordinary demux.  Each touched shard then gets all
+        of its packets in one :meth:`_deliver`.  A train (not a single
+        packet) ends at a rebalance boundary.
         """
         if self._closed:
             # shutdown() unbound the claimed protocols from the front,
@@ -655,7 +640,6 @@ class ShardedHost:
         counters = self.counters
         if steered is not None:
             counters.record_steered(len(packets))
-            self._flush_steering_counters()
             self._deliver(steered, packets)
             self._train_boundary()
             return
@@ -669,7 +653,6 @@ class ShardedHost:
         run_key: tuple[str, int] | None = None
         run_into: list[Packet] = []  # the run's shard's packet list
         run_index = run_bucket = run_len = 0
-        run_hit = False
         for packet in packets:
             key = (packet.protocol, packet.flow_id)
             if key == run_key:
@@ -677,16 +660,14 @@ class ShardedHost:
                 run_into.append(packet)
                 continue
             if run_len:
-                counters.record_run(run_len, run_hit)
+                counters.record_run(run_len)
                 table.charge(run_bucket, run_index, run_len)
             if claimed is not None and packet.protocol not in claimed:
                 run_key = None
                 run_len = 0
                 self.front.receive(packet)
                 continue
-            hits = table.memo_hits
             run_index, run_bucket = table.place(packet.protocol, packet.flow_id)
-            run_hit = table.memo_hits != hits
             run_key = key
             run_len = 1
             shard = self.shards[run_index]
@@ -695,22 +676,12 @@ class ShardedHost:
                 run_into = per_shard[shard] = []
             run_into.append(packet)
         if run_len:
-            counters.record_run(run_len, run_hit)
+            counters.record_run(run_len)
             table.charge(run_bucket, run_index, run_len)
         for shard, shard_packets in per_shard.items():
             self._deliver(shard, shard_packets)
         if train:
             self._train_boundary()
-
-    def _flush_steering_counters(self) -> None:
-        """Fold the table's plain-int lookup counts into the ledger."""
-        table = self.steering
-        hits, misses = table.memo_hits, table.lookups
-        self.counters.record_steering(
-            hits - self._steer_hits_seen, misses - self._steer_misses_seen
-        )
-        self._steer_hits_seen = hits
-        self._steer_misses_seen = misses
 
     def _deliver(self, shard: HostShard, packets: list[Packet]) -> None:
         """Hand one shard its packets, inline at the front's current
@@ -804,9 +775,9 @@ class ShardedHost:
         future packets to a shard where nothing is bound).  Anything
         else defers — the policy will simply re-propose at the next
         boundary.  Exactly-once delivery survives because no fragment
-        of any ADU is in flight across the rebind, and the placement
-        memos (table, link) are all epoch-invalidated before the next
-        packet routes.
+        of any ADU is in flight across the rebind, and the remap bumps
+        the table epoch, so a link's open-train placements are stale
+        before the next packet routes.
         """
         if not 0 <= bucket < self.steering.n_buckets:
             return False
@@ -895,7 +866,6 @@ class ShardedHost:
 
     def snapshot(self) -> dict[str, object]:
         """Demux counters plus per-shard engine state, for the CLI."""
-        self._flush_steering_counters()
         return {
             "shards": len(self.shards),
             "demux": self.counters.snapshot(),

@@ -44,7 +44,6 @@ class SwitchStats:
 
     forwarded: int = 0
     bursts: int = 0
-    route_memo_hits: int = 0
     no_route_drops: int = 0
     queue_drops: dict[str, int] = field(default_factory=dict)
     trains_joined: int = 0
@@ -63,7 +62,6 @@ class SwitchStats:
         return {
             "forwarded": self.forwarded,
             "bursts": self.bursts,
-            "route_memo_hits": self.route_memo_hits,
             "drops": self.drops,
             "no_route_drops": self.no_route_drops,
             "queue_drops": dict(sorted(self.queue_drops.items())),
@@ -137,11 +135,8 @@ class StoreAndForwardSwitch:
         self.train_fairness_cap = train_fairness_cap
         self.tracer = tracer or Tracer(enabled=False)
         self._ports: dict[str, _Port] = {}
-        self._routes: dict[str, str] = {}
-        self._steering: dict[str, object] = {}
+        self._routes: dict[str, _Port] = {}
         self.stats = SwitchStats()
-        self._memo_dst: str | None = None
-        self._memo_port: _Port | None = None
 
     # Legacy counter names, kept alive as views over the stats ledger.
 
@@ -157,10 +152,6 @@ class StoreAndForwardSwitch:
     def bursts(self) -> int:
         return self.stats.bursts
 
-    @property
-    def route_memo_hits(self) -> int:
-        return self.stats.route_memo_hits
-
     def attach(self, port_name: str, link: Link) -> None:
         """Attach an output link as ``port_name``."""
         if port_name in self._ports:
@@ -169,59 +160,14 @@ class StoreAndForwardSwitch:
 
     def add_route(self, destination: str, port_name: str) -> None:
         """Forward packets for ``destination`` out of ``port_name``."""
-        if port_name not in self._ports:
+        port = self._ports.get(port_name)
+        if port is None:
             raise NetworkError(f"{self.name}: no port {port_name!r}")
-        self._routes[destination] = port_name
-        self._memo_dst = None
-        self._memo_port = None
+        self._routes[destination] = port
 
     def remove_route(self, destination: str) -> bool:
-        """Withdraw ``destination``'s route; returns True if one existed.
-
-        Invalidates the hot-destination memo unconditionally — a removed
-        route must stop forwarding on the next packet, not keep riding a
-        stale memo entry until some other destination evicts it.
-        """
-        removed = self._routes.pop(destination, None) is not None
-        self._memo_dst = None
-        self._memo_port = None
-        self._steering.pop(destination, None)
-        return removed
-
-    def set_steering(self, destination: str, table) -> None:
-        """Stamp shard placements onto packets bound for ``destination``.
-
-        Steered forwarding: when the switch knows the destination is a
-        :class:`~repro.net.shard.ShardedHost`, it consults the host's
-        exported :class:`~repro.net.shard.SteeringTable` while
-        forwarding and writes ``header["steer"] = (epoch, shard,
-        bucket)`` on claimed-protocol packets.  A downstream steering
-        link trusts the stamp while its epoch is current, skipping even
-        the one-hash-per-run placement lookup.  Pass ``None`` to stop
-        stamping.
-        """
-        if table is None:
-            self._steering.pop(destination, None)
-        else:
-            self._steering[destination] = table
-
-    def _route_port(self, dst: str) -> _Port | None:
-        """Resolve the output port, riding the hot-destination memo.
-
-        §4 header prediction at the forwarding layer: a packet train
-        toward one host resolves its route once and skips the table
-        lookups after that (counted in ``stats.route_memo_hits``).
-        """
-        if dst == self._memo_dst:
-            self.stats.route_memo_hits += 1
-            return self._memo_port
-        port_name = self._routes.get(dst)
-        if port_name is None:
-            return None
-        port = self._ports[port_name]
-        self._memo_dst = dst
-        self._memo_port = port
-        return port
+        """Withdraw ``destination``'s route; returns True if one existed."""
+        return self._routes.pop(destination, None) is not None
 
     def _drop(self, packet: Packet, port: _Port | None) -> None:
         if isinstance(packet.payload, BufferChain):
@@ -254,16 +200,6 @@ class StoreAndForwardSwitch:
             return
         if isinstance(packet.payload, BufferChain):
             datapath_counters().record_zero_copy()
-        if self._steering:
-            table = self._steering.get(packet.dst)
-            if table is not None:
-                placed = table.steer(packet.protocol, packet.flow_id)
-                if placed is not None:
-                    # Defensive copy, as on the corruption path: headers
-                    # may be shared with a sender's retransmit queue.
-                    header = dict(packet.header)
-                    header["steer"] = (table.epoch, placed[0], placed[1])
-                    packet.header = header
         tag = self._train_tag(packet)
         if tag is not None:
             unit = port.open_units.get(tag)
@@ -305,20 +241,19 @@ class StoreAndForwardSwitch:
         sits in its buffers while only the packet descriptor moves
         through the queue.  Dropped packets release their references.
         """
-        self._enqueue(packet, self._route_port(packet.dst))
+        self._enqueue(packet, self._routes.get(packet.dst))
 
     def receive_burst(self, packets: list[Packet]) -> None:
         """Forward a whole packet train in one pass.
 
-        A link in train mode lands here; the route lookup is amortized
-        across each same-destination run via the hot-destination memo,
-        and per-packet drop/enqueue semantics are unchanged — the train
-        is a delivery optimization, not a forwarding unit (unless
+        A link in train mode lands here; each packet's route is one dict
+        lookup, and per-packet drop/enqueue semantics are unchanged — the
+        train is a delivery optimization, not a forwarding unit (unless
         ``preserve_trains`` promotes tagged trains to units).
         """
         self.stats.bursts += 1
         for packet in packets:
-            self._enqueue(packet, self._route_port(packet.dst))
+            self._enqueue(packet, self._routes.get(packet.dst))
 
     def _transmit(self, port_name: str) -> None:
         port = self._ports[port_name]

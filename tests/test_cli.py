@@ -172,7 +172,7 @@ def test_shard_stats(capsys):
     sharded = ShardedHost(Host(EventLoop(), "b"), 2, protocols=())
     from repro.net.packet import Packet
 
-    for _ in range(3):  # one hash dispatch, then two memo hits
+    for _ in range(3):  # three single packets: one placement probe each
         sharded.receive(
             Packet(
                 src="a", dst="b", protocol="noop", flow_id=1,
@@ -182,6 +182,6 @@ def test_shard_stats(capsys):
     assert main(["shard", "stats"]) == 0
     out = capsys.readouterr().out
     assert "shard demux counters" in out
-    assert "memo_hits 2" in out
-    assert "hash_dispatches 1" in out
+    assert "demux_runs 3" in out
+    assert "probes_saved 0" in out
     shard_counters().reset()

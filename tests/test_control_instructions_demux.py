@@ -1,10 +1,9 @@
-"""Instruction accounting and demultiplexing."""
+"""Instruction accounting: control-operation costs and counters."""
 
 import pytest
 
-from repro.control.demux import DemuxTable
 from repro.control.instructions import InstructionCosts, InstructionCounter
-from repro.errors import ReproError, TransportError
+from repro.errors import ReproError
 
 
 class TestCosts:
@@ -57,77 +56,3 @@ class TestCounter:
         assert a.by_operation["timer_set"] == 8
         assert a.packets_processed == 1
 
-
-class TestDemux:
-    def test_bind_lookup(self):
-        table = DemuxTable()
-        table.bind(5, "state-5")
-        assert table.lookup(5) == "state-5"
-        assert table.lookups == 1
-        assert 5 in table
-        assert len(table) == 1
-
-    def test_lookup_charges_control_path(self):
-        counter = InstructionCounter()
-        table = DemuxTable(counter)
-        table.bind(1, object())
-        table.lookup(1)
-        assert counter.by_operation["header_parse"] == 10
-        assert counter.by_operation["demux_lookup"] == 12
-
-    def test_miss_raises_and_counts(self):
-        table = DemuxTable()
-        with pytest.raises(TransportError, match="no state"):
-            table.lookup(9)
-        assert table.misses == 1
-
-    def test_double_bind_rejected(self):
-        table = DemuxTable()
-        table.bind(1, "a")
-        with pytest.raises(TransportError):
-            table.bind(1, "b")
-
-    def test_unbind(self):
-        table = DemuxTable()
-        table.bind(1, "a")
-        table.unbind(1)
-        assert 1 not in table
-        table.unbind(1)  # idempotent
-
-    def test_memo_skips_hash_lookup_not_header_parse(self):
-        counter = InstructionCounter()
-        table = DemuxTable(counter)
-        table.bind(1, "a")
-        table.lookup(1)
-        table.lookup(1)  # memo hit: §4 header prediction
-        assert table.memo_hits == 1
-        assert table.lookups == 2
-        # Every packet still parses its header; only the second hash
-        # lookup is predicted away.
-        assert counter.by_operation["header_parse"] == 2 * 10
-        assert counter.by_operation["demux_lookup"] == 1 * 12
-
-    def test_memo_accounting_under_mixed_traffic(self):
-        counter = InstructionCounter()
-        table = DemuxTable(counter)
-        table.bind(1, "a")
-        table.bind(2, "b")
-        flows = [1, 1, 2, 2, 2, 1, 2]
-        for flow in flows:
-            table.lookup(flow)
-        # Runs: [1,1], [2,2,2], [1], [2] -> 3 memo hits, 4 real lookups.
-        assert table.memo_hits == 3
-        assert table.lookups == len(flows)
-        assert counter.by_operation["header_parse"] == len(flows) * 10
-        assert counter.by_operation["demux_lookup"] == 4 * 12
-
-    def test_memo_invalidated_by_mutation(self):
-        table = DemuxTable()
-        table.bind(1, "a")
-        table.lookup(1)
-        table.unbind(1)
-        with pytest.raises(TransportError, match="no state"):
-            table.lookup(1)  # the memo must not resurrect dead state
-        table.bind(1, "a2")
-        assert table.lookup(1) == "a2"
-        assert table.memo_hits == 0

@@ -152,12 +152,9 @@ class TestDemuxStability:
         sharded.receive_burst(packets)
         sharded.drain()
         snap = counters.snapshot()
-        # One hash for the train's first packet, memo for the rest.
-        assert snap["hash_dispatches"] == 1
-        assert snap["memo_hits"] == len(packets) - 1
-        assert snap["memo_hit_rate"] == pytest.approx(
-            (len(packets) - 1) / len(packets)
-        )
+        # One run: one placement probe, the rest of the train rides it.
+        assert snap["demux_runs"] == 1
+        assert snap["probes_saved"] == len(packets) - 1
 
     def test_burst_grouping_one_service_per_run(self):
         path, sharded, counters = make_sharded()

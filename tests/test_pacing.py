@@ -396,7 +396,6 @@ class TestSwitchTrainPreservation:
         loop.run()
         assert switch.forwarded == 2
         assert switch.drops == 1
-        assert switch.route_memo_hits == 1
         assert switch.bursts == 0
         assert isinstance(switch.stats, SwitchStats)
         assert switch.stats.no_route_drops == 1

@@ -258,8 +258,6 @@ class TestSwitchBurst:
         loop.run()
         assert [p.header["n"] for p in got] == [0, 1, 2, 3, 4]
         assert switch.bursts == 1
-        # One table lookup for the train's first packet, memo after.
-        assert switch.route_memo_hits == 4
 
     def test_burst_drops_unroutable_and_continues(self):
         loop, switch, got = self.make()
@@ -272,13 +270,14 @@ class TestSwitchBurst:
 
     def test_route_change_invalidates_memo(self):
         loop, switch, got = self.make()
-        switch.receive(packet(dst="b"))
-        assert switch.route_memo_hits == 0
-        switch.receive(packet(dst="b"))
-        assert switch.route_memo_hits == 1
-        switch.add_route("c", "portb")  # any table change drops the memo
-        switch.receive(packet(dst="b"))
-        assert switch.route_memo_hits == 1
+        switch.receive(packet(dst="b", n=0))
+        switch.add_route("c", "portb")
+        switch.receive(packet(dst="c", n=1))
+        switch.remove_route("b")  # takes effect on the next packet
+        switch.receive(packet(dst="b", n=2))
+        loop.run()
+        assert [p.header["n"] for p in got] == [0, 1]
+        assert switch.stats.no_route_drops == 1
 
 
 class TestAdaptiveEpochs:
