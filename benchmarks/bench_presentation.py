@@ -195,6 +195,6 @@ def test_acceptance_speedup(record):
     # ADU stream at least 3x faster than the layered interpreted walk.
     assert record["speedup"] >= 3.0, record["speedup"]
     # And it reads each arrival chain exactly once.
-    assert record["chain_read_passes_per_adu"] == pytest.approx(1.0)
+    assert record["chain_read_passes_per_adu"] == pytest.approx(1.0, abs=1e-9)
     # The schema compiled once per (schema, syntax) pair, not per ADU.
     assert record["codec_cache"]["misses"] <= 4

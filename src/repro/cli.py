@@ -9,6 +9,11 @@ Commands:
 * ``calibration`` — show the machine profiles and their derivation
   check against Table 1.
 * ``verify`` — run the headline regression guards (exit 1 on drift).
+* ``stats`` — print the process-wide kernel and codec counters (plan
+  and codec caches, presentation, secure, integrity, datapath, shared
+  rx pool) as flat ``section.key value`` lines.  Counters that belong
+  to a host, shard, drain engine, pacer, link or switch live on that
+  object's ``counters``/``stats``.
 """
 
 from __future__ import annotations
@@ -118,276 +123,44 @@ def _cmd_verify(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ilp(args: argparse.Namespace) -> int:
+def _flatten(tree: dict, prefix: str = ""):
+    """``(dotted.key, value)`` pairs for every leaf of a nested snapshot."""
+    for key, value in tree.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, list):
+            value = dict(enumerate(value))
+        if isinstance(value, dict):
+            yield from _flatten(value, f"{name}.")
+        else:
+            yield name, value
+
+
+def _cmd_stats(_: argparse.Namespace) -> int:
+    from repro.buffers.pool import shared_rx_pool
     from repro.ilp.compiler import shared_plan_cache
-
-    if args.action == "stats":
-        snapshot = shared_plan_cache().snapshot()
-        print(
-            f"plan cache: {snapshot['entries']} entries "
-            f"(capacity {snapshot['capacity']})"
-        )
-        print(
-            f"  lookups {snapshot['lookups']}  hits {snapshot['hits']}  "
-            f"misses {snapshot['misses']}  evictions {snapshot['evictions']}"
-        )
-        print(f"  hit rate {snapshot['hit_rate']:.4f}")
-        return 0
-    print(f"unknown ilp action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_presentation(args: argparse.Namespace) -> int:
+    from repro.integrity import coverage_mask_cache_size
+    from repro.machine.accounting import datapath_counters, integrity_counters
     from repro.presentation.compiler import (
         presentation_counters,
         shared_codec_cache,
     )
-
-    if args.action == "stats":
-        cache = shared_codec_cache().snapshot()
-        print(
-            f"codec cache: {cache['entries']} entries "
-            f"(capacity {cache['capacity']})"
-        )
-        print(
-            f"  lookups {cache['lookups']}  hits {cache['hits']}  "
-            f"misses {cache['misses']}  evictions {cache['evictions']}"
-        )
-        print(f"  hit rate {cache['hit_rate']:.4f}")
-        counters = presentation_counters().snapshot()
-        print("presentation counters:")
-        print(
-            f"  compiled_encodes {counters['compiled_encodes']}  "
-            f"compiled_decodes {counters['compiled_decodes']}  "
-            f"chain_decodes {counters['chain_decodes']}"
-        )
-        print(
-            f"  batch_adus_encoded {counters['batch_adus_encoded']}  "
-            f"batch_adus_decoded {counters['batch_adus_decoded']}"
-        )
-        print(f"  fused_conversions {counters['fused_conversions']}")
-        print(
-            f"  bytes_encoded {counters['bytes_encoded']}  "
-            f"bytes_decoded {counters['bytes_decoded']}"
-        )
-        return 0
-    print(f"unknown presentation action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_secure(args: argparse.Namespace) -> int:
     from repro.stages.encrypt import secure_counters
 
-    if args.action == "stats":
-        counters = secure_counters().snapshot()
-        print("secure-path counters:")
-        print(
-            f"  stage_passes {counters['stage_passes']}  "
-            f"stage_bytes {counters['stage_bytes']}"
-        )
-        print(f"  fused_passes {counters['fused_passes']}")
-        print(
-            f"  chain_passes {counters['chain_passes']}  "
-            f"chain_bytes {counters['chain_bytes']}"
-        )
-        return 0
-    print(f"unknown secure action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_drain(args: argparse.Namespace) -> int:
-    from repro.machine.accounting import drain_counters
-
-    if args.action == "stats":
-        counters = drain_counters().snapshot()
-        print("shared-drain counters:")
-        print(
-            f"  dispatches {counters['dispatches']}  "
-            f"rows_dispatched {counters['rows_dispatched']}  "
-            f"rows_per_dispatch {counters['rows_per_dispatch']:.2f}"
-        )
-        print(
-            f"  epochs {counters['epochs']}  "
-            f"cross_flow_batches {counters['cross_flow_batches']}  "
-            f"fairness_stalls {counters['fairness_stalls']}"
-        )
-        print(f"  corrupt_rows {counters['corrupt_rows']}")
-        return 0
-    print(f"unknown drain action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.machine.accounting import shard_counters
-
-    if args.action == "stats":
-        counters = shard_counters().snapshot()
-        print("shard demux counters:")
-        print(
-            f"  packets {counters['packets']}  bursts {counters['bursts']}  "
-            f"worker_services {counters['worker_services']}"
-        )
-        print(
-            f"  demux_runs {counters['demux_runs']}  "
-            f"probes_saved {counters['probes_saved']}"
-        )
-        print("zero-hop steering:")
-        print(
-            f"  steered_trains {counters['steered_trains']}  "
-            f"steered_packets {counters['steered_packets']}  "
-            f"fallback_trains {counters['fallback_trains']}  "
-            f"fallback_packets {counters['fallback_packets']}"
-        )
-        print(
-            f"  migrations {counters['migrations']}  "
-            f"migrated_flows {counters['migrated_flows']}"
-        )
-        if counters["shard_packets"]:
-            loads = "  ".join(
-                f"shard{index}: {count}"
-                for index, count in counters["shard_packets"].items()
-            )
-            print(f"per-shard packets:  {loads}")
-        for index, hist in counters["shard_backlog_hist"].items():
-            bars = "  ".join(
-                f"<={bucket}: {count}" for bucket, count in hist.items()
-            )
-            print(f"  shard{index} backlog_hist  {bars}")
-        return 0
-    print(f"unknown shard action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.machine.accounting import shard_counters, train_counters
-
-    if args.action == "stats":
-        trains = train_counters().snapshot()
-        print("link train counters:")
-        print(
-            f"  trains {trains['trains']}  "
-            f"train_packets {trains['train_packets']}  "
-            f"packets_per_train {trains['packets_per_train']:.2f}"
-        )
-        if trains["train_len_hist"]:
-            hist = "  ".join(
-                f"<={bucket}: {count}"
-                for bucket, count in trains["train_len_hist"].items()
-            )
-            print(f"  train_len_hist {hist}")
-        demux = shard_counters().snapshot()
-        print("front-end train demux:")
-        print(
-            f"  demux_runs {demux['demux_runs']}  "
-            f"probes_saved {demux['probes_saved']}  "
-            f"train_packets {demux['train_packets']}"
-        )
-        if trains["switch_queue_drops"]:
-            print("switch queue drops by destination:")
-            for destination, count in trains["switch_queue_drops"].items():
-                print(f"  {destination}: {count}")
-        return 0
-    print(f"unknown train action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_pacing(args: argparse.Namespace) -> int:
-    from repro.machine.accounting import pacing_counters
-
-    if args.action == "stats":
-        counters = pacing_counters().snapshot()
-        print("train pacing counters:")
-        print(
-            f"  packets_submitted {counters['packets_submitted']}  "
-            f"bytes_submitted {counters['bytes_submitted']}"
-        )
-        print(
-            f"  trains_released {counters['trains_released']}  "
-            f"train_packets {counters['train_packets']}  "
-            f"packets_per_train {counters['packets_per_train']:.2f}  "
-            f"full_trains {counters['full_trains']}"
-        )
-        print(f"  credit_stalls {counters['credit_stalls']}")
-        print("drain-pressure feedback:")
-        print(
-            f"  acks_stamped {counters['acks_stamped']}  "
-            f"pressure_signals {counters['pressure_signals']}  "
-            f"last_quantum {counters['last_quantum']}  "
-            f"max_quantum {counters['max_quantum']}"
-        )
-        print(
-            f"  rate_raises {counters['rate_raises']}  "
-            f"rate_backoffs {counters['rate_backoffs']}"
-        )
-        return 0
-    print(f"unknown pacing action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_integrity(args: argparse.Namespace) -> int:
-    from repro.integrity import coverage_mask_cache_size
-    from repro.machine.accounting import integrity_counters
-
-    if args.action == "stats":
-        counters = integrity_counters().snapshot()
-        print("selective-integrity counters:")
-        print(
-            f"  covered_bytes {counters['covered_bytes']}  "
-            f"skipped_bytes {counters['skipped_bytes']}  "
-            f"skip_fraction {counters['skip_fraction']:.4f}"
-        )
-        print(
-            f"  tolerant_deliveries {counters['tolerant_deliveries']}  "
-            f"corrupt_flagged {counters['corrupt_flagged']}"
-        )
-        print(
-            f"  policy_hits {counters['policy_hits']}  "
-            f"policy_misses {counters['policy_misses']}  "
-            f"mask_cache_entries {coverage_mask_cache_size()}"
-        )
-        return 0
-    print(f"unknown integrity action {args.action!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_buffers(args: argparse.Namespace) -> int:
-    from repro.buffers.pool import shared_rx_pool
-    from repro.machine.accounting import datapath_counters
-
-    if args.action == "stats":
-        counters = datapath_counters().snapshot()
-        print("datapath counters:")
-        print(
-            f"  copies {counters['copies']}  bytes_copied {counters['bytes_copied']}"
-        )
-        print(
-            f"  read_passes {counters['read_passes']}  "
-            f"bytes_read {counters['bytes_read']}"
-        )
-        print(f"  memory_passes {counters['memory_passes']}")
-        print(
-            f"  zero_copy_ops {counters['zero_copy_ops']}  "
-            f"dma_writes {counters['dma_writes']}  "
-            f"dma_bytes {counters['dma_bytes']}"
-        )
-        for label, n_bytes in sorted(counters["copies_by_label"].items()):
-            print(f"    copy[{label}] {n_bytes} bytes")
-        pool = shared_rx_pool().snapshot()
-        print(f"rx pool '{pool['label']}':")
-        print(
-            f"  capacity {pool['capacity']}  buffer_size {pool['buffer_size']}  "
-            f"available {pool['available']}  in_use {pool['in_use']}"
-        )
-        print(
-            f"  hits {pool['hits']}  misses {pool['misses']}  "
-            f"recycled {pool['recycled']}  "
-            f"allocation_failures {pool['allocation_failures']}"
-        )
-        for label in pool["leaked"]:
-            print(f"  LEAK: {label}")
-        return 0
-    print(f"unknown buffers action {args.action!r}", file=sys.stderr)
-    return 2
+    sections = {
+        "plan_cache": shared_plan_cache().snapshot(),
+        "codec_cache": shared_codec_cache().snapshot(),
+        "presentation": presentation_counters().snapshot(),
+        "secure": secure_counters().snapshot(),
+        "integrity": {
+            **integrity_counters().snapshot(),
+            "mask_cache_entries": coverage_mask_cache_size(),
+        },
+        "datapath": datapath_counters().snapshot(),
+        "rx_pool": shared_rx_pool().snapshot(),
+    }
+    for key, value in _flatten(sections):
+        print(f"{key} {value}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,103 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.set_defaults(handler=_cmd_verify)
 
-    ilp_parser = commands.add_parser(
-        "ilp", help="inspect the ILP compiled-plan machinery"
+    stats_parser = commands.add_parser(
+        "stats",
+        help="print this process's kernel and codec counters "
+        "as 'section.key value' lines",
     )
-    ilp_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the process-wide plan cache counters",
-    )
-    ilp_parser.set_defaults(handler=_cmd_ilp)
-
-    buffers_parser = commands.add_parser(
-        "buffers", help="inspect the zero-copy buffer substrate"
-    )
-    buffers_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the datapath copy counters and rx-pool state",
-    )
-    buffers_parser.set_defaults(handler=_cmd_buffers)
-
-    presentation_parser = commands.add_parser(
-        "presentation", help="inspect the schema-compiled codec machinery"
-    )
-    presentation_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the codec cache and compiled-pass counters",
-    )
-    presentation_parser.set_defaults(handler=_cmd_presentation)
-
-    secure_parser = commands.add_parser(
-        "secure", help="inspect the fused encryption fast path"
-    )
-    secure_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the cipher-pass counters (interpreted, "
-        "fused, streaming-chain)",
-    )
-    secure_parser.set_defaults(handler=_cmd_secure)
-
-    drain_parser = commands.add_parser(
-        "drain", help="inspect the host-level shared drain engine"
-    )
-    drain_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the cross-flow batch-drain counters "
-        "(dispatches, rows per dispatch, fairness stalls)",
-    )
-    drain_parser.set_defaults(handler=_cmd_drain)
-
-    shard_parser = commands.add_parser(
-        "shard", help="inspect the sharded-host flow demux"
-    )
-    shard_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the flow-hash demux counters "
-        "(packets, placement probes, worker services)",
-    )
-    shard_parser.set_defaults(handler=_cmd_shard)
-
-    train_parser = commands.add_parser(
-        "train", help="inspect the packet-train delivery path"
-    )
-    train_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the link train counters (trains, packets "
-        "per train, length histogram) and the front end's run-demux "
-        "amortization",
-    )
-    train_parser.set_defaults(handler=_cmd_train)
-
-    pacing_parser = commands.add_parser(
-        "pacing", help="inspect the rate-paced train shaping path"
-    )
-    pacing_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the pacer ledgers (trains released, credit "
-        "stalls) and the drain-pressure feedback loop (ACK quanta, "
-        "AIMD raises/backoffs)",
-    )
-    pacing_parser.set_defaults(handler=_cmd_pacing)
-
-    integrity_parser = commands.add_parser(
-        "integrity", help="inspect the selective-integrity coverage path"
-    )
-    integrity_parser.add_argument(
-        "action",
-        choices=["stats"],
-        help="'stats' prints the coverage-fold counters (covered vs "
-        "skipped bytes, tolerant deliveries, policy mask-cache hits)",
-    )
-    integrity_parser.set_defaults(handler=_cmd_integrity)
+    stats_parser.set_defaults(handler=_cmd_stats)
     return parser
 
 

@@ -18,7 +18,7 @@ compile time:
   signature* of the pipeline (stage types, names, costs, facts — never
   the pipeline's display name, which transports mint per ADU) plus the
   profile name, initial facts and speculative flag, with hit / miss /
-  eviction counters surfaced via ``repro ilp stats``;
+  eviction counters surfaced via ``repro stats``;
 * :meth:`CompiledPlan.run_batch` packs many ADUs into one padded 2-D
   word array so each kernel makes a single vectorized pass over the
   whole batch — one interpreter dispatch per kernel per *batch* instead
@@ -688,7 +688,7 @@ class PlanCache:
             self.stats = PlanCacheStats()
 
     def snapshot(self) -> dict[str, float]:
-        """Stats plus occupancy, for ``repro ilp stats`` and benches."""
+        """Stats plus occupancy, for ``repro stats`` and benches."""
         with self._lock:
             data = self.stats.as_dict()
             data["entries"] = len(self._plans)

@@ -270,8 +270,8 @@ def coverage_masks(policy: IntegrityPolicy, width: int):
     ``indices``, so they are never read), and ``full`` is the dense
     per-word mask (``full[i] == 0`` for wholly uncovered words) used by
     the batched tail fix-up.  Masks are compiled once per (policy,
-    width) and cached; hits are visible as ``policy cache hits`` in
-    ``repro integrity stats``.
+    width) and cached; hits are visible as ``integrity.policy_hits``
+    in ``repro stats``.
     """
     key = (policy, width)
     cached = _MASK_CACHE.get(key)

@@ -272,7 +272,7 @@ class DrainCounters:
             self.scan_visits = 0
 
     def snapshot(self) -> dict[str, object]:
-        """One consistent plain-dict view for the CLI and bench records.
+        """One consistent plain-dict view for bench records.
 
         Taken under the counters' lock, so a snapshot racing an
         in-flight dispatch never shows a torn intermediate (e.g. the
@@ -294,14 +294,6 @@ class DrainCounters:
                 "notify_scans": self.notify_scans,
                 "scan_visits": self.scan_visits,
             }
-
-
-_DRAIN = DrainCounters()
-
-
-def drain_counters() -> DrainCounters:
-    """The process-wide counters drain engines record into by default."""
-    return _DRAIN
 
 
 def _train_bucket(n_packets: int) -> int:
@@ -431,7 +423,7 @@ class ShardCounters:
             self.shard_backlog_hist.clear()
 
     def snapshot(self) -> dict[str, object]:
-        """One consistent plain-dict view for the CLI and bench records."""
+        """One consistent plain-dict view for bench records."""
         with self._lock:
             return {
                 "packets": self.packets,
@@ -455,96 +447,6 @@ class ShardCounters:
             }
 
 
-_SHARD = ShardCounters()
-
-
-def shard_counters() -> ShardCounters:
-    """The process-wide counters sharded hosts record into by default."""
-    return _SHARD
-
-
-@dataclass
-class TrainCounters:
-    """Link-level packet-train ledger.
-
-    A link in train mode pays its delivery control cost (one scheduled
-    event, one upcall into the host) once per *train* instead of once
-    per packet — the paper's burst amortization applied to the wire.
-    These counters make that measurable: how many trains links
-    delivered, how many packets rode them, and the length distribution
-    (power-of-two buckets).  ``packets_delivered - trains`` is the
-    number of per-packet delivery upcalls the aggregation removed.
-
-    Switches record their congestion drops here too, keyed by the
-    packet's destination (``switch_queue_drops``): a queue drop in the
-    middle of a forwarded train releases the chain silently, so the
-    per-destination breakdown is the only place the victim flow shows
-    up by name.
-    """
-
-    trains: int = 0
-    train_packets: int = 0
-    train_len_hist: dict[int, int] = field(default_factory=dict)
-    switch_queue_drops: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    @property
-    def packets_per_train(self) -> float:
-        """Mean packets carried per delivered train (0.0 when idle)."""
-        with self._lock:
-            return self.train_packets / self.trains if self.trains else 0.0
-
-    def record_train(self, n_packets: int) -> None:
-        """Account one link train delivery carrying ``n_packets``."""
-        with self._lock:
-            self.trains += 1
-            self.train_packets += n_packets
-            bucket = _train_bucket(n_packets)
-            self.train_len_hist[bucket] = (
-                self.train_len_hist.get(bucket, 0) + 1
-            )
-
-    def record_switch_queue_drop(self, destination: str) -> None:
-        """Account one switch queue drop of a packet for ``destination``."""
-        with self._lock:
-            self.switch_queue_drops[destination] = (
-                self.switch_queue_drops.get(destination, 0) + 1
-            )
-
-    def reset(self) -> None:
-        """Zero every counter (benchmarks bracket measurements with this)."""
-        with self._lock:
-            self.trains = 0
-            self.train_packets = 0
-            self.train_len_hist.clear()
-            self.switch_queue_drops.clear()
-
-    def snapshot(self) -> dict[str, object]:
-        """One consistent plain-dict view for the CLI and bench records."""
-        with self._lock:
-            return {
-                "trains": self.trains,
-                "train_packets": self.train_packets,
-                "packets_per_train": (
-                    self.train_packets / self.trains if self.trains else 0.0
-                ),
-                "train_len_hist": dict(sorted(self.train_len_hist.items())),
-                "switch_queue_drops": dict(
-                    sorted(self.switch_queue_drops.items())
-                ),
-            }
-
-
-_TRAIN = TrainCounters()
-
-
-def train_counters() -> TrainCounters:
-    """The process-wide counters links record train deliveries into."""
-    return _TRAIN
-
-
 @dataclass
 class PacingCounters:
     """Rate-paced train-shaping ledger (§3 rate-based flow control).
@@ -554,9 +456,9 @@ class PacingCounters:
     receiver's quantized drain-pressure signal.  These counters make
     both halves measurable: how many trains the pacer released (and how
     full they were), how often a release had to wait for token-bucket
-    credit, and how the AIMD loop moved — pressure signals seen,
-    additive raises, multiplicative backoffs — plus how many ACKs the
-    receive side stamped with a pressure quantum.
+    credit, and how the AIMD loop moved — pressure signals seen (one
+    per stamped ACK that reached this pacer), additive raises,
+    multiplicative backoffs.
     """
 
     packets_submitted: int = 0
@@ -568,7 +470,6 @@ class PacingCounters:
     pressure_signals: int = 0
     rate_raises: int = 0
     rate_backoffs: int = 0
-    acks_stamped: int = 0
     last_quantum: int = 0
     max_quantum: int = 0
     _lock: threading.Lock = field(
@@ -613,11 +514,6 @@ class PacingCounters:
         with self._lock:
             self.rate_backoffs += 1
 
-    def record_stamp(self, quantum: int) -> None:
-        """Account one ACK stamped with a drain-pressure quantum."""
-        with self._lock:
-            self.acks_stamped += 1
-
     def reset(self) -> None:
         """Zero every counter (benchmarks bracket measurements with this)."""
         with self._lock:
@@ -630,12 +526,11 @@ class PacingCounters:
             self.pressure_signals = 0
             self.rate_raises = 0
             self.rate_backoffs = 0
-            self.acks_stamped = 0
             self.last_quantum = 0
             self.max_quantum = 0
 
     def snapshot(self) -> dict[str, object]:
-        """One consistent plain-dict view for the CLI and bench records."""
+        """One consistent plain-dict view for bench records."""
         with self._lock:
             return {
                 "packets_submitted": self.packets_submitted,
@@ -652,18 +547,9 @@ class PacingCounters:
                 "pressure_signals": self.pressure_signals,
                 "rate_raises": self.rate_raises,
                 "rate_backoffs": self.rate_backoffs,
-                "acks_stamped": self.acks_stamped,
                 "last_quantum": self.last_quantum,
                 "max_quantum": self.max_quantum,
             }
-
-
-_PACING = PacingCounters()
-
-
-def pacing_counters() -> PacingCounters:
-    """The process-wide counters train pacers record into by default."""
-    return _PACING
 
 
 @dataclass

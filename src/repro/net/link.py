@@ -29,7 +29,6 @@ from typing import Callable
 
 from repro.buffers.chain import BufferChain
 from repro.errors import NetworkError
-from repro.machine.accounting import train_counters
 from repro.net.packet import Packet
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
@@ -413,7 +412,6 @@ class Link:
         packets = train.packets
         self.stats.trains += 1
         self.stats.train_packets += len(packets)
-        train_counters().record_train(len(packets))
         for packet in packets:
             self.stats.delivered += 1
             self.stats.bytes_delivered += packet.wire_size

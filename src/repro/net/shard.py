@@ -73,11 +73,7 @@ from typing import TYPE_CHECKING
 
 from repro.buffers.pool import BufferPool
 from repro.errors import NetworkError
-from repro.machine.accounting import (
-    DrainCounters,
-    ShardCounters,
-    shard_counters,
-)
+from repro.machine.accounting import DrainCounters, ShardCounters
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
@@ -501,8 +497,8 @@ class ShardedHost:
         rebalance: optional :class:`RebalancePolicy`; when set, every
             train boundary may commit bucket migrations for registered
             flows (see :meth:`register_flow`).
-        counters: demux ledger (defaults to the process-wide
-            :func:`~repro.machine.accounting.shard_counters`).
+        counters: demux ledger (defaults to a fresh
+            :class:`~repro.machine.accounting.ShardCounters`).
         tracer: optional event tracer shared by every shard.
     """
 
@@ -526,7 +522,7 @@ class ShardedHost:
             raise NetworkError(f"shards must be positive, got {shards}")
         self.front = front
         self.tracer = tracer or Tracer(enabled=False)
-        self.counters = counters if counters is not None else shard_counters()
+        self.counters = counters if counters is not None else ShardCounters()
         root = rng if rng is not None else RngStreams(0)
         self.shards = [
             HostShard(

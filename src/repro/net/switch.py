@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.buffers.chain import BufferChain
 from repro.errors import NetworkError
-from repro.machine.accounting import datapath_counters, train_counters
+from repro.machine.accounting import datapath_counters
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
@@ -178,7 +178,6 @@ class StoreAndForwardSwitch:
                              switch=self.name, dst=packet.dst)
         else:
             self.stats.record_queue_drop(packet.dst)
-            train_counters().record_switch_queue_drop(packet.dst)
             self.tracer.emit(self.loop.now, "switch", "queue-drop",
                              switch=self.name, port=port.name,
                              dst=packet.dst, packet_id=packet.packet_id)

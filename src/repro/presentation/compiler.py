@@ -33,7 +33,7 @@ This module moves the schema walk to compile time:
 * :class:`CodecCache` is a thread-safe LRU keyed by
   ``(schema fingerprint, transfer syntax)`` with hit / miss / eviction
   counters mirroring :class:`~repro.ilp.compiler.PlanCache`, surfaced by
-  ``repro presentation stats``.
+  ``repro stats``.
 
 Compiled and interpreted codecs are byte-identical on valid values (a
 property test drives randomized schemas through both).  On *invalid*
@@ -163,7 +163,7 @@ _COUNTERS = PresentationCounters()
 
 
 def presentation_counters() -> PresentationCounters:
-    """The process-wide presentation counters (``repro presentation stats``)."""
+    """The process-wide presentation counters (``repro stats``)."""
     return _COUNTERS
 
 
@@ -1425,7 +1425,7 @@ class CodecCache:
             self.stats = CodecCacheStats()
 
     def snapshot(self) -> dict[str, float]:
-        """Stats plus occupancy, for ``repro presentation stats``."""
+        """Stats plus occupancy, for ``repro stats``."""
         with self._lock:
             data = self.stats.as_dict()
             data["entries"] = len(self._codecs)

@@ -80,7 +80,7 @@ _COUNTERS = SecureCounters()
 
 
 def secure_counters() -> SecureCounters:
-    """The process-wide secure-path counters (``repro secure stats``)."""
+    """The process-wide secure-path counters (``repro stats``)."""
     return _COUNTERS
 
 

@@ -23,7 +23,7 @@ from repro.errors import FramingError
 from repro.core.adu import AduFragment, reassemble_fragments
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
-from repro.machine.accounting import integrity_counters, pacing_counters
+from repro.machine.accounting import integrity_counters
 from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.presentation.compiler import schema_fingerprint
 from repro.stages.encrypt import WordXorStage, cipher_token
@@ -709,9 +709,7 @@ class AlfReceiver:
             # coalescing latch above, so a latched ACK flushed by
             # finish_drain_dispatch carries the quantum current at
             # flush time, not the one when the first delivery latched.
-            quantum = self.drain_engine.pressure_quantum
-            header["dp"] = quantum
-            pacing_counters().record_stamp(quantum)
+            header["dp"] = self.drain_engine.pressure_quantum
         ack = Packet(
             src=self.host.name,
             dst=self.peer,

@@ -60,8 +60,8 @@ round-robin a walk over every flow would produce — without visiting
 the idle ones.
 
 Dispatch amortization is measured, not asserted:
-:class:`~repro.machine.accounting.DrainCounters` (surfaced by
-``repro drain stats``) counts dispatches, rows per dispatch, cross-flow
+:class:`~repro.machine.accounting.DrainCounters` (the engine's
+``counters``) counts dispatches, rows per dispatch, cross-flow
 batches, fairness stalls and the flows the bookkeeping touches.
 """
 
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.errors import TransportError
-from repro.machine.accounting import DrainCounters, drain_counters
+from repro.machine.accounting import DrainCounters
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
 from repro.transport.alf.sender import WIRE_CHECKSUM
@@ -144,8 +144,8 @@ class SharedDrainEngine:
             huge ``max_rows`` cap.
         ewma_alpha: weight each notification's pending backlog adds to
             the pressure integrator.
-        counters: drain ledger (defaults to the process-wide
-            :func:`~repro.machine.accounting.drain_counters`).
+        counters: drain ledger (defaults to a fresh
+            :class:`~repro.machine.accounting.DrainCounters`).
         tracer: optional event tracer.
     """
 
@@ -184,7 +184,7 @@ class SharedDrainEngine:
         self.ewma_alpha = ewma_alpha
         self._backlog_ewma = 0.0
         self._ewma_stamp = loop.now
-        self.counters = counters if counters is not None else drain_counters()
+        self.counters = counters if counters is not None else DrainCounters()
         self.tracer = tracer or Tracer(enabled=False)
         self._groups: dict[Hashable, _PlanGroup] = {}
         self._flow_groups: dict["AlfReceiver", _PlanGroup] = {}
@@ -487,10 +487,10 @@ class SharedDrainEngine:
     def backlog_export(self) -> dict[str, object]:
         """The compact backlog view a sharded front end samples per shard.
 
-        A :class:`~repro.net.shard.RebalancePolicy` and the ``repro
-        shard stats`` CLI want just the load-bearing numbers — queued
-        rows, the pressure integrator, lifetime deliveries — without
-        paying for a full counter snapshot on every train boundary.
+        A :class:`~repro.net.shard.RebalancePolicy` wants just the
+        load-bearing numbers — queued rows, the pressure integrator,
+        lifetime deliveries — without paying for a full counter
+        snapshot on every train boundary.
         Taken under the engine mutex for a consistent view.
         """
         with self._mutex:

@@ -37,7 +37,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import TransportError
-from repro.machine.accounting import PacingCounters, pacing_counters
+from repro.machine.accounting import PacingCounters
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
 
@@ -100,8 +100,8 @@ class TrainPacer:
         min_rate_bytes_per_s / max_rate_bytes_per_s: AIMD rate bounds.
         send: the transmission callback (usually ``host.send``); may be
             bound later via :meth:`bind`.
-        counters: pacing ledger (defaults to the process-wide
-            :func:`~repro.machine.accounting.pacing_counters`).
+        counters: pacing ledger (defaults to a fresh
+            :class:`~repro.machine.accounting.PacingCounters`).
         tracer: optional event tracer.
         name: label for traces.
     """
@@ -161,7 +161,7 @@ class TrainPacer:
         self.backoff_interval = backoff_interval
         self.min_rate_bytes_per_s = float(min_rate_bytes_per_s)
         self.max_rate_bytes_per_s = float(max_rate_bytes_per_s)
-        self.counters = counters if counters is not None else pacing_counters()
+        self.counters = counters if counters is not None else PacingCounters()
         self.tracer = tracer or Tracer(enabled=False)
         self.name = name
         self._send = send

@@ -58,6 +58,13 @@ def make_sharded(n_shards=4, **kwargs):
     return path, sharded, counters
 
 
+def noop_packet(flow_id=1):
+    return Packet(
+        src="a", dst="b", protocol="noop", flow_id=flow_id,
+        header={"adu_seq": 0}, payload=b"",
+    )
+
+
 def bind_flow(sharded, flow_id, delivered, **kwargs):
     """A cleartext receiver for ``flow_id`` on its home shard."""
     shard = sharded.shard_for(PROTOCOL, flow_id)
@@ -156,6 +163,14 @@ class TestDemuxStability:
         assert snap["demux_runs"] == 1
         assert snap["probes_saved"] == len(packets) - 1
 
+    def test_single_packets_pay_one_placement_probe_each(self):
+        path, sharded, counters = make_sharded(2, protocols=())
+        for _ in range(3):
+            sharded.receive(noop_packet())
+        snap = counters.snapshot()
+        assert snap["demux_runs"] == 3
+        assert snap["probes_saved"] == 0
+
     def test_burst_grouping_one_service_per_run(self):
         path, sharded, counters = make_sharded()
         delivered: dict[int, list[bytes]] = {}
@@ -178,6 +193,17 @@ class TestDemuxStability:
         # Consecutive same-shard packets hand over as one run each.
         assert snap["worker_services"] == 2
         assert delivered[flow_a] and delivered[flow_b]
+
+
+class TestCounterIsolation:
+    def test_hosts_built_without_counters_keep_their_own(self):
+        first = ShardedHost(Host(EventLoop(), "b"), 2, protocols=())
+        second = ShardedHost(Host(EventLoop(), "b"), 2, protocols=())
+        for _ in range(3):
+            first.receive(noop_packet())
+        assert first.counters is not second.counters
+        assert first.counters.packets == 3
+        assert second.counters.packets == 0
 
 
 class TestSerialShardScheduler:

@@ -9,7 +9,7 @@ import pytest
 from repro.bench.workloads import octet_payload
 from repro.core.adu import Adu
 from repro.errors import NetworkError, TransportError
-from repro.machine.accounting import PacingCounters, train_counters
+from repro.machine.accounting import PacingCounters
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.switch import StoreAndForwardSwitch, SwitchStats
@@ -317,9 +317,11 @@ class TestSenderPacing:
             sender.send_adu(Adu(i, octet_payload(1000, seed=i), {"i": i}))
         sender.close()
         path.loop.run(until=30.0)
-        snap = path.pacer.counters.snapshot()
-        assert snap["pressure_signals"] > 0
-        assert snap["acks_stamped"] > 0
+        assert path.pacer.counters.snapshot()["pressure_signals"] > 0
+        # The quanta land on this pacer's own ledger, not a shared one.
+        bystander = TrainPacer(path.loop)
+        assert bystander.counters is not path.pacer.counters
+        assert bystander.counters.snapshot()["pressure_signals"] == 0
 
 
 class TestSwitchTrainPreservation:
@@ -380,13 +382,10 @@ class TestSwitchTrainPreservation:
 
     def test_queue_drops_break_down_by_destination(self):
         loop, switch, got = self.make(capacity=2, bandwidth=1e3)
-        before = train_counters().snapshot()["switch_queue_drops"].get("b", 0)
         switch.receive_burst([wire_packet(n=n) for n in range(6)])
         loop.run()
         assert switch.stats.queue_drops == {"b": 4}
         assert switch.stats.drops == 4
-        after = train_counters().snapshot()["switch_queue_drops"].get("b", 0)
-        assert after - before == 4
 
     def test_legacy_counter_names_still_work(self):
         loop, switch, got = self.make()

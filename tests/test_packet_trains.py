@@ -8,7 +8,7 @@ import pytest
 
 from repro.buffers.pool import BufferPool
 from repro.errors import NetworkError, TransportError
-from repro.machine.accounting import ShardCounters, TrainCounters
+from repro.machine.accounting import ShardCounters
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -172,19 +172,6 @@ class TestLinkTrains:
             )
 
         assert fingerprint(train_sink) == fingerprint(packet_sink)
-
-    def test_train_counters_record_deliveries(self):
-        counters = TrainCounters()
-        counters.record_train(4)
-        counters.record_train(4)
-        counters.record_train(1)
-        snap = counters.snapshot()
-        assert snap["trains"] == 3
-        assert snap["train_packets"] == 9
-        assert snap["packets_per_train"] == pytest.approx(3.0)
-        assert snap["train_len_hist"] == {1: 1, 4: 2}
-        counters.reset()
-        assert counters.snapshot()["trains"] == 0
 
 
 class TestHostBurstPoisoned:

@@ -124,6 +124,23 @@ class TestGrouping:
         engine.unregister(receivers[0])  # idempotent
 
 
+class TestCounterIsolation:
+    def test_engines_built_without_counters_keep_their_own(self):
+        path = two_hosts(seed=2)
+        first = SharedDrainEngine(path.loop)
+        second = SharedDrainEngine(path.loop)
+        AlfReceiver(
+            path.loop, path.b, "a", 1,
+            deliver=lambda d: None, zero_copy=False, drain_engine=first,
+        )
+        for packet in adu_packets(1, [adu_payload(i) for i in range(3)]):
+            path.b.receive(packet)
+        assert first.flush() == 3
+        assert first.counters is not second.counters
+        assert first.counters.dispatches == 1
+        assert second.counters.snapshot() == DrainCounters().snapshot()
+
+
 class TestCrossFlowDispatch:
     def test_one_dispatch_covers_all_flows(self):
         path, engine, receivers, delivered = make_env(n_flows=3)
