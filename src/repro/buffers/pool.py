@@ -114,15 +114,20 @@ class BufferPool:
         buffer = self.try_allocate()
         if buffer is None:
             return None
+        return Segment(
+            memoryview(buffer.data)[:length],
+            label=buffer.label,
+            cell=_RefCell(on_zero=self._recycler(buffer)),
+        )
+
+    def _recycler(self, buffer: Buffer):
+        """The ``on_zero`` hook that hands ``buffer`` back to the pool."""
 
         def _recycle() -> None:
             self.recycled += 1
             self.release(buffer)
 
-        cell = _RefCell(on_zero=_recycle)
-        return Segment(
-            memoryview(buffer.data)[:length], label=buffer.label, cell=cell
-        )
+        return _recycle
 
     def allocate_segment(self, length: int | None = None) -> Segment:
         """Like :meth:`try_allocate_segment`, raising when exhausted."""
@@ -140,25 +145,53 @@ class BufferPool:
         never leak buffers.  The fill is recorded as DMA (bus traffic),
         not as a CPU copy: from the CPU's point of view the data arrives
         in place, which is where the zero-copy path starts.
+
+        ``payload`` may also be a *run*: a list of payloads, such as one
+        train's fragments of one ADU.  Each payload fills its own
+        segments and records its own DMA write, exactly as separate calls
+        would, and the result is one chain over all of them in order.  A
+        run lands whole or not at all: when the pool has fewer free
+        buffers than it needs, nothing is allocated and no failure is
+        counted — the caller falls back to one call per payload.
         """
-        mv = payload if isinstance(payload, memoryview) else memoryview(payload)
-        total = len(mv)
-        if total == 0:
-            return BufferChain()
-        segments: list[Segment] = []
+        if isinstance(payload, list):
+            size = self.buffer_size
+            if sum(-(-len(piece) // size) for piece in payload) > len(self._free):
+                return None
+            segments: list[Segment] = []
+            for piece in payload:
+                self._fill(piece, segments)
+            return BufferChain(segments)
+        segments = []
+        if not self._fill(payload, segments):
+            for allocated in segments:
+                allocated.release()
+            return None
+        return BufferChain(segments)
+
+    def _fill(self, payload, segments: list[Segment]) -> bool:
+        """DMA one payload into fresh segments appended to ``segments``;
+        False when the pool ran dry part-way."""
+        size = self.buffer_size
+        total = len(payload)
         offset = 0
         while offset < total:
-            take = min(self.buffer_size, total - offset)
-            segment = self.try_allocate_segment(take)
-            if segment is None:
-                for allocated in segments:
-                    allocated.release()
-                return None
-            segment.memoryview()[:] = mv[offset : offset + take]
-            segments.append(segment)
+            take = min(size, total - offset)
+            buffer = self.try_allocate()
+            if buffer is None:
+                return False
+            window = memoryview(buffer.data)[:take]
+            window[:] = (
+                payload if take == total
+                else memoryview(payload)[offset : offset + take]
+            )
+            segments.append(
+                Segment(window, buffer.label, _RefCell(self._recycler(buffer)))
+            )
             offset += take
-        datapath_counters().record_dma(total)
-        return BufferChain(segments)
+        if total:
+            datapath_counters().record_dma(total)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection

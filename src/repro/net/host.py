@@ -21,6 +21,13 @@ from repro.sim.eventloop import EventLoop
 from repro.sim.trace import Tracer
 
 Handler = Callable[[Packet], None]
+#: Takes ``packets[start:]`` as one unit if it can; returns how many.
+RunHandler = Callable[[list[Packet], int], int]
+
+
+def _run_entry(handler: Handler) -> RunHandler | None:
+    """The ``receive_run`` of the object ``handler`` is bound to, if any."""
+    return getattr(getattr(handler, "__self__", None), "receive_run", None)
 
 
 class Host:
@@ -45,6 +52,11 @@ class Host:
     prediction): back-to-back packets for the same (protocol, flow)
     reuse the last resolved handler without re-hashing, counted in
     :attr:`demux_memo_hits`.  Any binding change invalidates the memo.
+
+    A handler bound from an object that also has ``receive_run(packets,
+    start)`` gets the first offer of each burst run of its flow (see
+    :meth:`receive_burst`): it takes as many packets as it can process
+    as one unit and the rest go to the handler as before.
     """
 
     def __init__(
@@ -65,6 +77,7 @@ class Host:
         self._default_handlers: dict[str, Handler] = {}
         self._memo_key: tuple[str, int] | None = None
         self._memo_handler: Handler | None = None
+        self._memo_run: RunHandler | None = None
         self.received = 0
         self.undeliverable = 0
         self.rx_dropped = 0
@@ -81,6 +94,7 @@ class Host:
     def _invalidate_memo(self) -> None:
         self._memo_key = None
         self._memo_handler = None
+        self._memo_run = None
 
     def bind(self, protocol: str, flow_id: int, handler: Handler) -> None:
         """Dispatch packets for (protocol, flow) to ``handler``."""
@@ -175,6 +189,7 @@ class Host:
             return
         self._memo_key = key
         self._memo_handler = handler
+        self._memo_run = _run_entry(handler)
         handler(packet)
 
     def receive_burst(self, packets: list[Packet]) -> None:
@@ -182,11 +197,17 @@ class Host:
 
         Links in train mode and the sharded front end hand bursts here
         so that consecutive packets for the same flow form a *run*
-        resolving the handler once, not per packet.  A poisoned packet
-        mid-burst — no handler bound for its flow — releases its DMA
-        chain and the rest of the burst keeps flowing; the run's cached
-        handler is revalidated against the memo, so a flow closed by an
-        earlier delivery in the same burst cannot be called stale.
+        resolving the handler once, not per packet.  Where a run starts
+        — and again after each unit it took — the handler's
+        ``receive_run`` is offered the rest of the burst and takes what
+        it can as one unit (for ALF, one whole ADU: one DMA, one
+        reassembly); whatever it leaves goes packet by packet, with
+        every counter advanced exactly as the per-packet path would.
+        A poisoned packet mid-burst — no handler bound for its flow —
+        releases its DMA chain and the rest of the burst keeps flowing;
+        the run's cached handler is revalidated against the memo, so a
+        flow closed by an earlier delivery in the same burst cannot be
+        called stale.
         """
         self.bursts += 1
         self.burst_packets += len(packets)
@@ -199,7 +220,10 @@ class Host:
         defaults = self._default_handlers
         run_key: tuple[str, int] | None = None
         handler: Handler | None = None
-        for packet in packets:
+        index, count = 0, len(packets)
+        while index < count:
+            packet = packets[index]
+            index += 1
             key = (packet.protocol, packet.flow_id)
             # A run continues only while the memo agrees: any binding
             # change inside the burst invalidates the memo, which
@@ -220,11 +244,21 @@ class Host:
                 if handler is not None:
                     self._memo_key = key
                     self._memo_handler = handler
+                    self._memo_run = _run_entry(handler)
             if handler is None:
                 # Undeliverable packets skip the DMA (nothing downstream
                 # would ever release the chain) but must release a chain
                 # the wire already handed over — and the burst goes on.
                 self._drop_undeliverable(packet)
                 continue
+            if self._memo_run is not None:
+                taken = self._memo_run(packets, index - 1)
+                if taken:
+                    # Each packet after the run's first is a memo hit
+                    # packet by packet; the next packet may open a unit.
+                    self.demux_memo_hits += taken - 1
+                    index += taken - 1
+                    run_key = None
+                    continue
             if dma(packet):
                 handler(packet)

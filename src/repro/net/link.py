@@ -409,6 +409,10 @@ class Link:
 
     def _deliver_train(self, train: _OpenTrain) -> None:
         """Hand one train to the receiver as a single burst upcall."""
+        # The close event's args hold the train: drop the reference so
+        # the train and its packets are freed with the burst, not by
+        # the cyclic collector.
+        train.close_event = None
         packets = train.packets
         self.stats.trains += 1
         self.stats.train_packets += len(packets)

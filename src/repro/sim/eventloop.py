@@ -53,11 +53,13 @@ class Event:
         The entry is lazily discarded: it stays in the heap until it
         either surfaces or the owning loop compacts (which it does once
         cancelled entries dominate the queue), so retransmit-timer
-        churn cannot grow the heap without bound.
+        churn cannot grow the heap without bound.  The arguments are
+        dropped at once, so the dead entry pins nothing it was handed.
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.args = ()
         if self._loop is not None:
             self._loop._on_cancel()
 

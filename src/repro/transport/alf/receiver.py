@@ -20,7 +20,7 @@ from repro.buffers.chain import BufferChain
 from repro.control.ack import SelectiveAckTracker
 from repro.control.instructions import InstructionCounter
 from repro.errors import FramingError
-from repro.core.adu import AduFragment, reassemble_fragments
+from repro.core.adu import Adu, AduFragment, reassemble_fragments
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
 from repro.machine.accounting import integrity_counters
@@ -52,6 +52,11 @@ class _PartialAdu:
     # Fragment-relative (lo, hi) corruption hints from the PHY, keyed by
     # fragment index; mapped to ADU offsets when the ADU completes.
     corrupt_hints: dict[int, tuple[int, int]] = field(default_factory=dict)
+
+
+#: The reassembly record of an ADU taken whole from a run: its chain
+#: came straight from the pool, so there are no fragments to release.
+_NO_FRAGMENTS = _PartialAdu(total=0, name={})
 
 
 class AlfReceiver:
@@ -264,6 +269,63 @@ class AlfReceiver:
         if len(partial.fragments) == partial.total:
             self._complete_adu(sequence, partial)
 
+    def receive_run(self, packets: list[Packet], start: int) -> int:
+        """Take one whole ADU from a burst in a single call.
+
+        The ADU's fragments must be ``packets[start:start + n]``, indices
+        ``0..n-1`` in order, with ``n > 1``: byte payloads with no FEC
+        unit or PHY damage hint, for an ADU this flow has neither
+        delivered nor begun, and room in the pool for all of them.  The
+        pool then DMAs the run in one call and its segments *are* the
+        ADU's chain — no fragment records, no per-fragment share.
+        Returns ``n``, or 0 to leave the packets to :meth:`_on_fragment`,
+        which then behaves as it always has.
+        """
+        header = packets[start].header
+        total = int(header["nfrags"])
+        end = start + total
+        pool = self.host.rx_pool
+        if (
+            total < 2
+            or end > len(packets)
+            or pool is None
+            or not self.zero_copy
+        ):
+            return 0
+        sequence = int(header["adu_seq"])
+        if sequence in self.acks or sequence in self._partial:
+            return 0
+        checksum = header["adu_csum"]
+        payloads = []
+        for index, packet in enumerate(packets[start:end]):
+            fields = packet.header
+            if (
+                packet.flow_id != self.flow_id
+                or packet.protocol != PROTOCOL
+                or fields["frag"] != index
+                or fields["adu_seq"] != sequence
+                or fields["nfrags"] != total
+                or fields["adu_csum"] != checksum
+                or "fec" in fields
+                or "phy_corrupt" in fields
+                or isinstance(packet.payload, BufferChain)
+                or not packet.payload
+            ):
+                return 0
+            payloads.append(packet.payload)
+        if sum(map(len, payloads)) != header["adu_len"]:
+            return 0
+        chain = pool.dma_chain(payloads)
+        if chain is None:
+            return 0
+        self.counter.packets_processed += total
+        self.counter.record("sequence_check", total)
+        self.counter.record("reassembly_bookkeeping", total)
+        self.stats.segments_received += total
+        adu = Adu(sequence, chain, dict(header["name"]))
+        self._finish_adu(sequence, _NO_FRAGMENTS, adu, int(checksum), ())
+        return total
+
     def _on_fec_unit(
         self,
         sequence: int,
@@ -365,6 +427,18 @@ class AlfReceiver:
             self.tracer.emit(self.loop.now, "alf", "bad-adu", seq=sequence)
             self._release_fragments(partial)
             return
+        self._finish_adu(sequence, partial, adu, expected, corrupt_spans)
+
+    def _finish_adu(
+        self,
+        sequence: int,
+        partial: _PartialAdu,
+        adu: Adu,
+        expected: int,
+        corrupt_spans: tuple[tuple[int, int], ...],
+    ) -> None:
+        """Queue a reassembled ADU for the batched drain, or verify and
+        deliver it now."""
         if self.batch_drain:
             # Verification is deferred to the batched drain: the whole
             # queue runs through one CompiledPlan.run_batch call —

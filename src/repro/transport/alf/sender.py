@@ -106,8 +106,6 @@ class AlfSender:
         recovery: the application's chosen :class:`RecoveryMode`.
         recompute: required in APP_RECOMPUTE mode — regenerates an ADU.
         rto: repair timer period for tail loss.
-        pace_interval: seconds between ADU transmissions (simple pacing;
-            the rate computation itself is out-of-band per §3).
         max_attempts: give up on an ADU after this many transmissions.
         max_outstanding: flow-control window in ADUs — further ADUs
             queue at the sender until acknowledgements open slots
@@ -150,8 +148,7 @@ class AlfSender:
             rate-based flow control).  Wire units route through the
             pacer's token bucket and leave as back-to-back tagged
             trains; drain-pressure quanta piggybacked on ACKs
-            (``header["dp"]``) feed its AIMD loop.  Supersedes
-            ``pace_interval``.
+            (``header["dp"]``) feed its AIMD loop.
         on_complete: called when every ADU is acknowledged or abandoned.
     """
 
@@ -165,7 +162,6 @@ class AlfSender:
         recovery: RecoveryMode = RecoveryMode.TRANSPORT_BUFFER,
         recompute: RecomputeFn | None = None,
         rto: float = 0.2,
-        pace_interval: float = 0.0,
         max_attempts: int = 20,
         max_outstanding: int | None = None,
         fec_group: int | None = None,
@@ -200,7 +196,6 @@ class AlfSender:
         self.recovery = recovery
         self.recompute = recompute
         self.rto = rto
-        self.pace_interval = pace_interval
         self.max_attempts = max_attempts
         if max_outstanding is not None and max_outstanding <= 0:
             raise TransportError("max_outstanding must be positive")
@@ -246,7 +241,6 @@ class AlfSender:
         self._acked_up_to = 0  # the highest ACK cumulative point seen
         self._closed = False
         self._completed = False
-        self._next_send_time = 0.0
         self._timer_armed = False
 
         host.bind(PROTOCOL, flow_id, self._on_ack_packet)
@@ -447,24 +441,6 @@ class AlfSender:
     # Transmission
 
     def _transmit(self, adu: Adu) -> None:
-        if self.pacing is not None:
-            for header, payload in self._wire_units(adu):
-                header["ts"] = self.loop.now
-                packet = Packet(
-                    src=self.host.name,
-                    dst=self.peer,
-                    protocol=PROTOCOL,
-                    flow_id=self.flow_id,
-                    header=header,
-                    payload=payload,
-                )
-                self.stats.segments_sent += 1
-                self.stats.bytes_sent += len(payload)
-                self.pacing.submit(packet, on_release=self._on_paced_release)
-            self.tracer.emit(self.loop.now, "alf", "send-adu",
-                             seq=adu.sequence, length=len(adu.payload))
-            return
-        delay = max(self._next_send_time - self.loop.now, 0.0)
         for header, payload in self._wire_units(adu):
             header["ts"] = self.loop.now
             packet = Packet(
@@ -477,13 +453,10 @@ class AlfSender:
             )
             self.stats.segments_sent += 1
             self.stats.bytes_sent += len(payload)
-            if delay > 0:
-                self.loop.schedule(delay, self.host.send, packet)
+            if self.pacing is not None:
+                self.pacing.submit(packet, on_release=self._on_paced_release)
             else:
                 self.host.send(packet)
-            delay += self.pace_interval
-        if self.pace_interval > 0:
-            self._next_send_time = self.loop.now + delay
         self.tracer.emit(self.loop.now, "alf", "send-adu",
                          seq=adu.sequence, length=len(adu.payload))
 

@@ -8,6 +8,7 @@ from repro.buffers.chain import BufferChain
 from repro.buffers.pool import BufferPool
 from repro.buffers.segment import Segment
 from repro.errors import BufferError_
+from repro.machine.accounting import datapath_counters
 
 
 class TestSegmentLifecycle:
@@ -114,6 +115,41 @@ class TestPoolRecycling:
         assert pool.dma_chain(bytes(48)) is None  # needs 3, only 2 exist
         assert pool.in_use == 0  # partial allocation was rolled back
         assert pool.snapshot()["allocation_failures"] == 1
+
+    def test_dma_chain_run_is_one_chain_of_per_payload_segments(self):
+        pool = BufferPool(8, 16, label="p")
+        payloads = [bytes(range(10)), bytes(range(20, 40)), bytes(range(50, 66))]
+        dma = datapath_counters()
+        writes, written = dma.dma_writes, dma.dma_bytes
+        chain = pool.dma_chain(payloads)
+        # One segment per buffer each payload needs, as separate calls
+        # would allocate; one DMA write recorded per payload.
+        assert [len(s) for s in chain.segments] == [10, 16, 4, 16]
+        assert chain.tobytes() == b"".join(payloads)
+        assert dma.dma_writes - writes == 3
+        assert dma.dma_bytes - written == 46
+        assert pool.in_use == 4
+        chain.release()
+        assert pool.in_use == 0
+
+    def test_dma_chain_run_lands_whole_or_not_at_all(self):
+        pool = BufferPool(3, 16, label="p")
+        assert pool.dma_chain([bytes(16)] * 4) is None
+        # Nothing was allocated and no failure counted: the caller
+        # falls back to one call per payload.
+        snap = pool.snapshot()
+        assert snap["in_use"] == 0
+        assert snap["hits"] == snap["misses"] == snap["allocation_failures"] == 0
+
+    def test_recycled_segment_buffers_are_scrubbed(self):
+        pool = BufferPool(4, 16, label="p")
+        chain = pool.dma_chain([b"\xff" * 16, b"\xee" * 12, b"\xdd" * 16])
+        chain.release()
+        assert pool.snapshot()["recycled"] == 3
+        # The last reference handed every buffer back zeroed, so the
+        # next user of the pool never reads an earlier frame.
+        buffers = [pool.allocate() for _ in range(4)]
+        assert all(bytes(buffer.data) == bytes(16) for buffer in buffers)
 
 
 class TestChainReferenceDiscipline:

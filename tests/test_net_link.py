@@ -1,5 +1,8 @@
 """Links: timing, loss, reordering, duplication — all deterministic."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import NetworkError
@@ -141,3 +144,30 @@ def test_byte_counters():
     loop.run()
     assert link.stats.bytes_sent == 100
     assert link.stats.bytes_delivered == 100
+
+
+def test_delivered_trains_are_freed_without_the_cycle_collector():
+    """A train (and the packets it holds) dies with its burst upcall: no
+    reference cycle through its close event keeps it for the cyclic GC."""
+    loop = EventLoop()
+    link = make_link(loop, bandwidth_bps=1e9, propagation_delay=1e-3,
+                     max_train=4, train_window=1e-3)
+    bursts = []
+    link.connect(lambda p: None, burst_receiver=lambda ps: bursts.append(len(ps)))
+    gc.disable()
+    try:
+        link.send(packet(0))
+        full = weakref.ref(link._open_train)
+        for n in range(1, 4):
+            link.send(packet(n))  # the fourth packet fills the train
+        link.send(packet(4))
+        windowed = weakref.ref(link._open_train)  # closes on its window
+        # Past the full train's delivery, before either close timer fires.
+        loop.run(until=1.5e-3)
+        assert bursts == [4]
+        assert full() is None
+        loop.run()
+        assert bursts == [4, 1]
+        assert windowed() is None
+    finally:
+        gc.enable()
