@@ -42,8 +42,11 @@ class BufferPool:
         self._free: list[Buffer] = [
             Buffer(buffer_size, label=f"{label}[{i}]") for i in range(n_buffers)
         ]
-        self._outstanding: set[int] = set()
-        self._outstanding_labels: dict[int, str] = {}
+        # id(buffer) -> label for every buffer handed out and not yet
+        # returned: membership is what "outstanding" means.
+        self._outstanding: dict[int, str] = {}
+        # Released buffers are scrubbed from this one zero block.
+        self._zeros = bytes(buffer_size)
         self.allocation_failures = 0
         self.hits = 0
         self.misses = 0
@@ -66,8 +69,7 @@ class BufferPool:
             self.misses += 1
             return None
         buffer = self._free.pop()
-        self._outstanding.add(id(buffer))
-        self._outstanding_labels[id(buffer)] = buffer.label
+        self._outstanding[id(buffer)] = buffer.label
         self.hits += 1
         return buffer
 
@@ -85,14 +87,12 @@ class BufferPool:
         free (double release), since both indicate accounting bugs in the
         caller.
         """
-        if id(buffer) not in self._outstanding:
+        if self._outstanding.pop(id(buffer), None) is None:
             raise BufferError_(
                 f"buffer {buffer.label} was not allocated from {self.label} "
                 "or was already released"
             )
-        self._outstanding.remove(id(buffer))
-        self._outstanding_labels.pop(id(buffer), None)
-        buffer.data[:] = bytes(self.buffer_size)
+        buffer.data[:] = self._zeros
         self._free.append(buffer)
 
     # ------------------------------------------------------------------
@@ -198,7 +198,7 @@ class BufferPool:
 
     def leak_report(self) -> list[str]:
         """Labels of buffers allocated but never released (suspected leaks)."""
-        return sorted(self._outstanding_labels.values())
+        return sorted(self._outstanding.values())
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict counters for the CLI and benchmark records."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -151,30 +152,39 @@ class BatchResult:
             to running each ADU through :meth:`CompiledPlan.run`.
         observations: kernel name → per-ADU observation list (e.g. the
             checksum of every ADU in the batch).
-        report: one modelled execution report for the whole batch; its
-            cycle totals equal the sum of the per-ADU reports.
+        plan: the plan that ran the batch.
+        lengths: true byte length of every input ADU.
     """
 
     outputs: list[bytes]
     observations: dict[str, list[int]]
-    report: ExecutionReport
+    plan: "CompiledPlan" = field(repr=False)
+    lengths: list[int] = field(repr=False)
 
     @property
     def n_adus(self) -> int:
         """Number of ADUs in the batch."""
         return len(self.outputs)
 
+    @cached_property
+    def report(self) -> ExecutionReport:
+        """One modelled execution report for the whole batch; its cycle
+        totals equal the sum of the per-ADU reports.  Priced on first
+        access — the transports never read it."""
+        return self.plan._batch_report(self.lengths)
+
 
 def _pack_batch(
     adus: Sequence[bytes | BufferChain],
-) -> tuple[Array, Array, Array, Array]:
+) -> tuple[Array, list[int], Array | None, Array | None]:
     """Pack ADUs into one (adu, word) big-endian-value array.
 
-    Rows may be ``bytes`` or scatter-gather :class:`BufferChain`s; a
-    chain row is gathered segment-by-segment straight into its slot of
-    the batch array — one pass, no intermediate linearize (recorded as
-    ``batch-gather`` on the datapath counters; the chain's references
-    are untouched).
+    Rows may be ``bytes`` or scatter-gather :class:`BufferChain`s.  Every
+    row's pieces — a chain's segments or a byte row, plus a zero pad for
+    a row shorter than the batch width — are joined into one buffer and
+    byteswapped once into the word array: no intermediate linearize per
+    chain (the gather is recorded as ``batch-gather`` on the datapath
+    counters; the chain's references are untouched).
 
     Returns ``(words, lengths, word_keep, byte_keep)``:
 
@@ -188,37 +198,39 @@ def _pack_batch(
     * ``byte_keep`` — additionally zeroes the sub-word pad bytes of a
       row's final partial word.  Applied between integrated loops,
       mirroring the unbatched path's store/reload through bytes.
-    """
-    n = len(adus)
-    lengths = np.fromiter((len(adu) for adu in adus), dtype=np.int64, count=n)
-    nwords = (lengths + 3) // 4
-    width = max(int(nwords.max()), 1)
 
-    raw = np.zeros((n, width * 4), dtype=np.uint8)
+    Both masks are None when every row is exactly ``W * 4`` bytes: no
+    row then owns a pad byte, so there is nothing to re-zero.
+    """
+    lengths = [len(adu) for adu in adus]
+    width = max((max(lengths) + 3) // 4, 1)
+    row_bytes = width * 4
+    pieces: list[bytes | memoryview] = []
     chain_bytes = 0
-    for i, payload in enumerate(adus):
+    ragged = False
+    for payload, length in zip(adus, lengths):
         if isinstance(payload, BufferChain):
-            offset = 0
-            row = raw[i]
-            for mv in payload.memoryviews():
-                k = len(mv)
-                row[offset : offset + k] = np.frombuffer(mv, dtype=np.uint8)
-                offset += k
-            chain_bytes += offset
-        elif payload:
-            raw[i, : len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+            pieces.extend(payload.memoryviews())
+            chain_bytes += length
+        else:
+            pieces.append(payload)
+        if length != row_bytes:
+            pieces.append(bytes(row_bytes - length))
+            ragged = True
     if chain_bytes:
         datapath_counters().record_copy(chain_bytes, label="batch-gather")
-    native = raw.view(np.uint32)
+    native = np.frombuffer(b"".join(pieces), dtype=np.uint32).reshape(-1, width)
     words = native.byteswap() if _LITTLE_ENDIAN else native.copy()
+    if not ragged:
+        return words, lengths, None, None
 
-    cols = np.arange(width)
+    sizes = np.array(lengths, dtype=np.int64)
+    nwords = (sizes + 3) // 4
     word_keep = np.where(
-        cols[None, :] < nwords[:, None], 0xFFFFFFFF, 0
+        np.arange(width)[None, :] < nwords[:, None], 0xFFFFFFFF, 0
     ).astype(np.uint32)
-
     byte_keep = word_keep.copy()
-    rem = lengths % 4
+    rem = sizes % 4
     partial = np.nonzero(rem)[0]
     if partial.size:
         # Word values are big-endian: byte 0 sits in the high bits, so a
@@ -230,11 +242,11 @@ def _pack_batch(
     return words, lengths, word_keep, byte_keep
 
 
-def _unpack_batch(words: Array, lengths: Array) -> list[bytes]:
+def _unpack_batch(words: Array, lengths: Sequence[int]) -> list[bytes]:
     """Row-wise inverse of :func:`_pack_batch` (truncated to true lengths)."""
     raw = words.byteswap() if _LITTLE_ENDIAN else words
     flat = np.ascontiguousarray(raw).view(np.uint8)
-    return [flat[i, : int(length)].tobytes() for i, length in enumerate(lengths)]
+    return [flat[i, :length].tobytes() for i, length in enumerate(lengths)]
 
 
 def _observer_limit(groups: Sequence[CompiledGroup]) -> int | None:
@@ -276,6 +288,7 @@ class CompiledPlan:
         "speculative_facts",
         "pipeline_name",
         "n_stages",
+        "fully_lowered",
         "_observer_limit",
     )
 
@@ -295,18 +308,15 @@ class CompiledPlan:
         # reports carry it (per-ADU reports use the live pipeline's).
         self.pipeline_name = pipeline_name
         self.n_stages = len(key.stages)
+        # True when every group has a kernel form, enabling run() and
+        # run_batch().
+        self.fully_lowered = all(group.kernels is not None for group in groups)
         self._observer_limit = _observer_limit(groups)
 
     @property
     def n_loops(self) -> int:
         """Number of integrated loops the plan executes."""
         return len(self.groups)
-
-    @property
-    def fully_lowered(self) -> bool:
-        """True when every group has a kernel form, enabling
-        :meth:`run` and :meth:`run_batch`."""
-        return all(group.kernels is not None for group in self.groups)
 
     def _require_lowered(self) -> None:
         if not self.fully_lowered:
@@ -446,12 +456,14 @@ class CompiledPlan:
         """Run many ADUs through the plan in one vectorized pass per kernel.
 
         Payloads — ``bytes`` or scatter-gather chains, freely mixed —
-        are packed into a single padded 2-D word array (chain rows
-        gather straight into their slot, no per-ADU linearize); each
+        are packed into a single padded 2-D word array by one gather
+        (chain segments join it directly, no per-ADU linearize); each
         kernel's transform and (vectorized) finalizer then touch the
-        whole batch at once.  Outputs and observations are byte- and
-        value-identical to calling :meth:`run` per ADU; input chains'
-        references are untouched.
+        whole batch at once.  Pad masks are applied only when some row
+        is not exactly the batch width, and the batch's execution report
+        is priced only when read.  Outputs and observations are byte-
+        and value-identical to calling :meth:`run` per ADU; input
+        chains' references are untouched.
         """
         self._require_lowered()
         if not adus:
@@ -460,34 +472,32 @@ class CompiledPlan:
             return self._run_batch_covered(adus, self._observer_limit)
         words, lengths, word_keep, byte_keep = _pack_batch(adus)
         observations: dict[str, list[int]] = {}
-        n = len(adus)
         last = len(self.groups) - 1
         for index, group in enumerate(self.groups):
             for kernel in group.kernels:
                 transformed = kernel.transform(words)
                 if kernel.finalize is not None:
-                    if kernel.batch_finalize is not None:
-                        values = kernel.batch_finalize(words, lengths)
-                        observations[kernel.name] = [int(v) for v in values]
-                    else:
-                        observations[kernel.name] = [
-                            kernel.finalize(words[i, :], int(lengths[i]))
-                            for i in range(n)
-                        ]
+                    observations[kernel.name] = self._observe(kernel, words, lengths)
                 # A short row's unused columns must stay zero: the
                 # unbatched path has no such words, so nothing a kernel
                 # writes there may survive to be observed.
-                words = transformed & word_keep
-            if index != last:
+                words = transformed if word_keep is None else (
+                    transformed & word_keep
+                )
+            if byte_keep is not None and index != last:
                 # Between loops the unbatched path stores to bytes and
                 # reloads, which re-zeroes each row's sub-word padding.
                 words = words & byte_keep
-        outputs = _unpack_batch(words, lengths)
-        return BatchResult(
-            outputs=outputs,
-            observations=observations,
-            report=self._batch_report(lengths),
-        )
+        return BatchResult(_unpack_batch(words, lengths), observations, self, lengths)
+
+    @staticmethod
+    def _observe(kernel: WordKernel, words: Array, lengths: list[int]) -> list[int]:
+        """One finalizer observation per row of the packed batch."""
+        if kernel.batch_finalize is not None:
+            return kernel.batch_finalize(words, np.array(lengths, dtype=np.int64))
+        return [
+            kernel.finalize(words[i, :], length) for i, length in enumerate(lengths)
+        ]
 
     def _run_batch_covered(
         self, adus: Sequence[bytes | BufferChain], limit: int
@@ -520,33 +530,19 @@ class CompiledPlan:
         if skipped:
             integrity_counters().record_skipped(skipped)
         words, lengths, _word_keep, _byte_keep = _pack_batch(heads)
-        observations: dict[str, list[int]] = {}
-        n = len(heads)
-        for group in self.groups:
-            for kernel in group.kernels:
-                if kernel.finalize is None:
-                    continue
-                if kernel.batch_finalize is not None:
-                    values = kernel.batch_finalize(words, lengths)
-                    observations[kernel.name] = [int(v) for v in values]
-                else:
-                    observations[kernel.name] = [
-                        kernel.finalize(words[i, :], int(lengths[i]))
-                        for i in range(n)
-                    ]
-        true_lengths = np.fromiter(
-            (len(out) for out in outputs), dtype=np.int64, count=n
-        )
-        return BatchResult(
-            outputs=outputs,
-            observations=observations,
-            report=self._batch_report(true_lengths),
-        )
+        observations = {
+            kernel.name: self._observe(kernel, words, lengths)
+            for group in self.groups
+            for kernel in group.kernels
+            if kernel.finalize is not None
+        }
+        true_lengths = [len(out) for out in outputs]
+        return BatchResult(outputs, observations, self, true_lengths)
 
-    def _batch_report(self, lengths: Array) -> ExecutionReport:
-        n = int(lengths.size)
-        total_words = int(((lengths + 3) // 4).sum())
-        total_bytes = int(lengths.sum())
+    def _batch_report(self, lengths: Sequence[int]) -> ExecutionReport:
+        n = len(lengths)
+        total_words = sum((length + 3) // 4 for length in lengths)
+        total_bytes = sum(lengths)
         report = ExecutionReport(
             pipeline_name=self.pipeline_name,
             mode="integrated-batch",

@@ -100,7 +100,7 @@ def words_to_bytes(words: Array, length: int) -> bytes:
     """Unpack a uint32 array back to ``length`` bytes."""
     raw = words.byteswap() if _LITTLE_ENDIAN else words
     datapath_counters().record_copy(length, label="unpack-words")
-    return raw.tobytes()[:length]
+    return raw.view(np.uint8)[:length].tobytes()
 
 
 def gather_words(chain: BufferChain) -> tuple[Array, int]:
@@ -128,6 +128,14 @@ def gather_words(chain: BufferChain) -> tuple[Array, int]:
     return words, length
 
 
+def _fold(total: int) -> int:
+    """One's-complement fold of a word sum into the 16-bit checksum."""
+    total = (total & 0xFFFF) + ((total >> 16) & 0xFFFF) + (total >> 32)
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 def checksum_chain(chain: BufferChain) -> int:
     """RFC 1071 Internet checksum straight off a chain — zero-copy.
 
@@ -148,10 +156,8 @@ def checksum_chain(chain: BufferChain) -> int:
             low, high = arr[0::2], arr[1::2]
         total += (int(high.sum()) << 8) + int(low.sum())
         offset += len(arr)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
     datapath_counters().record_read_pass(offset)
-    return (~total) & 0xFFFF
+    return _fold(total)
 
 
 @dataclass
@@ -168,7 +174,8 @@ class WordKernel:
             the loop to produce an observation (e.g. a checksum value).
         batch_finalize: optional vectorized form of ``finalize`` for the
             batched executor: called with a 2-D (adu, word) array and a
-            per-row byte-length array, returns one observation per row.
+            per-row byte-length array, returns a list of one observation
+            (a Python int) per row.
             Kernels without it fall back to per-row ``finalize`` calls.
         preserves_data: True when ``transform`` is the identity (observer
             and pure-move kernels).  Groups in which every kernel
@@ -197,7 +204,7 @@ class WordKernel:
     cost: CostVector
     transform: Callable[[Array], Array]
     finalize: Callable[[Array, int], int] | None = None
-    batch_finalize: Callable[[Array, Array], Array] | None = None
+    batch_finalize: Callable[[Array, Array], list[int]] | None = None
     preserves_data: bool = False
     chain_finalize: Callable[[BufferChain], int] | None = None
     chain_transform: Callable[[BufferChain], BufferChain] | None = None
@@ -300,11 +307,9 @@ def coverage_checksum_chain(chain: BufferChain, policy) -> int:
             total += (int(high.sum()) << 8) + int(low.sum())
             covered += stop - start
         offset = end
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
     integrity_counters().record_fold(covered, offset - covered)
     datapath_counters().record_read_pass(covered)
-    return (~total) & 0xFFFF
+    return _fold(total)
 
 
 def _coverage_checksum_kernel(policy) -> WordKernel:
@@ -341,12 +346,9 @@ def _coverage_checksum_kernel(policy) -> WordKernel:
         covered = policy.covered_bytes(length)
         integrity_counters().record_fold(covered, length - covered)
         datapath_counters().record_read_pass(covered)
-        total = (total & 0xFFFF) + ((total >> 16) & 0xFFFF) + (total >> 32)
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        return (~total) & 0xFFFF
+        return _fold(total)
 
-    def batch_finalize(words: Array, lengths: Array) -> Array:
+    def batch_finalize(words: Array, lengths: Array) -> list[int]:
         n, width = words.shape
         indices, masks, full = coverage_masks(policy, width)
         if indices.size:
@@ -370,10 +372,7 @@ def _coverage_checksum_kernel(policy) -> WordKernel:
             covered_total, int(lengths.sum()) - covered_total
         )
         datapath_counters().record_read_pass(covered_total)
-        totals = (totals & 0xFFFF) + ((totals >> 16) & 0xFFFF) + (totals >> 32)
-        while bool((totals >> 16).any()):
-            totals = (totals & 0xFFFF) + (totals >> 16)
-        return (~totals) & np.uint64(0xFFFF)
+        return [_fold(total) for total in totals.tolist()]
 
     return WordKernel(
         name="checksum",
@@ -410,19 +409,15 @@ def checksum_kernel(coverage=None) -> WordKernel:
 
     def finalize(words: Array, length: int) -> int:
         pad = (-length) % 4
-        total = int(words.astype(np.uint64).sum())
+        total = int(words.sum(dtype=np.uint64))
         if pad and len(words):
             # Words hold big-endian values: the pad occupies the low
             # 8*pad bits of the final word.  Subtract its contribution.
             total -= int(words[-1]) & ((1 << (8 * pad)) - 1)
-        # Fold 32->16 with carries.
-        total = (total & 0xFFFF) + ((total >> 16) & 0xFFFF) + (total >> 32)
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        return (~total) & 0xFFFF
+        return _fold(total)
 
-    def batch_finalize(words: Array, lengths: Array) -> Array:
-        totals = words.astype(np.uint64).sum(axis=1)
+    def batch_finalize(words: Array, lengths: Array) -> list[int]:
+        totals = words.sum(axis=1, dtype=np.uint64)
         rem = lengths % 4
         partial = np.nonzero(rem)[0]
         if partial.size:
@@ -430,10 +425,7 @@ def checksum_kernel(coverage=None) -> WordKernel:
             last = words[partial, nwords[partial] - 1].astype(np.uint64)
             pad_bits = (8 * (4 - rem[partial])).astype(np.uint64)
             totals[partial] -= last & ((np.uint64(1) << pad_bits) - np.uint64(1))
-        totals = (totals & 0xFFFF) + ((totals >> 16) & 0xFFFF) + (totals >> 32)
-        while bool((totals >> 16).any()):
-            totals = (totals & 0xFFFF) + (totals >> 16)
-        return (~totals) & np.uint64(0xFFFF)
+        return [_fold(total) for total in totals.tolist()]
 
     return WordKernel(
         name="checksum",

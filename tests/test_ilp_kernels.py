@@ -30,6 +30,16 @@ class TestWordPacking:
         words, length = bytes_to_words(data)
         assert words_to_bytes(words, length) == data
 
+    @pytest.mark.parametrize("length", range(10))
+    def test_unpack_truncates_live_pad_bytes(self, length):
+        # A transform may write the pad bytes of the final partial word;
+        # the unpack keeps exactly the first `length` bytes of the
+        # big-endian image, whatever the pad holds.
+        words, _ = bytes_to_words(bytes(range(1, length + 1)))
+        words = words ^ np.uint32(0xA5C3F00D)
+        image = b"".join(int(word).to_bytes(4, "big") for word in words)
+        assert words_to_bytes(words, length) == image[:length]
+
     def test_padding_is_zero(self):
         words, _ = bytes_to_words(b"\xff")
         assert int(words[0]) == 0xFF000000  # big-endian, zero-padded
