@@ -86,6 +86,30 @@ class AduFragment:
             )
 
 
+def fragment_payloads(
+    payload: bytes | BufferChain,
+    mtu: int,
+    zero_copy: bool = False,
+    label: str = "",
+) -> list[bytes | BufferChain]:
+    """Slice a payload into pieces of at most ``mtu`` bytes.
+
+    An empty payload is one empty piece.  ``zero_copy=True`` wraps the
+    payload once (as a chain labelled ``label``) and hands out
+    :class:`~repro.buffers.chain.BufferChain` windows instead of sliced
+    ``bytes`` — fragmentation then costs no data pass at all, whatever
+    the payload size.  The pieces are all a sender needs to packetize a
+    whole ADU; :func:`fragment_adu` wraps them in fragment records.
+    """
+    if mtu <= 0:
+        raise FramingError("mtu must be positive")
+    if not len(payload):
+        return [b""]
+    if zero_copy:
+        return list(as_buffer_chain(payload, label=label).chunks(mtu))
+    return [payload[start : start + mtu] for start in range(0, len(payload), mtu)]
+
+
 def fragment_adu(
     adu: Adu,
     mtu: int,
@@ -98,46 +122,20 @@ def fragment_adu(
     (e.g. through a compiled wire plan, possibly batched) pass it in
     instead of paying a second checksum pass here.
 
-    ``zero_copy=True`` wraps the payload once and hands out
-    :class:`~repro.buffers.chain.BufferChain` windows instead of sliced
-    ``bytes`` — fragmentation then costs no data pass at all, whatever
-    the ADU size.
+    ``zero_copy=True`` hands out chain windows instead of sliced
+    ``bytes`` (see :func:`fragment_payloads`).
     """
-    if mtu <= 0:
-        raise FramingError("mtu must be positive")
+    pieces = fragment_payloads(
+        adu.payload, mtu, zero_copy, label=f"adu-{adu.sequence}"
+    )
     if checksum is None:
         checksum = adu.checksum
-    if not len(adu.payload):
-        return [
-            AduFragment(adu.sequence, 0, 1, 0, checksum, dict(adu.name), b"")
-        ]
-    total = -(-len(adu.payload) // mtu)
-    if zero_copy:
-        chain = as_buffer_chain(adu.payload, label=f"adu-{adu.sequence}")
-        pieces = list(chain.chunks(mtu))
-        return [
-            AduFragment(
-                adu_sequence=adu.sequence,
-                index=index,
-                total=total,
-                adu_length=len(chain),
-                adu_checksum=checksum,
-                name=dict(adu.name),
-                payload=piece,
-            )
-            for index, piece in enumerate(pieces)
-        ]
+    total, length = len(pieces), len(adu.payload)
     return [
         AduFragment(
-            adu_sequence=adu.sequence,
-            index=index,
-            total=total,
-            adu_length=len(adu.payload),
-            adu_checksum=checksum,
-            name=dict(adu.name),
-            payload=adu.payload[index * mtu : (index + 1) * mtu],
+            adu.sequence, index, total, length, checksum, dict(adu.name), piece
         )
-        for index in range(total)
+        for index, piece in enumerate(pieces)
     ]
 
 
@@ -196,13 +194,19 @@ def reassemble_fragments(
             for i in range(first.total)
         )
         datapath_counters().record_copy(len(payload), label="reassemble-join")
-    if len(payload) != first.adu_length:
-        raise FramingError(
-            f"reassembled {len(payload)} bytes, expected {first.adu_length}"
-        )
-    adu = Adu(first.adu_sequence, payload, dict(first.name))
-    if verify and adu.checksum != first.adu_checksum:
-        raise FramingError(
-            f"ADU {first.adu_sequence}: checksum mismatch after reassembly"
-        )
+    try:
+        if len(payload) != first.adu_length:
+            raise FramingError(
+                f"reassembled {len(payload)} bytes, expected {first.adu_length}"
+            )
+        adu = Adu(first.adu_sequence, payload, dict(first.name))
+        if verify and adu.checksum != first.adu_checksum:
+            raise FramingError(
+                f"ADU {first.adu_sequence}: checksum mismatch after reassembly"
+            )
+    except FramingError:
+        if as_chain:
+            # The chain holds its own shares of the fragments' buffers.
+            payload.release()
+        raise
     return adu

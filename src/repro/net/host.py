@@ -55,8 +55,9 @@ class Host:
 
     A handler bound from an object that also has ``receive_run(packets,
     start)`` gets the first offer of each burst run of its flow (see
-    :meth:`receive_burst`): it takes as many packets as it can process
-    as one unit and the rest go to the handler as before.
+    :meth:`receive_burst`), and of each single packet (see
+    :meth:`receive`): it takes as many packets as it can process as one
+    unit and the rest go to the handler as before.
     """
 
     def __init__(
@@ -170,27 +171,36 @@ class Host:
                          flow_id=packet.flow_id)
 
     def receive(self, packet: Packet) -> None:
-        """Deliver an arriving packet to its bound handler."""
+        """Deliver an arriving packet to its bound handler.
+
+        The handler is resolved before the DMA, as in
+        :meth:`receive_burst`: a packet no handler claims is never DMA'd.
+        The handler's ``receive_run``, if it has one, is offered the
+        packet as a run of one (for ALF, a whole single-fragment ADU,
+        DMA'd by the receiver itself); otherwise the packet is DMA'd and
+        handed to the handler.
+        """
         self.received += 1
-        if not self._dma(packet):
-            return
         key = (packet.protocol, packet.flow_id)
         if key == self._memo_key:
             # Hot-flow fast path: a packet train for one flow resolves
             # its handler once and skips the hash lookups after that.
             self.demux_memo_hits += 1
-            self._memo_handler(packet)
+            handler = self._memo_handler
+        else:
+            handler = self._handlers.get(key)
+            if handler is None:
+                handler = self._default_handlers.get(packet.protocol)
+            if handler is None:
+                self._drop_undeliverable(packet)
+                return
+            self._memo_key = key
+            self._memo_handler = handler
+            self._memo_run = _run_entry(handler)
+        if self._memo_run is not None and self._memo_run([packet], 0):
             return
-        handler = self._handlers.get(key)
-        if handler is None:
-            handler = self._default_handlers.get(packet.protocol)
-        if handler is None:
-            self._drop_undeliverable(packet)
-            return
-        self._memo_key = key
-        self._memo_handler = handler
-        self._memo_run = _run_entry(handler)
-        handler(packet)
+        if self._dma(packet):
+            handler(packet)
 
     def receive_burst(self, packets: list[Packet]) -> None:
         """Deliver a packet train in one call.

@@ -13,6 +13,7 @@ code can be priced as either implementation style.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 from repro.buffers.chain import BufferChain
@@ -218,7 +219,13 @@ class PresentationConvertStage(Stage):
         self.src = cache.get_or_compile(schema, src_codec)
         self.dst = cache.get_or_compile(schema, dst_codec)
         self.name = name or f"convert-{self.src.syntax}-to-{self.dst.syntax}"
-        self._perm = conversion_permutation(self.src, self.dst)
+
+    @cached_property
+    def _perm(self):
+        """The byte permutation :meth:`apply` gathers through, or None.
+        Computed on first use: a stage whose conversion is fused into a
+        compiled plan never calls :meth:`apply`."""
+        return conversion_permutation(self.src, self.dst)
 
     @property
     def identity(self) -> bool:

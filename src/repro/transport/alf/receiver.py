@@ -221,15 +221,24 @@ class AlfReceiver:
             self._send_ack()
             return
 
-        fragment = AduFragment(
-            adu_sequence=sequence,
-            index=int(header["frag"]),
-            total=int(header["nfrags"]),
-            adu_length=int(header["adu_len"]),
-            adu_checksum=int(header["adu_csum"]),
-            name=dict(header["name"]),
-            payload=packet.payload,
-        )
+        try:
+            fragment = AduFragment(
+                adu_sequence=sequence,
+                index=int(header["frag"]),
+                total=int(header["nfrags"]),
+                adu_length=int(header["adu_len"]),
+                adu_checksum=int(header["adu_csum"]),
+                name=dict(header["name"]),
+                payload=packet.payload,
+            )
+        except FramingError as error:
+            # No ADU can hold this fragment: drop it (no ACK — it says
+            # nothing about what arrived) and keep the flow running.
+            self.stats.malformed_discarded += 1
+            self._discard_payload(packet.payload)
+            self.tracer.emit(self.loop.now, "alf", "malformed-fragment",
+                             seq=sequence, reason=str(error))
+            return
 
         self.counter.record("sequence_check")  # which ADU, where in it
         self.counter.record("reassembly_bookkeeping")
@@ -273,11 +282,13 @@ class AlfReceiver:
         """Take one whole ADU from a burst in a single call.
 
         The ADU's fragments must be ``packets[start:start + n]``, indices
-        ``0..n-1`` in order, with ``n > 1``: byte payloads with no FEC
+        ``0..n-1`` in order, with ``n >= 1``: byte payloads with no FEC
         unit or PHY damage hint, for an ADU this flow has neither
         delivered nor begun, and room in the pool for all of them.  The
         pool then DMAs the run in one call and its segments *are* the
-        ADU's chain — no fragment records, no per-fragment share.
+        ADU's chain — no fragment records, no per-fragment share.  A
+        single-fragment ADU is a run of one, whether it arrives alone
+        (:meth:`Host.receive`) or inside a burst.
         Returns ``n``, or 0 to leave the packets to :meth:`_on_fragment`,
         which then behaves as it always has.
         """
@@ -286,7 +297,7 @@ class AlfReceiver:
         end = start + total
         pool = self.host.rx_pool
         if (
-            total < 2
+            total < 1
             or end > len(packets)
             or pool is None
             or not self.zero_copy

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from repro.buffers.chain import BufferChain
 from repro.control.instructions import InstructionCounter
-from repro.core.adu import Adu, fragment_adu
+from repro.core.adu import Adu, fragment_payloads
 from repro.errors import TransportError
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.ilp.pipeline import Pipeline
@@ -470,14 +470,18 @@ class AlfSender:
     def _wire_units(self, adu: Adu):
         """(header, payload) pairs for one ADU, FEC-encoded if enabled."""
         if self.fec_group is None:
+            # A whole ADU needs no fragment records: each header is
+            # built straight from the payload pieces.
             payload, checksum = self._wire_form(adu)
-            if payload is not adu.payload:
-                adu = dataclasses.replace(adu, payload=payload)
-            fragments = fragment_adu(
-                adu, self.mtu, checksum=checksum, zero_copy=self.zero_copy
+            sequence = adu.sequence
+            pieces = fragment_payloads(
+                payload, self.mtu, self.zero_copy, label=f"adu-{sequence}"
             )
-            for fragment in fragments:
-                yield self._fragment_header(fragment), fragment.payload
+            total, length = len(pieces), len(payload)
+            for index, piece in enumerate(pieces):
+                yield self._header(
+                    sequence, index, total, length, checksum, dict(adu.name)
+                ), piece
             return
         from repro.transport.alf.fec import encode_with_parity
 
@@ -499,15 +503,28 @@ class AlfSender:
             yield header, unit.fragment.payload
 
     @staticmethod
-    def _fragment_header(fragment) -> dict:
+    def _header(sequence, index, total, length, checksum, name) -> dict:
+        """One wire unit's header: enough for the receiver to place the
+        fragment and rebuild and verify its ADU with no other state."""
         return {
-            "adu_seq": fragment.adu_sequence,
-            "frag": fragment.index,
-            "nfrags": fragment.total,
-            "adu_len": fragment.adu_length,
-            "adu_csum": fragment.adu_checksum,
-            "name": fragment.name,
+            "adu_seq": sequence,
+            "frag": index,
+            "nfrags": total,
+            "adu_len": length,
+            "adu_csum": checksum,
+            "name": name,
         }
+
+    @classmethod
+    def _fragment_header(cls, fragment) -> dict:
+        return cls._header(
+            fragment.adu_sequence,
+            fragment.index,
+            fragment.total,
+            fragment.adu_length,
+            fragment.adu_checksum,
+            fragment.name,
+        )
 
     # ------------------------------------------------------------------
     # ACK processing and repair

@@ -19,6 +19,9 @@ class TransportStats:
     retransmissions: int = 0
     checksum_failures: int = 0
     duplicates_discarded: int = 0
+    #: Fragments dropped for an impossible header (index outside
+    #: ``0..nfrags-1``, or ``nfrags < 1``).
+    malformed_discarded: int = 0
     acks_sent: int = 0
     acks_received: int = 0
 

@@ -252,3 +252,40 @@ class TestSessionPresentation:
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
+
+
+def test_bulk_binding_builds_without_a_permutation(monkeypatch):
+    """A fused conversion never gathers through ``_perm``, so building
+    the stages computes no permutation; ``apply`` computes it once."""
+    import numpy as np
+
+    from repro.presentation.compiler import conversion_permutation
+    from repro.stages import presentation as stages
+
+    calls = []
+
+    def counted(src, dst):
+        calls.append((src.syntax, dst.syntax))
+        return conversion_permutation(src, dst)
+
+    monkeypatch.setattr(stages, "conversion_permutation", counted)
+    schema = ArrayOf(Int32(), fixed_count=4096)
+    binding = PresentationBinding(
+        schema, LwtsCodec(byte_order="little"), LwtsCodec(byte_order="big")
+    )
+    path = two_hosts(seed=1)
+    AlfReceiver(path.loop, path.b, "a", 1, deliver=lambda adu: None,
+                presentation=binding, encryption=0x5A5AC3D2)
+    AlfSender(path.loop, path.a, "b", 1, presentation=binding,
+              encryption=0x5A5AC3D2)
+    assert calls == []
+
+    stage = binding.sender_stage()
+    data = bytes(range(256)) * 64
+    expected = np.frombuffer(data, dtype=np.uint8)[
+        conversion_permutation(stage.src, stage.dst)
+    ].tobytes()
+    assert stage.apply(data) == expected
+    assert stage.apply(data) == expected
+    assert stage.apply(data) == stage.dst.encode(stage.src.decode(data))
+    assert calls == [("lwts-le", "lwts-be")]
