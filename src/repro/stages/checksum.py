@@ -17,6 +17,7 @@ model is what the benchmarks price.
 from __future__ import annotations
 
 import binascii
+import dataclasses
 
 import numpy as np
 
@@ -266,18 +267,10 @@ class ChecksumComputeStage(PassthroughStage):
         """
         if self.algorithm != "internet":
             return None
-        from repro.ilp.kernels import WordKernel, checksum_kernel
+        from repro.ilp.kernels import checksum_kernel
 
-        kernel = checksum_kernel(self.coverage)
-        return WordKernel(
-            name=self.name,
-            cost=self.cost,
-            transform=kernel.transform,
-            finalize=kernel.finalize,
-            batch_finalize=kernel.batch_finalize,
-            preserves_data=True,
-            chain_finalize=kernel.chain_finalize,
-            coverage_limit=kernel.coverage_limit,
+        return dataclasses.replace(
+            checksum_kernel(self.coverage), name=self.name, cost=self.cost
         )
 
     def reset(self) -> None:

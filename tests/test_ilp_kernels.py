@@ -1,6 +1,7 @@
 """Word kernels: functional single-pass fusion."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -34,15 +35,19 @@ class TestWordPacking:
     def test_unpack_truncates_live_pad_bytes(self, length):
         # A transform may write the pad bytes of the final partial word;
         # the unpack keeps exactly the first `length` bytes of the
-        # big-endian image, whatever the pad holds.
+        # native image, whatever the pad holds.
         words, _ = bytes_to_words(bytes(range(1, length + 1)))
         words = words ^ np.uint32(0xA5C3F00D)
-        image = b"".join(int(word).to_bytes(4, "big") for word in words)
+        image = b"".join(int(word).to_bytes(4, sys.byteorder) for word in words)
+        if length % 4:
+            assert any(image[length:])  # the pad really is live
         assert words_to_bytes(words, length) == image[:length]
 
     def test_padding_is_zero(self):
         words, _ = bytes_to_words(b"\xff")
-        assert int(words[0]) == 0xFF000000  # big-endian, zero-padded
+        # The native image of the payload, zero-padded to the word.
+        assert words.tobytes() == b"\xff\x00\x00\x00"
+        assert int(words[0]) == int.from_bytes(b"\xff\x00\x00\x00", sys.byteorder)
 
 
 class TestKernels:

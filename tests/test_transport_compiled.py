@@ -180,3 +180,25 @@ class TestSessionCompiledPlan:
         assert session.compiled_plan.fully_lowered
         assert session.compiled_plan.n_stages == 2
         assert "byteswap" in session.compiled_plan.groups[0].label
+
+    def test_session_plan_compiles_on_first_read(self):
+        cache = PlanCache()
+        session, peer = self.run_handshake(
+            LocalSyntax("listener", "little"), LocalSyntax("init", "big"), cache
+        )
+
+        def lookups():
+            snapshot = cache.snapshot()
+            return snapshot["hits"] + snapshot["misses"]
+
+        # The handshake itself looked up no session plan: the first read
+        # compiles it, the peer's first read hits the same cache entry,
+        # and later reads reuse the plan without a lookup.
+        before = lookups()
+        plan = session.compiled_plan
+        assert lookups() == before + 1
+        assert peer.compiled_plan is plan
+        assert lookups() == before + 2
+        assert session.compiled_plan is plan and peer.compiled_plan is plan
+        assert lookups() == before + 2
+        assert "byteswap" in plan.groups[0].label
