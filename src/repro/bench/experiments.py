@@ -1825,10 +1825,12 @@ def zero_copy_datapath(
     """P2: copies per layer — scatter-gather chains vs layered receive.
 
     Deterministic accounting of the zero-copy datapath: the same ALF
-    transfer (64 KB ADUs in 8 fragments by default) run once with every
-    layer materializing bytes and once with refcounted buffer chains
-    carried end to end, counting actual Python-side materializations on
-    :func:`repro.machine.accounting.datapath_counters`.  Delivered ADUs
+    transfer (64 KB ADUs in 8 fragments by default) run once with byte
+    fragments and a joined reassembly and once with refcounted buffer
+    chains carried end to end, counting actual Python-side
+    materializations on
+    :func:`repro.machine.accounting.datapath_counters`.  Each path
+    copies each ADU once; the ratios read 1.0.  Delivered ADUs
     are asserted byte-identical.  (The wall-clock figures live in
     ``benchmarks/bench_zero_copy.py``; this battery stays
     bit-reproducible.)
@@ -1904,10 +1906,13 @@ def zero_copy_datapath(
         "P2",
         "Zero-copy datapath: refcounted chains vs copy-per-layer",
         rows,
-        notes="Table 1 prices each memory pass; the chain path removes "
-        "the reassembly join and the checksum pack/unpack, leaving one "
-        "linearize at the application hand-off plus an in-place checksum "
-        "read pass — delivered ADUs asserted byte-identical both ways",
+        notes="Table 1 prices each memory pass; both engineerings copy "
+        "each ADU once — the layered path at its reassembly join, the "
+        "chain path at the application hand-off linearize — and read it "
+        "in place once per checksum (byte fragments are views of the "
+        "sender's buffer, and observer plans read the payload's native "
+        "image without packing it) — delivered ADUs asserted "
+        "byte-identical both ways",
     )
 
 

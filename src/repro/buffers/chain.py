@@ -64,7 +64,7 @@ class BufferChain:
         return tuple(self._segments)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._segments)
+        return sum(map(len, self._segments))
 
     def __iter__(self) -> Iterator[BufferView | Segment]:
         return iter(self._segments)
