@@ -47,9 +47,11 @@ class DatapathCounters:
         """All full-data traversals: materializing copies + read passes."""
         return self.copies + self.read_passes
 
-    def record_copy(self, n_bytes: int, label: str = "copy") -> None:
-        """One materializing pass: every byte read and written somewhere new."""
-        self.copies += 1
+    def record_copy(self, n_bytes: int, label: str = "copy", count: int = 1) -> None:
+        """One materializing pass — every byte read and written somewhere
+        new — or ``count`` of them (one per row of a batch) moving
+        ``n_bytes`` in all."""
+        self.copies += count
         self.bytes_copied += n_bytes
         self.copies_by_label[label] = self.copies_by_label.get(label, 0) + n_bytes
 
