@@ -176,13 +176,9 @@ class TestCoverageMasks:
         expected = np.zeros(width * 4, dtype=np.uint8)
         for lo, hi in policy.clipped(width * 4):
             expected[lo:hi] = 0xFF
-        lanes = expected.reshape(width, 4).astype(np.uint32)
-        dense = (
-            (lanes[:, 0] << 24)
-            | (lanes[:, 1] << 16)
-            | (lanes[:, 2] << 8)
-            | lanes[:, 3]
-        )
+        # Native word images: mask word i's bytes are the byte lanes
+        # 4i..4i+3 of the payload, whatever the host byte order.
+        dense = expected.view(np.uint32)
         assert np.array_equal(full, dense)
         assert np.array_equal(indices, np.nonzero(dense)[0])
         assert np.array_equal(masks, dense[indices])
