@@ -6,8 +6,8 @@ end-to-end (sender -> link -> host -> receiver -> delivered bytes) at
 
 * **layered** — fragments are byte windows over the ADU and reassembly
   joins them into one ``bytes``; the wire checksum reads in place.
-* **chain** — fragments are scatter-gather views over the ADU's buffer,
-  reassembly is structural, the checksum is one in-place read pass, and
+* **chain** — fragments are the same byte windows, reassembly is a
+  structural scatter-gather chain, the checksum is one in-place read pass, and
   the only copy is the single linearize at the application hand-off.
 
 Each path copies each ADU exactly once (the join, or the linearize) and
@@ -64,7 +64,7 @@ def run_transfer(payloads: list[bytes], zero_copy: bool) -> list[bytes]:
         deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
         zero_copy=zero_copy,
     )
-    sender = AlfSender(loop, a, "b", 1, mtu=MTU, zero_copy=zero_copy)
+    sender = AlfSender(loop, a, "b", 1, mtu=MTU)
     for i, payload in enumerate(payloads):
         sender.send_adu(Adu(sequence=i, payload=payload, name={"i": i}))
     loop.run(until=60.0)

@@ -1825,10 +1825,10 @@ def zero_copy_datapath(
     """P2: copies per layer — scatter-gather chains vs layered receive.
 
     Deterministic accounting of the zero-copy datapath: the same ALF
-    transfer (64 KB ADUs in 8 fragments by default) run once with byte
-    fragments and a joined reassembly and once with refcounted buffer
-    chains carried end to end, counting actual Python-side
-    materializations on
+    transfer (64 KB ADUs in 8 fragments by default, sent as views over
+    the ADU) received once with a joined reassembly and once with
+    refcounted buffer chains up to the delivery hand-off, counting
+    actual Python-side materializations on
     :func:`repro.machine.accounting.datapath_counters`.  Each path
     copies each ADU once; the ratios read 1.0.  Delivered ADUs
     are asserted byte-identical.  (The wall-clock figures live in
@@ -1845,9 +1845,7 @@ def zero_copy_datapath(
             deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
             zero_copy=zero_copy,
         )
-        sender = AlfSender(
-            path.loop, path.a, "b", 1, mtu=mtu, zero_copy=zero_copy
-        )
+        sender = AlfSender(path.loop, path.a, "b", 1, mtu=mtu)
         rng = RngStreams(42).stream("payloads")
         payloads = [rng.randbytes(adu_bytes) for _ in range(n_adus)]
         counters = datapath_counters()

@@ -87,30 +87,28 @@ class AduFragment:
 
 
 def fragment_payloads(
-    payload: bytes | BufferChain,
-    mtu: int,
-    zero_copy: bool = False,
-    label: str = "",
+    payload: bytes | BufferChain, mtu: int
 ) -> list[bytes | memoryview | BufferChain]:
     """Slice a payload into pieces of at most ``mtu`` bytes.
 
-    An empty payload is one empty piece.  ``zero_copy=True`` wraps the
-    payload once (as a chain labelled ``label``) and hands out
-    refcounted :class:`~repro.buffers.chain.BufferChain` windows.
-    Otherwise an immutable ``bytes`` payload is its own single piece or
-    is cut into ``memoryview`` windows over it (the sender's NIC gathers
-    from its buffer), a ``memoryview`` is cut into views, and only a
-    mutable payload is sliced into copies — a lone short piece included
-    — recorded as ``fragment-slice``.  Either way fragmenting ``bytes``
-    costs no data pass.  The pieces are all a sender needs to packetize
-    a whole ADU; :func:`fragment_adu` wraps them in fragment records.
+    The pieces follow the payload's type.  An immutable ``bytes``
+    payload is its own single piece or is cut into ``memoryview``
+    windows over it (the sender's NIC gathers from its buffer), and a
+    ``memoryview`` is cut into views.  A
+    :class:`~repro.buffers.chain.BufferChain` is cut into refcounted
+    chain windows, each owning its own references (release them when
+    spent; the payload's are untouched).  Only a mutable payload is
+    sliced into copies — a lone short piece included — recorded as
+    ``fragment-slice``.  An empty payload is one empty piece.  The pieces
+    are all a sender needs to packetize a whole ADU;
+    :func:`fragment_adu` wraps them in fragment records.
     """
     if mtu <= 0:
         raise FramingError("mtu must be positive")
     if not len(payload):
         return [b""]
-    if zero_copy:
-        return list(as_buffer_chain(payload, label=label).chunks(mtu))
+    if isinstance(payload, BufferChain):
+        return list(payload.chunks(mtu))
     if type(payload) is bytes:
         if len(payload) <= mtu:
             return [payload]
@@ -121,23 +119,16 @@ def fragment_payloads(
 
 
 def fragment_adu(
-    adu: Adu,
-    mtu: int,
-    checksum: int | None = None,
-    zero_copy: bool = False,
+    adu: Adu, mtu: int, checksum: int | None = None
 ) -> list[AduFragment]:
     """Slice an ADU into fragments of at most ``mtu`` payload bytes.
 
+    The pieces follow the payload's type (see :func:`fragment_payloads`).
     ``checksum`` lets a caller that already computed the ADU checksum
     (e.g. through a compiled wire plan, possibly batched) pass it in
     instead of paying a second checksum pass here.
-
-    ``zero_copy=True`` hands out chain windows instead of sliced
-    ``bytes`` (see :func:`fragment_payloads`).
     """
-    pieces = fragment_payloads(
-        adu.payload, mtu, zero_copy, label=f"adu-{adu.sequence}"
-    )
+    pieces = fragment_payloads(adu.payload, mtu)
     if checksum is None:
         checksum = adu.checksum
     total, length = len(pieces), len(adu.payload)

@@ -65,22 +65,6 @@ def _as_byte_view(data) -> memoryview:
     return mv
 
 
-def as_native_words(data) -> Array:
-    """Zero-copy native-order uint32 view over word-aligned input.
-
-    This is the raw ``frombuffer`` view — no byteswap, no padding, no
-    allocation; the returned array aliases ``data``'s storage.  It is
-    :func:`pack_native` for input that must already be aligned (the
-    no-copy tests assert the aliasing directly).
-    """
-    mv = _as_byte_view(data)
-    if len(mv) % 4:
-        raise StageError(
-            f"native word view needs a multiple of 4 bytes, got {len(mv)}"
-        )
-    return np.frombuffer(mv, dtype=np.uint32)
-
-
 def pack_native(data) -> tuple[Array, int, bool]:
     """Native word view of a payload: ``(words, length, owned)``.
 
@@ -100,21 +84,6 @@ def pack_native(data) -> tuple[Array, int, bool]:
     return np.frombuffer(padded, dtype=np.uint32), length, True
 
 
-def bytes_to_words(data: bytes | bytearray | memoryview) -> tuple[Array, int]:
-    """Pack bytes into a native-order uint32 array (padded); returns the
-    array and the original byte length — :func:`pack_native` without
-    its ownership flag.
-
-    Word ``i`` holds bytes ``4i..4i+3`` of the payload in host order, so
-    an aligned payload is a zero-copy, read-only view over the input —
-    ``bytearray`` and ``memoryview`` are consumed in place, never
-    round-tripped through ``bytes()``.  Only a partial final word costs
-    a copy (see :func:`pack_native`).
-    """
-    words, length, _ = pack_native(data)
-    return words, length
-
-
 def words_to_bytes(words: Array, length: int) -> bytes:
     """Unpack a native word array back to its first ``length`` bytes:
     one ``tobytes`` of the byte image, recorded as ``unpack-words``."""
@@ -125,7 +94,7 @@ def words_to_bytes(words: Array, length: int) -> bytes:
 def gather_words(chain: BufferChain) -> tuple[Array, int]:
     """Pack a :class:`BufferChain` into native words in **one pass**.
 
-    The scatter-gather analogue of :func:`bytes_to_words`: the segments
+    The scatter-gather analogue of :func:`pack_native`: the segments
     (plus a zero pad to the word boundary) are joined straight into one
     writable buffer — the chain is never linearized into an intermediate
     ``bytes`` first, so a fragmented ADU costs one materialization, and

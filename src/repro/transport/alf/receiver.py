@@ -81,8 +81,9 @@ class AlfReceiver:
             the received fragment buffers and checksum them in place
             (one read pass, no join, no pack) — the delivered bytes are
             produced by a single linearize at the hand-off.  ``False``
-            restores the layered path: join, pack to words, unpack.
-            Delivered payloads are byte-identical either way.
+            restores the layered path: the fragments are joined once and
+            the checksum reads the joined bytes in place.  Either way an
+            ADU costs one copy; delivered payloads are byte-identical.
         presentation: a :class:`PresentationBinding` (schema + local and
             wire codecs).  Verified ADUs are converted from the wire
             syntax into the local syntax before delivery — fused into

@@ -97,6 +97,11 @@ class _Outstanding:
 class AlfSender:
     """Sends ADUs; repairs losses per the application's recovery policy.
 
+    An ADU is fragmented by its payload's type (see
+    :func:`~repro.core.adu.fragment_payloads`): ``bytes`` into views, a
+    :class:`BufferChain` into refcounted chain windows — either way
+    fragmentation costs no data pass.
+
     Args:
         loop: simulation event loop.
         host: local host (binds flow ``flow_id`` for ACKs).
@@ -114,10 +119,6 @@ class AlfSender:
         fec_group: enable transmission-unit FEC (footnote 10): one XOR
             parity unit per this many data fragments, letting the
             receiver repair a single loss per group with no round trip.
-        zero_copy: fragment ADUs as scatter-gather chain windows over
-            the payload instead of sliced ``bytes`` — fragmentation then
-            costs no data pass.  Ignored when FEC is enabled (parity
-            encoding materializes the bytes anyway).
         machine: profile the compiled wire plan is priced on.
         plan_cache: plan cache to compile through (defaults to the
             process-wide shared cache, so all flows reuse one plan).
@@ -133,9 +134,9 @@ class AlfSender:
             into the wire plan after conversion and before the checksum:
             the sender's plan is ``[convert, encrypt, checksum]``, one
             integrated read pass emitting ciphertext whose checksum
-            covers the wire bytes.  On the zero-copy path the cipher
-            streams over the scatter-gather chain segment-by-segment
-            (no linearize); the ciphertext is memoized per ADU like the
+            covers the wire bytes.  On a :class:`BufferChain` ADU the
+            cipher streams over the chain segment-by-segment (no
+            linearize); the ciphertext is memoized per ADU like the
             converted form, so retransmissions pay no second pass.
         integrity: an :class:`~repro.integrity.IntegrityPolicy`
             restricting the wire checksum to covered spans (SAP-style
@@ -165,7 +166,6 @@ class AlfSender:
         max_attempts: int = 20,
         max_outstanding: int | None = None,
         fec_group: int | None = None,
-        zero_copy: bool = False,
         machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         presentation: PresentationBinding | None = None,
@@ -205,7 +205,6 @@ class AlfSender:
         if fec_group is not None and fec_group <= 0:
             raise TransportError("fec_group must be positive")
         self.fec_group = fec_group
-        self.zero_copy = bool(zero_copy) and fec_group is None
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.presentation = presentation
@@ -225,8 +224,9 @@ class AlfSender:
         if pacing is not None:
             pacing.bind(host.send)
         self._wire_plan: CompiledPlan | None = None
-        self._wire_checksums: dict[int, int] = {}
-        self._wire_payloads: dict[int, bytes | BufferChain] = {}
+        # sequence -> (wire payload, checksum); the payload is None when
+        # it is the ADU's own (see _wire_form).
+        self._wire: dict[int, tuple[bytes | BufferChain | None, int]] = {}
         self._pending: list[Adu] = []
         self.counter = counter or InstructionCounter()
         self.tracer = tracer or Tracer(enabled=False)
@@ -288,12 +288,11 @@ class AlfSender:
             # no per-ADU linearize.
             payloads = [adu.payload for adu in adus]
         batch = self.wire_plan.run_batch(payloads)
-        if self._convert is not None or self._encrypt is not None:
-            wire = batch.outputs if self._plan_transforms else payloads
-            for adu, payload in zip(adus, wire):
-                self._wire_payloads.setdefault(adu.sequence, payload)
-        for adu, checksum in zip(adus, batch.observations[WIRE_CHECKSUM]):
-            self._wire_checksums.setdefault(adu.sequence, checksum)
+        wire = batch.outputs if self._plan_transforms else payloads
+        for adu, payload, checksum in zip(
+            adus, wire, batch.observations[WIRE_CHECKSUM]
+        ):
+            self._remember(adu, payload, checksum)
         for adu in adus:
             self.send_adu(adu)
 
@@ -324,69 +323,41 @@ class AlfSender:
     def _wire_form(self, adu: Adu) -> tuple[bytes | BufferChain, int]:
         """The ADU's on-the-wire payload and checksum, memoized.
 
-        Without a presentation binding or cipher the payload goes out as
-        handed in and only the checksum is computed (one observer pass).
-        Otherwise conversion, encryption and checksum run as a single
-        fused pass — streamed over the scatter-gather chain on the
-        zero-copy path, so the ciphertext keeps the segment geometry —
-        and the wire form is remembered until the ADU is acknowledged,
-        so retransmissions pay nothing."""
-        if self._convert is None and self._encrypt is None:
-            return adu.payload, self._checksum_of(adu)
-        payload = self._wire_payloads.get(adu.sequence)
-        if payload is not None:
-            return payload, self._wire_checksums[adu.sequence]
-        source = adu.payload
-        if self._convert is not None and not self._convert_fused:
-            # Variable layout (e.g. a TLV wire syntax): convert through
-            # the compiled codecs' streaming path first; encryption and
-            # checksum still run fused over the converted bytes.
-            source = self._convert.apply(source)
-        if self._plan_transforms:
+        Without a presentation binding or cipher the plan only observes:
+        the payload goes out as handed in and one read pass yields the
+        checksum.  Otherwise conversion, encryption and checksum run as a
+        single fused pass — streamed over a :class:`BufferChain` ADU, so
+        the ciphertext keeps the segment geometry.  Either way the result
+        is remembered until the ADU is acknowledged, so retransmissions
+        pay nothing."""
+        memo = self._wire.get(adu.sequence)
+        if memo is None:
+            source = adu.payload
+            if self._convert is not None and not self._convert_fused:
+                # Variable layout (e.g. a TLV wire syntax): convert through
+                # the compiled codecs' streaming path first; encryption and
+                # checksum still run fused over the converted bytes.
+                source = self._convert.apply(source)
             if isinstance(source, BufferChain):
                 payload, observations = self.wire_plan.run_chain(source)
-            elif self.zero_copy:
-                wrapped = BufferChain.wrap(source, label=f"adu-{adu.sequence}")
-                payload, observations = self.wire_plan.run_chain(wrapped)
-                if payload is wrapped:
-                    payload = source
-                wrapped.release()
             else:
                 payload, observations = self.wire_plan.run(source)
-        else:
-            payload = source
-            _, observations = self.wire_plan.run(source)
-        checksum = observations[WIRE_CHECKSUM]
-        self._wire_payloads[adu.sequence] = payload
-        self._wire_checksums[adu.sequence] = checksum
-        return payload, checksum
+            memo = self._remember(adu, payload, observations[WIRE_CHECKSUM])
+        payload, checksum = memo
+        return (adu.payload if payload is None else payload), checksum
 
-    def _checksum_of(self, adu: Adu) -> int:
-        """The ADU's wire checksum via the compiled plan, memoized so
-        retransmissions of a buffered ADU pay no second pass."""
-        checksum = self._wire_checksums.get(adu.sequence)
-        if checksum is None:
-            payload = adu.payload
-            if not isinstance(payload, BufferChain) and self.zero_copy:
-                # The wire plan is observer-only, so a chain wrapped
-                # around the application's bytes lets it checksum in
-                # place — one read pass instead of pack/unpack copies.
-                wrapped = BufferChain.wrap(payload, label=f"adu-{adu.sequence}")
-                _, observations = self.wire_plan.run_chain(wrapped)
-                wrapped.release()
-            elif isinstance(payload, BufferChain):
-                _, observations = self.wire_plan.run_chain(payload)
-            else:
-                _, observations = self.wire_plan.run(payload)
-            checksum = observations[WIRE_CHECKSUM]
-            self._wire_checksums[adu.sequence] = checksum
-        return checksum
+    def _remember(self, adu: Adu, payload, checksum: int) -> tuple:
+        """Memoize an ADU's wire form (first one wins).  The ADU's own
+        payload is stored as None: the memo holds only what the sender
+        made, and never releases the application's chain."""
+        return self._wire.setdefault(
+            adu.sequence, (None if payload is adu.payload else payload, checksum)
+        )
 
     def _drop_wire_memo(self, sequence: int) -> None:
-        """Forget an ADU's memoized wire form, releasing a memoized
-        ciphertext chain's buffer references."""
-        self._wire_checksums.pop(sequence, None)
-        payload = self._wire_payloads.pop(sequence, None)
+        """Forget an ADU's memoized wire form, releasing a ciphertext
+        chain the plan made."""
+        payload, _ = self._wire.pop(sequence, (None, 0))
         if isinstance(payload, BufferChain):
             payload.release()
 
@@ -474,9 +445,7 @@ class AlfSender:
             # built straight from the payload pieces.
             payload, checksum = self._wire_form(adu)
             sequence = adu.sequence
-            pieces = fragment_payloads(
-                payload, self.mtu, self.zero_copy, label=f"adu-{sequence}"
-            )
+            pieces = fragment_payloads(payload, self.mtu)
             total, length = len(pieces), len(payload)
             for index, piece in enumerate(pieces):
                 yield self._header(

@@ -23,27 +23,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import TransportError
-from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
-from repro.ilp.pipeline import Pipeline
+from repro.ilp.compiler import PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
 from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.presentation.abstract import ASType
-from repro.presentation.base import TransferCodec
 from repro.presentation.compiler import schema_fingerprint
 from repro.presentation.lwts import LwtsCodec
 from repro.presentation.negotiate import ConversionPlan, LocalSyntax, negotiate
 from repro.sim.eventloop import EventLoop
 from repro.sim.trace import Tracer
-from repro.stages.base import Stage
-from repro.stages.checksum import ChecksumComputeStage
 from repro.stages.encrypt import WordXorStage, cipher_token
-from repro.stages.presentation import (
-    ByteswapStage,
-    PresentationBinding,
-    PresentationConvertStage,
-)
+from repro.stages.presentation import PresentationBinding
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.base import DeliveredAdu
 from repro.transport.drain import SharedDrainEngine
@@ -55,58 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 PROTOCOL = "session"
 
 _flow_ids = itertools.count(1000)
-
-
-
-
-def session_wire_pipeline(
-    sender_syntax: LocalSyntax,
-    receiver_syntax: LocalSyntax,
-    schema: ASType | None = None,
-    codec: TransferCodec | None = None,
-    encrypt: WordXorStage | None = None,
-    integrity: IntegrityPolicy | None = None,
-) -> Pipeline:
-    """The association's per-ADU wire manipulation.
-
-    Always the ADU checksum; when the peers' byte orders differ, the §5
-    sender-converts strategy adds a word byteswap — both in
-    kernel-lowerable form, so the whole wire pass compiles to one fused
-    loop and is planned exactly once per association *shape* (the plan
-    cache shares it across associations and both endpoints).
-
-    With a ``schema`` the conversion is schema-compiled instead of a
-    blind byteswap: a :class:`PresentationConvertStage` from the
-    sender's local syntax to the negotiated wire ``codec`` (the
-    receiver's local syntax by default) runs *before* the checksum, so
-    the checksum covers the wire bytes — the same [convert, checksum]
-    shape the ALF sender compiles, and therefore the same cached plan.
-
-    With an ``encrypt`` stage the cipher slots between conversion and
-    checksum — the §6 sender order [convert, encrypt, checksum], still
-    one fused loop, checksum over the ciphertext.
-
-    An ``integrity`` policy restricts the checksum stage to its covered
-    spans; the policy fingerprint rides the stage's lowering token, so
-    associations with different coverage compile (and cache) distinct
-    plans even though the pipeline shape is identical.
-    """
-    if schema is not None:
-        local = LwtsCodec(byte_order=sender_syntax.byte_order)
-        wire = codec or LwtsCodec(byte_order=receiver_syntax.byte_order)
-        convert = PresentationConvertStage(schema, local, wire)
-        stages = [] if convert.identity else [convert]
-        if encrypt is not None:
-            stages.append(encrypt)
-        stages.append(ChecksumComputeStage(coverage=integrity))
-        return Pipeline(stages, name="session-wire")
-    stages: list[Stage] = []
-    if encrypt is not None:
-        stages.append(encrypt)
-    stages.append(ChecksumComputeStage(coverage=integrity))
-    if sender_syntax.byte_order != receiver_syntax.byte_order:
-        stages.append(ByteswapStage(name="presentation-byteswap"))
-    return Pipeline(stages, name="session-wire")
 
 
 @dataclass(frozen=True)
@@ -138,13 +78,9 @@ class Session:
         flow_id: the data flow's demultiplexing id.
         config: the agreed parameters.
         plan: the negotiated conversion plan.
-        compiled_plan: the association's compiled wire plan (checksum,
-            plus byteswap when the peers' byte orders differ) — compiled
-            on first read, once, and shared via the plan cache.  The
-            data path never reads it: the ALF endpoints compile their
-            own wire plans.
-        sender: the data sender (initiator side only).
-        receiver: the data receiver (listener side only).
+        sender: the data sender (initiator side only); its ``wire_plan``
+            is the association's wire pass on this side.
+        receiver: the data receiver (listener side only); likewise.
     """
 
     flow_id: int
@@ -152,43 +88,6 @@ class Session:
     plan: ConversionPlan
     sender: AlfSender | None = None
     receiver: AlfReceiver | None = None
-    _endpoint: "SessionListener | SessionInitiator | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _compiled_plan: CompiledPlan | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def compiled_plan(self) -> CompiledPlan | None:
-        if self._compiled_plan is None and self._endpoint is not None:
-            self._compiled_plan = self._endpoint._session_plan(self)
-        return self._compiled_plan
-
-
-def _compile_session_plan(
-    endpoint: "SessionListener | SessionInitiator",
-    session: Session,
-    receiver_syntax: LocalSyntax,
-) -> CompiledPlan:
-    """One association's wire plan, compiled through ``endpoint``'s
-    plan cache.  Both ends build the same shape for a pair of syntaxes,
-    so they share one cached plan."""
-    config = session.config
-    schema = endpoint.schemas[config.schema_name] if endpoint.presentation else None
-    return endpoint.plan_cache.get_or_compile(
-        session_wire_pipeline(
-            config.local_syntax, receiver_syntax,
-            schema=schema, codec=session.plan.codec if schema is not None else None,
-            encrypt=(
-                WordXorStage(endpoint.encryption, name="encrypt")
-                if endpoint.encryption is not None
-                else None
-            ),
-            integrity=endpoint.integrity,
-        ),
-        endpoint.machine,
-    )
 
 
 class SessionListener:
@@ -202,7 +101,7 @@ class SessionListener:
         deliver: called with every :class:`DeliveredAdu` of any accepted
             session (sessions are distinguished by flow id in the name).
         on_session: called with each established :class:`Session`.
-        machine: profile session wire plans are priced on.
+        machine: profile the accepted receivers' wire plans are priced on.
         plan_cache: plan cache shared with the ALF endpoints this
             listener builds (defaults to the process-wide cache).
         zero_copy: forwarded to the ALF receivers this listener builds
@@ -228,36 +127,17 @@ class SessionListener:
         batch_drain: forwarded to the ALF receivers this listener builds
             (queue completed ADUs and verify+decrypt+convert them in one
             batched pass).
-        shared_drain: drain every accepted flow through one host-wide
-            :class:`~repro.transport.drain.SharedDrainEngine`: flows
-            whose wire plans share a shape coalesce into one
-            ``run_batch`` dispatch per drain epoch instead of one per
-            flow.  Implies the batched semantics of ``batch_drain``.
-        drain_engine: an existing engine to register accepted flows
-            with (several listeners — or hand-built receivers — can
-            share one); implies ``shared_drain``.  When ``shared_drain``
-            is set without an engine, the listener creates one for this
-            host.
-        shards: run accepted flows on a
-            :class:`~repro.net.shard.ShardedHost` with this many
-            shards: each accepted receiver is built on its flow's home
-            shard (that shard's loop, host and drain engine), so the
-            machine's flows divide across N independent receive stacks
-            instead of serializing through one.  The listener creates
-            and owns the sharded host (serial deterministic mode) and
-            tears it down in :meth:`close`.  Mutually amplifying with
-            ``shared_drain`` — each shard has its own engine, so
-            ``shared_drain`` is implied per shard.
-        sharded: an existing :class:`~repro.net.shard.ShardedHost` to
-            place accepted flows on (the caller keeps ownership);
-            overrides ``shards``.
-        adaptive_drain: build the listener's drain engines (host-wide
-            and per shard) with adaptive epochs — the backlog
-            integrator then drives both the epoch window and the
-            drain-pressure quantum stamped on outgoing ACKs, closing
-            the pacing loop against a paced initiator.
-        drain_max_delay: epoch window for the engines this listener
-            creates (the adaptive ramp scales off it).
+        drain_engine: a :class:`~repro.transport.drain.SharedDrainEngine`
+            to register accepted flows with (several listeners — or
+            hand-built receivers — can share one): flows whose wire plans
+            share a shape coalesce into one ``run_batch`` dispatch per
+            drain epoch instead of one per flow.  Implies the batched
+            semantics of ``batch_drain``.
+        sharded: a :class:`~repro.net.shard.ShardedHost` to place
+            accepted flows on: each accepted receiver is built on its
+            flow's home shard (that shard's loop, host and drain engine),
+            so the machine's flows divide across independent receive
+            stacks.  The caller keeps ownership and shuts it down.
     """
 
     def __init__(
@@ -276,12 +156,8 @@ class SessionListener:
         encryption: int | None = None,
         integrity: IntegrityPolicy | None = None,
         batch_drain: bool = False,
-        shared_drain: bool = False,
         drain_engine: SharedDrainEngine | None = None,
-        shards: int = 0,
         sharded: "ShardedHost | None" = None,
-        adaptive_drain: bool = False,
-        drain_max_delay: float = 0.0,
     ):
         self.loop = loop
         self.host = host
@@ -297,27 +173,7 @@ class SessionListener:
         self.encryption = encryption
         self.integrity = integrity
         self.batch_drain = bool(batch_drain)
-        if drain_engine is None and shared_drain:
-            drain_engine = SharedDrainEngine(
-                loop,
-                max_delay=drain_max_delay,
-                adaptive=adaptive_drain,
-                tracer=self.tracer,
-            )
         self.drain_engine = drain_engine
-        self._owns_sharded = False
-        if sharded is None and shards > 0:
-            from repro.net.shard import ShardedHost
-
-            sharded = ShardedHost(
-                host,
-                shards,
-                max_delay=drain_max_delay,
-                adaptive=adaptive_drain,
-                tracer=self.tracer,
-                protocols=("alf",),
-            )
-            self._owns_sharded = True
         self.sharded = sharded
         self.sessions: dict[int, Session] = {}
         self.rejected = 0
@@ -405,7 +261,6 @@ class SessionListener:
                 local=LwtsCodec(byte_order=self.local_syntax.byte_order),
                 wire=plan.codec,
             )
-        session._endpoint = self
         rx_loop, rx_host, rx_engine = self.loop, self.host, self.drain_engine
         if self.sharded is not None:
             # The flow lives on its home shard: that shard's loop runs
@@ -448,11 +303,6 @@ class SessionListener:
         if self.deliver is not None:
             self.deliver(flow_id, adu)
 
-    def _session_plan(self, session: Session) -> CompiledPlan:
-        """The accepted session's wire plan (read lazily by
-        :attr:`Session.compiled_plan`)."""
-        return _compile_session_plan(self, session, self.local_syntax)
-
     def close(self) -> None:
         """Tear the listener down: close every accepted flow's receiver
         (releasing in-flight buffers, unregistering from the drain
@@ -466,8 +316,6 @@ class SessionListener:
                 if self.sharded is not None:
                     self.sharded.unregister_flow("alf", flow_id)
                 session.receiver.close()
-        if self._owns_sharded and self.sharded is not None:
-            self.sharded.shutdown()
         self.host.unbind_protocol(PROTOCOL)
 
     def _send_accept(self, peer: str, flow_id: int) -> None:
@@ -512,11 +360,9 @@ class SessionInitiator:
         handshake_timeout: per-INIT retransmit interval.
         max_attempts: INIT attempts before giving up.
         recompute: forwarded to the ALF sender (APP_RECOMPUTE mode).
-        machine: profile the session wire plan is priced on.
+        machine: profile the ALF sender's wire plan is priced on.
         plan_cache: plan cache shared with the ALF sender this initiator
             builds (defaults to the process-wide cache).
-        zero_copy: forwarded to the ALF sender this initiator builds
-            (fragment ADUs as scatter-gather views, no slicing copies).
         presentation: fuse schema-compiled presentation conversion into
             the association's wire plans.  The proposed schema and the
             negotiated transfer codec become a
@@ -556,7 +402,6 @@ class SessionInitiator:
         machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         tracer: Tracer | None = None,
-        zero_copy: bool = False,
         presentation: bool = False,
         encryption: int | None = None,
         integrity: IntegrityPolicy | None = None,
@@ -582,7 +427,6 @@ class SessionInitiator:
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.tracer = tracer or Tracer(enabled=False)
-        self.zero_copy = bool(zero_copy)
         self.presentation = bool(presentation)
         self.encryption = encryption
         self.integrity = integrity
@@ -606,9 +450,6 @@ class SessionInitiator:
         self.init_rtt: float | None = None
         self._attempts = 0
         self._init_sent_at = loop.now
-        # The listener's syntax, from its accept; the session's wire
-        # plan is compiled from it on first read.
-        self._receiver_syntax: LocalSyntax | None = None
         host.bind(PROTOCOL, self.flow_id, self._on_packet)
         self._send_init()
 
@@ -616,11 +457,6 @@ class SessionInitiator:
     def established(self) -> bool:
         """Whether the handshake has completed."""
         return self.session is not None
-
-    def _session_plan(self, session: Session) -> CompiledPlan:
-        """The established session's wire plan (read lazily by
-        :attr:`Session.compiled_plan`)."""
-        return _compile_session_plan(self, session, self._receiver_syntax)
 
     def _send_init(self) -> None:
         if self.established or self.failed_reason is not None:
@@ -705,8 +541,6 @@ class SessionInitiator:
                 local=LwtsCodec(byte_order=self.config.local_syntax.byte_order),
                 wire=plan.codec,
             )
-        self._receiver_syntax = receiver_syntax
-        session._endpoint = self
         session.sender = AlfSender(
             self.loop,
             self.host,
@@ -717,7 +551,6 @@ class SessionInitiator:
             recompute=self.recompute,
             machine=self.machine,
             plan_cache=self.plan_cache,
-            zero_copy=self.zero_copy,
             presentation=binding,
             encryption=(
                 WordXorStage(self.encryption, name="encrypt")

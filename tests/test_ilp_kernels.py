@@ -11,9 +11,9 @@ from repro.errors import StageError
 from repro.ilp.kernels import (
     FusedWordLoop,
     byteswap_kernel,
-    bytes_to_words,
     checksum_kernel,
     copy_kernel,
+    pack_native,
     words_to_bytes,
     xor_kernel,
 )
@@ -23,12 +23,14 @@ from repro.stages.checksum import internet_checksum
 class TestWordPacking:
     def test_roundtrip_aligned(self):
         data = bytes(range(16))
-        words, length = bytes_to_words(data)
+        words, length, owned = pack_native(data)
+        assert owned is False
+        assert np.shares_memory(words, np.frombuffer(data, dtype=np.uint8))
         assert words_to_bytes(words, length) == data
 
     @given(st.binary(max_size=100))
     def test_roundtrip_any_length(self, data):
-        words, length = bytes_to_words(data)
+        words, length, _ = pack_native(data)
         assert words_to_bytes(words, length) == data
 
     @pytest.mark.parametrize("length", range(10))
@@ -36,7 +38,7 @@ class TestWordPacking:
         # A transform may write the pad bytes of the final partial word;
         # the unpack keeps exactly the first `length` bytes of the
         # native image, whatever the pad holds.
-        words, _ = bytes_to_words(bytes(range(1, length + 1)))
+        words, _, _ = pack_native(bytes(range(1, length + 1)))
         words = words ^ np.uint32(0xA5C3F00D)
         image = b"".join(int(word).to_bytes(4, sys.byteorder) for word in words)
         if length % 4:
@@ -44,7 +46,8 @@ class TestWordPacking:
         assert words_to_bytes(words, length) == image[:length]
 
     def test_padding_is_zero(self):
-        words, _ = bytes_to_words(b"\xff")
+        words, _, owned = pack_native(b"\xff")
+        assert owned is True
         # The native image of the payload, zero-padded to the word.
         assert words.tobytes() == b"\xff\x00\x00\x00"
         assert int(words[0]) == int.from_bytes(b"\xff\x00\x00\x00", sys.byteorder)
@@ -182,12 +185,12 @@ class TestKernelOrderings:
         width = max((len(p) + 3) // 4 for p in payloads)
         rows, lengths = [], []
         for p in payloads:
-            padded, _ = bytes_to_words(p + bytes(4 * width - len(p)))
+            padded, _, _ = pack_native(p + bytes(4 * width - len(p)))
             rows.append(padded)
             lengths.append(len(p))
         values = kernel.batch_finalize(np.stack(rows), np.array(lengths))
         for i, p in enumerate(payloads):
-            words, length = bytes_to_words(p)
+            words, length, _ = pack_native(p)
             # Zero padding cannot perturb a one's-complement sum, so the
             # batch value over the padded row equals the scalar value.
             assert int(values[i]) == kernel.finalize(words, length)

@@ -516,7 +516,8 @@ class TestTopologyAndSessionWiring:
         SessionListener(
             path.loop, path.b, {"ints": ArrayOf(Int32())},
             deliver=lambda fid, adu: delivered.append(adu),
-            shared_drain=True, adaptive_drain=True, drain_max_delay=1e-3,
+            drain_engine=SharedDrainEngine(path.loop, max_delay=1e-3,
+                                           adaptive=True),
         )
         initiator = SessionInitiator(
             path.loop, path.a, "b",

@@ -201,10 +201,7 @@ def run_transfer(zero_copy, batch_drain, n_adus=12, loss_rate=0.0, seed=7):
         deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
         zero_copy=zero_copy, encryption=KEY, batch_drain=batch_drain,
     )
-    sender = AlfSender(
-        path.loop, path.a, "b", 1, mtu=1500,
-        zero_copy=zero_copy, encryption=KEY,
-    )
+    sender = AlfSender(path.loop, path.a, "b", 1, mtu=1500, encryption=KEY)
     for i, payload in enumerate(payloads):
         sender.send_adu(Adu(sequence=i, payload=payload, name={"i": i}))
     path.loop.run(until=120.0)

@@ -4,8 +4,8 @@ The sender builds each wire header straight from the ADU's payload
 pieces (``fragment_payloads``), and the receiver takes whole ADUs as
 runs, so a whole ADU crosses the stack without one ``AduFragment``.
 These tests pin the sender's wire units to what ``fragment_adu`` plus
-``AlfSender._fragment_header`` produce, and count fragment records end
-to end.
+``AlfSender._fragment_header`` produce, for ``bytes`` and
+``BufferChain`` ADUs alike, and count fragment records end to end.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.adu import Adu, AduFragment, fragment_adu
 from repro.integrity import IntegrityPolicy
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.net.topology import sharded_ingress
+from repro.net.topology import sharded_ingress, two_hosts
 from repro.presentation.abstract import ArrayOf, Int32
 from repro.presentation.lwts import LwtsCodec
 from repro.sim.eventloop import EventLoop
@@ -50,10 +50,9 @@ FLOWS = {
 }
 
 
-def make_sender(flow: str, zero_copy: bool) -> AlfSender:
+def make_sender(flow: str) -> AlfSender:
     loop = EventLoop()
-    return AlfSender(loop, Host(loop, "a"), "b", FLOW, mtu=MTU,
-                     zero_copy=zero_copy, **FLOWS[flow])
+    return AlfSender(loop, Host(loop, "a"), "b", FLOW, mtu=MTU, **FLOWS[flow])
 
 
 def reference_units(sender: AlfSender, adu: Adu) -> list:
@@ -62,8 +61,7 @@ def reference_units(sender: AlfSender, adu: Adu) -> list:
     wire = dataclasses.replace(adu, payload=payload)
     return [
         (AlfSender._fragment_header(fragment), fragment.payload)
-        for fragment in fragment_adu(wire, sender.mtu, checksum=checksum,
-                                     zero_copy=sender.zero_copy)
+        for fragment in fragment_adu(wire, sender.mtu, checksum=checksum)
     ]
 
 
@@ -91,17 +89,24 @@ def assert_same_units(units, reference, adu: Adu) -> None:
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))
-@pytest.mark.parametrize("zero_copy", [False, True])
+@pytest.mark.parametrize("chain", [False, True])
 @pytest.mark.parametrize("size", SIZES)
-def test_wire_units_match_fragment_records(flow, zero_copy, size):
-    sender = make_sender(flow, zero_copy)
-    adu = Adu(3, random.Random(size).randbytes(size), {"file": "f", "at": 3})
+def test_wire_units_match_fragment_records(flow, chain, size):
+    sender = make_sender(flow)
+    payload = random.Random(size).randbytes(size)
+    adu = Adu(3, BufferChain.wrap(payload) if chain else payload,
+              {"file": "f", "at": 3})
     units = list(sender._wire_units(adu))
     reference = reference_units(sender, adu)
     assert len(units) == max(1, -(-size // MTU))
     assert_same_units(units, reference, adu)
+    if flow != "lwts_cipher" and size:
+        # An unconverted ADU goes out in windows of its own type.
+        kind = BufferChain if chain else (bytes if size <= MTU else memoryview)
+        assert all(type(piece) is kind for _, piece in units)
     release(units)
     release(reference)
+    sender._drop_wire_memo(adu.sequence)
 
 
 @pytest.mark.parametrize("flow", sorted(FLOWS))
@@ -110,7 +115,7 @@ def test_chain_payload_refcounts_unchanged_after_release(flow, size):
     pool = BufferPool(64, 1024, label="app")
     chain = pool.dma_chain(random.Random(size).randbytes(size))
     before = [segment.refcount for segment in chain.segments]
-    sender = make_sender(flow, zero_copy=True)
+    sender = make_sender(flow)
     adu = Adu(5, chain, {"at": 5})
     units = list(sender._wire_units(adu))
     reference = reference_units(sender, adu)
@@ -120,6 +125,30 @@ def test_chain_payload_refcounts_unchanged_after_release(flow, size):
     sender._drop_wire_memo(adu.sequence)
     assert [segment.refcount for segment in chain.segments] == before
     chain.release()
+    assert pool.leak_report() == []
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+@pytest.mark.parametrize("size", (MTU, 16 * 1024))
+def test_chain_adus_cross_a_default_sender_end_to_end(flow, size):
+    pool = BufferPool(64, 1024, label="app")
+    payloads = [random.Random(size + s).randbytes(size) for s in range(3)]
+    chains = [pool.dma_chain(payload) for payload in payloads]
+    before = [[segment.refcount for segment in c.segments] for c in chains]
+    path = two_hosts(seed=5, bandwidth_bps=1e9)
+    delivered = {}
+    AlfReceiver(path.loop, path.b, "a", FLOW,
+                deliver=lambda d: delivered.__setitem__(d.sequence, bytes(d.payload)),
+                **FLOWS[flow])
+    sender = AlfSender(path.loop, path.a, "b", FLOW, mtu=MTU, **FLOWS[flow])
+    for sequence, chain in enumerate(chains):
+        sender.send_adu(Adu(sequence, chain, {"s": sequence}))
+    path.loop.run(until=10.0)
+    assert delivered == dict(enumerate(payloads))
+    assert sender.outstanding_count == 0 and sender._wire == {}
+    assert [[segment.refcount for segment in c.segments] for c in chains] == before
+    for chain in chains:
+        chain.release()
     assert pool.leak_report() == []
 
 

@@ -7,6 +7,8 @@ receiver's verification (now an observation comparison instead of
 ``reassemble_fragments``'s internal pass) still rejects corrupt ADUs.
 """
 
+import struct
+
 import pytest
 
 from repro.bench.workloads import octet_payload
@@ -24,7 +26,10 @@ from repro.transport.session import (
     SessionListener,
 )
 
-SCHEMAS = {"ints": ArrayOf(Int32())}
+SCHEMAS = {
+    "ints": ArrayOf(Int32()),
+    "fixed": ArrayOf(Int32(), fixed_count=64),
+}
 
 
 def make_adus(count=12, size=2500):
@@ -142,48 +147,59 @@ class TestCompiledVerification:
 
 
 class TestSessionCompiledPlan:
-    def run_handshake(self, listener_syntax, initiator_syntax, cache):
+    """An association's wire plan is its endpoints' ``wire_plan``."""
+
+    def run_handshake(self, listener_syntax, initiator_syntax, cache,
+                      schema="ints", presentation=False):
         path = two_hosts(seed=1)
         listener = SessionListener(
             path.loop, path.b, SCHEMAS,
             local_syntax=listener_syntax,
             plan_cache=cache,
+            presentation=presentation,
         )
         initiator = SessionInitiator(
             path.loop, path.a, "b",
-            SessionConfig(schema_name="ints", local_syntax=initiator_syntax),
+            SessionConfig(schema_name=schema, local_syntax=initiator_syntax),
             SCHEMAS,
             plan_cache=cache,
+            presentation=presentation,
         )
         path.loop.run(until=5)
         assert initiator.established
         peer = listener.sessions[initiator.session.flow_id]
-        return initiator.session, peer
+        return initiator.session.sender, peer.receiver
 
     def test_both_ends_share_one_plan_matching_orders(self):
         cache = PlanCache()
-        session, peer = self.run_handshake(
+        sender, receiver = self.run_handshake(
             LocalSyntax("listener", "big"), LocalSyntax("init", "big"), cache
         )
-        assert session.compiled_plan is not None
-        assert session.compiled_plan is peer.compiled_plan
-        assert session.compiled_plan.fully_lowered
+        assert sender.wire_plan is receiver.wire_plan
+        assert sender.wire_plan.fully_lowered
         # Same byte order: checksum only, no conversion stage.
-        assert session.compiled_plan.n_stages == 1
+        assert sender.wire_plan.n_stages == 1
 
     def test_byteswap_added_when_byte_orders_differ(self):
         cache = PlanCache()
-        session, peer = self.run_handshake(
-            LocalSyntax("listener", "little"), LocalSyntax("init", "big"), cache
+        sender, receiver = self.run_handshake(
+            LocalSyntax("listener", "little"), LocalSyntax("init", "big"),
+            cache, schema="fixed", presentation=True,
         )
-        assert session.compiled_plan is peer.compiled_plan
-        assert session.compiled_plan.fully_lowered
-        assert session.compiled_plan.n_stages == 2
-        assert "byteswap" in session.compiled_plan.groups[0].label
+        # The sender converts to the listener's order fused with its
+        # checksum; the receiver verifies the wire bytes it was sent.
+        assert sender.wire_plan.fully_lowered
+        assert sender.wire_plan.n_stages == 2
+        assert "convert" in sender.wire_plan.groups[0].label
+        values = list(range(-32, 32))
+        wire, _ = sender.wire_plan.run(struct.pack(">64i", *values))
+        assert wire == struct.pack("<64i", *values)  # a word byteswap
+        assert receiver.wire_plan.n_stages == 1
+        assert sender.wire_plan is not receiver.wire_plan
 
     def test_session_plan_compiles_on_first_read(self):
         cache = PlanCache()
-        session, peer = self.run_handshake(
+        sender, receiver = self.run_handshake(
             LocalSyntax("listener", "little"), LocalSyntax("init", "big"), cache
         )
 
@@ -191,14 +207,14 @@ class TestSessionCompiledPlan:
             snapshot = cache.snapshot()
             return snapshot["hits"] + snapshot["misses"]
 
-        # The handshake itself looked up no session plan: the first read
+        # The handshake itself looked up no wire plan: the first read
         # compiles it, the peer's first read hits the same cache entry,
         # and later reads reuse the plan without a lookup.
         before = lookups()
-        plan = session.compiled_plan
+        plan = sender.wire_plan
         assert lookups() == before + 1
-        assert peer.compiled_plan is plan
+        assert receiver.wire_plan is plan
         assert lookups() == before + 2
-        assert session.compiled_plan is plan and peer.compiled_plan is plan
+        assert sender.wire_plan is plan and receiver.wire_plan is plan
         assert lookups() == before + 2
-        assert "byteswap" in plan.groups[0].label
+        assert plan.n_stages == 1

@@ -54,7 +54,6 @@ def make_pair(binding_tx, binding_rx, loss_rate=0.0, seed=1, zero_copy=False):
     sender = AlfSender(
         path.loop, path.a, "b", 1, mtu=512,
         presentation=binding_tx,
-        zero_copy=zero_copy,
     )
     return path, sender, delivered
 
@@ -140,8 +139,7 @@ class TestAlfPresentation:
         sender.send_adu(Adu(0, local, {}))
         path.loop.run(until=10)
         assert delivered
-        assert sender._wire_payloads == {}
-        assert sender._wire_checksums == {}
+        assert sender._wire == {}
 
     def test_send_batch_with_fused_binding(self):
         binding = lwts_binding(FIXED)

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.adu import Adu
 from repro.errors import TransportError
+from repro.net.shard import ShardedHost
 from repro.net.topology import two_hosts
 from repro.presentation.abstract import ArrayOf, Int32
 from repro.presentation.negotiate import LocalSyntax
 from repro.transport.alf import RecoveryMode
+from repro.transport.drain import SharedDrainEngine
 from repro.transport.session import (
     SessionConfig,
     SessionInitiator,
@@ -209,7 +211,7 @@ def test_shared_drain_listener_delivers_end_to_end():
     listener = SessionListener(
         path.loop, path.b, SCHEMAS,
         deliver=lambda fid, adu: delivered.append((fid, adu)),
-        shared_drain=True,
+        drain_engine=SharedDrainEngine(path.loop),
     )
     initiators = [
         SessionInitiator(
@@ -235,7 +237,9 @@ def test_shared_drain_listener_delivers_end_to_end():
 
 def test_listener_close_frees_slot_for_rebinding():
     path = two_hosts(seed=6)
-    listener = SessionListener(path.loop, path.b, SCHEMAS, shared_drain=True)
+    listener = SessionListener(
+        path.loop, path.b, SCHEMAS, drain_engine=SharedDrainEngine(path.loop)
+    )
     initiator = SessionInitiator(
         path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
     )
@@ -263,13 +267,13 @@ def test_listener_close_frees_slot_for_rebinding():
 def test_sharded_listener_delivers_and_tears_down_clean():
     path = two_hosts(seed=7)
     delivered = []
+    sharded = ShardedHost(path.b, 2)
     listener = SessionListener(
         path.loop, path.b, SCHEMAS,
         deliver=lambda fid, adu: delivered.append((fid, adu)),
-        shards=2,
+        sharded=sharded,
     )
-    assert listener.sharded is not None
-    assert len(listener.sharded.shards) == 2
+    assert listener.sharded is sharded
     initiators = [
         SessionInitiator(
             path.loop, path.a, "b",
@@ -293,8 +297,8 @@ def test_sharded_listener_delivers_and_tears_down_clean():
     for initiator in initiators:
         home = listener.sharded.shard_for("alf", initiator.session.flow_id)
         assert home.engine.delivered_total > 0 or home.engine.flow_count > 0
-    sharded = listener.sharded
     listener.close()
-    # The listener owns the sharded host: close shut every shard down.
     assert all(s.engine.flow_count == 0 for s in sharded.shards)
+    # The caller owns the sharded host and shuts it down itself.
+    sharded.shutdown()
     assert all(s.leak_report() == [] for s in sharded.shards)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.buffers import BufferChain, BufferPool
@@ -22,12 +23,7 @@ from repro.core.adu import (
     fragment_payloads,
     reassemble_fragments,
 )
-from repro.ilp.kernels import (
-    as_native_words,
-    bytes_to_words,
-    checksum_chain,
-    gather_words,
-)
+from repro.ilp.kernels import checksum_chain, gather_words, pack_native
 from repro.machine.accounting import datapath_counters
 from repro.net.host import Host
 from repro.net.link import Link
@@ -63,7 +59,7 @@ def run_transfer(payloads, zero_copy, rx_pool=None, loss=0.0, duplicate=0.0):
         ),
         zero_copy=zero_copy,
     )
-    sender = AlfSender(loop, a, "b", 1, mtu=8192, zero_copy=zero_copy)
+    sender = AlfSender(loop, a, "b", 1, mtu=8192)
     for i, payload in enumerate(payloads):
         sender.send_adu(Adu(sequence=i, payload=payload, name={"i": i}))
     loop.run(until=60.0)
@@ -129,7 +125,7 @@ class TestKernelEquivalences:
                 rebuilt.extend(piece)
             assert checksum_chain(rebuilt) == internet_checksum(data)
 
-    def test_gather_words_matches_bytes_to_words(self):
+    def test_gather_words_matches_pack_native(self):
         rng = random.Random(14)
         data = rng.randbytes(1000)
         chain = BufferChain.wrap(data)
@@ -137,32 +133,48 @@ class TestKernelEquivalences:
         for piece in chain.chunks(333):
             rebuilt.extend(piece)
         gathered, glen = gather_words(rebuilt)
-        packed, plen = bytes_to_words(data)
+        packed, plen, _ = pack_native(data)
         assert glen == plen
         assert (gathered == packed).all()
 
 
 class TestNoCopyWordPacking:
-    def test_as_native_words_aliases_input(self):
+    def test_pack_native_aliases_aligned_input(self):
         data = bytearray(range(64))
-        words = as_native_words(data)
-        assert words.base.obj is data  # the view shares storage
+        words, length, owned = pack_native(data)
+        assert owned is False and length == 64
+        assert np.shares_memory(words, np.frombuffer(data, dtype=np.uint8))
         data[0] = 0xFF
-        assert words[0] != as_native_words(bytes(64))[0]
+        assert words[0] != pack_native(bytes(64))[0][0]
+        assert datapath_counters().snapshot()["copies"] == 0
 
-    def test_bytes_to_words_accepts_memoryview_without_bytes_roundtrip(self):
+    def test_pack_native_views_a_memoryview_in_place(self):
         data = bytearray(range(64))
         mv = memoryview(data)
-        from_mv, _ = bytes_to_words(mv)
-        from_bytes, _ = bytes_to_words(bytes(data))
+        from_mv, _, owned = pack_native(mv)
+        from_bytes, _, _ = pack_native(bytes(data))
+        assert owned is False
+        assert np.shares_memory(from_mv, np.frombuffer(data, dtype=np.uint8))
         assert (from_mv == from_bytes).all()
 
-    def test_bytes_to_words_memoryview_slice_of_larger_buffer(self):
+    def test_pack_native_views_a_slice_of_a_buffer(self):
         backing = bytearray(range(100))
-        words, length = bytes_to_words(memoryview(backing)[4:68])
-        reference, _ = bytes_to_words(bytes(backing[4:68]))
-        assert length == 64
+        words, length, owned = pack_native(memoryview(backing)[4:68])
+        reference, _, _ = pack_native(bytes(backing[4:68]))
+        assert length == 64 and owned is False
+        assert np.shares_memory(words, np.frombuffer(backing, dtype=np.uint8))
         assert (words == reference).all()
+
+    def test_pack_native_pads_a_partial_word_with_one_copy(self):
+        data = bytearray(range(66))
+        words, length, owned = pack_native(data)
+        assert length == 66 and owned is True
+        assert not np.shares_memory(words, np.frombuffer(data, dtype=np.uint8))
+        assert words.view(np.uint8)[:66].tobytes() == bytes(data)
+        assert words.view(np.uint8)[66:].tobytes() == b"\x00\x00"
+        assert datapath_counters().snapshot()["copies_by_label"] == {
+            "pack-pad": 66
+        }
 
 
 class TestFragmentLedger:
@@ -187,18 +199,26 @@ class TestFragmentLedger:
 class TestFragmentChains:
     def test_zero_copy_fragmentation_references_the_adu(self):
         payload = bytes(range(256)) * 64  # 16 KB
-        adu = Adu(sequence=0, payload=payload, name={})
         counters = datapath_counters()
+        # A chain ADU fragments into refcounted chain windows.
+        chain = BufferChain.wrap(payload)
         counters.reset()
-        fragments = fragment_adu(adu, 4096, checksum=0, zero_copy=True)
+        fragments = fragment_adu(Adu(0, chain, {}), 4096, checksum=0)
         assert counters.snapshot()["copies"] == 0
         assert all(isinstance(f.payload, BufferChain) for f in fragments)
         assert b"".join(f.payload.tobytes() for f in fragments) == payload
+        # A bytes ADU fragments into views over its buffer.
+        counters.reset()
+        fragments = fragment_adu(Adu(1, payload, {}), 4096, checksum=0)
+        assert counters.snapshot()["copies"] == 0
+        assert all(isinstance(f.payload, memoryview) for f in fragments)
+        assert all(f.payload.obj is payload for f in fragments)
+        assert b"".join(f.payload for f in fragments) == payload
 
     def test_reassemble_as_chain_is_structural(self):
         payload = bytes(range(256)) * 16
-        adu = Adu(sequence=0, payload=payload, name={})
-        fragments = fragment_adu(adu, 1024, checksum=None, zero_copy=True)
+        adu = Adu(sequence=0, payload=BufferChain.wrap(payload), name={})
+        fragments = fragment_adu(adu, 1024, checksum=None)
         counters = datapath_counters()
         counters.reset()
         rebuilt = reassemble_fragments(fragments, verify=False, as_chain=True)
