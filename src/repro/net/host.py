@@ -10,7 +10,7 @@ instruction cost (``header_parse`` plus ``demux_lookup``) to its own
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.buffers.chain import BufferChain
 from repro.buffers.pool import BufferPool
@@ -132,16 +132,26 @@ class Host:
         self._default_handlers.pop(protocol, None)
         self._invalidate_memo()
 
-    def send(self, packet: Packet) -> None:
-        """Transmit a packet toward its destination."""
-        link = self._links.get(packet.dst)
+    def send(self, packets: Packet | Sequence[Packet]) -> None:
+        """Transmit a packet, or a run of packets for one destination,
+        toward that destination.
+
+        A run goes to the link in one call, the way a sender hands over a
+        whole ADU's fragments (a single packet is a run of one); the run's
+        first packet names the destination.  Every link-like object a
+        host holds — a :class:`~repro.net.link.Link`, a spraying shim, the
+        ``uplink`` — accepts either form.
+        """
+        run = (packets,) if isinstance(packets, Packet) else packets
+        link = self._links.get(run[0].dst)
         if link is None:
             if self.uplink is not None:
-                self.uplink.send(packet)
+                self.uplink.send(run)
                 return
-            raise NetworkError(f"{self.name}: no link toward {packet.dst!r}")
-        packet.src = self.name
-        link.send(packet)
+            raise NetworkError(f"{self.name}: no link toward {run[0].dst!r}")
+        for packet in run:
+            packet.src = self.name
+        link.send(run)
 
     def _dma(self, packet: Packet) -> bool:
         """DMA a byte payload into pooled buffers; False drops the packet."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.buffers.chain import BufferChain
 from repro.errors import NetworkError
@@ -64,9 +64,11 @@ class _OpenTrain:
     check at delivery), and the per-run ``[bucket, shard, n]`` arrival
     charges settled into the table only if the train is steered (a
     fallback train is re-walked — and re-charged — by the front end).
+    ``wire_bytes`` sums the members' wire sizes as they board.
     """
 
     packets: list[Packet] = field(default_factory=list)
+    wire_bytes: int = 0
     close_event: Event | None = None
     close_time: float = 0.0
     last_arrival: float = 0.0
@@ -231,106 +233,132 @@ class Link:
         """Whether this link aggregates deliveries into trains."""
         return self.max_train > 1
 
-    def send(self, packet: Packet) -> None:
-        """Transmit a packet, applying serialization, delay and failures."""
+    def send(self, packets: Packet | Sequence[Packet]) -> None:
+        """Transmit a packet, or a run of packets, applying serialization,
+        delay and failures.
+
+        A run is its packets: each one in turn is MTU-checked, sized
+        once (the size feeds both the byte counter and the serialization
+        time), serialized behind its predecessor, put through the loss,
+        corruption, reorder and duplication draws in that order, and
+        boards the open train — so a seeded run draws, times and
+        delivers exactly as the same packets sent one call at a time.
+        Senders hand a whole ADU over in one call (§4: pay per burst,
+        not per packet); a single packet is a run of one.  An oversize
+        packet mid-run raises after its prefix went out, leaving the
+        link as sending that prefix alone would.
+        """
         if self._receiver is None:
             raise NetworkError(f"{self.name}: no receiver connected")
-        if self.mtu is not None and len(packet.payload) > self.mtu:
-            raise NetworkError(
-                f"{self.name}: payload {len(packet.payload)} exceeds MTU {self.mtu}"
-            )
-        self.stats.sent += 1
-        self.stats.bytes_sent += packet.wire_size
+        if isinstance(packets, Packet):
+            packets = (packets,)
+        loop = self.loop
+        stats = self.stats
+        mtu = self.mtu
+        now = loop.now
+        for packet in packets:
+            if mtu is not None and len(packet.payload) > mtu:
+                raise NetworkError(
+                    f"{self.name}: payload {len(packet.payload)} exceeds MTU {mtu}"
+                )
+            size = packet.wire_size
+            stats.sent += 1
+            stats.bytes_sent += size
 
-        # Serialization: the link is busy until the last bit is out.
-        serialization = packet.wire_size * 8 / self.bandwidth_bps
-        start = max(self.loop.now, self._busy_until)
-        self._busy_until = start + serialization
-        arrival_delay = (start - self.loop.now) + serialization + self.propagation_delay
+            # Serialization: the link is busy until the last bit is out.
+            serialization = size * 8 / self.bandwidth_bps
+            start = max(now, self._busy_until)
+            self._busy_until = start + serialization
+            arrival_delay = (start - now) + serialization + self.propagation_delay
 
-        if self.rng.random() < self.loss_rate:
-            self.stats.lost += 1
-            # A lost frame's receive buffers go back to the pool now —
-            # nothing downstream will ever release them.
-            if isinstance(packet.payload, BufferChain):
-                packet.payload.release()
-            self.tracer.emit(self.loop.now, "link", "lost", link=self.name,
-                             packet_id=packet.packet_id)
-            return
+            if self.rng.random() < self.loss_rate:
+                stats.lost += 1
+                # A lost frame's receive buffers go back to the pool now —
+                # nothing downstream will ever release them.
+                if isinstance(packet.payload, BufferChain):
+                    packet.payload.release()
+                self.tracer.emit(now, "link", "lost", link=self.name,
+                                 packet_id=packet.packet_id)
+                continue
 
-        # The corruption draw happens only when the process is enabled,
-        # so enabling other failure modes never perturbs the seeded
-        # sequences of existing experiments.
-        if (
-            self.corrupt_rate > 0.0
-            and len(packet.payload)
-            and self.rng.random() < self.corrupt_rate
-        ):
-            self.stats.corrupted += 1
-            # Corruption is the one event that must materialize a chain:
-            # the flipped bit lives in a private copy, never in shared
-            # (possibly pooled) buffers other references still read.
-            if isinstance(packet.payload, BufferChain):
-                mutated = bytearray(packet.payload.linearize())
-                packet.payload.release()
+            # The corruption draw happens only when the process is enabled,
+            # so enabling other failure modes never perturbs the seeded
+            # sequences of existing experiments.
+            if (
+                self.corrupt_rate > 0.0
+                and len(packet.payload)
+                and self.rng.random() < self.corrupt_rate
+            ):
+                self._corrupt(packet)
+
+            reordered = self.rng.random() < self.reorder_rate
+            if reordered:
+                stats.reordered += 1
+                arrival_delay += self.propagation_delay * self.reorder_extra_delay
+                self.tracer.emit(now, "link", "reordered", link=self.name,
+                                 packet_id=packet.packet_id)
+
+            if self.max_train > 1 and not reordered:
+                # A reordered packet left its train by definition; everyone
+                # else boards the open train (or opens the next one).
+                self._board_train(packet, now + arrival_delay, size)
             else:
-                mutated = bytearray(packet.payload)
-            if self.corrupt_span is not None:
-                lo = min(self.corrupt_span[0], len(mutated) - 1)
-                hi = min(self.corrupt_span[1], len(mutated))
-                position = self.rng.randrange(lo, max(hi, lo + 1))
-            else:
-                position = self.rng.randrange(len(mutated))
-            mutated[position] ^= 1 << self.rng.randrange(8)
-            packet.payload = bytes(mutated)
-            # The PHY's damage report: receivers running a tolerant
-            # integrity policy use it to flag (rather than discard)
-            # ADUs whose damage fell outside the covered spans.  The
-            # header is copied so duplicates/retransmissions sharing
-            # the original dict are unaffected.
-            packet.header = dict(packet.header)
-            packet.header["phy_corrupt"] = (position, position + 1)
-            self.tracer.emit(self.loop.now, "link", "corrupted",
-                             link=self.name, packet_id=packet.packet_id,
-                             position=position)
+                loop.schedule(arrival_delay, self._deliver, packet, size)
 
-        reordered = self.rng.random() < self.reorder_rate
-        if reordered:
-            self.stats.reordered += 1
-            arrival_delay += self.propagation_delay * self.reorder_extra_delay
-            self.tracer.emit(self.loop.now, "link", "reordered", link=self.name,
-                             packet_id=packet.packet_id)
+            if self.rng.random() < self.duplicate_rate:
+                stats.duplicated += 1
+                duplicate = packet.copy()
+                self.tracer.emit(now, "link", "duplicated", link=self.name,
+                                 packet_id=packet.packet_id)
+                # Duplicates ride alone even in train mode: they arrive a
+                # propagation delay late, past the train they came from.
+                loop.schedule(
+                    arrival_delay + self.propagation_delay, self._deliver, duplicate, size
+                )
 
-        if self.train_mode and not reordered:
-            # A reordered packet left its train by definition; everyone
-            # else boards the open train (or opens the next one).
-            self._board_train(packet, arrival_delay)
+    def _corrupt(self, packet: Packet) -> None:
+        """Flip one payload bit in flight (the corruption draw hit)."""
+        self.stats.corrupted += 1
+        # Corruption is the one event that must materialize a chain:
+        # the flipped bit lives in a private copy, never in shared
+        # (possibly pooled) buffers other references still read.
+        if isinstance(packet.payload, BufferChain):
+            mutated = bytearray(packet.payload.linearize())
+            packet.payload.release()
         else:
-            self.loop.schedule(arrival_delay, self._deliver, packet)
-
-        if self.rng.random() < self.duplicate_rate:
-            self.stats.duplicated += 1
-            duplicate = packet.copy()
-            self.tracer.emit(self.loop.now, "link", "duplicated", link=self.name,
-                             packet_id=packet.packet_id)
-            # Duplicates ride alone even in train mode: they arrive a
-            # propagation delay late, past the train they came from.
-            self.loop.schedule(
-                arrival_delay + self.propagation_delay, self._deliver, duplicate
-            )
+            mutated = bytearray(packet.payload)
+        if self.corrupt_span is not None:
+            lo = min(self.corrupt_span[0], len(mutated) - 1)
+            hi = min(self.corrupt_span[1], len(mutated))
+            position = self.rng.randrange(lo, max(hi, lo + 1))
+        else:
+            position = self.rng.randrange(len(mutated))
+        mutated[position] ^= 1 << self.rng.randrange(8)
+        packet.payload = bytes(mutated)
+        # The PHY's damage report: receivers running a tolerant
+        # integrity policy use it to flag (rather than discard)
+        # ADUs whose damage fell outside the covered spans.  The
+        # header is copied so duplicates/retransmissions sharing
+        # the original dict are unaffected.
+        packet.header = dict(packet.header)
+        packet.header["phy_corrupt"] = (position, position + 1)
+        self.tracer.emit(self.loop.now, "link", "corrupted",
+                         link=self.name, packet_id=packet.packet_id,
+                         position=position)
 
     # ------------------------------------------------------------------
     # Train aggregation
 
-    def _board_train(self, packet: Packet, arrival_delay: float) -> None:
-        """Add one surviving packet to the open train, opening/closing
-        trains as the aggregation window and ``max_train`` dictate."""
-        arrival = self.loop.now + arrival_delay
+    def _board_train(self, packet: Packet, arrival: float, size: int) -> None:
+        """Add one surviving packet of ``size`` wire bytes, arriving at
+        ``arrival``, to the open train, opening/closing trains as the
+        aggregation window and ``max_train`` dictate."""
         tag = packet.header.get("train")
         train = self._open_train
         if train is not None and arrival <= train.close_time:
             if tag == train.tag:
                 train.packets.append(packet)
+                train.wire_bytes += size
                 if self._steering is not None:
                     self._steer(train, packet)
                 train.last_arrival = max(train.last_arrival, arrival)
@@ -355,6 +383,7 @@ class Link:
         # keeps its scheduled close (its event owns the packet list).
         train = _OpenTrain(
             packets=[packet],
+            wire_bytes=size,
             close_time=arrival + self.train_window,
             last_arrival=arrival,
             tag=tag,
@@ -416,9 +445,8 @@ class Link:
         packets = train.packets
         self.stats.trains += 1
         self.stats.train_packets += len(packets)
-        for packet in packets:
-            self.stats.delivered += 1
-            self.stats.bytes_delivered += packet.wire_size
+        self.stats.delivered += len(packets)
+        self.stats.bytes_delivered += train.wire_bytes
         self.tracer.emit(self.loop.now, "link", "train", link=self.name,
                          packets=len(packets))
         table = self._steering
@@ -447,8 +475,9 @@ class Link:
         for packet in packets:
             self._receiver(packet)
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver(self, packet: Packet, size: int) -> None:
+        """Hand one packet of ``size`` wire bytes to the receiver."""
         self.stats.delivered += 1
-        self.stats.bytes_delivered += packet.wire_size
+        self.stats.bytes_delivered += size
         assert self._receiver is not None  # checked in send()
         self._receiver(packet)

@@ -50,7 +50,7 @@ class Packet:
     header: dict[str, Any] = field(default_factory=dict)
     payload: bytes | BufferChain = b""
     header_overhead: int = HEADER_OVERHEAD_BYTES
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.header_overhead < 0:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.net.host import Host
 from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.net.switch import StoreAndForwardSwitch
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
@@ -309,10 +310,12 @@ class _Sprayer:
         self._toggle = False
         self.bandwidth_bps = fast.bandwidth_bps  # for switch pacing APIs
 
-    def send(self, packet) -> None:
-        link = self.slow if self._toggle else self.fast
-        self._toggle = not self._toggle
-        link.send(packet)
+    def send(self, packets: Packet | Sequence[Packet]) -> None:
+        """Spray a packet, or each packet of a run in turn."""
+        for packet in (packets,) if isinstance(packets, Packet) else packets:
+            link = self.slow if self._toggle else self.fast
+            self._toggle = not self._toggle
+            link.send(packet)
 
 
 def two_hosts_dual_path(

@@ -412,23 +412,28 @@ class AlfSender:
     # Transmission
 
     def _transmit(self, adu: Adu) -> None:
+        """Send one ADU: build all its wire units' packets in one loop and
+        hand them to the host as one run (§5: the ADU is the unit the
+        sender processes; §4: pay the per-call control cost per burst).
+        The host and link then walk the run packet by packet, so the
+        wire sees exactly what per-fragment sends would put on it.  A
+        paced flow submits the packets to its pacer one at a time
+        instead: the pacer's token bucket decides when each leaves."""
+        now, src, dst, flow_id = self.loop.now, self.host.name, self.peer, self.flow_id
+        packets = []
+        sent_bytes = 0
         for header, payload in self._wire_units(adu):
-            header["ts"] = self.loop.now
-            packet = Packet(
-                src=self.host.name,
-                dst=self.peer,
-                protocol=PROTOCOL,
-                flow_id=self.flow_id,
-                header=header,
-                payload=payload,
-            )
-            self.stats.segments_sent += 1
-            self.stats.bytes_sent += len(payload)
-            if self.pacing is not None:
+            header["ts"] = now
+            packets.append(Packet(src, dst, PROTOCOL, flow_id, header, payload))
+            sent_bytes += len(payload)
+        self.stats.segments_sent += len(packets)
+        self.stats.bytes_sent += sent_bytes
+        if self.pacing is None:
+            self.host.send(packets)
+        else:
+            for packet in packets:
                 self.pacing.submit(packet, on_release=self._on_paced_release)
-            else:
-                self.host.send(packet)
-        self.tracer.emit(self.loop.now, "alf", "send-adu",
+        self.tracer.emit(now, "alf", "send-adu",
                          seq=adu.sequence, length=len(adu.payload))
 
     def _on_paced_release(self, packet: Packet) -> None:

@@ -132,6 +132,21 @@ class TestDualPath:
         assert all(got[a.sequence] == a.payload for a in adus)
         assert sender.stats.retransmissions == 0  # reordering != loss
 
+    def test_an_adu_run_is_sprayed_fragment_by_fragment(self):
+        """The sender hands a whole ADU over as one run; the sprayer
+        still alternates paths per packet, not per run."""
+        dual = two_hosts_dual_path(seed=5, bandwidth_bps=50e6)
+        got = {}
+        AlfReceiver(dual.loop, dual.b, "a", 1,
+                    deliver=lambda d: got.setdefault(d.sequence, d.payload),
+                    expected_adus=1)
+        sender = AlfSender(dual.loop, dual.a, "b", 1, mtu=800)
+        adu = Adu(0, octet_payload(3200, seed=90))
+        sender.send_adu(adu)
+        assert dual.fast.stats.sent == dual.slow.stats.sent == 2
+        dual.loop.run(until=10)
+        assert got == {0: adu.payload}
+
     def test_tcp_survives_path_reordering(self):
         dual = two_hosts_dual_path(seed=4, bandwidth_bps=50e6)
         payload = file_payload(50_000, seed=6)

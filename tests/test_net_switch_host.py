@@ -153,6 +153,25 @@ class TestHost:
         path.loop.run()
         assert got[0].src == "a"
 
+    def test_a_run_reaches_the_link_in_one_call_through_an_uplink(self):
+        """A worker host with no link of its own passes a run to its
+        uplink, which stamps every packet and hands the link one call."""
+        path = two_hosts()
+        worker = Host(path.loop, "a", uplink=path.a)
+        got, calls = [], []
+        path.b.bind("t", 1, got.append)
+        send = path.a_to_b.send
+        path.a_to_b.send = lambda run: (calls.append(len(run)), send(run))
+        run = [packet(n=n) for n in range(3)]
+        for outgoing in run:
+            outgoing.src = "wrong"
+        worker.send(run)
+        worker.send(packet(n=3))
+        path.loop.run()
+        assert calls == [3, 1]
+        assert [(p.src, p.header["n"]) for p in got] == [("a", n) for n in range(4)]
+        assert path.a_to_b.stats.sent == 4
+
 
 class TestSwitch:
     def make(self, capacity=4):
