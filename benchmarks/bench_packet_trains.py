@@ -50,7 +50,7 @@ from repro.net.shard import ShardedHost, shard_index
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.transport.alf.receiver import AlfReceiver
-from repro.transport.alf.sender import WIRE_CHECKSUM, wire_pipeline
+from repro.transport.alf.wire import WIRE_CHECKSUM, wire_pipeline
 from repro.transport.drain import SharedDrainEngine
 
 N_FLOWS = 64

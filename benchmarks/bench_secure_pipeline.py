@@ -50,7 +50,7 @@ from repro.stages.encrypt import WordXorStage
 from repro.stages.presentation import PresentationConvertStage
 from repro.transport.alf import AlfReceiver, AlfSender
 from repro.transport.alf.receiver import PROTOCOL
-from repro.transport.alf.sender import wire_pipeline
+from repro.transport.alf.wire import wire_pipeline
 
 N_INTEGERS = 1024
 N_ADUS = 64

@@ -60,7 +60,8 @@ from repro.net.topology import two_hosts
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.transport.alf.receiver import AlfReceiver
-from repro.transport.alf.sender import WIRE_CHECKSUM, AlfSender, wire_pipeline
+from repro.transport.alf.sender import AlfSender
+from repro.transport.alf.wire import WIRE_CHECKSUM, wire_pipeline
 from repro.transport.drain import SharedDrainEngine  # noqa: F401 (doc link)
 
 N_FLOWS = 32

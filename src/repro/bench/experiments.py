@@ -2116,7 +2116,7 @@ def secure_pipeline(
     from repro.presentation.lwts import LwtsCodec
     from repro.stages.encrypt import WORD_XOR_COST, WordXorStage, secure_counters
     from repro.stages.presentation import CONVERT_COST, PresentationConvertStage
-    from repro.transport.alf.sender import wire_pipeline
+    from repro.transport.alf.wire import wire_pipeline
 
     profile = MIPS_R2000
     key = 0x5A5A1234

@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -742,6 +742,14 @@ class PlanCache:
 
     Keyed by :func:`plan_key`; compilation happens under the lock, so
     concurrent lookups of the same key compile exactly once.
+
+    :meth:`get_configured` additionally maps a caller's *configuration
+    token* to the :class:`PlanKey` its pipeline produced, so an endpoint
+    whose configuration was seen before fetches its plan without
+    building a pipeline or a key.  The plan still comes from the same
+    LRU: hits, misses, recency and evictions count exactly as a
+    :meth:`get_or_compile` of the same pipeline would, and a token whose
+    plan was evicted compiles again.
     """
 
     def __init__(self, capacity: int = 128):
@@ -749,6 +757,7 @@ class PlanCache:
             raise PipelineError(f"plan cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._plans: OrderedDict[PlanKey, CompiledPlan] = OrderedDict()
+        self._configured: dict[Hashable, PlanKey] = {}
         self._lock = threading.Lock()
         self.stats = PlanCacheStats()
 
@@ -768,11 +777,47 @@ class PlanCache:
                 return plan
             self.stats.record_miss()
             plan = PipelineCompiler(profile, speculative=speculative).compile(pipeline)
-            self._plans[key] = plan
+            # Keyed by the plan's own key object, so a configuration
+            # token's key finds it by identity.
+            self._plans[plan.key] = plan
             while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
+                evicted, _ = self._plans.popitem(last=False)
                 self.stats.record_eviction()
+                self._forget(evicted)
             return plan
+
+    def get_configured(
+        self,
+        token: Hashable,
+        build: Callable[[], Pipeline],
+        profile: MachineProfile,
+    ) -> CompiledPlan:
+        """The cached plan for a configuration ``token``.
+
+        ``token`` must determine the plan key of ``build()`` on
+        ``profile``: two tokens may share a plan, but one token never
+        names two.  A known token whose plan is still cached is one hit;
+        otherwise ``build()`` runs through :meth:`get_or_compile` and the
+        token learns the key.
+        """
+        with self._lock:
+            key = self._configured.get(token)
+            plan = self._plans.get(key) if key is not None else None
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self.stats.record_hit()
+                return plan
+        plan = self.get_or_compile(build(), profile)
+        with self._lock:
+            if plan.key in self._plans:
+                self._configured[token] = plan.key
+        return plan
+
+    def _forget(self, key: PlanKey) -> None:
+        """Drop the tokens of an evicted key (caller holds the lock)."""
+        stale = [token for token, known in self._configured.items() if known == key]
+        for token in stale:
+            del self._configured[token]
 
     def __len__(self) -> int:
         with self._lock:
@@ -782,6 +827,7 @@ class PlanCache:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._plans.clear()
+            self._configured.clear()
             self.stats = PlanCacheStats()
 
     def snapshot(self) -> dict[str, float]:

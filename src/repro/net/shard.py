@@ -43,7 +43,9 @@ packets all place on one shard is delivered straight onto that shard
 via :meth:`ShardedHost.steer_burst` — no front-end placement walk, no
 further probes.  The walk survives as the slow path for mixed-shard
 trains, stale-epoch trains (a migration committed while the train was
-open) and unclaimed protocols.
+open) and unclaimed protocols.  A mixed-shard train whose placements
+are still current brings them along, so the walk probes nothing again:
+each flow-run is hashed once, at the link.
 
 **One placement walk** (§4 burst amortization): every arrival the link
 did not place — a single packet through :meth:`ShardedHost.receive` or
@@ -587,22 +589,26 @@ class ShardedHost:
         """
         link.connect(self.front.receive, burst_receiver=self.receive_burst)
         if steer:
-            link.set_steering(self.steering, self.steer_burst)
+            link.set_steering(self.steering, self.steer_burst, self.receive_burst)
             self._steered = True
 
     def receive(self, packet: Packet) -> None:
         """Demux one packet to its home shard."""
         self._ingress([packet])
 
-    def receive_burst(self, packets: list[Packet]) -> None:
+    def receive_burst(
+        self, packets: list[Packet], placements: list[list[int]] | None = None
+    ) -> None:
         """Demux a packet train in one pass: one hand-off per shard.
 
         With link steering active this is the *slow path* — only
         mixed-shard, stale-epoch or unclaimed-protocol trains land
-        here, counted as fallbacks.
+        here, counted as fallbacks.  A steering link passes a mixed
+        train's still-current ``placements`` (its per-run ``[bucket,
+        shard, n]``), which the walk uses instead of hashing each run.
         """
         if packets:
-            self._ingress(packets, train=True)
+            self._ingress(packets, train=True, placements=placements)
 
     def steer_burst(self, index: int, packets: list[Packet]) -> None:
         """Zero-hop ingress: a steered link delivers a single-shard
@@ -615,6 +621,7 @@ class ShardedHost:
         packets: list[Packet],
         train: bool = False,
         steered: HostShard | None = None,
+        placements: list[list[int]] | None = None,
     ) -> None:
         """The one ingress path behind the three entry points.
 
@@ -622,9 +629,12 @@ class ShardedHost:
         takes the placement walk: one :meth:`SteeringTable.place` probe
         per flow-run (consecutive packets of one flow), counted in
         ``demux_runs``; the run's other packets are counted as saved
-        probes.  Packets of protocols this front never claimed take the
-        front host's ordinary demux.  Each touched shard then gets all
-        of its packets in one :meth:`_deliver`.  A train (not a single
+        probes.  With ``placements`` (a steering link's current per-run
+        placements of this train) the walk takes each run's shard and
+        bucket from them in order instead of probing.  Packets of
+        protocols this front never claimed take the front host's
+        ordinary demux.  Each touched shard then gets all of its packets
+        in one :meth:`_deliver`.  A train (not a single
         packet) ends at a rebalance boundary.
         """
         if self._closed:
@@ -645,6 +655,7 @@ class ShardedHost:
                 counters.record_fallback(len(packets))
         table = self.steering
         claimed = self._claimed
+        placed = None if placements is None else iter(placements)
         per_shard: dict[HostShard, list[Packet]] = {}
         run_key: tuple[str, int] | None = None
         run_into: list[Packet] = []  # the run's shard's packet list
@@ -663,7 +674,10 @@ class ShardedHost:
                 run_len = 0
                 self.front.receive(packet)
                 continue
-            run_index, run_bucket = table.place(packet.protocol, packet.flow_id)
+            if placed is None:
+                run_index, run_bucket = table.place(packet.protocol, packet.flow_id)
+            else:
+                run_bucket, run_index, _ = next(placed)
             run_key = key
             run_len = 1
             shard = self.shards[run_index]

@@ -25,7 +25,8 @@ from repro.presentation.base import TransferCodec
 from repro.presentation.compiler import (
     CodecCache,
     CompiledCodec,
-    conversion_permutation,
+    Conversion,
+    pair_conversion,
     shared_codec_cache,
 )
 from repro.presentation.costs import CodecCostProfile
@@ -221,11 +222,11 @@ class PresentationConvertStage(Stage):
         self.name = name or f"convert-{self.src.syntax}-to-{self.dst.syntax}"
 
     @cached_property
-    def _perm(self):
-        """The byte permutation :meth:`apply` gathers through, or None.
-        Computed on first use: a stage whose conversion is fused into a
-        compiled plan never calls :meth:`apply`."""
-        return conversion_permutation(self.src, self.dst)
+    def conversion(self) -> Conversion:
+        """The codec pair's shared :class:`Conversion`: its kernel decides
+        fusability, its permutation (computed on first use, once per
+        pair) is what :meth:`apply` gathers through."""
+        return pair_conversion(self.src, self.dst)
 
     @property
     def identity(self) -> bool:
@@ -242,11 +243,12 @@ class PresentationConvertStage(Stage):
         )
 
     def apply(self, data):
-        if self._perm is not None and not isinstance(data, BufferChain):
+        perm = None if isinstance(data, BufferChain) else self.conversion.permutation
+        if perm is not None:
             import numpy as np
 
             raw = np.frombuffer(bytes(data), dtype=np.uint8)
-            return raw[self._perm].tobytes()
+            return raw[perm].tobytes()
         if isinstance(data, BufferChain):
             value = self.src.decode_chain(data)
         else:
@@ -255,7 +257,7 @@ class PresentationConvertStage(Stage):
 
     def to_word_kernel(self):
         """Lower to a word kernel when a pure permutation exists."""
-        return self.src.to_word_kernel(self.dst)
+        return self.conversion.kernel
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from repro.machine.accounting import integrity_counters
 from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.presentation.compiler import schema_fingerprint
 from repro.stages.encrypt import WordXorStage, cipher_token
-from repro.stages.presentation import PresentationBinding, PresentationConvertStage
+from repro.stages.presentation import PresentationBinding
 from repro.transport.alf.fec import FecDecoder, FecFragment
-from repro.transport.alf.sender import WIRE_CHECKSUM, wire_pipeline
+from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
 from repro.transport.drain import ReadyAdu, SharedDrainEngine
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -159,19 +159,12 @@ class AlfReceiver:
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.presentation = presentation
-        self._convert: PresentationConvertStage | None = (
-            presentation.receiver_stage() if presentation is not None else None
-        )
-        self._convert_fused = (
-            self._convert is not None and self._convert.to_word_kernel() is not None
-        )
-        if isinstance(encryption, int):
-            encryption = WordXorStage(encryption, name="decrypt")
-        self._encrypt: WordXorStage | None = encryption
         self.integrity = integrity
+        self.wire = WireConfig(
+            True, presentation, encryption, integrity, self.machine, self.plan_cache
+        )
         self.drain_engine = drain_engine
         self.batch_drain = bool(batch_drain) or drain_engine is not None
-        self._wire_plan: CompiledPlan | None = None
         self.counter = counter or InstructionCounter()
         self.tracer = tracer or Tracer(enabled=False)
         self.stats = TransportStats()
@@ -367,29 +360,14 @@ class AlfReceiver:
 
     @property
     def wire_plan(self) -> CompiledPlan:
-        """The flow's compiled wire plan.  Without presentation or
-        cipher its shape matches the sender's, so the shared cache
-        serves both ends from one entry; with a fusable presentation
-        binding and/or encryption it is [checksum, decrypt, convert]:
-        one fused loop that verifies the wire (cipher-text) bytes,
-        decrypts, and emits the local-syntax form."""
-        if self._wire_plan is None:
-            self._wire_plan = self.plan_cache.get_or_compile(
-                wire_pipeline(
-                    self._convert if self._convert_fused else None,
-                    convert_after=True,
-                    encrypt=self._encrypt,
-                    integrity=self.integrity,
-                ),
-                self.machine,
-            )
-        return self._wire_plan
-
-    @property
-    def _plan_transforms(self) -> bool:
-        """Whether the compiled wire plan rewrites the payload (fused
-        conversion and/or decryption) rather than only observing it."""
-        return self._convert_fused or self._encrypt is not None
+        """The flow's compiled wire plan, resolved once per
+        configuration.  Without presentation or cipher its shape matches
+        the sender's, so the shared cache serves both ends from one
+        entry; with a fusable presentation binding and/or encryption it
+        is [checksum, decrypt, convert]: one fused loop that verifies the
+        wire (cipher-text) bytes, decrypts, and emits the local-syntax
+        form."""
+        return self.wire.plan
 
     def _adu_corrupt_spans(self, partial: _PartialAdu) -> tuple[tuple[int, int], ...]:
         """Rebase the PHY's fragment-relative damage hints to ADU offsets.
@@ -483,7 +461,7 @@ class AlfReceiver:
             self._release_fragments(partial)
             return
         self._release_fragments(partial)
-        plan_out = out if self._plan_transforms else None
+        plan_out = out if self.wire.transforms else None
         self._deliver_adu(
             sequence, adu, plan_out=plan_out, corrupt_spans=corrupt_spans
         )
@@ -546,7 +524,7 @@ class AlfReceiver:
         return (
             self.wire_plan.key,
             schema_fp,
-            cipher_token(self._encrypt),
+            cipher_token(self.wire.encrypt),
             integrity_token(self.integrity),
         )
 
@@ -696,7 +674,7 @@ class AlfReceiver:
             if isinstance(plan_out, BufferChain) and plan_out is not adu.payload:
                 plan_out.release()
             return
-        if self._plan_transforms and plan_out is None:
+        if self.wire.transforms and plan_out is None:
             # Direct deliveries (FEC recovery) arrive carrying verified
             # wire-syntax bytes; run the plan now to decrypt/convert.
             if isinstance(adu.payload, BufferChain):
@@ -709,11 +687,12 @@ class AlfReceiver:
             self.out_of_order_deliveries += 1
 
         chain = adu.payload if isinstance(adu.payload, BufferChain) else None
-        if self._convert is not None and not self._convert_fused:
+        convert = self.wire.staged_convert
+        if convert is not None:
             # Stage-path conversion: the compiled codec decodes the
             # (decrypted) wire form and re-encodes in the local syntax.
             source = adu.payload if plan_out is None else plan_out
-            payload = self._convert.apply(source)
+            payload = convert.apply(source)
             if isinstance(plan_out, BufferChain):
                 plan_out.release()
             if chain is not None:

@@ -20,66 +20,20 @@ from repro.control.instructions import InstructionCounter
 from repro.core.adu import Adu, fragment_payloads
 from repro.errors import TransportError
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
-from repro.ilp.pipeline import Pipeline
 from repro.integrity import IntegrityPolicy
 from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
 from repro.sim.trace import Tracer
-from repro.stages.checksum import ChecksumComputeStage
 from repro.stages.encrypt import WordXorStage
-from repro.stages.presentation import PresentationBinding, PresentationConvertStage
+from repro.stages.presentation import PresentationBinding
 from repro.transport.alf.recovery import RecoveryMode
+from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
 from repro.transport.base import TransportStats
 from repro.transport.pacing import TrainPacer
 
 PROTOCOL = "alf"
-
-#: Kernel name the wire plan's checksum observation is published under.
-WIRE_CHECKSUM = "checksum-internet"
-
-
-def wire_pipeline(
-    convert: PresentationConvertStage | None = None,
-    convert_after: bool = False,
-    encrypt: WordXorStage | None = None,
-    integrity: IntegrityPolicy | None = None,
-) -> Pipeline:
-    """The ALF wire manipulation: the per-ADU checksum (paper §5 —
-    "error detection is done on an ADU basis").
-
-    With a presentation ``convert`` stage the conversion joins the
-    checksum's integrated loop: the sender converts before checksumming
-    (so the checksum covers the wire bytes) and the receiver verifies
-    then converts back (``convert_after=True``).  An ``encrypt`` stage
-    completes the paper's §6 stage list: the sender runs
-    ``[convert, encrypt, checksum]`` — the checksum covers the
-    *ciphertext*, so the receiver verifies before decrypting — and the
-    receiver mirrors it as ``[checksum, decrypt, convert]``.  All three
-    stages fuse (none has ordering requirements), so each direction
-    compiles to **one** integrated read pass.  The shape is identical
-    for every flow with the same presentation and cipher, so all of them
-    share one cached :class:`CompiledPlan` per machine profile.
-
-    ``integrity`` compiles a coverage policy into the checksum stage:
-    covered spans fold, uncovered bytes are never read, and the policy
-    fingerprint rides the stage's lowering token so plans with different
-    coverage stay distinct cache entries.
-    """
-    checksum = ChecksumComputeStage(coverage=integrity)
-    if convert_after:
-        stages = [checksum]
-        if encrypt is not None:
-            stages.append(encrypt)
-        if convert is not None:
-            stages.append(convert)
-    else:
-        stages = [] if convert is None else [convert]
-        if encrypt is not None:
-            stages.append(encrypt)
-        stages.append(checksum)
-    return Pipeline(stages, name="alf-wire")
 
 #: A callback that regenerates a lost ADU from its sequence number.
 RecomputeFn = Callable[[int], Adu]
@@ -208,22 +162,15 @@ class AlfSender:
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.presentation = presentation
-        self._convert: PresentationConvertStage | None = (
-            presentation.sender_stage() if presentation is not None else None
-        )
+        self.integrity = integrity
         # Conversion joins the checksum loop when it lowers to a word
         # kernel; otherwise it runs on the compiled codecs' stage path.
-        self._convert_fused = (
-            self._convert is not None and self._convert.to_word_kernel() is not None
+        self.wire = WireConfig(
+            False, presentation, encryption, integrity, self.machine, self.plan_cache
         )
-        if isinstance(encryption, int):
-            encryption = WordXorStage(encryption, name="encrypt")
-        self._encrypt: WordXorStage | None = encryption
-        self.integrity = integrity
         self.pacing = pacing
         if pacing is not None:
             pacing.bind(host.send)
-        self._wire_plan: CompiledPlan | None = None
         # sequence -> (wire payload, checksum); the payload is None when
         # it is the ADU's own (see _wire_form).
         self._wire: dict[int, tuple[bytes | BufferChain | None, int]] = {}
@@ -279,16 +226,17 @@ class AlfSender:
             raise TransportError("sender is closed")
         if not adus:
             return
-        if self._convert is not None and not self._convert_fused:
+        convert = self.wire.staged_convert
+        if convert is not None:
             # Stage-path conversion first (compiled codecs, chains
             # decoded in place), then one batched encrypt+checksum pass.
-            payloads = [self._convert.apply(adu.payload) for adu in adus]
+            payloads = [convert.apply(adu.payload) for adu in adus]
         else:
             # Chain payloads gather straight into the batch array —
             # no per-ADU linearize.
             payloads = [adu.payload for adu in adus]
         batch = self.wire_plan.run_batch(payloads)
-        wire = batch.outputs if self._plan_transforms else payloads
+        wire = batch.outputs if self.wire.transforms else payloads
         for adu, payload, checksum in zip(
             adus, wire, batch.observations[WIRE_CHECKSUM]
         ):
@@ -298,27 +246,13 @@ class AlfSender:
 
     @property
     def wire_plan(self) -> CompiledPlan:
-        """The flow's compiled wire plan — planned once, cached across
-        flows; steady-state traffic never re-plans.  With a fusable
-        presentation binding and/or an encryption stage the plan is
-        [convert, encrypt, checksum]: one fused loop that converts,
-        encrypts, and checksums the wire (cipher-text) bytes."""
-        if self._wire_plan is None:
-            self._wire_plan = self.plan_cache.get_or_compile(
-                wire_pipeline(
-                    self._convert if self._convert_fused else None,
-                    encrypt=self._encrypt,
-                    integrity=self.integrity,
-                ),
-                self.machine,
-            )
-        return self._wire_plan
-
-    @property
-    def _plan_transforms(self) -> bool:
-        """Whether the compiled wire plan rewrites the payload (fused
-        conversion and/or encryption) rather than only observing it."""
-        return self._convert_fused or self._encrypt is not None
+        """The flow's compiled wire plan — resolved once per
+        configuration, cached across flows; steady-state traffic never
+        re-plans.  With a fusable presentation binding and/or an
+        encryption stage the plan is [convert, encrypt, checksum]: one
+        fused loop that converts, encrypts, and checksums the wire
+        (cipher-text) bytes."""
+        return self.wire.plan
 
     def _wire_form(self, adu: Adu) -> tuple[bytes | BufferChain, int]:
         """The ADU's on-the-wire payload and checksum, memoized.
@@ -333,11 +267,12 @@ class AlfSender:
         memo = self._wire.get(adu.sequence)
         if memo is None:
             source = adu.payload
-            if self._convert is not None and not self._convert_fused:
+            convert = self.wire.staged_convert
+            if convert is not None:
                 # Variable layout (e.g. a TLV wire syntax): convert through
                 # the compiled codecs' streaming path first; encryption and
                 # checksum still run fused over the converted bytes.
-                source = self._convert.apply(source)
+                source = convert.apply(source)
             if isinstance(source, BufferChain):
                 payload, observations = self.wire_plan.run_chain(source)
             else:
@@ -459,7 +394,7 @@ class AlfSender:
             return
         from repro.transport.alf.fec import encode_with_parity
 
-        if self._plan_transforms or self._convert is not None:
+        if self.wire.transforms or self.wire.convert is not None:
             # FEC parity is computed over the wire-syntax (converted,
             # encrypted) bytes the receiver will verify and invert.
             payload, _ = self._wire_form(adu)

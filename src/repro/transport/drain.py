@@ -75,7 +75,7 @@ from repro.errors import TransportError
 from repro.machine.accounting import DrainCounters
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
-from repro.transport.alf.sender import WIRE_CHECKSUM
+from repro.transport.alf.wire import WIRE_CHECKSUM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.transport.alf.receiver import AlfReceiver

@@ -35,7 +35,7 @@ from repro.net.topology import two_hosts
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.transport.alf import AlfReceiver, AlfSender
-from repro.transport.alf.sender import WIRE_CHECKSUM, wire_pipeline
+from repro.transport.alf.wire import WIRE_CHECKSUM, wire_pipeline
 
 HEADER_BYTES = 64
 PAYLOAD_MAX = 1024

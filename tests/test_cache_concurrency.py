@@ -7,7 +7,9 @@ under pressure, and every thread receives a plan/codec that produces
 correct results even while other threads are evicting it.
 """
 
+import contextlib
 import random
+import sys
 import threading
 
 from repro.ilp.compiler import PlanCache
@@ -176,3 +178,63 @@ def test_plan_cache_shared_by_key_across_shard_engines():
     snapshot = cache.snapshot()
     assert snapshot["misses"] == 1
     assert snapshot["hits"] == N_THREADS * N_ROUNDS - 1
+
+
+@contextlib.contextmanager
+def frequent_switches():
+    """Switch threads every microsecond, so lost updates show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_configured_plans_match_their_pipelines_under_eviction_pressure():
+    cache = PlanCache(capacity=2)
+
+    def worker(tid: int) -> None:
+        for round_ in range(N_ROUNDS):
+            key = (tid + round_) % 5  # more configurations than capacity
+            plan = cache.get_configured(
+                ("secure", key), lambda key=key: secure_pipeline(key), MIPS_R2000
+            )
+            data = bytes(random.Random(tid * 1000 + round_).randbytes(64))
+            out, _ = plan.run(data)
+            assert out == WordXorStage(key).apply(data)
+
+    with frequent_switches():
+        assert run_threads(worker) == []
+    snapshot = cache.snapshot()
+    assert snapshot["hits"] + snapshot["misses"] == N_THREADS * N_ROUNDS
+    assert snapshot["entries"] <= 2
+
+
+def test_codec_pair_conversion_is_built_once_under_contention(monkeypatch):
+    from repro.presentation import compiler
+
+    calls = []
+    real = compiler.conversion_permutation
+
+    def counted(src, dst):
+        calls.append(1)
+        return real(src, dst)
+
+    monkeypatch.setattr(compiler, "conversion_permutation", counted)
+    cache = CodecCache()
+    schema = ArrayOf(Int32(), fixed_count=7)
+    little = cache.get_or_compile(schema, LwtsCodec(byte_order="little"))
+    big = cache.get_or_compile(schema, LwtsCodec(byte_order="big"))
+    seen = []
+
+    def worker(tid: int) -> None:
+        for _ in range(N_ROUNDS):
+            conversion = compiler.pair_conversion(little, big)
+            seen.append(conversion)
+            assert conversion.permutation is not None
+
+    with frequent_switches():
+        assert run_threads(worker) == []
+    assert len({id(conversion) for conversion in seen}) == 1
+    assert len(calls) == 1

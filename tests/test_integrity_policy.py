@@ -44,7 +44,7 @@ from repro.stages.checksum import (
     coverage_internet_checksum,
     internet_checksum,
 )
-from repro.transport.alf.sender import WIRE_CHECKSUM, wire_pipeline
+from repro.transport.alf.wire import WIRE_CHECKSUM, wire_pipeline
 
 _PLANS = PlanCache(capacity=512)
 

@@ -31,7 +31,7 @@ from repro.stages.checksum import ChecksumComputeStage
 from repro.stages.encrypt import WordXorStage
 from repro.stages.presentation import ByteswapStage, PresentationBinding
 from repro.transport.alf import AlfReceiver
-from repro.transport.alf.sender import wire_pipeline
+from repro.transport.alf.wire import wire_pipeline
 from repro.units import bytes_to_words as words_covering
 
 from tests.test_transport_drain import KEY, adu_payload, encrypted_packets, make_env

@@ -29,7 +29,7 @@ from repro.stages.copy import BufferForRetransmitStage
 from repro.stages.encrypt import WordXorStage, secure_counters
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.alf.receiver import PROTOCOL
-from repro.transport.alf.sender import wire_pipeline
+from repro.transport.alf.wire import wire_pipeline
 from repro.transport.session import (
     SessionConfig,
     SessionInitiator,

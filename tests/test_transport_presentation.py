@@ -70,7 +70,7 @@ class TestAlfPresentation:
     def test_fused_conversion_delivers_local_syntax(self):
         binding = lwts_binding(FIXED)
         path, sender, delivered = make_pair(binding, binding)
-        assert sender._convert_fused  # fixed layout lowers to a kernel
+        assert sender.wire.fused  # fixed layout lowers to a kernel
         local = LwtsCodec(byte_order="little").encode(VALUE, FIXED)
         sender.send_adu(Adu(0, local, {}))
         path.loop.run(until=10)
@@ -91,7 +91,7 @@ class TestAlfPresentation:
     def test_variable_layout_uses_compiled_codecs(self):
         binding = lwts_binding(VARIABLE)
         path, sender, delivered = make_pair(binding, binding)
-        assert not sender._convert_fused  # no fixed layout, no kernel
+        assert not sender.wire.fused  # no fixed layout, no kernel
         value = {"name": "héllo", "xs": [10, -20, 30]}
         local = LwtsCodec(byte_order="little").encode(value, VARIABLE)
         sender.send_adu(Adu(0, local, {}))
@@ -105,7 +105,7 @@ class TestAlfPresentation:
             wire=LwtsCodec(byte_order="big"),
         )
         path, sender, delivered = make_pair(binding, binding)
-        assert sender._convert is None
+        assert sender.wire.convert is None
         payload = LwtsCodec(byte_order="big").encode(VALUE, FIXED)
         sender.send_adu(Adu(0, payload, {}))
         path.loop.run(until=10)
@@ -116,7 +116,7 @@ class TestAlfPresentation:
             schema=FIXED, local=LwtsCodec(byte_order="little"), wire=BerCodec()
         )
         path, sender, delivered = make_pair(binding, binding)
-        assert not sender._convert_fused  # TLV framing is not a permutation
+        assert not sender.wire.fused  # TLV framing is not a permutation
         local = LwtsCodec(byte_order="little").encode(VALUE, FIXED)
         sender.send_adu(Adu(0, local, {}))
         path.loop.run(until=10)
@@ -209,13 +209,13 @@ class TestSessionPresentation:
     def test_sender_converts_fixed_schema_fused(self):
         initiator = self.run_session("fixed", VALUE)
         assert initiator.session.plan.strategy == "sender-converts"
-        assert initiator.session.sender._convert_fused
+        assert initiator.session.sender.wire.fused
 
     def test_sender_converts_variable_schema(self):
         initiator = self.run_session(
             "var", {"name": "x", "xs": [1, 2, 3]}
         )
-        assert not initiator.session.sender._convert_fused
+        assert not initiator.session.sender.wire.fused
 
     def test_identity_when_syntaxes_agree(self):
         path = two_hosts(seed=3)
@@ -227,7 +227,7 @@ class TestSessionPresentation:
             init_syntax=LocalSyntax("init", listener.local_syntax.byte_order),
         )
         assert initiator.session.plan.strategy == "identity"
-        assert initiator.session.sender._convert is None
+        assert initiator.session.sender.wire.convert is None
 
     def test_presentation_off_is_unchanged(self):
         path = two_hosts(seed=3)
@@ -253,37 +253,44 @@ if __name__ == "__main__":
 
 
 def test_bulk_binding_builds_without_a_permutation(monkeypatch):
-    """A fused conversion never gathers through ``_perm``, so building
-    the stages computes no permutation; ``apply`` computes it once."""
+    """Bring-up of ``bulk_secure``'s binding (16 KiB of int32, LWTS
+    little -> big, XOR key): 8 sender/receiver pairs decide the fused
+    word swap from the layouts and never build the byte permutation.
+    ``apply`` computes it on first use, once per codec pair."""
     import numpy as np
 
-    from repro.presentation.compiler import conversion_permutation
-    from repro.stages import presentation as stages
+    from repro.presentation import compiler
 
     calls = []
+    real = compiler.conversion_permutation
 
     def counted(src, dst):
         calls.append((src.syntax, dst.syntax))
-        return conversion_permutation(src, dst)
+        return real(src, dst)
 
-    monkeypatch.setattr(stages, "conversion_permutation", counted)
+    monkeypatch.setattr(compiler, "conversion_permutation", counted)
+    # Fresh codecs, so no earlier test's memo can hide a computation.
+    monkeypatch.setattr(compiler, "_SHARED_CODEC_CACHE", compiler.CodecCache())
     schema = ArrayOf(Int32(), fixed_count=4096)
     binding = PresentationBinding(
         schema, LwtsCodec(byte_order="little"), LwtsCodec(byte_order="big")
     )
     path = two_hosts(seed=1)
-    AlfReceiver(path.loop, path.b, "a", 1, deliver=lambda adu: None,
-                presentation=binding, encryption=0x5A5AC3D2)
-    AlfSender(path.loop, path.a, "b", 1, presentation=binding,
-              encryption=0x5A5AC3D2)
+    for flow_id in range(8):
+        receiver = AlfReceiver(
+            path.loop, path.b, "a", flow_id, deliver=lambda adu: None,
+            presentation=binding, encryption=0x5A5AC3D2,
+        )
+        sender = AlfSender(path.loop, path.a, "b", flow_id,
+                           presentation=binding, encryption=0x5A5AC3D2)
+        assert sender.wire.fused and receiver.wire.fused
+        assert sender.wire_plan.n_loops == 1 and receiver.wire_plan.n_loops == 1
     assert calls == []
 
     stage = binding.sender_stage()
     data = bytes(range(256)) * 64
-    expected = np.frombuffer(data, dtype=np.uint8)[
-        conversion_permutation(stage.src, stage.dst)
-    ].tobytes()
+    expected = np.frombuffer(data, dtype=np.uint8)[real(stage.src, stage.dst)].tobytes()
     assert stage.apply(data) == expected
-    assert stage.apply(data) == expected
+    assert binding.sender_stage().apply(data) == expected
     assert stage.apply(data) == stage.dst.encode(stage.src.decode(data))
     assert calls == [("lwts-le", "lwts-be")]

@@ -196,6 +196,63 @@ class TestZeroHopDelivery:
         assert len(got[source]) == 0
         ing.sharded.shutdown()
 
+    def test_mixed_train_is_placed_once(self):
+        # A mixed-shard train whose link placements are current reaches
+        # the front-end walk with them: one place() per flow-run in all,
+        # and the same runs, ledgers and shards as a walk that hashes.
+        flows = [1, 1, 2, 3, 3, 3, 4, 5]
+        results = []
+        for steer in (True, False):
+            ing = make_ingress(shards=4, steer=steer, max_train=8,
+                               train_window=1e-3)
+            got = bind_sinks(ing.sharded)
+            for i, fid in enumerate(flows):
+                ing.a.send(data_packet(fid, i))
+            ing.loop.run()
+            ing.sharded.drain()
+            table = ing.sharded.steering
+            snap = ing.sharded.snapshot()
+            results.append((
+                {index: [p.header["i"] for p in packets] for index, packets in got.items()},
+                list(table.bucket_packets),
+                list(table.shard_packets),
+                snap["demux"]["demux_runs"],
+                table.lookups,
+            ))
+            ing.sharded.shutdown()
+        steered, hashed = results
+        assert steered[:4] == hashed[:4]
+        assert steered[3] == 5  # five flow-runs
+        assert steered[4] == 5 and hashed[4] == 5
+
+    def test_mixed_train_remapped_mid_train_is_re_placed(self):
+        # A bucket remap while a mixed train is open makes the link's
+        # placements stale: the walk hashes every run again, under the
+        # fresh map, and the remapped flow lands on its new shard.
+        ing = make_ingress(shards=4, steer=True, max_train=64,
+                           train_window=20e-3)
+        got = bind_sinks(ing.sharded)
+        flows = [1, 2, 3, 4, 5, 6, 8, 9]
+        table = ing.sharded.steering
+        assert len({shard_index("alf", fid, 4) for fid in flows}) > 1
+        for fid in flows:
+            ing.a.send(data_packet(fid))
+        bucket = table.bucket_of(PROTOCOL, 1)
+        source = table.map[bucket]
+        target = (source + 1) % 4
+        ing.loop.schedule(
+            0.005, lambda: ing.sharded.migrate_bucket(bucket, target)
+        )
+        ing.loop.run()
+        ing.sharded.drain()
+        assert table.epoch == 1
+        # Eight runs placed while boarding, all eight again by the walk.
+        assert table.lookups == 16
+        assert [p.flow_id for p in got[target] if p.flow_id == 1] == [1]
+        assert all(p.flow_id != 1 for p in got[source])
+        assert sum(table.shard_packets) == len(flows)
+        ing.sharded.shutdown()
+
     def test_forged_steer_stamp_cannot_misplace_a_train(self):
         # A sender-written header["steer"] stamp naming the current
         # epoch but the wrong shard must not move the train: placement
