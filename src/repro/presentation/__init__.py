@@ -45,7 +45,6 @@ from repro.presentation.compiler import (
     CodecOp,
     CompiledCodec,
     PresentationCounters,
-    conversion_kernel,
     conversion_permutation,
     presentation_counters,
     schema_fingerprint,
@@ -91,7 +90,6 @@ __all__ = [
     "CodecOp",
     "CompiledCodec",
     "PresentationCounters",
-    "conversion_kernel",
     "conversion_permutation",
     "presentation_counters",
     "schema_fingerprint",

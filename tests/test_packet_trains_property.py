@@ -199,9 +199,16 @@ def link_run(case: dict, as_runs: bool):
     table = None
     if case["steering"]:
         table = SteeringTable(4, protocols=("alf",), buckets_per_shard=2)
-        link.set_steering(table, lambda shard, packets: delivered.append(
-            ("steered", shard, loop.now, [seen(packet) for packet in packets])
-        ))
+        link.set_steering(
+            table,
+            lambda shard, packets: delivered.append(
+                ("steered", shard, loop.now, [seen(packet) for packet in packets])
+            ),
+            lambda packets, placements: delivered.append(
+                ("placed", loop.now, [seen(packet) for packet in packets],
+                 [list(placement) for placement in placements])
+            ),
+        )
     states = []
     for run_no, packets in enumerate(run_packets(case)):
         if run_no == 1 and case["change"] is not None:
