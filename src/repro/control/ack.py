@@ -143,6 +143,15 @@ class SelectiveAckTracker:
         """ADUs received so far."""
         return self.cumulative + len(self._above)
 
+    @property
+    def has_gaps(self) -> bool:
+        """Whether some ADU below the highest arrival is still missing.
+
+        A hole is what a repeated ACK can still repair; a tracker with
+        none is caught up, and its ACK restates what the last one said.
+        """
+        return bool(self._holes)
+
     def received_above(self) -> list[int]:
         """ADUs received above the cumulative point, ascending."""
         return sorted(self._above)

@@ -448,7 +448,8 @@ class SerialShardScheduler:
             until: stop once every loop's next event is later than this
                 (each loop's clock advances to ``until``).  None runs
                 all loops to quiescence — beware self-rescheduling
-                events (periodic ACK timers) never quiesce.
+                events: an open receiver's periodic ACK timer never
+                quiesces (a closed one stops re-arming).
         """
         ran = 0
         while True:

@@ -69,8 +69,14 @@ class AlfReceiver:
         flow_id: association identifier.
         deliver: called with a :class:`DeliveredAdu` as soon as the ADU
             completes — this is the out-of-order delivery ALF exists for.
-        ack_interval: seconds between ACK transmissions (an ACK is also
-            sent on every completed ADU).
+        ack_interval: seconds between repeats of the selective ACK, or
+            0 for no timer.  Every delivery sends an ACK (one per flow
+            per drain dispatch) and a duplicate of a delivered ADU is
+            re-ACKed, so the timer repeats only while the flow is
+            unresolved: it holds a partial ADU, has ready rows not yet
+            drained, or has a gap below the highest ADU received.  A
+            caught-up receiver stays silent, and a closed one neither
+            sends nor re-arms.
         expected_adus: when known, lets :attr:`complete` report overall
             transfer completion.
         machine: profile the compiled wire plan is priced on.
@@ -747,7 +753,11 @@ class AlfReceiver:
     # Acknowledgement
 
     def _periodic_ack(self) -> None:
-        if len(self.acks) or self._partial:
+        if self._closed:
+            return
+        # Repeat only what can still drive repair; a caught-up flow's
+        # last delivery ACK already said everything this one would.
+        if self._partial or self._ready or self.acks.has_gaps:
             self._send_ack()
         self.loop.schedule(self.ack_interval, self._periodic_ack)
 

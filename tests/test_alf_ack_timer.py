@@ -1,0 +1,221 @@
+"""The ALF receiver's ACK timer speaks only while the flow is unresolved.
+
+Every delivery sends an ACK, and a duplicate of a delivered ADU is
+re-ACKed, so a timer repeat of a caught-up receiver could only restate
+its last ACK.  The timer therefore repeats while the receiver holds a
+partial ADU, ready rows not yet drained, or a hole below its highest
+arrival, and stays silent otherwise.  A closed receiver's timer neither
+sends nor re-arms.
+"""
+
+from __future__ import annotations
+
+import math
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.bench.workloads import octet_payload
+from repro.control.ack import SelectiveAckTracker
+from repro.core.adu import Adu
+from repro.net.packet import Packet
+from repro.net.topology import two_hosts
+from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
+from repro.transport.drain import SharedDrainEngine
+
+INTERVAL = 0.05
+MTU = 256
+
+
+def drop_forward(path, doomed) -> None:
+    """Drop every a→b packet ``doomed(packet)`` picks, retransmissions too."""
+    send = path.a.send
+
+    def filtered(packets):
+        run = [packets] if isinstance(packets, Packet) else packets
+        kept = [packet for packet in run if not doomed(packet)]
+        if kept:
+            send(kept)
+
+    path.a.send = filtered
+
+
+def make_flow(sizes, ack_interval=INTERVAL, doomed=None, drain_engine=None,
+              seed=1, **sender_kwargs):
+    """A two-host flow: sender on ``a``, receiver on ``b``, ADUs not yet sent."""
+    path = two_hosts(seed=seed)
+    if doomed is not None:
+        drop_forward(path, doomed)
+    engine = drain_engine(path.loop) if drain_engine is not None else None
+    got: dict[int, list[bytes]] = {}
+    receiver = AlfReceiver(
+        path.loop, path.b, "a", 1,
+        deliver=lambda d: got.setdefault(d.sequence, []).append(bytes(d.payload)),
+        ack_interval=ack_interval, drain_engine=engine,
+    )
+    sender = AlfSender(path.loop, path.a, "b", 1, mtu=MTU, **sender_kwargs)
+    adus = [Adu(i, octet_payload(size, seed=10 + i), {"i": i})
+            for i, size in enumerate(sizes)]
+    return path, receiver, sender, adus, got
+
+
+def acks_over(path, receiver, intervals, interval=INTERVAL) -> int:
+    """ACKs the receiver sends over the next ``intervals`` timer periods.
+
+    The receiver was built at time 0, so its timer ticks at whole
+    multiples of the period; the window opens and closes half-way
+    between two ticks, so no tick sits on a boundary.
+    """
+    start = (math.floor(path.loop.now / interval) + 1.5) * interval
+    path.loop.run(until=start)
+    before = receiver.stats.acks_sent
+    path.loop.run(until=start + intervals * interval)
+    return receiver.stats.acks_sent - before
+
+
+class TestHasGaps:
+    def test_in_order_arrivals_leave_no_gap(self):
+        tracker = SelectiveAckTracker()
+        assert not tracker.has_gaps
+        for sequence in range(4):
+            tracker.on_adu(sequence)
+        assert not tracker.has_gaps
+
+    def test_gap_opens_and_fills(self):
+        tracker = SelectiveAckTracker()
+        tracker.on_adu(0)
+        tracker.on_adu(2)
+        assert tracker.has_gaps
+        tracker.on_adu(1)
+        assert not tracker.has_gaps
+
+
+class TestTimerRule:
+    def test_caught_up_receiver_is_silent(self):
+        path, receiver, sender, adus, got = make_flow([100, 600, 300])
+        for adu in adus:
+            sender.send_adu(adu)
+        sender.close()
+        path.loop.run(until=1.0)
+        assert sorted(got) == [0, 1, 2]
+        assert sender._completed
+        # One ACK per delivery, no repeats after the last one.
+        assert receiver.stats.acks_sent == 3
+        assert acks_over(path, receiver, 10) == 0
+        assert receiver.stats.acks_sent == 3
+
+    def test_lost_fragment_keeps_one_ack_per_interval(self):
+        # ADU 0's second fragment never arrives: a partial ADU.
+        path, receiver, sender, adus, got = make_flow(
+            [600], rto=10.0,
+            doomed=lambda p: p.header["adu_seq"] == 0 and p.header["frag"] == 1,
+        )
+        sender.send_adu(adus[0])
+        path.loop.run(until=0.5)
+        assert receiver._partial and not got
+        assert acks_over(path, receiver, 10) == 10
+
+    def test_lost_adu_keeps_one_ack_per_interval(self):
+        # ADU 1 never arrives: 0 and 2 are delivered around a gap.
+        path, receiver, sender, adus, got = make_flow(
+            [100, 100, 100], rto=10.0,
+            doomed=lambda p: p.header["adu_seq"] == 1,
+        )
+        for adu in adus:
+            sender.send_adu(adu)
+        path.loop.run(until=0.5)
+        assert sorted(got) == [0, 2]
+        assert receiver.acks.has_gaps and not receiver._partial
+        assert acks_over(path, receiver, 10) == 10
+
+    def test_undrained_ready_rows_keep_one_ack_per_interval(self):
+        # The engine holds a ready row for 20 ticks before draining it.
+        hold = 20 * INTERVAL
+        path, receiver, sender, adus, got = make_flow(
+            [100, 100], rto=10.0,
+            drain_engine=lambda loop: SharedDrainEngine(loop, max_delay=hold),
+        )
+        sender.send_adu(adus[0])
+        path.loop.run(until=1.5)
+        assert sorted(got) == [0]
+        assert acks_over(path, receiver, 5) == 0  # caught up: silent
+        sender.send_adu(adus[1])
+        path.loop.run(until=path.loop.now + 0.1)
+        assert receiver.pending_ready == 1 and not got.get(1)
+        assert acks_over(path, receiver, 10) == 10
+        path.loop.run(until=path.loop.now + hold)
+        assert sorted(got) == [0, 1]
+        assert acks_over(path, receiver, 10) == 0
+
+    def test_closed_receiver_timer_stops(self):
+        path, receiver, sender, adus, got = make_flow([100])
+        sender.send_adu(adus[0])
+        sender.close()
+        path.loop.run(until=0.5)
+        assert sorted(got) == [0] and sender._completed
+        receiver.close()
+        sent = receiver.stats.acks_sent
+        path.loop.run(until=path.loop.now + 1.0)
+        assert receiver.stats.acks_sent == sent
+        # Nothing re-arms: the loop drains.
+        path.loop.run(max_events=1000)
+        assert path.loop.pending == 0
+
+    def test_closed_receiver_with_a_gap_stops_too(self):
+        path, receiver, sender, adus, got = make_flow(
+            [100, 100, 100], rto=10.0,
+            doomed=lambda p: p.header["adu_seq"] == 1,
+        )
+        for adu in adus:
+            sender.send_adu(adu)
+        path.loop.run(until=0.5)
+        assert receiver.acks.has_gaps
+        receiver.close()
+        sent = receiver.stats.acks_sent
+        path.loop.run(until=path.loop.now + 1.0)
+        assert receiver.stats.acks_sent == sent
+
+
+@st.composite
+def lossy_flows(draw):
+    """b→a loss, timer period and 1–8 ADUs of 1–4 fragments each."""
+    loss = draw(st.floats(min_value=0.0, max_value=0.5))
+    interval = draw(st.sampled_from([0.01, 0.05]))
+    fragments = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    sizes = [
+        draw(st.integers((count - 1) * MTU + 1, count * MTU))
+        for count in fragments
+    ]
+    seed = draw(st.integers(0, 2**16))
+    return loss, interval, sizes, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lossy_flows())
+def test_lossy_ack_path_still_completes_exactly_once(case):
+    loss, interval, sizes, seed = case
+    path = two_hosts(seed=seed, loss_rate=0.0, reverse_loss_rate=loss)
+    got: dict[int, list[bytes]] = {}
+    receiver = AlfReceiver(
+        path.loop, path.b, "a", 1,
+        deliver=lambda d: got.setdefault(d.sequence, []).append(bytes(d.payload)),
+        ack_interval=interval,
+    )
+    finished = []
+    sender = AlfSender(
+        path.loop, path.a, "b", 1, mtu=MTU,
+        recovery=RecoveryMode.TRANSPORT_BUFFER,
+        on_complete=lambda: finished.append(path.loop.now),
+    )
+    adus = [Adu(i, octet_payload(size, seed=seed + i), {"i": i})
+            for i, size in enumerate(sizes)]
+    for adu in adus:
+        sender.send_adu(adu)
+    sender.close()
+    path.loop.run(until=60.0)
+    # Completed by acknowledgement, not by giving up.
+    assert finished and not sender.adus_abandoned
+    assert sorted(got) == [adu.sequence for adu in adus]
+    for adu in adus:
+        assert got[adu.sequence] == [adu.payload]
+    receiver.close()

@@ -323,6 +323,33 @@ class TestSenderPacing:
         assert bystander.counters is not path.pacer.counters
         assert bystander.counters.snapshot()["pressure_signals"] == 0
 
+    def test_idle_receiver_timer_does_not_raise_the_rate(self):
+        # Every low-pressure ACK is one additive increase, so a caught-up
+        # receiver's timer, were it to repeat, would raise an idle
+        # sender's rate once per interval.
+        interval = 0.01
+        path = two_hosts(seed=3, pacing=True, rate=1e6)
+        engine = SharedDrainEngine(path.loop, max_delay=2e-3)
+        receiver = AlfReceiver(
+            path.loop, path.b, "a", 1,
+            deliver=lambda d: None, ack_interval=interval, drain_engine=engine,
+        )
+        finished = []
+        sender = AlfSender(
+            path.loop, path.a, "b", 1, pacing=path.pacer,
+            on_complete=lambda: finished.append(path.loop.now),
+        )
+        for i in range(8):
+            sender.send_adu(Adu(i, octet_payload(1000, seed=i), {"i": i}))
+        sender.close()
+        while not finished:
+            path.loop.run(until=path.loop.now + interval)
+        assert receiver.delivered_count == 8
+        raises = path.pacer.raises
+        assert raises > 0
+        path.loop.run(until=path.loop.now + 10 * interval)
+        assert path.pacer.raises == raises
+
 
 class TestSwitchTrainPreservation:
     def make(self, preserve=True, cap=32, capacity=64, bandwidth=1e6):
