@@ -17,8 +17,9 @@ Wire bytes, checksums and the decrypted round trip are asserted
 byte-identical between the two.  The one-read-pass claim is verified per
 direction against :func:`repro.machine.accounting.datapath_counters` —
 measured, not asserted.  A second section drains a 64-ADU reassembly
-queue through :meth:`AlfReceiver.run_batch` (one vectorized plan
-dispatch) against the per-ADU verify loop.  Emits a machine-readable
+queue through a :class:`~repro.transport.drain.SharedDrainEngine` (one
+vectorized ``run_batch`` plan dispatch) against verifying each ADU on
+arrival.  Emits a machine-readable
 JSON record (``SECURE_PIPELINE_JSON`` line and
 ``benchmarks/out/bench_secure_pipeline.json``) for the CI artifact.
 """
@@ -51,6 +52,7 @@ from repro.stages.presentation import PresentationConvertStage
 from repro.transport.alf import AlfReceiver, AlfSender
 from repro.transport.alf.receiver import PROTOCOL
 from repro.transport.alf.wire import wire_pipeline
+from repro.transport.drain import SharedDrainEngine
 
 N_INTEGERS = 1024
 N_ADUS = 64
@@ -185,9 +187,10 @@ def make_fragment_packets(payloads: list[bytes]) -> list[Packet]:
     return packets
 
 
-def make_receiver(batch_drain: bool):
-    """A receiver fed synthetically (the loop is never run, so the
-    zero-delay auto-drain stays queued and ``run_batch`` is explicit)."""
+def make_receiver(drained: bool):
+    """A receiver fed synthetically, verifying on arrival or through a
+    drain engine (the loop is never run, so the engine's zero-delay
+    flush stays queued and ``flush`` is explicit)."""
     path = two_hosts(seed=5)
     delivered: dict[int, bytes] = {}
     receiver = AlfReceiver(
@@ -198,26 +201,26 @@ def make_receiver(batch_drain: bool):
         deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
         zero_copy=False,
         encryption=KEY,
-        batch_drain=batch_drain,
+        drain_engine=SharedDrainEngine(path.loop) if drained else None,
     )
     return receiver, delivered
 
 
 def drain_per_adu(packets: list[Packet]) -> dict[int, bytes]:
-    receiver, delivered = make_receiver(batch_drain=False)
+    receiver, delivered = make_receiver(drained=False)
     for packet in packets:
         receiver._on_fragment(packet)
     return delivered
 
 
 def drain_batched(packets: list[Packet]) -> dict[int, bytes]:
-    receiver, delivered = make_receiver(batch_drain=True)
+    receiver, delivered = make_receiver(drained=True)
     for packet in packets:
         receiver._on_fragment(packet)
-    drained = receiver.run_batch()
-    assert drained == len(delivered)
-    assert receiver.batch_drains == 1
-    assert receiver.batch_drained_adus == N_ADUS
+    engine = receiver.drain_engine
+    drained = engine.flush()
+    assert drained == len(delivered) == N_ADUS
+    assert engine.counters.dispatches == 1
     return delivered
 
 
@@ -268,8 +271,8 @@ def record(payloads):
     send_passes = chain_passes(sender_plan, payloads)
     recv_passes = chain_passes(receiver_plan, layered_wire)
 
-    # Receive-side drain: one vectorized run_batch over the 64-ADU
-    # queue against the per-ADU verify loop.
+    # Receive-side drain: one engine-drained run_batch over the 64-ADU
+    # queue against verifying each ADU on arrival.
     packets = make_fragment_packets(payloads)
     per_adu_s, per_adu_out = best_of(lambda: drain_per_adu(packets))
     batch_s, batch_out = best_of(lambda: drain_batched(packets))

@@ -62,7 +62,7 @@ from repro.sim.rng import RngStreams
 from repro.transport.alf.receiver import AlfReceiver
 from repro.transport.alf.sender import AlfSender
 from repro.transport.alf.wire import WIRE_CHECKSUM, wire_pipeline
-from repro.transport.drain import SharedDrainEngine  # noqa: F401 (doc link)
+from repro.transport.drain import SharedDrainEngine
 
 N_FLOWS = 32
 N_ADUS = 4
@@ -243,7 +243,7 @@ def run_tolerant(corrupt_span: tuple[int, int], corrupt_rate: float) -> dict:
     receiver = AlfReceiver(
         path.loop, path.b, "a", 1, delivered.append,
         ack_interval=0.01, expected_adus=TOL_ADUS,
-        integrity=policy, batch_drain=True,
+        integrity=policy, drain_engine=SharedDrainEngine(path.loop),
     )
     sender = AlfSender(
         path.loop, path.a, "b", 1, mtu=TOL_PAYLOAD, integrity=policy

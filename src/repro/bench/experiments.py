@@ -707,7 +707,7 @@ def _integrity_scenario(
     payload_bytes: int = 4096,
     seed: int = 11,
 ) -> dict:
-    """One single-fragment flow under an integrity policy, batch-drained.
+    """One single-fragment flow under an integrity policy, engine-drained.
 
     Resets the process-wide integrity counters so the returned snapshot
     is attributable to this scenario alone.  Uses a private plan cache:
@@ -718,6 +718,7 @@ def _integrity_scenario(
     """
     from repro.ilp.compiler import PlanCache
     from repro.machine.accounting import integrity_counters
+    from repro.transport.drain import SharedDrainEngine
 
     integrity_counters().reset()
     cache = PlanCache(capacity=8)
@@ -731,7 +732,8 @@ def _integrity_scenario(
     receiver = AlfReceiver(
         path.loop, path.b, "a", 1, delivered.append,
         ack_interval=0.01, expected_adus=n_adus,
-        integrity=policy, batch_drain=True, plan_cache=cache,
+        integrity=policy, drain_engine=SharedDrainEngine(path.loop),
+        plan_cache=cache,
     )
     sender = AlfSender(
         path.loop, path.a, "b", 1, mtu=payload_bytes, integrity=policy,
@@ -2315,9 +2317,9 @@ def _drain_scenario(
 ) -> dict[str, Any]:
     """One multi-flow secure run; ``shared`` picks the drain engineering.
 
-    ``shared=False`` is the PR-4 baseline: every flow batch-drains its
-    own queue (one ``run_batch`` dispatch per flow per completion).
-    ``shared=True`` registers every accepted flow with one host-wide
+    ``shared=False`` is the baseline: every flow verifies each ADU on
+    arrival (one wire-plan dispatch per ADU).  ``shared=True`` registers
+    every accepted flow with one host-wide
     :class:`~repro.transport.drain.SharedDrainEngine` whose drain epoch
     is ``epoch`` seconds, so completions across flows coalesce.
     """
@@ -2352,7 +2354,6 @@ def _drain_scenario(
         plan_cache=plan_cache,
         presentation=True,
         encryption=key,
-        batch_drain=not shared,
         drain_engine=engine,
     )
     initiators = [
@@ -2407,10 +2408,15 @@ def _drain_scenario(
             for seq in range(n_adus)
         ]
         assert sorted(rows) == sorted(expected), f"flow {index} payloads diverged"
+    # On arrival, every completed ADU is one plan dispatch: delivered
+    # or failed, and nothing else completes.
     dispatches = (
         counters.dispatches
         if shared
-        else sum(receiver.batch_drains for receiver in receivers)
+        else sum(
+            receiver.delivered_count + receiver.stats.checksum_failures
+            for receiver in receivers
+        )
     )
     ordered = [
         [delivered[initiator.flow_id][seq] for seq in range(n_adus)]
@@ -2428,35 +2434,35 @@ def _drain_scenario(
 def multiflow_drain(
     n_flows: int = 16, n_adus: int = 6, n_integers: int = 64
 ) -> ExperimentResult:
-    """P5: one host-wide drain engine vs one batch drain per flow.
+    """P5: one host-wide drain engine vs one verify per ADU on arrival.
 
     Every flow negotiates the same secure association shape
     ([checksum, decrypt, convert] on the receive side), so their wire
     plans share a compiled-plan cache entry — and therefore a drain
-    key.  The per-flow engineering still pays one ``run_batch``
-    dispatch per flow per completion; the shared engine coalesces the
-    completions of all flows inside a drain epoch into one dispatch.
+    key.  Verifying on arrival pays one plan dispatch per ADU; the
+    shared engine coalesces the completions of all flows inside a
+    drain epoch into one dispatch.
     Delivery is asserted byte-identical (and exactly once) under both
     engineerings.
     """
-    per_flow = _drain_scenario(
+    on_arrival = _drain_scenario(
         shared=False, n_flows=n_flows, n_adus=n_adus, n_integers=n_integers
     )
     shared = _drain_scenario(
         shared=True, n_flows=n_flows, n_adus=n_adus, n_integers=n_integers
     )
-    assert shared["payloads"] == per_flow["payloads"], (
-        "shared-drain delivery diverged from per-flow delivery"
+    assert shared["payloads"] == on_arrival["payloads"], (
+        "shared-drain delivery diverged from on-arrival delivery"
     )
     assert shared["groups"] == 1, "flows did not share one plan shape"
-    assert per_flow["rows"] == shared["rows"] == n_flows * n_adus
-    ratio = per_flow["dispatches"] / max(shared["dispatches"], 1)
+    assert on_arrival["rows"] == shared["rows"] == n_flows * n_adus
+    ratio = on_arrival["dispatches"] / max(shared["dispatches"], 1)
     snapshot = shared["counters"]
     rows = [
         Row(
-            "plan dispatches, one drain per flow",
+            "plan dispatches, one verify per ADU",
             paper=None,
-            measured=float(per_flow["dispatches"]),
+            measured=float(on_arrival["dispatches"]),
             unit="dispatches",
             extra={"flows": n_flows, "adus_per_flow": n_adus},
         ),
@@ -2495,7 +2501,7 @@ def multiflow_drain(
         notes=f"{n_flows} concurrent secure associations share one "
         "compiled wire-plan shape, so one host-wide engine drains them "
         "all: completions coalesce per epoch into one run_batch over "
-        "every flow's rows instead of one dispatch per flow — delivery "
+        "every flow's rows instead of one dispatch per ADU — delivery "
         "asserted byte-identical and exactly-once under both "
         "engineerings, with per-row verification isolating corruption "
         "to the owning flow",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.buffers.chain import BufferChain
 from repro.core.adu import Adu, AduFragment, fragment_adu, reassemble_fragments
 from repro.errors import FramingError
 
@@ -47,11 +48,14 @@ class FecFragment:
     group_base: int
 
 
-def _xor_bytes(parts: list[bytes]) -> bytes:
+def _xor_bytes(parts: list[bytes | memoryview | BufferChain]) -> bytes:
+    """XOR the parts' byte images (chain windows included), zero-padded
+    to the widest."""
     width = max(len(part) for part in parts)
     out = bytearray(width)
     for part in parts:
-        for index, byte in enumerate(part):
+        image = part.linearize() if isinstance(part, BufferChain) else part
+        for index, byte in enumerate(image):
             out[index] ^= byte
     return bytes(out)
 
@@ -165,7 +169,11 @@ class FecDecoder:
         return True
 
     def try_reassemble(self) -> Adu | None:
-        """The ADU if complete/recoverable now, else None."""
+        """The ADU if complete/recoverable now, else None.
+
+        Reassembly is structural only: the caller verifies the ADU's
+        checksum through its compiled wire plan, like any other ADU.
+        """
         if self._total is None:
             return None
         for group_index, group in self._groups.items():
@@ -179,7 +187,7 @@ class FecDecoder:
         if len(fragments) != self._total:
             return None
         try:
-            return reassemble_fragments(fragments)
+            return reassemble_fragments(fragments, verify=False)
         except FramingError:
             return None
 

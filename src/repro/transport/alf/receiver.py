@@ -54,8 +54,9 @@ class _PartialAdu:
     corrupt_hints: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-#: The reassembly record of an ADU taken whole from a run: its chain
-#: came straight from the pool, so there are no fragments to release.
+#: The reassembly record of an ADU with no fragment buffers to release:
+#: one taken whole from a run (its chain came straight from the pool) or
+#: rebuilt by the FEC decoder (its units were linearized on arrival).
 _NO_FRAGMENTS = _PartialAdu(total=0, name={})
 
 
@@ -103,24 +104,18 @@ class AlfReceiver:
             decrypt, convert back, all in one compiled read pass.  On
             the zero-copy path the decrypt streams over the reassembled
             scatter-gather chain without linearizing it.
-        batch_drain: queue completed ADUs instead of verifying each on
-            arrival and drain them through :meth:`run_batch` — one
-            vectorized verify+decrypt+convert pass over the whole queue,
-            amortizing per-ADU dispatch the way the sender's
-            ``send_batch`` does.  The drain is self-scheduling (a
-            zero-delay event fires after the completing fragment's
-            burst), so delivery order and ACK behaviour are preserved
-            within a simulation timestep; corrupt ADUs are isolated
-            row-by-row without discarding the batch.
         drain_engine: a host-level
-            :class:`~repro.transport.drain.SharedDrainEngine` to drain
-            through instead of self-draining: completed ADUs queue as
-            ready rows and the engine coalesces them with every other
-            flow sharing this flow's :attr:`drain_key` into one
-            ``run_batch`` dispatch per drain epoch.  Implies the batched
-            semantics of ``batch_drain``; the engine calls back into
-            :meth:`resolve_drained` per row, so delivery, ACKs and
-            per-flow corruption accounting are unchanged.
+            :class:`~repro.transport.drain.SharedDrainEngine` to verify
+            through.  Without one, each completed ADU runs the wire plan
+            on arrival (on the zero-copy path, one read pass over its
+            chain).  With one, completed ADUs queue as ready rows and
+            the engine coalesces them with every other flow sharing
+            this flow's :attr:`drain_key` into one ``run_batch``
+            dispatch per drain epoch.  Both routes end in
+            :meth:`resolve_drained`, the one place that compares the
+            checksum, counts failures, releases buffers and delivers.
+            FEC-recovered ADUs take the same routes: the wire plan is
+            the only verifier.
         integrity: an :class:`~repro.integrity.IntegrityPolicy`
             matching the sender's.  The wire plan's checksum covers
             only the policy's spans, and — the receive half of the
@@ -150,7 +145,6 @@ class AlfReceiver:
         zero_copy: bool = True,
         presentation: PresentationBinding | None = None,
         encryption: WordXorStage | int | None = None,
-        batch_drain: bool = False,
         drain_engine: SharedDrainEngine | None = None,
         integrity: IntegrityPolicy | None = None,
     ):
@@ -170,7 +164,6 @@ class AlfReceiver:
             True, presentation, encryption, integrity, self.machine, self.plan_cache
         )
         self.drain_engine = drain_engine
-        self.batch_drain = bool(batch_drain) or drain_engine is not None
         self.counter = counter or InstructionCounter()
         self.tracer = tracer or Tracer(enabled=False)
         self.stats = TransportStats()
@@ -178,14 +171,12 @@ class AlfReceiver:
         self.acks = SelectiveAckTracker(counter=self.counter)
         self._partial: dict[int, _PartialAdu] = {}
         self._ready: deque[ReadyAdu] = deque()
-        self._drain_scheduled = False
         self._defer_acks = 0
         self._ack_pending = False
         self._closed = False
         self.out_of_order_deliveries = 0
         self.fec_recoveries = 0
-        self.batch_drains = 0
-        self.batch_drained_adus = 0
+        self.fec_erasures = 0
 
         host.bind(PROTOCOL, flow_id, self._on_fragment)
         if drain_engine is not None:
@@ -243,6 +234,15 @@ class AlfReceiver:
         self.counter.record("sequence_check")  # which ADU, where in it
         self.counter.record("reassembly_bookkeeping")
 
+        fec_info = header.get("fec")
+        if fec_info is not None and "phy_corrupt" in header:
+            # A unit the PHY flags as damaged is an erasure: parity can
+            # rebuild it, while XOR over damaged bytes could only make
+            # compensating errors the checksum misses.
+            self.fec_erasures += 1
+            self._discard_payload(packet.payload)
+            return
+
         partial = self._partial.get(sequence)
         if partial is None:
             partial = _PartialAdu(
@@ -250,7 +250,6 @@ class AlfReceiver:
             )
             self._partial[sequence] = partial
 
-        fec_info = header.get("fec")
         if fec_info is not None:
             # The XOR decoder works on materialized bytes; a chain
             # payload (e.g. from a DMA receive pool) is linearized here
@@ -344,7 +343,8 @@ class AlfReceiver:
         fragment: AduFragment,
         fec_info: dict[str, Any],
     ) -> None:
-        """FEC path: feed the per-ADU decoder; deliver when recoverable."""
+        """FEC path: feed the per-ADU decoder; once it can rebuild the
+        ADU, verify and deliver it like any other (:meth:`_finish_adu`)."""
         if partial.fec is None:
             # The decoder needs the sender's fragmentation width to trim
             # recovered payloads; the FEC header carries it.
@@ -362,7 +362,9 @@ class AlfReceiver:
         if adu is not None:
             self.fec_recoveries += partial.fec.recovered_fragments
             del self._partial[sequence]
-            self._deliver_adu(adu.sequence, adu)
+            self._finish_adu(
+                sequence, _NO_FRAGMENTS, adu, fragment.adu_checksum, ()
+            )
 
     @property
     def wire_plan(self) -> CompiledPlan:
@@ -433,21 +435,12 @@ class AlfReceiver:
         expected: int,
         corrupt_spans: tuple[tuple[int, int], ...],
     ) -> None:
-        """Queue a reassembled ADU for the batched drain, or verify and
-        deliver it now."""
-        if self.batch_drain:
-            # Verification is deferred to the batched drain: the whole
-            # queue runs through one CompiledPlan.run_batch call —
-            # the host-wide engine's shared dispatch when registered,
-            # this flow's own otherwise.
-            self._ready.append(
-                ReadyAdu(sequence, partial, adu, expected, corrupt_spans)
-            )
-            if self.drain_engine is not None:
-                self.drain_engine.notify_ready(self)
-            elif not self._drain_scheduled:
-                self._drain_scheduled = True
-                self.loop.schedule(0.0, self._auto_drain)
+        """Queue a reassembled ADU for the drain engine, or verify it
+        now; either way :meth:`resolve_drained` settles it."""
+        entry = ReadyAdu(sequence, partial, adu, expected, corrupt_spans)
+        if self.drain_engine is not None:
+            self._ready.append(entry)
+            self.drain_engine.notify_ready(self)
             return
         if isinstance(adu.payload, BufferChain):
             # Observer-only wire plans verify in place: one read pass
@@ -458,49 +451,10 @@ class AlfReceiver:
             out, observations = self.wire_plan.run_chain(adu.payload)
         else:
             out, observations = self.wire_plan.run(adu.payload)
-        if observations[WIRE_CHECKSUM] != expected:
-            self.stats.checksum_failures += 1
-            self.tracer.emit(self.loop.now, "alf", "bad-adu", seq=sequence)
-            if isinstance(out, BufferChain) and out is not adu.payload:
-                out.release()
-            self._discard_payload(adu.payload)
-            self._release_fragments(partial)
-            return
-        self._release_fragments(partial)
+        # An observer-only plan's output is the ADU itself: delivery
+        # hands up the ADU's own bytes (a chain's single linearize).
         plan_out = out if self.wire.transforms else None
-        self._deliver_adu(
-            sequence, adu, plan_out=plan_out, corrupt_spans=corrupt_spans
-        )
-
-    def _auto_drain(self) -> None:
-        self._drain_scheduled = False
-        self.run_batch()
-
-    def run_batch(self) -> int:
-        """Drain every completed-but-unverified ADU in one batched pass.
-
-        The queued payloads — scatter-gather chains included — pack into
-        one padded 2-D word array and the wire plan's
-        :meth:`~repro.ilp.compiler.CompiledPlan.run_batch` verifies,
-        decrypts and converts the whole queue with one vectorized pass
-        per kernel, the receive-side mirror of the sender's
-        ``send_batch``.  Partial failure is isolated per row: an ADU
-        whose checksum does not match is dropped (counted in
-        ``stats.checksum_failures``) without discarding the rest of the
-        batch.  Batched deliveries hand the application the plan's
-        output bytes (no chain loan — the fragment buffers are released
-        here).  Returns the number of ADUs delivered.
-        """
-        ready = self._take_ready()
-        if not ready:
-            return 0
-        batch = self.wire_plan.run_batch([entry.adu.payload for entry in ready])
-        checksums = batch.observations[WIRE_CHECKSUM]
-        self.batch_drains += 1
-        delivered = 0
-        for entry, checksum, out in zip(ready, checksums, batch.outputs):
-            delivered += self.resolve_drained(entry, checksum, out)
-        return delivered
+        self.resolve_drained(entry, observations[WIRE_CHECKSUM], plan_out)
 
     # ------------------------------------------------------------------
     # Host-level drain engine interface
@@ -543,28 +497,22 @@ class AlfReceiver:
         """Hand the oldest ready row to the drain engine (FIFO)."""
         return self._ready.popleft()
 
-    def _take_ready(self) -> deque[ReadyAdu]:
-        """Empty the ready queue outside an engine window, keeping a
-        registered engine's backlog count exact."""
-        ready, self._ready = self._ready, deque()
-        if ready and self.drain_engine is not None:
-            self.drain_engine.ready_discarded(self, len(ready))
-        return ready
-
     def resolve_drained(self, entry: ReadyAdu, checksum: int, out) -> int:
-        """Resolve one drained row: verify, then deliver exactly once.
+        """Resolve one verified row: compare, then deliver exactly once.
 
-        Called per row by both this flow's own :meth:`run_batch` and the
-        shared engine's cross-flow dispatch.  A checksum mismatch
-        penalizes only this flow (its ``stats.checksum_failures``); a
-        verified row rides the normal delivery path, whose
-        receipt-tracker dedupe guarantees exactly-once.  Returns ADUs
-        delivered (0 or 1).
+        The single end of both receive routes: :meth:`_finish_adu`
+        calls it for an ADU verified on arrival, the shared engine per
+        row of its cross-flow dispatch.  ``out`` is the plan's output
+        when the plan transforms (None otherwise).  A checksum mismatch
+        penalizes only this flow (its ``stats.checksum_failures``) and
+        releases the row's buffers, plan output included; a verified
+        row rides the normal delivery path, whose receipt-tracker
+        dedupe guarantees exactly-once.  Returns ADUs delivered (0 or 1).
         """
-        self.batch_drained_adus += 1
         if checksum != entry.expected:
             self.stats.checksum_failures += 1
             self.tracer.emit(self.loop.now, "alf", "bad-adu", seq=entry.sequence)
+            self._discard_payload(out)
             self._discard_payload(entry.adu.payload)
             self._release_fragments(entry.partial)
             return 0
@@ -605,7 +553,11 @@ class AlfReceiver:
         Used at teardown (engine shutdown or :meth:`close`) so flows
         with in-flight ready rows return their pooled segments.
         """
-        for entry in self._take_ready():
+        ready, self._ready = self._ready, deque()
+        if ready and self.drain_engine is not None:
+            # Keep the engine's backlog count exact.
+            self.drain_engine.ready_discarded(self, len(ready))
+        for entry in ready:
             self._discard_payload(entry.adu.payload)
             self._release_fragments(entry.partial)
 
@@ -629,8 +581,8 @@ class AlfReceiver:
         settle and the commit and the migration should be retried at a
         later train boundary.  On success the flow unbinds from its
         old host, re-binds on the new one, and re-registers with the
-        target engine (or reverts to immediate drains when the target
-        shard runs without one).
+        target engine (or verifies on arrival when the target shard runs
+        without one).
         """
         if self._closed or not self.quiescent:
             return False
@@ -642,7 +594,6 @@ class AlfReceiver:
         host.bind(PROTOCOL, self.flow_id, self._on_fragment)
         if drain_engine is not None:
             self.drain_engine = drain_engine
-            self.batch_drain = True
             drain_engine.register(self)
         else:
             self.drain_engine = None
@@ -677,16 +628,8 @@ class AlfReceiver:
         if sequence in self.acks:
             self.stats.duplicates_discarded += 1
             self._discard_payload(adu.payload)
-            if isinstance(plan_out, BufferChain) and plan_out is not adu.payload:
-                plan_out.release()
+            self._discard_payload(plan_out)
             return
-        if self.wire.transforms and plan_out is None:
-            # Direct deliveries (FEC recovery) arrive carrying verified
-            # wire-syntax bytes; run the plan now to decrypt/convert.
-            if isinstance(adu.payload, BufferChain):
-                plan_out, _ = self.wire_plan.run_chain(adu.payload)
-            else:
-                plan_out, _ = self.wire_plan.run(adu.payload)
         in_order = sequence == self.acks.cumulative
         self.acks.on_adu(sequence)
         if not in_order:
@@ -769,7 +712,7 @@ class AlfReceiver:
         self.stats.acks_sent += 1
         sack = self.acks.ack_payload()
         # ADUs with fragments present — or complete and queued for the
-        # batched drain — are in flight, not missing yet.
+        # drain engine — are in flight, not missing yet.
         pending = {entry.sequence for entry in self._ready}
         sack["missing"] = [
             sequence

@@ -1,11 +1,12 @@
 """Host-level shared-plan drain engine: cross-flow ADU batching.
 
-PRs 1–4 collapsed each flow's wire manipulation into one compiled read
-pass, and ``AlfReceiver(batch_drain=True)`` amortizes dispatch *within*
-a flow by draining its reassembly queue through a single
-:meth:`~repro.ilp.compiler.CompiledPlan.run_batch` call.  But a host
-serving many associations still pays one dispatch per flow per drain —
-per-connection processing of what §4 frames as a shared host resource.
+Each flow's wire manipulation is one compiled read pass.  An
+:class:`~repro.transport.alf.receiver.AlfReceiver` without an engine
+runs it on arrival, one dispatch per ADU — per-connection processing of
+what §4 frames as a shared host resource.  With an engine, the receiver
+queues each completed ADU as a ready row instead; either way the row
+ends in the receiver's ``resolve_drained``, the one place that compares
+the checksum, counts failures, releases buffers and delivers.
 Once demultiplexing has tagged each ADU with its flow state, the
 *manipulation* (verify + decrypt + convert) is identical for every flow
 whose wire plan has the same shape, so nothing prevents batching rows
@@ -23,8 +24,8 @@ sharing a key into one ``run_batch`` call:
   max-rows cap no flow can monopolize a batch;
 * **flush policy** — an epoch fires on the event loop either
   immediately when the pending backlog reaches ``max_rows`` or after
-  ``max_delay`` from the first pending row (the default 0.0 keeps the
-  per-flow drain's same-timestep delivery semantics);
+  ``max_delay`` from the first pending row (the default 0.0 drains on
+  the next zero-delay event, within the arrival's timestep);
 * **corruption isolation** — verification is per row; a corrupt ADU is
   charged to its owning flow's ``stats.checksum_failures`` and released,
   without discarding any other flow's rows;
@@ -83,7 +84,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 @dataclass
 class ReadyAdu:
-    """One completed-but-unverified ADU queued for a batched drain.
+    """One completed-but-unverified ADU: a ready row queued for the
+    engine, or, without one, the ADU its receiver resolves on arrival.
 
     Attributes:
         sequence: the ADU's sequence number on its flow.
@@ -131,7 +133,7 @@ class SharedDrainEngine:
             fairness stalls), each collected round-robin.
         max_delay: seconds a pending row may wait for more rows to
             coalesce.  0.0 (default) drains on the next zero-delay
-            event, preserving the per-flow drain's delivery timing.
+            event, within the arrival's timestep.
         adaptive: scale the flush policy with the backlog EWMA (see
             module docstring).  False (default) keeps the fixed
             ``max_rows`` / ``max_delay`` policy byte-for-byte.
@@ -239,8 +241,8 @@ class SharedDrainEngine:
 
     def ready_discarded(self, receiver: "AlfReceiver", rows: int) -> None:
         """A flow emptied its ready queue of ``rows`` rows outside a
-        drain window (teardown, or its own ``run_batch``).  No-op for a
-        flow that is not registered here."""
+        drain window (teardown).  No-op for a flow that is not
+        registered here."""
         with self._mutex:
             group = self._flow_groups.get(receiver)
             if group is None:

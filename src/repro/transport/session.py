@@ -104,9 +104,6 @@ class SessionListener:
         machine: profile the accepted receivers' wire plans are priced on.
         plan_cache: plan cache shared with the ALF endpoints this
             listener builds (defaults to the process-wide cache).
-        zero_copy: forwarded to the ALF receivers this listener builds
-            (scatter-gather reassembly with a single linearize at
-            delivery).
         presentation: fuse schema-compiled presentation conversion into
             the association's wire plans.  The accepted session's schema
             (from the registry) and the negotiated transfer codec become
@@ -124,15 +121,12 @@ class SessionListener:
             fingerprint and a mismatch is rejected with a clear reason
             (like the cipher check).  Accepted flows' receivers run the
             policy's corrupt-tolerant delivery.
-        batch_drain: forwarded to the ALF receivers this listener builds
-            (queue completed ADUs and verify+decrypt+convert them in one
-            batched pass).
         drain_engine: a :class:`~repro.transport.drain.SharedDrainEngine`
             to register accepted flows with (several listeners — or
             hand-built receivers — can share one): flows whose wire plans
             share a shape coalesce into one ``run_batch`` dispatch per
-            drain epoch instead of one per flow.  Implies the batched
-            semantics of ``batch_drain``.
+            drain epoch.  Without one, accepted receivers verify each
+            ADU on arrival.
         sharded: a :class:`~repro.net.shard.ShardedHost` to place
             accepted flows on: each accepted receiver is built on its
             flow's home shard (that shard's loop, host and drain engine),
@@ -151,11 +145,9 @@ class SessionListener:
         machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         tracer: Tracer | None = None,
-        zero_copy: bool = True,
         presentation: bool = False,
         encryption: int | None = None,
         integrity: IntegrityPolicy | None = None,
-        batch_drain: bool = False,
         drain_engine: SharedDrainEngine | None = None,
         sharded: "ShardedHost | None" = None,
     ):
@@ -168,11 +160,9 @@ class SessionListener:
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.tracer = tracer or Tracer(enabled=False)
-        self.zero_copy = bool(zero_copy)
         self.presentation = bool(presentation)
         self.encryption = encryption
         self.integrity = integrity
-        self.batch_drain = bool(batch_drain)
         self.drain_engine = drain_engine
         self.sharded = sharded
         self.sessions: dict[int, Session] = {}
@@ -278,14 +268,12 @@ class SessionListener:
             deliver=lambda adu, fid=flow_id: self._deliver(fid, adu),
             machine=self.machine,
             plan_cache=self.plan_cache,
-            zero_copy=self.zero_copy,
             presentation=binding,
             encryption=(
                 WordXorStage(self.encryption, name="decrypt")
                 if self.encryption is not None
                 else None
             ),
-            batch_drain=self.batch_drain,
             drain_engine=rx_engine,
             integrity=self.integrity,
         )

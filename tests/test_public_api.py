@@ -1,5 +1,8 @@
 """The public API surface: imports, errors, version."""
 
+import importlib
+import inspect
+
 import pytest
 
 import repro
@@ -49,3 +52,56 @@ def test_machine_profiles_exposed():
 
 def test_recovery_modes_enum():
     assert len(repro.RecoveryMode) == 3
+
+
+#: Constructor parameter names of the main endpoints and engines, in
+#: order.  A new option fails here until the same change edits the pin,
+#: so every option added is a visible, reviewed decision.
+OPTION_PINS = {
+    "repro.transport.alf.sender.AlfSender": (
+        "loop", "host", "peer", "flow_id", "mtu", "recovery", "recompute",
+        "rto", "max_attempts", "max_outstanding", "fec_group", "machine",
+        "plan_cache", "presentation", "encryption", "integrity", "pacing",
+        "counter", "tracer", "on_complete",
+    ),
+    "repro.transport.alf.receiver.AlfReceiver": (
+        "loop", "host", "peer", "flow_id", "deliver", "ack_interval",
+        "expected_adus", "machine", "plan_cache", "counter", "tracer",
+        "zero_copy", "presentation", "encryption", "drain_engine",
+        "integrity",
+    ),
+    "repro.transport.session.SessionInitiator": (
+        "loop", "host", "peer", "config", "schemas", "on_established",
+        "on_failed", "handshake_timeout", "max_attempts", "recompute",
+        "machine", "plan_cache", "tracer", "presentation", "encryption",
+        "integrity", "pacing", "rate_bytes_per_s", "target_train",
+        "pacing_auto_rate",
+    ),
+    "repro.transport.session.SessionListener": (
+        "loop", "host", "schemas", "local_syntax", "deliver", "on_session",
+        "machine", "plan_cache", "tracer", "presentation", "encryption",
+        "integrity", "drain_engine", "sharded",
+    ),
+    "repro.transport.drain.SharedDrainEngine": (
+        "loop", "max_rows", "max_delay", "adaptive", "adaptive_boost",
+        "ramp_rows", "ewma_alpha", "counters", "tracer",
+    ),
+    "repro.net.shard.ShardedHost": (
+        "front", "shards", "rng", "pool_buffers", "buffer_size", "max_rows",
+        "max_delay", "adaptive", "protocols", "buckets_per_shard",
+        "rebalance", "counters", "tracer",
+    ),
+    "repro.transport.pacing.TrainPacer": (
+        "loop", "rate_bytes_per_s", "target_train", "mtu", "bucket_trains",
+        "aimd_increase", "aimd_backoff", "high_pressure", "low_pressure",
+        "backoff_interval", "min_rate_bytes_per_s", "max_rate_bytes_per_s",
+        "send", "counters", "tracer", "name",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(OPTION_PINS))
+def test_constructor_options_are_pinned(path):
+    module_name, _, class_name = path.rpartition(".")
+    cls = getattr(importlib.import_module(module_name), class_name)
+    assert tuple(inspect.signature(cls).parameters) == OPTION_PINS[path]

@@ -32,6 +32,7 @@ from repro.stages.encrypt import WordXorStage
 from repro.stages.presentation import ByteswapStage, PresentationBinding
 from repro.transport.alf import AlfReceiver
 from repro.transport.alf.wire import wire_pipeline
+from repro.transport.drain import SharedDrainEngine
 from repro.units import bytes_to_words as words_covering
 
 from tests.test_transport_drain import KEY, adu_payload, encrypted_packets, make_env
@@ -248,17 +249,19 @@ def test_shared_drain_engine_never_prices_a_report(count_reports):
 
 
 def test_receiver_run_batch_never_prices_a_report(count_reports):
+    """One flow's rows, drained through its engine's run_batch."""
     path = two_hosts(seed=2)
     delivered = []
-    receiver = AlfReceiver(
+    engine = SharedDrainEngine(path.loop)
+    AlfReceiver(
         path.loop, path.b, "a", 1,
         deliver=lambda d: delivered.append(bytes(d.payload)),
-        zero_copy=False, encryption=KEY, batch_drain=True,
+        zero_copy=False, encryption=KEY, drain_engine=engine,
     )
     payloads = [adu_payload(i) for i in range(5)]
     for packet in encrypted_packets(1, payloads):
         path.b.receive(packet)
-    assert receiver.run_batch() == 5
-    assert receiver.batch_drains == 1
+    assert engine.flush() == 5
+    assert engine.counters.dispatches == 1
     assert delivered == payloads
     assert count_reports == []

@@ -35,6 +35,7 @@ from repro.sim.eventloop import EventLoop
 from repro.sim.trace import Tracer
 from repro.transport.alf.receiver import PROTOCOL, AlfReceiver
 from repro.transport.alf.sender import AlfSender
+from repro.transport.drain import SharedDrainEngine
 
 FLOW = 1
 MTU = 64
@@ -73,10 +74,11 @@ def counting(cls, name, calls: Counter):
 
 
 def run_case(bursts, feed, flows=(FLOW,), pool_buffers=64, buffer_size=256,
-             rx_pool=True, zero_copy=True, batch_drain=False, integrity=None,
+             rx_pool=True, zero_copy=True, drained=False, integrity=None,
              close_on_deliver=False):
     """Feed ``bursts`` (lists of packets) one way; return what was
-    observed and how many times each mechanism ran."""
+    observed and how many times each mechanism ran.  ``drained``
+    verifies through a drain engine instead of on arrival."""
     loop = EventLoop()
     pool = BufferPool(pool_buffers, buffer_size, label="rx") if rx_pool else None
     host = Host(loop, "b", rx_pool=pool)
@@ -88,6 +90,7 @@ def run_case(bursts, feed, flows=(FLOW,), pool_buffers=64, buffer_size=256,
     delivered = []
     receivers: dict[int, AlfReceiver] = {}
     calls: Counter = Counter()
+    engine = SharedDrainEngine(loop) if drained else None
 
     def deliver(adu, flow):
         delivered.append((adu.sequence, bytes(adu.payload), adu.corrupt_spans,
@@ -100,7 +103,7 @@ def run_case(bursts, feed, flows=(FLOW,), pool_buffers=64, buffer_size=256,
             receivers[flow] = AlfReceiver(
                 loop, host, "a", flow,
                 deliver=lambda adu, flow=flow: deliver(adu, flow),
-                ack_interval=0, batch_drain=batch_drain, integrity=integrity,
+                ack_interval=0, drain_engine=engine, integrity=integrity,
                 zero_copy=zero_copy,
             )
             if feed == "reference":
@@ -169,64 +172,64 @@ def fragments(packets, sequence):
     return [p for p in packets if p.header["adu_seq"] == sequence]
 
 
-@pytest.mark.parametrize("batch_drain", [False, True])
+@pytest.mark.parametrize("drained", [False, True])
 class TestRunMatchesPerPacket:
-    def test_whole_adus(self, batch_drain):
+    def test_whole_adus(self, drained):
         seen = assert_same(lambda: [wire_packets(n_adus=3)],
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert [seq for seq, *_ in seen["delivered"]] == [0, 1, 2]
         assert seen["dma_writes"] == 12
         assert seen["dma_calls"] == 3  # one per ADU, not one per fragment
 
-    def test_payloads_spanning_pool_buffers(self, batch_drain):
+    def test_payloads_spanning_pool_buffers(self, drained):
         seen = assert_same(lambda: [wire_packets()], buffer_size=48,
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert len(seen["delivered"]) == 2
         assert seen["dma_calls"] == 2
 
-    def test_out_of_order_fragments(self, batch_drain):
+    def test_out_of_order_fragments(self, drained):
         def bursts():
             packets = fragments(wire_packets(), 0)
             return [[packets[1], packets[0]] + packets[2:]]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert len(seen["delivered"]) == 1
 
-    def test_partial_run_then_the_rest(self, batch_drain):
+    def test_partial_run_then_the_rest(self, drained):
         def bursts():
             packets = wire_packets()
             return [packets[:2], packets[2:]]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert [seq for seq, *_ in seen["delivered"]] == [0, 1]
 
-    def test_duplicate_fragment(self, batch_drain):
+    def test_duplicate_fragment(self, drained):
         def bursts():
             packets = fragments(wire_packets(), 0)
             return [packets[:2] + [packets[1].copy()] + packets[2:]]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert seen["duplicates_discarded"] == 1
 
-    def test_already_delivered_adu_is_reacked(self, batch_drain):
+    def test_already_delivered_adu_is_reacked(self, drained):
         def bursts():
             first, again = wire_packets(n_adus=1), wire_packets(n_adus=1)
             return [first, again]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert len(seen["delivered"]) == 1
         # One ACK for the delivery, one per retransmitted fragment.
         assert len(seen["acks"]) == 1 + 4
         assert seen["duplicates_discarded"] == 4
 
     @pytest.mark.parametrize("group", [2, 4])
-    def test_fec_unit(self, batch_drain, group):
+    def test_fec_unit(self, drained, group):
         # A group of 4 puts an ADU's data units 0..3 ahead of its parity.
         seen = assert_same(lambda: [wire_packets(fec_group=group)],
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert len(seen["delivered"]) == 2
 
-    def test_phy_corrupt_hint_under_tolerant_policy(self, batch_drain):
+    def test_phy_corrupt_hint_under_tolerant_policy(self, drained):
         policy = IntegrityPolicy.headers_only(32)
 
         def bursts():
@@ -238,12 +241,12 @@ class TestRunMatchesPerPacket:
             damaged.header = dict(damaged.header, phy_corrupt=(5, 6))
             return [packets]
 
-        seen = assert_same(bursts, integrity=policy, batch_drain=batch_drain)
+        seen = assert_same(bursts, integrity=policy, drained=drained)
         assert seen["delivered"][0][2] == ((2 * MTU + 5, 2 * MTU + 6),)
 
-    def test_pool_smaller_than_the_run(self, batch_drain):
+    def test_pool_smaller_than_the_run(self, drained):
         seen = assert_same(lambda: [wire_packets(n_adus=1)], pool_buffers=3,
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert seen["rx_dropped"] == 1
         assert seen["delivered"] == []
 
@@ -268,12 +271,12 @@ def took_runs(seen, adus):
         assert seen["calls"][feed]["dma_chain"] == adus, feed
 
 
-@pytest.mark.parametrize("batch_drain", [False, True])
+@pytest.mark.parametrize("drained", [False, True])
 class TestSingleFragmentAdus:
     """A whole single-fragment ADU is a run of one, wherever it arrives."""
 
-    def test_whole_adus_alone_and_in_a_burst(self, batch_drain):
-        seen = assert_same(lambda: [single()], batch_drain=batch_drain)
+    def test_whole_adus_alone_and_in_a_burst(self, drained):
+        seen = assert_same(lambda: [single()], drained=drained)
         assert [seq for seq, *_ in seen["delivered"]] == [0, 1, 2]
         assert seen["delivered"][1][1] == random.Random(1).randbytes(MTU)
         assert seen["dma_writes"] == 3
@@ -281,45 +284,45 @@ class TestSingleFragmentAdus:
         assert seen["calls"]["reference"]["_on_fragment"] == 3
         took_runs(seen, 3)
 
-    def test_mixed_flow_train(self, batch_drain):
+    def test_mixed_flow_train(self, drained):
         flows = (1, 2, 3, 4)
 
         def bursts():
             by_flow = [single(n_adus=2, adu_bytes=48, flow=f) for f in flows]
             return [[p for pair in zip(*by_flow) for p in pair]]
 
-        seen = assert_same(bursts, flows=flows, batch_drain=batch_drain)
+        seen = assert_same(bursts, flows=flows, drained=drained)
         assert len(seen["delivered"]) == 8
         assert seen["demux_memo_hits"] == 0  # every packet switches flow
         assert seen["segments_received"] == 8
         took_runs(seen, 8)
 
     def test_duplicate_while_the_first_copy_is_a_queued_ready_row(
-        self, batch_drain
+        self, drained
     ):
         def bursts():
             packet = single(n_adus=1)[0]
             return [[packet, packet.copy()]]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert len(seen["delivered"]) == 1
         assert seen["duplicates_discarded"] == 1
         # Inline, the copy finds the ADU delivered and is re-ACKed; as a
         # queued row it is dropped at the drain, and only the delivery
         # ACKs.
-        assert len(seen["acks"]) == (1 if batch_drain else 2)
+        assert len(seen["acks"]) == (1 if drained else 2)
 
-    def test_duplicate_of_a_delivered_adu_is_reacked(self, batch_drain):
+    def test_duplicate_of_a_delivered_adu_is_reacked(self, drained):
         def bursts():
             packet = single(n_adus=1)[0]
             return [[packet], [packet.copy()]]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert len(seen["delivered"]) == 1
         assert len(seen["acks"]) == 2
         assert seen["duplicates_discarded"] == 1
 
-    def test_phy_corrupt_hint_under_headers_only(self, batch_drain):
+    def test_phy_corrupt_hint_under_headers_only(self, drained):
         policy = IntegrityPolicy.headers_only(6)
 
         def bursts():
@@ -331,7 +334,7 @@ class TestSingleFragmentAdus:
             damaged.header = dict(damaged.header, phy_corrupt=(40, 41))
             return [packets]
 
-        seen = assert_same(bursts, integrity=policy, batch_drain=batch_drain)
+        seen = assert_same(bursts, integrity=policy, drained=drained)
         assert [spans for _, _, spans, _ in seen["delivered"]] == [
             (), ((40, 41),), ()
         ]
@@ -341,58 +344,58 @@ class TestSingleFragmentAdus:
         assert seen["calls"]["burst"]["_on_fragment"] == 2
         assert seen["calls"]["receive"]["_on_fragment"] == 1
 
-    def test_fec_unit(self, batch_drain):
+    def test_fec_unit(self, drained):
         seen = assert_same(lambda: [single(fec_group=1)],
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert len(seen["delivered"]) == 3
         assert seen["calls"]["burst"]["_on_fragment"] == 6  # data + parity
 
-    def test_zero_copy_off_receiver(self, batch_drain):
+    def test_zero_copy_off_receiver(self, drained):
         seen = assert_same(lambda: [single()], zero_copy=False,
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert len(seen["delivered"]) == 3
         assert seen["calls"]["burst"]["_on_fragment"] == 3
 
-    def test_host_without_rx_pool(self, batch_drain):
+    def test_host_without_rx_pool(self, drained):
         seen = assert_same(lambda: [single()], rx_pool=False,
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert len(seen["delivered"]) == 3
         assert seen["dma_writes"] == 0
         assert seen["calls"]["burst"]["_on_fragment"] == 3
 
-    def test_adu_len_mismatch(self, batch_drain):
+    def test_adu_len_mismatch(self, drained):
         def bursts():
             packets = single()
             packets[0].header = dict(packets[0].header, adu_len=MTU + 1)
             return [packets]
 
-        seen = assert_same(bursts, batch_drain=batch_drain)
+        seen = assert_same(bursts, drained=drained)
         assert [seq for seq, *_ in seen["delivered"]] == [1, 2]
         assert seen["checksum_failures"] == 1
 
-    def test_empty_payload(self, batch_drain):
+    def test_empty_payload(self, drained):
         seen = assert_same(lambda: [single(adu_bytes=0)],
-                           batch_drain=batch_drain)
+                           drained=drained)
         assert [payload for _, payload, *_ in seen["delivered"]] == [b""] * 3
         assert seen["dma_writes"] == 0
         assert seen["calls"]["burst"]["_on_fragment"] == 3
 
     @pytest.mark.parametrize("pool_buffers, buffer_size", [(6, 16), (4, 8)])
-    def test_exhausted_pool(self, batch_drain, pool_buffers, buffer_size):
+    def test_exhausted_pool(self, drained, pool_buffers, buffer_size):
         # 16-byte buffers: one ADU takes 4 of the 6, so a second dropped
         # only while the first is held as a queued row.  8-byte buffers:
         # no ADU ever fits.
         seen = assert_same(lambda: [single()], pool_buffers=pool_buffers,
-                           buffer_size=buffer_size, batch_drain=batch_drain)
+                           buffer_size=buffer_size, drained=drained)
         fits = buffer_size == 16
-        expected = (1 if batch_drain else 3) if fits else 0
+        expected = (1 if drained else 3) if fits else 0
         assert len(seen["delivered"]) == expected
         assert seen["rx_dropped"] == 3 - expected
 
-    def test_deliver_callback_closing_the_receiver(self, batch_drain):
+    def test_deliver_callback_closing_the_receiver(self, drained):
         seen = assert_same(lambda: [single()], close_on_deliver=True,
-                           batch_drain=batch_drain)
-        if not batch_drain:
+                           drained=drained)
+        if not drained:
             assert [seq for seq, *_ in seen["delivered"]] == [0]
             assert seen["undeliverable"] == 2
 

@@ -3,8 +3,8 @@
 Covers the fused encryption fast path end to end: the streaming
 ``xor_chain`` kernel, checksum correctness over partial-word tails (the
 fused loop's padding must not leak into the sum), compiled-vs-interpreted
-equivalence, ciphertext on the wire, the receiver's batched drain with
-per-row failure isolation, zero-copy retransmit serving, and the
+equivalence, ciphertext on the wire, the drain engine's batched verify
+with per-row failure isolation, zero-copy retransmit serving, and the
 handshake's schema-fingerprint / cipher negotiation.
 """
 
@@ -30,6 +30,7 @@ from repro.stages.encrypt import WordXorStage, secure_counters
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.alf.receiver import PROTOCOL
 from repro.transport.alf.wire import wire_pipeline
+from repro.transport.drain import SharedDrainEngine
 from repro.transport.session import (
     SessionConfig,
     SessionInitiator,
@@ -177,7 +178,9 @@ def test_run_chain_streams_encryption_without_gathering():
 # End-to-end encrypted transport
 
 
-def run_transfer(zero_copy, batch_drain, n_adus=12, loss_rate=0.0, seed=7):
+def run_transfer(zero_copy, drained, n_adus=12, loss_rate=0.0, seed=7):
+    """An encrypted transfer, verified on arrival or (``drained``)
+    through a drain engine."""
     path = two_hosts(seed=seed, loss_rate=loss_rate, bandwidth_bps=1e9)
     rng = random.Random(seed)
     payloads = [rng.randbytes(4000 + i) for i in range(n_adus)]
@@ -199,7 +202,8 @@ def run_transfer(zero_copy, batch_drain, n_adus=12, loss_rate=0.0, seed=7):
     receiver = AlfReceiver(
         path.loop, path.b, "a", 1,
         deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
-        zero_copy=zero_copy, encryption=KEY, batch_drain=batch_drain,
+        zero_copy=zero_copy, encryption=KEY,
+        drain_engine=SharedDrainEngine(path.loop) if drained else None,
     )
     sender = AlfSender(path.loop, path.a, "b", 1, mtu=1500, encryption=KEY)
     for i, payload in enumerate(payloads):
@@ -209,18 +213,18 @@ def run_transfer(zero_copy, batch_drain, n_adus=12, loss_rate=0.0, seed=7):
 
 
 @pytest.mark.parametrize("zero_copy", [False, True])
-@pytest.mark.parametrize("batch_drain", [False, True])
-def test_encrypted_transfer_delivers_plaintext(zero_copy, batch_drain):
-    payloads, delivered, wire, receiver = run_transfer(zero_copy, batch_drain)
+@pytest.mark.parametrize("drained", [False, True])
+def test_encrypted_transfer_delivers_plaintext(zero_copy, drained):
+    payloads, delivered, wire, receiver = run_transfer(zero_copy, drained)
     assert {i: p for i, p in enumerate(payloads)} == delivered
-    if batch_drain:
-        assert receiver.batch_drains >= 1
-        assert receiver.batch_drained_adus == len(payloads)
+    if drained:
+        assert receiver.drain_engine.counters.dispatches >= 1
+        assert receiver.drain_engine.delivered_total == len(payloads)
 
 
 @pytest.mark.parametrize("zero_copy", [False, True])
 def test_wire_carries_ciphertext_not_plaintext(zero_copy):
-    payloads, delivered, wire, _ = run_transfer(zero_copy, batch_drain=False)
+    payloads, delivered, wire, _ = run_transfer(zero_copy, drained=False)
     joined = b"".join(wire)
     ciphertext = WordXorStage(KEY).apply(payloads[0])
     assert payloads[0][:512] not in joined
@@ -229,7 +233,7 @@ def test_wire_carries_ciphertext_not_plaintext(zero_copy):
 
 def test_encrypted_transfer_survives_loss_with_retransmission():
     payloads, delivered, _, _ = run_transfer(
-        zero_copy=True, batch_drain=True, loss_rate=0.08, seed=13
+        zero_copy=True, drained=True, loss_rate=0.08, seed=13
     )
     assert {i: p for i, p in enumerate(payloads)} == delivered
 
@@ -259,7 +263,7 @@ def test_encryption_composes_with_fec():
 
 
 # ----------------------------------------------------------------------
-# Batched drain: partial-failure isolation
+# Engine-drained batch: partial-failure isolation
 
 
 def make_fragments(payloads, mtu=1024):
@@ -283,10 +287,11 @@ def make_fragments(payloads, mtu=1024):
 def test_run_batch_isolates_corrupt_adus():
     path = two_hosts(seed=5)
     delivered = {}
+    engine = SharedDrainEngine(path.loop)
     receiver = AlfReceiver(
         path.loop, path.b, "a", 1,
         deliver=lambda d: delivered.__setitem__(d.sequence, d.payload),
-        zero_copy=False, encryption=KEY, batch_drain=True,
+        zero_copy=False, encryption=KEY, drain_engine=engine,
     )
     rng = random.Random(21)
     payloads = [rng.randbytes(3000 + i) for i in range(8)]
@@ -301,8 +306,10 @@ def test_run_batch_isolates_corrupt_adus():
             break
     for packet in packets:
         receiver._on_fragment(packet)
-    drained = receiver.run_batch()
+    drained = engine.flush()
     assert drained == 7
+    assert engine.counters.dispatches == 1
+    assert engine.counters.corrupt_rows == 1
     assert receiver.stats.checksum_failures == 1
     assert 3 not in delivered
     assert {i: payloads[i] for i in delivered} == delivered
@@ -311,12 +318,13 @@ def test_run_batch_isolates_corrupt_adus():
 
 def test_run_batch_empty_queue_is_noop():
     path = two_hosts(seed=5)
-    receiver = AlfReceiver(
+    engine = SharedDrainEngine(path.loop)
+    AlfReceiver(
         path.loop, path.b, "a", 1, deliver=lambda d: None,
-        encryption=KEY, batch_drain=True,
+        encryption=KEY, drain_engine=engine,
     )
-    assert receiver.run_batch() == 0
-    assert receiver.batch_drains == 0
+    assert engine.flush() == 0
+    assert engine.counters.dispatches == 0
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +401,7 @@ def test_session_with_matching_cipher_delivers():
     SessionListener(
         path.loop, path.b, SCHEMAS,
         deliver=lambda fid, adu: delivered.append(adu),
-        encryption=KEY, batch_drain=True,
+        encryption=KEY, drain_engine=SharedDrainEngine(path.loop),
     )
     initiator = SessionInitiator(
         path.loop, path.a, "b", SessionConfig(schema_name="ints"),

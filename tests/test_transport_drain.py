@@ -110,7 +110,7 @@ class TestGrouping:
         path, engine, receivers, _ = make_env(n_flows=1)
         stranger = AlfReceiver(
             path.loop, path.b, "a", 55,
-            deliver=lambda d: None, zero_copy=False, batch_drain=True,
+            deliver=lambda d: None, zero_copy=False,
         )
         with pytest.raises(TransportError):
             engine.notify_ready(stranger)
