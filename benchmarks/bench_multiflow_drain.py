@@ -14,7 +14,10 @@ concurrent secure associations that share one wire-plan shape
 Both engineerings run the identical simulated workload (same seeds, same
 interleaved send order); delivery is asserted byte-identical and
 exactly-once.  The headline criteria: the shared engine issues at least
-2x fewer plan dispatches and its end-to-end wall-clock is no worse.
+2x fewer plan dispatches and does no more work per ADU.  Work is an exact
+count, not wall-clock: the calls (Python functions and the builtins they
+call) made from the moment an ADU completes until it is delivered, per
+ADU.  Counts repeat to the call, so the gate cannot flake.
 Emits a machine-readable JSON record (``MULTIFLOW_DRAIN_JSON`` line and
 ``benchmarks/out/bench_multiflow_drain.json``) for the CI gate and
 artifact.
@@ -23,11 +26,13 @@ artifact.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.workloads import integer_array
 from repro.core.adu import Adu
 from repro.ilp.compiler import PlanCache
@@ -36,6 +41,7 @@ from repro.net.topology import two_hosts
 from repro.presentation.abstract import ArrayOf, Int32
 from repro.presentation.lwts import LwtsCodec
 from repro.presentation.negotiate import LocalSyntax
+from repro.transport.alf.receiver import AlfReceiver
 from repro.transport.drain import SharedDrainEngine
 from repro.transport.session import (
     SessionConfig,
@@ -52,7 +58,19 @@ SCHEMAS = {"ints": ArrayOf(Int32())}
 LOCAL = LwtsCodec(byte_order="big")  # the initiators' syntax
 DELIVERED_AS = LwtsCodec(byte_order="little")  # the listener's syntax
 
+#: Ceiling on the shared route's calls per ADU (see
+#: :func:`receive_calls_per_adu`): today's 99.64 rounded up by less than
+#: one call, so one more call per dispatched row fails the gate.  Lower
+#: it when the route gets cheaper.
+SHARED_CALLS_PER_ADU_MAX = 100.0
+
 OUT_DIR = Path(__file__).resolve().parent / "out"
+
+#: Where an ADU's receive work starts (it just completed) and where a
+#: shared epoch verifies and delivers the rows it collected.
+_RECEIVE_PATH = (AlfReceiver._finish_adu.__code__, SharedDrainEngine.flush.__code__)
+#: Source directory of the program's own code.
+_PROGRAM = str(Path(repro.__file__).parent)
 
 
 def run_scenario(shared: bool, adaptive: bool = False) -> dict[str, object]:
@@ -153,6 +171,45 @@ def run_scenario(shared: bool, adaptive: bool = False) -> dict[str, object]:
     }
 
 
+def receive_calls_per_adu(shared: bool) -> float:
+    """Calls the program makes in the receive path per delivered ADU.
+
+    Counts every call, to a Python function or a builtin, that the
+    program's own code makes while an :data:`_RECEIVE_PATH` function is
+    on the stack: on arrival, the verify and delivery under
+    ``_finish_adu``; shared, the queueing under ``_finish_adu`` plus
+    each epoch's batch verify and delivery under ``flush``.  Calls made
+    inside the standard library or numpy are left out, so the count
+    depends on this program's code, not on the interpreter's.
+    """
+    depth = calls = 0
+
+    def ours(frame) -> bool:
+        return frame.f_code.co_filename.startswith(_PROGRAM)
+
+    def profile(frame, event, arg) -> None:
+        nonlocal depth, calls
+        if event == "call":
+            if depth:
+                depth += 1
+                calls += ours(frame.f_back)
+            elif frame.f_code in _RECEIVE_PATH:
+                depth = 1
+        elif event == "c_call":
+            calls += depth > 0 and ours(frame)
+        elif event == "return" and depth:
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run_scenario(shared=shared)
+    finally:
+        sys.setprofile(previous)
+    delivered = sum(len(payloads) for payloads in result["payloads"])
+    return calls / delivered
+
+
 def best_of(fn, repeats: int = 3) -> tuple[float, object]:
     best = None
     result = None
@@ -185,6 +242,9 @@ def record():
 
     assert shared["groups"] == 1, "flows did not share one plan shape"
     snapshot = shared["snapshot"]
+    # Counted after the timed runs, so every process-wide cache is warm.
+    on_arrival_calls = receive_calls_per_adu(shared=False)
+    shared_calls = receive_calls_per_adu(shared=True)
     return {
         "n_flows": N_FLOWS,
         "adus_per_flow": N_ADUS,
@@ -192,10 +252,12 @@ def record():
         "drain_epoch_s": EPOCH,
         "on_arrival": {
             "dispatches": on_arrival["dispatches"],
+            "calls_per_adu": on_arrival_calls,
             "wall_s": on_arrival_s,
         },
         "shared": {
             "dispatches": shared["dispatches"],
+            "calls_per_adu": shared_calls,
             "wall_s": shared_s,
             "rows_per_dispatch": snapshot["rows_per_dispatch"],
             "cross_flow_batches": snapshot["cross_flow_batches"],
@@ -235,9 +297,12 @@ def test_acceptance_multiflow_drain(record):
     # Headline criterion: coalescing 64 flows' completions into shared
     # epochs cuts plan dispatches at least in half.
     assert record["dispatch_amortization"] >= 2.0, record
-    # And the amortization is not bought with wall-clock: the shared
-    # engine's end-to-end run is no slower (20% tolerance for noise).
-    assert record["wall_clock_ratio"] <= 1.2, record
+    # And the amortization is not bought with work: per ADU, the shared
+    # engine's receive path makes no more calls than verifying on
+    # arrival, and no more than the ceiling its trajectory set.
+    shared_calls = record["shared"]["calls_per_adu"]
+    assert shared_calls <= record["on_arrival"]["calls_per_adu"], record
+    assert shared_calls <= SHARED_CALLS_PER_ADU_MAX, record
     # The rows really were cross-flow batches, fairly collected.
     assert record["shared"]["cross_flow_batches"] >= 1
     assert record["shared"]["rows_per_dispatch"] > 1.0

@@ -18,7 +18,7 @@ from repro.errors import NetworkError
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 
 Handler = Callable[[Packet], None]
 #: Takes ``packets[start:]`` as one unit if it can; returns how many.
@@ -70,7 +70,7 @@ class Host:
     ):
         self.loop = loop
         self.name = name
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.rx_pool = rx_pool
         self.uplink = uplink
         self._links: dict[str, Link] = {}

@@ -31,7 +31,7 @@ from repro.buffers.chain import BufferChain
 from repro.errors import NetworkError
 from repro.net.packet import Packet
 from repro.sim.eventloop import Event, EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 
 
 @dataclass
@@ -174,7 +174,7 @@ class Link:
         self.max_train = max_train
         self.train_window = train_window
         self.name = name
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.stats = LinkStats()
         self._receiver: Callable[[Packet], None] | None = None
         self._burst_receiver: Callable[[list[Packet]], None] | None = None

@@ -80,7 +80,7 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.transport.drain import SharedDrainEngine
@@ -448,8 +448,9 @@ class SerialShardScheduler:
             until: stop once every loop's next event is later than this
                 (each loop's clock advances to ``until``).  None runs
                 all loops to quiescence — beware self-rescheduling
-                events: an open receiver's periodic ACK timer never
-                quiesces (a closed one stops re-arming).
+                events: an open receiver's ACK timer keeps ticking
+                while its flow is unresolved (a caught-up or closed
+                one schedules nothing).
         """
         ran = 0
         while True:
@@ -524,7 +525,7 @@ class ShardedHost:
         if shards <= 0:
             raise NetworkError(f"shards must be positive, got {shards}")
         self.front = front
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.counters = counters if counters is not None else ShardCounters()
         root = rng if rng is not None else RngStreams(0)
         self.shards = [

@@ -29,7 +29,7 @@ from repro.machine.accounting import datapath_counters
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 
 
 @dataclass
@@ -133,7 +133,7 @@ class StoreAndForwardSwitch:
         self.forwarding_delay = forwarding_delay
         self.preserve_trains = preserve_trains
         self.train_fairness_cap = train_fairness_cap
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self._ports: dict[str, _Port] = {}
         self._routes: dict[str, _Port] = {}
         self.stats = SwitchStats()

@@ -55,3 +55,32 @@ class Tracer:
     def clear(self) -> None:
         """Drop all records."""
         self.records.clear()
+
+
+class _DisabledTracer(Tracer):
+    """A tracer that records nothing and cannot be switched on.
+
+    Its records are an empty tuple and its attributes are read-only, so
+    one instance serves every component built without a tracer: none of
+    them can turn tracing on for the others.
+    """
+
+    def __init__(self) -> None:
+        object.__setattr__(self, "enabled", False)
+        object.__setattr__(self, "records", ())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(
+            "the shared disabled tracer is read-only; "
+            "pass a Tracer() to the component to trace it"
+        )
+
+    def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
+        """Record nothing."""
+
+    def clear(self) -> None:
+        """Nothing to drop."""
+
+
+#: The tracer of every component built without one.
+DISABLED_TRACER: Tracer = _DisabledTracer()

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.buffers.chain import BufferChain
 from repro.core.adu import Adu, AduFragment, fragment_adu, reassemble_fragments
 from repro.errors import FramingError
@@ -50,14 +52,22 @@ class FecFragment:
 
 def _xor_bytes(parts: list[bytes | memoryview | BufferChain]) -> bytes:
     """XOR the parts' byte images (chain windows included), zero-padded
-    to the widest."""
+    to the widest: 64-bit words, then the few bytes past the last whole
+    word."""
     width = max(len(part) for part in parts)
-    out = bytearray(width)
+    acc = np.zeros(-(-width // 8), dtype=np.uint64)
+    octets = acc.view(np.uint8)
     for part in parts:
         image = part.linearize() if isinstance(part, BufferChain) else part
-        for index, byte in enumerate(image):
-            out[index] ^= byte
-    return bytes(out)
+        length = len(image)
+        words = length // 8
+        if words:
+            acc[:words] ^= np.frombuffer(image, dtype=np.uint64, count=words)
+        if length > words * 8:
+            octets[words * 8 : length] ^= np.frombuffer(
+                image, dtype=np.uint8, offset=words * 8
+            )
+    return octets[:width].tobytes()
 
 
 def encode_with_parity(adu: Adu, mtu: int, group_size: int = 4) -> list[FecFragment]:

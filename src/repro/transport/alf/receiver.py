@@ -34,7 +34,7 @@ from repro.transport.drain import ReadyAdu, SharedDrainEngine
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.transport.base import DeliveredAdu, TransportStats
 
 PROTOCOL = "alf"
@@ -73,11 +73,13 @@ class AlfReceiver:
         ack_interval: seconds between repeats of the selective ACK, or
             0 for no timer.  Every delivery sends an ACK (one per flow
             per drain dispatch) and a duplicate of a delivered ADU is
-            re-ACKed, so the timer repeats only while the flow is
+            re-ACKed, so the ACK repeats only while the flow is
             unresolved: it holds a partial ADU, has ready rows not yet
-            drained, or has a gap below the highest ADU received.  A
-            caught-up receiver stays silent, and a closed one neither
-            sends nor re-arms.
+            drained, or has a gap below the highest ADU received.  The
+            timer is armed when the flow becomes unresolved and re-arms
+            only while it stays so; a caught-up or closed receiver
+            schedules nothing.  Ticks keep the phase of a timer started
+            at construction (whole intervals since then).
         expected_adus: when known, lets :attr:`complete` report overall
             transfer completion.
         machine: profile the compiled wire plan is priced on.
@@ -165,7 +167,7 @@ class AlfReceiver:
         )
         self.drain_engine = drain_engine
         self.counter = counter or InstructionCounter()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.stats = TransportStats()
 
         self.acks = SelectiveAckTracker(counter=self.counter)
@@ -173,6 +175,10 @@ class AlfReceiver:
         self._ready: deque[ReadyAdu] = deque()
         self._defer_acks = 0
         self._ack_pending = False
+        # The ACK timer's next tick, on the grid of whole intervals since
+        # construction, and whether an event for it is scheduled.
+        self._ack_due = loop.now + ack_interval
+        self._ack_armed = ack_interval <= 0  # no timer: never arm
         self._closed = False
         self.out_of_order_deliveries = 0
         self.fec_recoveries = 0
@@ -181,8 +187,6 @@ class AlfReceiver:
         host.bind(PROTOCOL, flow_id, self._on_fragment)
         if drain_engine is not None:
             drain_engine.register(self)
-        if ack_interval > 0:
-            self.loop.schedule(ack_interval, self._periodic_ack)
 
     @staticmethod
     def _discard_payload(payload) -> None:
@@ -249,6 +253,8 @@ class AlfReceiver:
                 total=fragment.total, name=fragment.name, first_seen=self.loop.now
             )
             self._partial[sequence] = partial
+            if not self._ack_armed:
+                self._arm_ack_timer()
 
         if fec_info is not None:
             # The XOR decoder works on materialized bytes; a chain
@@ -440,6 +446,8 @@ class AlfReceiver:
         entry = ReadyAdu(sequence, partial, adu, expected, corrupt_spans)
         if self.drain_engine is not None:
             self._ready.append(entry)
+            if not self._ack_armed:
+                self._arm_ack_timer()
             self.drain_engine.notify_ready(self)
             return
         if isinstance(adu.payload, BufferChain):
@@ -634,6 +642,8 @@ class AlfReceiver:
         self.acks.on_adu(sequence)
         if not in_order:
             self.out_of_order_deliveries += 1
+            if not self._ack_armed and self.acks.has_gaps:
+                self._arm_ack_timer()
 
         chain = adu.payload if isinstance(adu.payload, BufferChain) else None
         convert = self.wire.staged_convert
@@ -695,14 +705,33 @@ class AlfReceiver:
     # ------------------------------------------------------------------
     # Acknowledgement
 
+    def _arm_ack_timer(self) -> None:
+        """Schedule the timer's next tick: the flow just became
+        unresolved.  Ticks that passed while it was caught up would have
+        sent nothing; skipping them keeps the phase.  The loop schedules
+        by relative delay, so the tick lands on the grid to the last bit
+        once ``now >= due / 2`` (always, one interval into the run);
+        before that it can land one ulp off."""
+        now = self.loop.now
+        due = self._ack_due
+        while due <= now:
+            due += self.ack_interval
+        self._ack_due = due
+        self._ack_armed = True
+        self.loop.schedule(due - now, self._periodic_ack)
+
     def _periodic_ack(self) -> None:
         if self._closed:
             return
         # Repeat only what can still drive repair; a caught-up flow's
-        # last delivery ACK already said everything this one would.
+        # last delivery ACK already said everything this one would, and
+        # its timer goes quiet until the flow is unresolved again.
+        self._ack_due = self.loop.now + self.ack_interval
         if self._partial or self._ready or self.acks.has_gaps:
             self._send_ack()
-        self.loop.schedule(self.ack_interval, self._periodic_ack)
+            self.loop.schedule(self.ack_interval, self._periodic_ack)
+        else:
+            self._ack_armed = False
 
     def _send_ack(self) -> None:
         if self._defer_acks:

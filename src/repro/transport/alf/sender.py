@@ -25,7 +25,7 @@ from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.stages.encrypt import WordXorStage
 from repro.stages.presentation import PresentationBinding
 from repro.transport.alf.recovery import RecoveryMode
@@ -176,7 +176,7 @@ class AlfSender:
         self._wire: dict[int, tuple[bytes | BufferChain | None, int]] = {}
         self._pending: list[Adu] = []
         self.counter = counter or InstructionCounter()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.on_complete = on_complete
         self.stats = TransportStats()
 

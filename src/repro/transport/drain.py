@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 from repro.errors import TransportError
 from repro.machine.accounting import DrainCounters
 from repro.sim.eventloop import Event, EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.transport.alf.wire import WIRE_CHECKSUM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -187,7 +187,7 @@ class SharedDrainEngine:
         self._backlog_ewma = 0.0
         self._ewma_stamp = loop.now
         self.counters = counters if counters is not None else DrainCounters()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self._groups: dict[Hashable, _PlanGroup] = {}
         self._flow_groups: dict["AlfReceiver", _PlanGroup] = {}
         self._ordinal = 0  # next registration ordinal

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import TransportError
 from repro.machine.accounting import PacingCounters
 from repro.sim.eventloop import Event, EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import Packet
@@ -162,7 +162,7 @@ class TrainPacer:
         self.min_rate_bytes_per_s = float(min_rate_bytes_per_s)
         self.max_rate_bytes_per_s = float(max_rate_bytes_per_s)
         self.counters = counters if counters is not None else PacingCounters()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.name = name
         self._send = send
         # Bucket state: credit starts full so the first train leaves

@@ -18,6 +18,7 @@ up), then both sides construct their configured ALF endpoints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -32,8 +33,8 @@ from repro.presentation.abstract import ASType
 from repro.presentation.compiler import schema_fingerprint
 from repro.presentation.lwts import LwtsCodec
 from repro.presentation.negotiate import ConversionPlan, LocalSyntax, negotiate
-from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.eventloop import Event, EventLoop
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.stages.encrypt import WordXorStage, cipher_token
 from repro.stages.presentation import PresentationBinding
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
@@ -47,6 +48,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 PROTOCOL = "session"
 
 _flow_ids = itertools.count(1000)
+
+#: The INIT fields a listener checks or reads, in memo-key order.
+_OFFER_FIELDS = (
+    "schema", "schema_fp", "cipher", "integrity", "recovery", "mtu",
+    "syntax_name", "byte_order", "allow_direct",
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _offered_fingerprint(schema: ASType) -> str:
+    """The schema fingerprint an initiator offers, once per schema."""
+    return schema_fingerprint(schema)
+
+
+@functools.lru_cache(maxsize=64)
+def _accepted_plan(
+    local: LocalSyntax, peer: LocalSyntax, schema: ASType, allow_direct: bool
+) -> ConversionPlan:
+    """The initiator's negotiated plan, once per syntax pair and schema."""
+    return negotiate(local, peer, schema, allow_direct=allow_direct)
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,12 @@ class Session:
 
 class SessionListener:
     """Accepts INITs on a host and builds receiving sessions.
+
+    Each offered configuration is checked and negotiated once: the
+    listener memoizes an accepted offer (every INIT field it checks or
+    reads) with the config, plan, presentation binding and decrypt
+    stage it decided, and later sessions of that offer share them.  The
+    listener's own configuration is therefore fixed at construction.
 
     Args:
         loop: event loop.
@@ -159,7 +186,7 @@ class SessionListener:
         self.on_session = on_session
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.presentation = bool(presentation)
         self.encryption = encryption
         self.integrity = integrity
@@ -167,90 +194,34 @@ class SessionListener:
         self.sharded = sharded
         self.sessions: dict[int, Session] = {}
         self.rejected = 0
+        self._fingerprints = {
+            name: schema_fingerprint(schema) for name, schema in self.schemas.items()
+        }
+        # Offered configuration (the INIT's _OFFER_FIELDS) -> what its
+        # accepted sessions share; see _admit.
+        self._offers: dict[tuple, tuple] = {}
         self._closed = False
         host.bind_protocol(PROTOCOL, self._on_packet)
 
     def _on_packet(self, packet: Packet) -> None:
-        if packet.header.get("kind") != "init":
+        header = packet.header
+        if header.get("kind") != "init":
             return
-        flow_id = int(packet.header["flow_id"])
+        flow_id = int(header["flow_id"])
         if flow_id in self.sessions:
             self._send_accept(packet.src, flow_id)  # duplicate INIT
             return
-        schema_name = packet.header["schema"]
-        if schema_name not in self.schemas:
-            self.rejected += 1
-            self._send_reject(packet.src, flow_id, f"unknown schema {schema_name!r}")
-            return
-        # Schema *revision* check: the name alone is not identity — a
-        # field added on one side would otherwise garble every decode.
-        local_fp = schema_fingerprint(self.schemas[schema_name])
-        peer_fp = packet.header.get("schema_fp")
-        if peer_fp is not None and peer_fp != local_fp:
-            self.rejected += 1
-            self._send_reject(
-                packet.src,
-                flow_id,
-                f"schema fingerprint mismatch for {schema_name!r}: "
-                f"initiator has {peer_fp}, listener has {local_fp} "
-                "(schema revisions differ)",
-            )
-            return
-        # Cipher check: both ends must run the same cipher and key, or
-        # decrypted payloads would be garbage that still checksums.
-        local_cipher = cipher_token(self.encryption)
-        peer_cipher = packet.header.get("cipher")
-        if peer_cipher != local_cipher:
-            self.rejected += 1
-            self._send_reject(
-                packet.src,
-                flow_id,
-                f"cipher mismatch: initiator offers "
-                f"{peer_cipher or 'cleartext'}, listener requires "
-                f"{local_cipher or 'cleartext'}",
-            )
-            return
-        # Integrity-coverage check: the checksum must be computed over
-        # the same spans at both ends, or every ADU would "fail" verify
-        # (or worse, damage in a span one side thinks is covered would
-        # slip through).  A missing header means full coverage —
-        # pre-policy initiators interoperate with full-coverage
-        # listeners.
-        local_integrity = integrity_token(self.integrity)
-        peer_integrity = packet.header.get("integrity", "full")
-        if peer_integrity != local_integrity:
-            self.rejected += 1
-            self._send_reject(
-                packet.src,
-                flow_id,
-                f"integrity policy mismatch: initiator offers "
-                f"{peer_integrity!r}, listener requires {local_integrity!r}",
-            )
-            return
-        config = SessionConfig(
-            schema_name=schema_name,
-            recovery=RecoveryMode(packet.header["recovery"]),
-            mtu=int(packet.header["mtu"]),
-            local_syntax=LocalSyntax(
-                packet.header["syntax_name"], packet.header["byte_order"]
-            ),
-            allow_direct=bool(packet.header["allow_direct"]),
-        )
-        plan = negotiate(
-            config.local_syntax,
-            self.local_syntax,
-            self.schemas[schema_name],
-            allow_direct=config.allow_direct,
-        )
+        # An offer seen before costs one lookup: its checks passed, and
+        # what they decided is immutable and shared by its sessions.
+        key = tuple(map(header.get, _OFFER_FIELDS))
+        offer = self._offers.get(key)
+        if offer is None:
+            offer = self._admit(packet.src, flow_id, header)
+            if offer is None:
+                return
+            self._offers[key] = offer
+        config, plan, binding, decrypt = offer
         session = Session(flow_id=flow_id, config=config, plan=plan)
-        schema = self.schemas[schema_name] if self.presentation else None
-        binding = None
-        if schema is not None:
-            binding = PresentationBinding(
-                schema=schema,
-                local=LwtsCodec(byte_order=self.local_syntax.byte_order),
-                wire=plan.codec,
-            )
         rx_loop, rx_host, rx_engine = self.loop, self.host, self.drain_engine
         if self.sharded is not None:
             # The flow lives on its home shard: that shard's loop runs
@@ -265,15 +236,11 @@ class SessionListener:
             rx_host,
             packet.src,
             flow_id,
-            deliver=lambda adu, fid=flow_id: self._deliver(fid, adu),
+            deliver=functools.partial(self._deliver, flow_id),
             machine=self.machine,
             plan_cache=self.plan_cache,
             presentation=binding,
-            encryption=(
-                WordXorStage(self.encryption, name="decrypt")
-                if self.encryption is not None
-                else None
-            ),
+            encryption=decrypt,
             drain_engine=rx_engine,
             integrity=self.integrity,
         )
@@ -286,6 +253,94 @@ class SessionListener:
         self._send_accept(packet.src, flow_id)
         if self.on_session is not None:
             self.on_session(session)
+
+    def _admit(
+        self, peer: str, flow_id: int, header: dict
+    ) -> tuple[SessionConfig, ConversionPlan, PresentationBinding | None,
+               WordXorStage | None] | None:
+        """Check a new offer against this listener's configuration.
+
+        Returns what an accepted session of this offer is built from:
+        its config, negotiated plan, presentation binding and decrypt
+        stage.  On a mismatch, sends the REJECT and returns None.
+        """
+        schema_name = header["schema"]
+        if schema_name not in self.schemas:
+            self.rejected += 1
+            self._send_reject(peer, flow_id, f"unknown schema {schema_name!r}")
+            return None
+        # Schema *revision* check: the name alone is not identity — a
+        # field added on one side would otherwise garble every decode.
+        local_fp = self._fingerprints[schema_name]
+        peer_fp = header.get("schema_fp")
+        if peer_fp is not None and peer_fp != local_fp:
+            self.rejected += 1
+            self._send_reject(
+                peer,
+                flow_id,
+                f"schema fingerprint mismatch for {schema_name!r}: "
+                f"initiator has {peer_fp}, listener has {local_fp} "
+                "(schema revisions differ)",
+            )
+            return None
+        # Cipher check: both ends must run the same cipher and key, or
+        # decrypted payloads would be garbage that still checksums.
+        local_cipher = cipher_token(self.encryption)
+        peer_cipher = header.get("cipher")
+        if peer_cipher != local_cipher:
+            self.rejected += 1
+            self._send_reject(
+                peer,
+                flow_id,
+                f"cipher mismatch: initiator offers "
+                f"{peer_cipher or 'cleartext'}, listener requires "
+                f"{local_cipher or 'cleartext'}",
+            )
+            return None
+        # Integrity-coverage check: the checksum must be computed over
+        # the same spans at both ends, or every ADU would "fail" verify
+        # (or worse, damage in a span one side thinks is covered would
+        # slip through).  A missing header means full coverage —
+        # pre-policy initiators interoperate with full-coverage
+        # listeners.
+        local_integrity = integrity_token(self.integrity)
+        peer_integrity = header.get("integrity", "full")
+        if peer_integrity != local_integrity:
+            self.rejected += 1
+            self._send_reject(
+                peer,
+                flow_id,
+                f"integrity policy mismatch: initiator offers "
+                f"{peer_integrity!r}, listener requires {local_integrity!r}",
+            )
+            return None
+        config = SessionConfig(
+            schema_name=schema_name,
+            recovery=RecoveryMode(header["recovery"]),
+            mtu=int(header["mtu"]),
+            local_syntax=LocalSyntax(header["syntax_name"], header["byte_order"]),
+            allow_direct=bool(header["allow_direct"]),
+        )
+        schema = self.schemas[schema_name]
+        plan = negotiate(
+            config.local_syntax,
+            self.local_syntax,
+            schema,
+            allow_direct=config.allow_direct,
+        )
+        binding = None
+        if self.presentation:
+            binding = PresentationBinding(
+                schema=schema,
+                local=LwtsCodec(byte_order=self.local_syntax.byte_order),
+                wire=plan.codec,
+            )
+        decrypt = (
+            WordXorStage(self.encryption, name="decrypt")
+            if self.encryption is not None
+            else None
+        )
+        return config, plan, binding, decrypt
 
     def _deliver(self, flow_id: int, adu: DeliveredAdu) -> None:
         if self.deliver is not None:
@@ -414,7 +469,7 @@ class SessionInitiator:
         self.recompute = recompute
         self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.presentation = bool(presentation)
         self.encryption = encryption
         self.integrity = integrity
@@ -438,6 +493,8 @@ class SessionInitiator:
         self.init_rtt: float | None = None
         self._attempts = 0
         self._init_sent_at = loop.now
+        self._init_timer: Event | None = None
+        self._schema_fp = _offered_fingerprint(schemas[config.schema_name])
         host.bind(PROTOCOL, self.flow_id, self._on_packet)
         self._send_init()
 
@@ -447,8 +504,7 @@ class SessionInitiator:
         return self.session is not None
 
     def _send_init(self) -> None:
-        if self.established or self.failed_reason is not None:
-            return
+        self._init_timer = None  # fired, or never armed
         if self._attempts >= self.max_attempts:
             self._fail("handshake timed out")
             return
@@ -469,9 +525,7 @@ class SessionInitiator:
                     "kind": "init",
                     "flow_id": self.flow_id,
                     "schema": self.config.schema_name,
-                    "schema_fp": schema_fingerprint(
-                        self.schemas[self.config.schema_name]
-                    ),
+                    "schema_fp": self._schema_fp,
                     "cipher": cipher_token(self.encryption),
                     "integrity": integrity_token(self.integrity),
                     "recovery": self.config.recovery.value,
@@ -482,7 +536,12 @@ class SessionInitiator:
                 },
             )
         )
-        self.loop.schedule(self.handshake_timeout, self._send_init)
+        self._init_timer = self.loop.schedule(self.handshake_timeout, self._send_init)
+
+    def _stop_init_timer(self) -> None:
+        if self._init_timer is not None:
+            self._init_timer.cancel()
+            self._init_timer = None
 
     def _on_packet(self, packet: Packet) -> None:
         kind = packet.header.get("kind")
@@ -491,6 +550,7 @@ class SessionInitiator:
             return
         if kind != "accept" or self.established:
             return
+        self._stop_init_timer()
         if self._attempts == 1:
             self.init_rtt = max(self.loop.now - self._init_sent_at, 0.0)
         if (
@@ -512,11 +572,11 @@ class SessionInitiator:
         receiver_syntax = LocalSyntax(
             packet.header["syntax_name"], packet.header["byte_order"]
         )
-        plan = negotiate(
+        plan = _accepted_plan(
             self.config.local_syntax,
             receiver_syntax,
             self.schemas[self.config.schema_name],
-            allow_direct=self.config.allow_direct,
+            self.config.allow_direct,
         )
         session = Session(flow_id=self.flow_id, config=self.config, plan=plan)
         schema = (
@@ -556,6 +616,7 @@ class SessionInitiator:
 
     def _fail(self, reason: str) -> None:
         if self.failed_reason is None and not self.established:
+            self._stop_init_timer()
             self.failed_reason = reason
             self.tracer.emit(self.loop.now, "session", "failed", reason=reason)
             if self.on_failed is not None:

@@ -19,7 +19,7 @@ from repro.machine.accounting import datapath_counters
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.stages.checksum import internet_checksum
 from repro.transport.base import TransportStats
 
@@ -55,7 +55,7 @@ class TcpStyleReceiver:
         self.flow_id = flow_id
         self.deliver = deliver
         self.counter = counter or InstructionCounter()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.stats = TransportStats()
 
         self.reassembler = StreamReassembler(counter=self.counter)

@@ -19,7 +19,7 @@ from repro.machine.accounting import datapath_counters
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import Event, EventLoop
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.stages.checksum import internet_checksum
 from repro.transport.base import TransportStats
 
@@ -74,7 +74,7 @@ class TcpStyleSender:
         self.rtt = RttEstimator(initial_rto=rto) if adaptive_rto else None
         self._last_retransmit_time = -1.0
         self.counter = counter or InstructionCounter()
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = tracer or DISABLED_TRACER
         self.on_complete = on_complete
         self.stats = TransportStats()
 

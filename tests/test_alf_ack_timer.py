@@ -6,6 +6,11 @@ its last ACK.  The timer therefore repeats while the receiver holds a
 partial ADU, ready rows not yet drained, or a hole below its highest
 arrival, and stays silent otherwise.  A closed receiver's timer neither
 sends nor re-arms.
+
+Arming follows the same rule: the timer is scheduled when the flow
+becomes unresolved and re-arms only while it stays so, so a caught-up or
+idle receiver schedules nothing, and a session's INIT timer stops at
+ACCEPT.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from repro.control.ack import SelectiveAckTracker
 from repro.core.adu import Adu
 from repro.net.packet import Packet
 from repro.net.topology import two_hosts
+from repro.presentation.abstract import ArrayOf, Int32
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.drain import SharedDrainEngine
+from repro.transport.session import SessionConfig, SessionInitiator, SessionListener
 
 INTERVAL = 0.05
 MTU = 256
@@ -174,6 +181,81 @@ class TestTimerRule:
         sent = receiver.stats.acks_sent
         path.loop.run(until=path.loop.now + 1.0)
         assert receiver.stats.acks_sent == sent
+
+
+def record_calls(monkeypatch, cls, name):
+    """Record the clock time of every call to ``cls.<name>``."""
+    original = getattr(cls, name)
+    times = []
+
+    def recorded(self, *args):
+        times.append(self.loop.now)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return times
+
+
+class TestTimerArming:
+    def test_caught_up_flow_stops_ticking(self, monkeypatch):
+        ticks = record_calls(monkeypatch, AlfReceiver, "_periodic_ack")
+        delivered_at = {}
+        path, receiver, sender, adus, got = make_flow([100, 600, 300])
+        receiver.deliver = lambda d: delivered_at.setdefault(d.sequence, path.loop.now)
+        for adu in adus:
+            sender.send_adu(adu)
+        sender.close()
+        path.loop.run(until=5.0)
+        assert sorted(delivered_at) == [0, 1, 2]
+        last = max(delivered_at.values())
+        assert ticks and max(ticks) <= last + INTERVAL
+        assert path.loop.pending == 0
+
+    def test_ticks_keep_the_construction_phase(self, monkeypatch):
+        ticks = record_calls(monkeypatch, AlfReceiver, "_periodic_ack")
+        path, receiver, sender, adus, got = make_flow(
+            [600], rto=10.0,
+            doomed=lambda p: p.header["adu_seq"] == 0 and p.header["frag"] == 1,
+        )
+        path.loop.run(until=0.33)  # idle: no tick, nothing scheduled
+        assert not ticks and path.loop.pending == 0
+        sender.send_adu(adus[0])
+        path.loop.run(until=0.6)
+        assert receiver._partial
+        # The grid a timer started at construction would have ticked on.
+        grid = [INTERVAL]
+        while grid[-1] < 0.6:
+            grid.append(grid[-1] + INTERVAL)
+        assert ticks == [t for t in grid if 0.33 < t <= 0.6]
+
+    def test_idle_open_receivers_schedule_nothing(self):
+        path = two_hosts(seed=1)
+        receivers = [
+            AlfReceiver(path.loop, path.b, "a", flow_id, deliver=lambda d: None,
+                        ack_interval=INTERVAL)
+            for flow_id in range(1, 33)
+        ]
+        assert path.loop.pending == 0
+        path.loop.run(until=10.0)
+        assert path.loop.events_run == 0
+        for receiver in receivers:
+            receiver.close()
+
+    def test_established_initiator_init_timer_never_fires(self, monkeypatch):
+        sends = record_calls(monkeypatch, SessionInitiator, "_send_init")
+        schemas = {"ints": ArrayOf(Int32())}
+        path = two_hosts(seed=1)
+        listener = SessionListener(path.loop, path.b, schemas)
+        initiators = [
+            SessionInitiator(path.loop, path.a, "b",
+                             SessionConfig(schema_name="ints"), schemas,
+                             handshake_timeout=0.1)
+            for _ in range(4)
+        ]
+        path.loop.run(until=5.0)
+        assert all(initiator.established for initiator in initiators)
+        assert sends == [0.0] * 4  # the first INITs only
+        listener.close()
 
 
 @st.composite

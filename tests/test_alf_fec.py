@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.buffers.chain import BufferChain
 from repro.core.adu import Adu
 from repro.errors import FramingError
 from repro.transport.alf.fec import (
     FecDecoder,
+    _xor_bytes,
     encode_with_parity,
     survival_probability,
 )
@@ -35,6 +37,34 @@ class TestEncoding:
         units = encode_with_parity(make_adu(), mtu=500, group_size=4)
         parity = [u for u in units if u.is_parity][0]
         assert "fec_parity" in parity.fragment.name
+
+
+def byte_xor(parts: list[bytes]) -> bytes:
+    """Reference parity: XOR byte by byte, zero-padded to the widest."""
+    out = bytearray(max(len(part) for part in parts))
+    for part in parts:
+        for index, byte in enumerate(part):
+            out[index] ^= byte
+    return bytes(out)
+
+
+class TestParity:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.binary(max_size=40), min_size=1, max_size=6))
+    def test_word_xor_matches_byte_xor(self, parts):
+        assert _xor_bytes(parts) == byte_xor(parts)
+
+    @given(st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=4))
+    def test_unaligned_views_and_chains(self, parts):
+        # Fragment payloads are views at any offset, or chain windows.
+        views = [memoryview(b"x" + part)[1:] for part in parts]
+        chains = [BufferChain.from_bytes(part) for part in parts]
+        try:
+            assert _xor_bytes(views) == byte_xor(parts)
+            assert _xor_bytes(chains) == byte_xor(parts)
+        finally:
+            for chain in chains:
+                chain.release()
 
 
 class TestDecoding:

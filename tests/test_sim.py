@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.host import Host
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import DISABLED_TRACER, Tracer
+from repro.transport.drain import SharedDrainEngine
 
 
 class TestEventLoop:
@@ -205,3 +207,33 @@ class TestTracer:
         tracer.emit(1.0, "a", "m")
         tracer.clear()
         assert tracer.records == []
+
+
+class TestSharedDisabledTracer:
+    def test_components_without_a_tracer_share_one_that_records_nothing(self):
+        loop = EventLoop()
+        a, b = Host(loop, "a"), Host(loop, "b")
+        engine = SharedDrainEngine(loop)
+        assert a.tracer is b.tracer is engine.tracer is DISABLED_TRACER
+        a.tracer.emit(0.0, "net", "sent", packet=1)
+        assert a.tracer.records == () and b.tracer.messages() == []
+        a.tracer.clear()
+        assert b.tracer.by_category("net") == []
+
+    def test_it_cannot_be_switched_on_or_filled(self):
+        with pytest.raises(AttributeError):
+            DISABLED_TRACER.enabled = True
+        with pytest.raises(AttributeError):
+            DISABLED_TRACER.records = []
+        with pytest.raises(AttributeError):
+            DISABLED_TRACER.records.append("record")
+        assert DISABLED_TRACER.enabled is False
+
+    def test_a_traced_component_is_unaffected(self):
+        loop = EventLoop()
+        tracer = Tracer()
+        traced, untraced = Host(loop, "a", tracer=tracer), Host(loop, "b")
+        traced.tracer.emit(0.0, "net", "sent")
+        untraced.tracer.emit(0.0, "net", "sent")
+        assert len(tracer.records) == 1
+        assert untraced.tracer.records == ()

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.bench.workloads import integer_array
 from repro.core.adu import Adu
 from repro.errors import TransportError
+from repro.integrity import IntegrityPolicy
+from repro.net.packet import Packet
 from repro.net.shard import ShardedHost
 from repro.net.topology import two_hosts
-from repro.presentation.abstract import ArrayOf, Int32
+from repro.presentation.abstract import ArrayOf, Int32, Int64
+from repro.presentation.compiler import schema_fingerprint
+from repro.presentation.lwts import LwtsCodec
 from repro.presentation.negotiate import LocalSyntax
+from repro.transport import session as session_module
 from repro.transport.alf import RecoveryMode
 from repro.transport.drain import SharedDrainEngine
 from repro.transport.session import (
@@ -302,3 +308,157 @@ def test_sharded_listener_delivers_and_tears_down_clean():
     # The caller owns the sharded host and shuts it down itself.
     sharded.shutdown()
     assert all(s.leak_report() == [] for s in sharded.shards)
+
+
+# ----------------------------------------------------------------------
+# The listener's offer memo: one check per offered configuration
+
+
+def count_calls(monkeypatch, name):
+    """Count calls to ``repro.transport.session.<name>``."""
+    original = getattr(session_module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, name, counted)
+    return calls
+
+
+def test_one_configuration_negotiates_and_fingerprints_once(monkeypatch):
+    session_module._offered_fingerprint.cache_clear()
+    session_module._accepted_plan.cache_clear()
+    negotiations = count_calls(monkeypatch, "negotiate")
+    fingerprints = count_calls(monkeypatch, "schema_fingerprint")
+    path = two_hosts(seed=8)
+    listener = SessionListener(path.loop, path.b, SCHEMAS)
+    initiators = [
+        SessionInitiator(
+            path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
+        )
+        for _ in range(8)
+    ]
+    path.loop.run(until=5)
+    assert all(initiator.established for initiator in initiators)
+    assert len(listener.sessions) == 8
+    # One per side (the listener's at construction, the initiators'
+    # shared offer), not one per session.
+    assert len(fingerprints) == 2
+    assert len(negotiations) == 2
+    sessions = list(listener.sessions.values())
+    assert all(s.config is sessions[0].config for s in sessions)
+    assert all(s.plan is sessions[0].plan for s in sessions)
+
+
+def first_reason(warm, schemas=SCHEMAS, **initiator_kwargs):
+    """The REJECT reason one INIT gets; ``warm`` accepts a session of the
+    default configuration first, so its offer is memoized."""
+    path = two_hosts(seed=9)
+    listener = SessionListener(path.loop, path.b, SCHEMAS)
+    if warm:
+        accepted = SessionInitiator(
+            path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
+        )
+        path.loop.run(until=2)
+        assert accepted.established and len(listener._offers) == 1
+    failures = []
+    rejected = SessionInitiator(
+        path.loop, path.a, "b", SessionConfig(schema_name="ints"), schemas,
+        on_failed=failures.append, **initiator_kwargs,
+    )
+    path.loop.run(until=path.loop.now + 2)
+    assert not rejected.established
+    assert len(listener.sessions) == int(warm)
+    return failures[0]
+
+
+@pytest.mark.parametrize(
+    "mismatch, reason",
+    [
+        ({"schemas": {"ints": ArrayOf(Int64())}}, "schema fingerprint mismatch"),
+        ({"encryption": 0x1234}, "cipher mismatch"),
+        ({"integrity": IntegrityPolicy.headers_only(8)}, "integrity policy mismatch"),
+    ],
+)
+def test_memo_hit_keeps_rejecting_mismatches(mismatch, reason):
+    cold = first_reason(warm=False, **mismatch)
+    warm = first_reason(warm=True, **mismatch)
+    assert reason in cold
+    assert warm == cold
+
+
+def test_duplicate_init_after_memo_hit_reaccepts():
+    path = two_hosts(seed=10)
+    listener = SessionListener(path.loop, path.b, SCHEMAS)
+    initiators = [
+        SessionInitiator(
+            path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
+        )
+        for _ in range(2)
+    ]
+    path.loop.run(until=2)
+    assert all(initiator.established for initiator in initiators)
+    flow_id = initiators[1].flow_id  # built from the memoized offer
+    accepts = []
+    path.a.unbind("session", flow_id)
+    path.a.bind("session", flow_id, accepts.append)
+    init = Packet(
+        src="a", dst="b", protocol="session", flow_id=flow_id,
+        header={
+            "kind": "init", "flow_id": flow_id, "schema": "ints",
+            "schema_fp": schema_fingerprint(SCHEMAS["ints"]),
+            "cipher": None, "integrity": "full",
+            "recovery": RecoveryMode.TRANSPORT_BUFFER.value, "mtu": 1024,
+            "syntax_name": "initiator", "byte_order": "big",
+            "allow_direct": True,
+        },
+    )
+    path.a.send(init)
+    path.loop.run(until=path.loop.now + 1)
+    assert [packet.header["kind"] for packet in accepts] == ["accept"]
+    assert len(listener.sessions) == 2
+    assert len(listener._offers) == 1
+
+
+def test_shared_offer_sessions_deliver_exact_with_presentation_and_cipher():
+    key = 0x6B8B4567
+    schema = SCHEMAS["ints"]
+    local, delivered_as = LwtsCodec(byte_order="big"), LwtsCodec(byte_order="little")
+    path = two_hosts(seed=11)
+    delivered = {}
+    listener = SessionListener(
+        path.loop, path.b, SCHEMAS,
+        deliver=lambda fid, adu: delivered.setdefault(fid, []).append(
+            (adu.sequence, bytes(adu.payload))
+        ),
+        presentation=True, encryption=key,
+        drain_engine=SharedDrainEngine(path.loop),
+    )
+    initiators = [
+        SessionInitiator(
+            path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
+            presentation=True, encryption=key,
+        )
+        for _ in range(4)
+    ]
+    path.loop.run(until=2)
+    assert all(initiator.established for initiator in initiators)
+    receivers = [listener.sessions[i.flow_id].receiver for i in initiators]
+    assert len(listener._offers) == 1
+    assert all(r.presentation is receivers[0].presentation for r in receivers)
+    assert all(r.wire.encrypt is receivers[0].wire.encrypt for r in receivers)
+    expected = {}
+    for index, initiator in enumerate(initiators):
+        for sequence in range(3):
+            value = integer_array(16, seed=7 * index + sequence)
+            initiator.session.sender.send_adu(
+                Adu(sequence, local.encode(value, schema), {"n": sequence})
+            )
+            expected.setdefault(initiator.flow_id, []).append(
+                (sequence, delivered_as.encode(value, schema))
+            )
+    path.loop.run(until=path.loop.now + 2)
+    listener.drain_engine.flush()
+    assert {fid: sorted(adus) for fid, adus in delivered.items()} == expected
