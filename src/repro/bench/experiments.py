@@ -2105,8 +2105,8 @@ def secure_pipeline(
     separate cipher pass and a separate checksum pass per direction.
     Outputs, checksums and the decrypted round trip are asserted
     byte-identical; the receive side additionally drains the whole
-    stream through one batched dispatch, the receiver's
-    ``run_batch`` mirror of ``send_batch``.  (The wall-clock >= 3x
+    stream through one batched ``run_batch`` dispatch, as a receiver's
+    drain engine does.  (The wall-clock >= 3x
     acceptance criterion lives in ``benchmarks/bench_secure_pipeline.py``;
     this battery stays bit-reproducible.)
     """
@@ -2221,8 +2221,8 @@ def secure_pipeline(
     assert fused_checksums == layered_checksums, "fused checksum diverged"
     assert fused_back == payloads, "fused round trip diverged"
 
-    # One batched receive-side dispatch over the whole stream: the
-    # vectorized mirror of the sender's send_batch.
+    # One batched receive-side dispatch over the whole stream, as a
+    # drain engine runs it.
     batch = receiver_plan.run_batch(layered_wire)
     assert batch.outputs == payloads
     assert batch.observations["checksum-internet"] == layered_checksums

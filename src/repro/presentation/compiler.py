@@ -47,6 +47,7 @@ necessarily with the interpreter's message text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
@@ -198,6 +199,7 @@ def _structural(astype: ASType) -> tuple:
     raise PresentationError(f"cannot fingerprint unknown abstract type {astype!r}")
 
 
+@functools.lru_cache(maxsize=256)
 def schema_fingerprint(astype: ASType) -> str:
     """Stable structural hash of a schema — the cache key's first half.
 
@@ -205,7 +207,9 @@ def schema_fingerprint(astype: ASType) -> str:
     (same types, field names, fixed lengths/counts, in the same order),
     which is exactly when a compiled codec is interchangeable between
     them.  Stable across processes: built from the structure, not
-    ``id()`` or ``hash()``.
+    ``id()`` or ``hash()``.  Memoized by value (abstract types are
+    frozen dataclasses whose equality includes the class), so a schema
+    is hashed once, however many endpoints, caches and sessions ask.
     """
     canon = repr(_structural(astype)).encode("ascii")
     return hashlib.sha256(canon).hexdigest()[:16]

@@ -36,7 +36,7 @@ class Event:
     ):
         self.time = time
         self.sequence = sequence
-        self.callback = callback
+        self.callback: Callable[..., None] | None = callback
         self.args = args
         self.cancelled = False
         self._loop = loop
@@ -53,12 +53,15 @@ class Event:
         The entry is lazily discarded: it stays in the heap until it
         either surfaces or the owning loop compacts (which it does once
         cancelled entries dominate the queue), so retransmit-timer
-        churn cannot grow the heap without bound.  The arguments are
-        dropped at once, so the dead entry pins nothing it was handed.
+        churn cannot grow the heap without bound.  The callback and
+        its arguments are dropped at once, so the dead entry pins
+        nothing it was handed (a bound method would keep its owner
+        alive).
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
         self.args = ()
         if self._loop is not None:
             self._loop._on_cancel()

@@ -24,9 +24,9 @@ from repro.core.adu import Adu, AduFragment, reassemble_fragments
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
 from repro.machine.accounting import integrity_counters
-from repro.machine.profile import MIPS_R2000, MachineProfile
+from repro.machine.profile import MIPS_R2000
 from repro.presentation.compiler import schema_fingerprint
-from repro.stages.encrypt import WordXorStage, cipher_token
+from repro.stages.encrypt import cipher_token
 from repro.stages.presentation import PresentationBinding
 from repro.transport.alf.fec import FecDecoder, FecFragment
 from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
@@ -82,7 +82,6 @@ class AlfReceiver:
             at construction (whole intervals since then).
         expected_adus: when known, lets :attr:`complete` report overall
             transfer completion.
-        machine: profile the compiled wire plan is priced on.
         plan_cache: plan cache to compile through; the wire pipeline's
             shape matches the sender's, so by default both ends of every
             flow share one cached plan.
@@ -100,8 +99,8 @@ class AlfReceiver:
             word kernel, through the compiled codecs' streaming chain
             path otherwise.  The delivered payload is the local-syntax
             bytes (no chain loan — the wire-form buffers are released).
-        encryption: a :class:`WordXorStage` (or a raw 32-bit key)
-            matching the sender's: the wire plan becomes
+        encryption: the sender's 32-bit cipher key, or None for
+            cleartext.  With a key the wire plan becomes
             ``[checksum, decrypt, convert]`` — verify the ciphertext,
             decrypt, convert back, all in one compiled read pass.  On
             the zero-copy path the decrypt streams over the reassembled
@@ -140,13 +139,11 @@ class AlfReceiver:
         deliver: DeliverFn,
         ack_interval: float = 0.05,
         expected_adus: int | None = None,
-        machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
-        counter: InstructionCounter | None = None,
         tracer: Tracer | None = None,
         zero_copy: bool = True,
         presentation: PresentationBinding | None = None,
-        encryption: WordXorStage | int | None = None,
+        encryption: int | None = None,
         drain_engine: SharedDrainEngine | None = None,
         integrity: IntegrityPolicy | None = None,
     ):
@@ -158,15 +155,14 @@ class AlfReceiver:
         self.ack_interval = ack_interval
         self.expected_adus = expected_adus
         self.zero_copy = bool(zero_copy)
-        self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.presentation = presentation
         self.integrity = integrity
         self.wire = WireConfig(
-            True, presentation, encryption, integrity, self.machine, self.plan_cache
+            True, presentation, encryption, integrity, MIPS_R2000, self.plan_cache
         )
         self.drain_engine = drain_engine
-        self.counter = counter or InstructionCounter()
+        self.counter = InstructionCounter()
         self.tracer = tracer or DISABLED_TRACER
         self.stats = TransportStats()
 

@@ -21,12 +21,11 @@ from repro.core.adu import Adu, fragment_payloads
 from repro.errors import TransportError
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy
-from repro.machine.profile import MIPS_R2000, MachineProfile
+from repro.machine.profile import MIPS_R2000
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
 from repro.sim.trace import DISABLED_TRACER, Tracer
-from repro.stages.encrypt import WordXorStage
 from repro.stages.presentation import PresentationBinding
 from repro.transport.alf.recovery import RecoveryMode
 from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
@@ -73,7 +72,6 @@ class AlfSender:
         fec_group: enable transmission-unit FEC (footnote 10): one XOR
             parity unit per this many data fragments, letting the
             receiver repair a single loss per group with no round trip.
-        machine: profile the compiled wire plan is priced on.
         plan_cache: plan cache to compile through (defaults to the
             process-wide shared cache, so all flows reuse one plan).
         presentation: a :class:`PresentationBinding` (schema + local and
@@ -84,11 +82,11 @@ class AlfSender:
             layouts), and through the compiled codecs' streaming paths
             otherwise.  The converted form is memoized per ADU, so
             retransmissions pay no second conversion.
-        encryption: a :class:`WordXorStage` (or a raw 32-bit key) fused
-            into the wire plan after conversion and before the checksum:
-            the sender's plan is ``[convert, encrypt, checksum]``, one
-            integrated read pass emitting ciphertext whose checksum
-            covers the wire bytes.  On a :class:`BufferChain` ADU the
+        encryption: a 32-bit cipher key, or None for cleartext.  Its
+            word-XOR stage is fused into the wire plan after conversion
+            and before the checksum: the sender's plan is ``[convert,
+            encrypt, checksum]``, one integrated read pass emitting
+            ciphertext whose checksum covers the wire bytes.  On a :class:`BufferChain` ADU the
             cipher streams over the chain segment-by-segment (no
             linearize); the ciphertext is memoized per ADU like the
             converted form, so retransmissions pay no second pass.
@@ -120,13 +118,11 @@ class AlfSender:
         max_attempts: int = 20,
         max_outstanding: int | None = None,
         fec_group: int | None = None,
-        machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         presentation: PresentationBinding | None = None,
-        encryption: WordXorStage | int | None = None,
+        encryption: int | None = None,
         integrity: IntegrityPolicy | None = None,
         pacing: TrainPacer | None = None,
-        counter: InstructionCounter | None = None,
         tracer: Tracer | None = None,
         on_complete: Callable[[], None] | None = None,
     ):
@@ -159,14 +155,13 @@ class AlfSender:
         if fec_group is not None and fec_group <= 0:
             raise TransportError("fec_group must be positive")
         self.fec_group = fec_group
-        self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.presentation = presentation
         self.integrity = integrity
         # Conversion joins the checksum loop when it lowers to a word
         # kernel; otherwise it runs on the compiled codecs' stage path.
         self.wire = WireConfig(
-            False, presentation, encryption, integrity, self.machine, self.plan_cache
+            False, presentation, encryption, integrity, MIPS_R2000, self.plan_cache
         )
         self.pacing = pacing
         if pacing is not None:
@@ -175,7 +170,7 @@ class AlfSender:
         # it is the ADU's own (see _wire_form).
         self._wire: dict[int, tuple[bytes | BufferChain | None, int]] = {}
         self._pending: list[Adu] = []
-        self.counter = counter or InstructionCounter()
+        self.counter = InstructionCounter()
         self.tracer = tracer or DISABLED_TRACER
         self.on_complete = on_complete
         self.stats = TransportStats()
@@ -213,37 +208,6 @@ class AlfSender:
             return
         self._dispatch(adu)
 
-    def send_batch(self, adus: list[Adu]) -> None:
-        """Transmit many ADUs with one batched wire pass.
-
-        The compiled wire plan packs every payload into one padded 2-D
-        word array and computes all ADU checksums in a single vectorized
-        traversal, amortizing the per-ADU interpreter overhead across
-        the batch.  Transmission then proceeds exactly as per-ADU
-        :meth:`send_adu` calls, windowing included.
-        """
-        if self._closed:
-            raise TransportError("sender is closed")
-        if not adus:
-            return
-        convert = self.wire.staged_convert
-        if convert is not None:
-            # Stage-path conversion first (compiled codecs, chains
-            # decoded in place), then one batched encrypt+checksum pass.
-            payloads = [convert.apply(adu.payload) for adu in adus]
-        else:
-            # Chain payloads gather straight into the batch array —
-            # no per-ADU linearize.
-            payloads = [adu.payload for adu in adus]
-        batch = self.wire_plan.run_batch(payloads)
-        wire = batch.outputs if self.wire.transforms else payloads
-        for adu, payload, checksum in zip(
-            adus, wire, batch.observations[WIRE_CHECKSUM]
-        ):
-            self._remember(adu, payload, checksum)
-        for adu in adus:
-            self.send_adu(adu)
-
     @property
     def wire_plan(self) -> CompiledPlan:
         """The flow's compiled wire plan — resolved once per
@@ -277,17 +241,16 @@ class AlfSender:
                 payload, observations = self.wire_plan.run_chain(source)
             else:
                 payload, observations = self.wire_plan.run(source)
-            memo = self._remember(adu, payload, observations[WIRE_CHECKSUM])
+            # The ADU's own payload is stored as None: the memo holds
+            # only what the sender made, and never releases the
+            # application's chain.
+            memo = (
+                None if payload is adu.payload else payload,
+                observations[WIRE_CHECKSUM],
+            )
+            self._wire[adu.sequence] = memo
         payload, checksum = memo
         return (adu.payload if payload is None else payload), checksum
-
-    def _remember(self, adu: Adu, payload, checksum: int) -> tuple:
-        """Memoize an ADU's wire form (first one wins).  The ADU's own
-        payload is stored as None: the memo holds only what the sender
-        made, and never releases the application's chain."""
-        return self._wire.setdefault(
-            adu.sequence, (None if payload is adu.payload else payload, checksum)
-        )
 
     def _drop_wire_memo(self, sequence: int) -> None:
         """Forget an ADU's memoized wire form, releasing a ciphertext

@@ -11,6 +11,7 @@ seen before builds no pipeline and no plan key.
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable
 
 from repro.ilp.compiler import CompiledPlan, PlanCache
@@ -67,6 +68,13 @@ def wire_pipeline(
     return Pipeline(stages, name="alf-wire")
 
 
+@functools.lru_cache(maxsize=64)
+def _cipher(key: int, receiving: bool) -> WordXorStage:
+    """The word cipher for a 32-bit key, one stage per key and direction:
+    endpoints with the same key share it (and its built kernel)."""
+    return WordXorStage(key, name="decrypt" if receiving else "encrypt")
+
+
 class WireConfig:
     """One endpoint's wire configuration and its compiled plan.
 
@@ -78,7 +86,9 @@ class WireConfig:
         fused: the conversion lowers to a word kernel and joins the
             plan's loop; otherwise it runs on the compiled codecs'
             stage path, outside the plan.
-        encrypt: the word cipher, or None for cleartext.
+        encrypt: the word cipher built from the endpoint's 32-bit key
+            (shared by every endpoint with that key and direction), or
+            None for cleartext.  The only place a key becomes a stage.
         integrity: the checksum's coverage policy (None covers all).
         transforms: the plan rewrites the payload (fused conversion
             and/or cipher) rather than only observing it.
@@ -96,7 +106,7 @@ class WireConfig:
         self,
         receiving: bool,
         presentation: PresentationBinding | None,
-        encryption: WordXorStage | int | None,
+        key: int | None,
         integrity: IntegrityPolicy | None,
         machine: MachineProfile,
         plan_cache: PlanCache,
@@ -110,19 +120,16 @@ class WireConfig:
             convert = presentation.sender_stage()
         self.convert = convert
         self.fused = convert is not None and convert.to_word_kernel() is not None
-        if isinstance(encryption, int):
-            encryption = WordXorStage(
-                encryption, name="decrypt" if receiving else "encrypt"
-            )
-        self.encrypt = encryption
+        encrypt = None if key is None else _cipher(key, receiving)
+        self.encrypt = encrypt
         self.integrity = integrity
-        self.transforms = self.fused or encryption is not None
+        self.transforms = self.fused or encrypt is not None
         self.machine = machine
         self.plan_cache = plan_cache
         self.token: Hashable = (
             receiving,
             convert.lowering_token() if self.fused else None,
-            None if encryption is None else (encryption.name, encryption.lowering_token()),
+            None if encrypt is None else (encrypt.name, encrypt.lowering_token()),
             integrity_token(integrity),
             machine.name,
         )

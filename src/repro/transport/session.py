@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import TransportError
 from repro.ilp.compiler import PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
-from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.presentation.abstract import ASType
@@ -35,7 +34,7 @@ from repro.presentation.lwts import LwtsCodec
 from repro.presentation.negotiate import ConversionPlan, LocalSyntax, negotiate
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import DISABLED_TRACER, Tracer
-from repro.stages.encrypt import WordXorStage, cipher_token
+from repro.stages.encrypt import cipher_token
 from repro.stages.presentation import PresentationBinding
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.base import DeliveredAdu
@@ -51,15 +50,9 @@ _flow_ids = itertools.count(1000)
 
 #: The INIT fields a listener checks or reads, in memo-key order.
 _OFFER_FIELDS = (
-    "schema", "schema_fp", "cipher", "integrity", "recovery", "mtu",
-    "syntax_name", "byte_order", "allow_direct",
+    "schema", "schema_fp", "cipher", "integrity", "presentation", "recovery",
+    "mtu", "syntax_name", "byte_order", "allow_direct",
 )
-
-
-@functools.lru_cache(maxsize=64)
-def _offered_fingerprint(schema: ASType) -> str:
-    """The schema fingerprint an initiator offers, once per schema."""
-    return schema_fingerprint(schema)
 
 
 @functools.lru_cache(maxsize=64)
@@ -116,9 +109,9 @@ class SessionListener:
 
     Each offered configuration is checked and negotiated once: the
     listener memoizes an accepted offer (every INIT field it checks or
-    reads) with the config, plan, presentation binding and decrypt
-    stage it decided, and later sessions of that offer share them.  The
-    listener's own configuration is therefore fixed at construction.
+    reads) with the config, plan and presentation binding it decided,
+    and later sessions of that offer share them.  The listener's own
+    configuration is therefore fixed at construction.
 
     Args:
         loop: event loop.
@@ -128,7 +121,6 @@ class SessionListener:
         deliver: called with every :class:`DeliveredAdu` of any accepted
             session (sessions are distinguished by flow id in the name).
         on_session: called with each established :class:`Session`.
-        machine: profile the accepted receivers' wire plans are priced on.
         plan_cache: plan cache shared with the ALF endpoints this
             listener builds (defaults to the process-wide cache).
         presentation: fuse schema-compiled presentation conversion into
@@ -136,11 +128,16 @@ class SessionListener:
             (from the registry) and the negotiated transfer codec become
             a :class:`PresentationBinding` on the ALF receiver, so
             verify + convert run as one compiled pass and delivered
-            payloads arrive in this host's local syntax.
-        encryption: 32-bit cipher key this listener requires.  Fused
-            into the ALF receivers' wire plans ([checksum, decrypt,
-            convert]); INITs whose cipher id does not match this
-            configuration are rejected with a clear reason.
+            payloads arrive in this host's local syntax.  Both ends must
+            choose alike — a receiver decoding bytes the sender never
+            converted delivers garbage that still checksums — so the
+            INIT carries the initiator's choice and a mismatch is
+            rejected with a clear reason.
+        encryption: 32-bit cipher key this listener requires, or None
+            for cleartext.  Fused into the ALF receivers' wire plans
+            ([checksum, decrypt, convert]); INITs whose cipher id does
+            not match this configuration are rejected with a clear
+            reason.
         integrity: the :class:`~repro.integrity.IntegrityPolicy` this
             listener requires.  Both ends must compute the checksum
             over the same covered spans or every ADU would "fail"
@@ -169,7 +166,6 @@ class SessionListener:
         local_syntax: LocalSyntax | None = None,
         deliver: Callable[[int, DeliveredAdu], None] | None = None,
         on_session: Callable[[Session], None] | None = None,
-        machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         tracer: Tracer | None = None,
         presentation: bool = False,
@@ -184,7 +180,6 @@ class SessionListener:
         self.local_syntax = local_syntax or LocalSyntax("listener", "little")
         self.deliver = deliver
         self.on_session = on_session
-        self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.tracer = tracer or DISABLED_TRACER
         self.presentation = bool(presentation)
@@ -194,9 +189,6 @@ class SessionListener:
         self.sharded = sharded
         self.sessions: dict[int, Session] = {}
         self.rejected = 0
-        self._fingerprints = {
-            name: schema_fingerprint(schema) for name, schema in self.schemas.items()
-        }
         # Offered configuration (the INIT's _OFFER_FIELDS) -> what its
         # accepted sessions share; see _admit.
         self._offers: dict[tuple, tuple] = {}
@@ -220,7 +212,7 @@ class SessionListener:
             if offer is None:
                 return
             self._offers[key] = offer
-        config, plan, binding, decrypt = offer
+        config, plan, binding = offer
         session = Session(flow_id=flow_id, config=config, plan=plan)
         rx_loop, rx_host, rx_engine = self.loop, self.host, self.drain_engine
         if self.sharded is not None:
@@ -237,10 +229,9 @@ class SessionListener:
             packet.src,
             flow_id,
             deliver=functools.partial(self._deliver, flow_id),
-            machine=self.machine,
             plan_cache=self.plan_cache,
             presentation=binding,
-            encryption=decrypt,
+            encryption=self.encryption,
             drain_engine=rx_engine,
             integrity=self.integrity,
         )
@@ -256,13 +247,12 @@ class SessionListener:
 
     def _admit(
         self, peer: str, flow_id: int, header: dict
-    ) -> tuple[SessionConfig, ConversionPlan, PresentationBinding | None,
-               WordXorStage | None] | None:
+    ) -> tuple[SessionConfig, ConversionPlan, PresentationBinding | None] | None:
         """Check a new offer against this listener's configuration.
 
         Returns what an accepted session of this offer is built from:
-        its config, negotiated plan, presentation binding and decrypt
-        stage.  On a mismatch, sends the REJECT and returns None.
+        its config, negotiated plan and presentation binding.  On a
+        mismatch, sends the REJECT and returns None.
         """
         schema_name = header["schema"]
         if schema_name not in self.schemas:
@@ -271,7 +261,7 @@ class SessionListener:
             return None
         # Schema *revision* check: the name alone is not identity — a
         # field added on one side would otherwise garble every decode.
-        local_fp = self._fingerprints[schema_name]
+        local_fp = schema_fingerprint(self.schemas[schema_name])
         peer_fp = header.get("schema_fp")
         if peer_fp is not None and peer_fp != local_fp:
             self.rejected += 1
@@ -314,6 +304,20 @@ class SessionListener:
                 f"{peer_integrity!r}, listener requires {local_integrity!r}",
             )
             return None
+        # Presentation check: a receiver converting bytes the sender
+        # never converted (or the reverse) delivers garbage that still
+        # checksums.  A missing header means no conversion.
+        peer_presentation = header.get("presentation", False)
+        if peer_presentation != self.presentation:
+            self.rejected += 1
+            self._send_reject(
+                peer,
+                flow_id,
+                f"presentation mismatch: initiator offers "
+                f"presentation={peer_presentation}, listener requires "
+                f"presentation={self.presentation}",
+            )
+            return None
         config = SessionConfig(
             schema_name=schema_name,
             recovery=RecoveryMode(header["recovery"]),
@@ -335,12 +339,7 @@ class SessionListener:
                 local=LwtsCodec(byte_order=self.local_syntax.byte_order),
                 wire=plan.codec,
             )
-        decrypt = (
-            WordXorStage(self.encryption, name="decrypt")
-            if self.encryption is not None
-            else None
-        )
-        return config, plan, binding, decrypt
+        return config, plan, binding
 
     def _deliver(self, flow_id: int, adu: DeliveredAdu) -> None:
         if self.deliver is not None:
@@ -403,7 +402,6 @@ class SessionInitiator:
         handshake_timeout: per-INIT retransmit interval.
         max_attempts: INIT attempts before giving up.
         recompute: forwarded to the ALF sender (APP_RECOMPUTE mode).
-        machine: profile the ALF sender's wire plan is priced on.
         plan_cache: plan cache shared with the ALF sender this initiator
             builds (defaults to the process-wide cache).
         presentation: fuse schema-compiled presentation conversion into
@@ -411,23 +409,25 @@ class SessionInitiator:
             negotiated transfer codec become a
             :class:`PresentationBinding` on the ALF sender, so ADUs
             handed in local syntax are converted to the wire syntax in
-            the same compiled pass as the checksum.
-        encryption: 32-bit cipher key.  Fused into the ALF sender's wire
-            plan ([convert, encrypt, checksum]); the INIT carries the
-            cipher id (a key fingerprint, never the key) so a listener
-            with a different cipher config rejects the handshake.
+            the same compiled pass as the checksum.  The INIT carries
+            the choice; a listener that chose otherwise rejects the
+            handshake.
+        encryption: 32-bit cipher key, or None for cleartext.  Fused
+            into the ALF sender's wire plan ([convert, encrypt,
+            checksum]); the INIT carries the cipher id (a key
+            fingerprint, never the key) so a listener with a different
+            cipher config rejects the handshake.
         integrity: the :class:`~repro.integrity.IntegrityPolicy` this
             side proposes.  The INIT carries the policy fingerprint; a
             listener configured differently rejects the handshake, so
             coverage can never silently disagree between the ends.
-        pacing: shape the session's egress into rate-paced packet
-            trains.  Either ``True`` (a :class:`TrainPacer` is built
-            with ``rate_bytes_per_s``/``target_train``) or an existing
-            pacer instance; it is handed to the ALF sender once the
-            handshake completes, and drain-pressure quanta on the
-            listener's ACKs drive its AIMD rate loop.
-        rate_bytes_per_s: initial pacing rate when ``pacing=True``.
-        target_train: packets per shaped train when ``pacing=True``.
+        pacing: a :class:`TrainPacer` shaping the session's egress
+            into rate-paced packet trains, or None for none.  It is
+            handed to the ALF sender once the handshake completes, and
+            drain-pressure quanta on the listener's ACKs drive its AIMD
+            rate loop.
+        pacing_auto_rate: seed the pacer's rate from the handshake's
+            round-trip sample (one shaped train per round trip).
     """
 
     def __init__(
@@ -442,15 +442,12 @@ class SessionInitiator:
         handshake_timeout: float = 0.1,
         max_attempts: int = 10,
         recompute: Callable[[int], Any] | None = None,
-        machine: MachineProfile | None = None,
         plan_cache: PlanCache | None = None,
         tracer: Tracer | None = None,
         presentation: bool = False,
         encryption: int | None = None,
         integrity: IntegrityPolicy | None = None,
-        pacing: "TrainPacer | bool" = False,
-        rate_bytes_per_s: float = 125_000.0,
-        target_train: int = 8,
+        pacing: TrainPacer | None = None,
         pacing_auto_rate: bool = False,
     ):
         if config.schema_name not in schemas:
@@ -467,23 +464,11 @@ class SessionInitiator:
         self.handshake_timeout = handshake_timeout
         self.max_attempts = max_attempts
         self.recompute = recompute
-        self.machine = machine or MIPS_R2000
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.tracer = tracer or DISABLED_TRACER
         self.presentation = bool(presentation)
         self.encryption = encryption
         self.integrity = integrity
-        if pacing is True:
-            pacing = TrainPacer(
-                loop,
-                rate_bytes_per_s=rate_bytes_per_s,
-                target_train=target_train,
-                mtu=config.mtu,
-                tracer=self.tracer,
-                name=f"pacer-{host.name}",
-            )
-        elif pacing is False:
-            pacing = None
         self.pacing = pacing
         self.pacing_auto_rate = bool(pacing_auto_rate)
 
@@ -494,7 +479,7 @@ class SessionInitiator:
         self._attempts = 0
         self._init_sent_at = loop.now
         self._init_timer: Event | None = None
-        self._schema_fp = _offered_fingerprint(schemas[config.schema_name])
+        self._schema_fp = schema_fingerprint(schemas[config.schema_name])
         host.bind(PROTOCOL, self.flow_id, self._on_packet)
         self._send_init()
 
@@ -528,6 +513,7 @@ class SessionInitiator:
                     "schema_fp": self._schema_fp,
                     "cipher": cipher_token(self.encryption),
                     "integrity": integrity_token(self.integrity),
+                    "presentation": self.presentation,
                     "recovery": self.config.recovery.value,
                     "mtu": self.config.mtu,
                     "syntax_name": self.config.local_syntax.name,
@@ -597,14 +583,9 @@ class SessionInitiator:
             mtu=self.config.mtu,
             recovery=self.config.recovery,
             recompute=self.recompute,
-            machine=self.machine,
             plan_cache=self.plan_cache,
             presentation=binding,
-            encryption=(
-                WordXorStage(self.encryption, name="encrypt")
-                if self.encryption is not None
-                else None
-            ),
+            encryption=self.encryption,
             integrity=self.integrity,
             pacing=self.pacing,
         )

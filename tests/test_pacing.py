@@ -550,7 +550,7 @@ class TestTopologyAndSessionWiring:
             path.loop, path.a, "b",
             SessionConfig(schema_name="ints"),
             {"ints": ArrayOf(Int32())},
-            pacing=True, rate_bytes_per_s=2e6, target_train=4,
+            pacing=TrainPacer(path.loop, rate_bytes_per_s=2e6, target_train=4),
         )
         path.loop.run(until=5)
         assert initiator.established

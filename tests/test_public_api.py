@@ -60,27 +60,25 @@ def test_recovery_modes_enum():
 OPTION_PINS = {
     "repro.transport.alf.sender.AlfSender": (
         "loop", "host", "peer", "flow_id", "mtu", "recovery", "recompute",
-        "rto", "max_attempts", "max_outstanding", "fec_group", "machine",
-        "plan_cache", "presentation", "encryption", "integrity", "pacing",
-        "counter", "tracer", "on_complete",
+        "rto", "max_attempts", "max_outstanding", "fec_group", "plan_cache",
+        "presentation", "encryption", "integrity", "pacing", "tracer",
+        "on_complete",
     ),
     "repro.transport.alf.receiver.AlfReceiver": (
         "loop", "host", "peer", "flow_id", "deliver", "ack_interval",
-        "expected_adus", "machine", "plan_cache", "counter", "tracer",
-        "zero_copy", "presentation", "encryption", "drain_engine",
-        "integrity",
+        "expected_adus", "plan_cache", "tracer", "zero_copy",
+        "presentation", "encryption", "drain_engine", "integrity",
     ),
     "repro.transport.session.SessionInitiator": (
         "loop", "host", "peer", "config", "schemas", "on_established",
         "on_failed", "handshake_timeout", "max_attempts", "recompute",
-        "machine", "plan_cache", "tracer", "presentation", "encryption",
-        "integrity", "pacing", "rate_bytes_per_s", "target_train",
-        "pacing_auto_rate",
+        "plan_cache", "tracer", "presentation", "encryption", "integrity",
+        "pacing", "pacing_auto_rate",
     ),
     "repro.transport.session.SessionListener": (
         "loop", "host", "schemas", "local_syntax", "deliver", "on_session",
-        "machine", "plan_cache", "tracer", "presentation", "encryption",
-        "integrity", "drain_engine", "sharded",
+        "plan_cache", "tracer", "presentation", "encryption", "integrity",
+        "drain_engine", "sharded",
     ),
     "repro.transport.drain.SharedDrainEngine": (
         "loop", "max_rows", "max_delay", "adaptive", "adaptive_boost",

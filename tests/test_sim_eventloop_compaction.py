@@ -7,6 +7,9 @@ stayed in the heap until its (possibly distant) expiry surfaced it.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.sim.eventloop import EventLoop
 
 
@@ -26,6 +29,24 @@ def test_cancel_is_idempotent():
     event.cancel()
     event.cancel()  # second cancel must not double-count
     assert loop.pending <= 1
+    loop.run()
+
+
+def test_cancelled_event_pins_nothing_while_in_the_heap():
+    class Owner:
+        def on_timer(self, payload):
+            raise AssertionError("a cancelled event fired")
+
+    loop = EventLoop()
+    owner, payload = Owner(), Owner()
+    owner_ref, payload_ref = weakref.ref(owner), weakref.ref(payload)
+    event = loop.schedule(1.0, owner.on_timer, payload)
+    event.cancel()
+    del owner, payload
+    gc.collect()
+    assert loop.pending == 1  # the dead entry is still queued
+    assert owner_ref() is None  # the bound method no longer holds it
+    assert payload_ref() is None
     loop.run()
 
 

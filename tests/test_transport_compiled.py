@@ -2,18 +2,14 @@
 
 Steady-state traffic must plan its wire manipulation exactly once: the
 sender and receiver of a flow share one cached :class:`CompiledPlan`,
-``send_batch`` checksums a whole burst in one vectorized pass, and the
-receiver's verification (now an observation comparison instead of
+and the receiver's verification (now an observation comparison instead of
 ``reassemble_fragments``'s internal pass) still rejects corrupt ADUs.
 """
 
 import struct
 
-import pytest
-
 from repro.bench.workloads import octet_payload
 from repro.core.adu import Adu, fragment_adu
-from repro.errors import TransportError
 from repro.ilp.compiler import PlanCache
 from repro.net.packet import Packet
 from repro.net.topology import two_hosts
@@ -73,47 +69,6 @@ class TestSharedWirePlan:
         path, sender, receiver, _ = make_flow(cache)
         assert sender.wire_plan.fully_lowered
         assert sender.wire_plan.n_loops == 1
-
-
-class TestSendBatch:
-    def test_batch_delivers_byte_identical_payloads(self):
-        cache = PlanCache()
-        adus = make_adus(16)
-        path, sender, receiver, got = make_flow(cache, expected=len(adus))
-        sender.send_batch(adus)
-        sender.close()
-        path.loop.run(until=60)
-        assert len(got) == len(adus)
-        for adu in adus:
-            assert got[adu.sequence].payload == adu.payload
-            assert got[adu.sequence].name == adu.name
-        assert receiver.stats.checksum_failures == 0
-
-    def test_batch_checksums_once(self):
-        cache = PlanCache()
-        adus = make_adus(8)
-        path, sender, receiver, _ = make_flow(cache, expected=len(adus))
-        sender.send_batch(adus)
-        # The batch pass seeded the memo: fragmenting consumed it, no
-        # per-ADU run() was needed (one cache miss, batch counts one
-        # lookup).
-        sender.close()
-        path.loop.run(until=60)
-        assert cache.stats.misses == 1
-
-    def test_empty_batch_is_a_noop(self):
-        cache = PlanCache()
-        path, sender, receiver, got = make_flow(cache)
-        sender.send_batch([])
-        path.loop.run(until=5)
-        assert got == {}
-
-    def test_batch_after_close_rejected(self):
-        cache = PlanCache()
-        path, sender, receiver, _ = make_flow(cache)
-        sender.close()
-        with pytest.raises(TransportError):
-            sender.send_batch(make_adus(2))
 
 
 class TestCompiledVerification:

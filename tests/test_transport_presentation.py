@@ -141,34 +141,6 @@ class TestAlfPresentation:
         assert delivered
         assert sender._wire == {}
 
-    def test_send_batch_with_fused_binding(self):
-        binding = lwts_binding(FIXED)
-        path, sender, delivered = make_pair(binding, binding)
-        codec = LwtsCodec(byte_order="little")
-        adus = [
-            Adu(i, codec.encode({**VALUE, "a": i}, FIXED), {"i": i})
-            for i in range(4)
-        ]
-        sender.send_batch(list(adus))
-        path.loop.run(until=20)
-        assert [bytes(adu.payload) for adu in delivered] == [
-            bytes(adu.payload) for adu in adus
-        ]
-
-    def test_send_batch_with_compiled_codec_binding(self):
-        binding = lwts_binding(VARIABLE)
-        path, sender, delivered = make_pair(binding, binding)
-        codec = LwtsCodec(byte_order="little")
-        adus = [
-            Adu(i, codec.encode({"name": f"n{i}", "xs": [i, i + 1]}, VARIABLE), {})
-            for i in range(3)
-        ]
-        sender.send_batch(list(adus))
-        path.loop.run(until=20)
-        assert [bytes(adu.payload) for adu in delivered] == [
-            bytes(adu.payload) for adu in adus
-        ]
-
     def test_zero_copy_chains_with_fused_binding(self):
         binding = lwts_binding(FIXED)
         path, sender, delivered = make_pair(binding, binding, zero_copy=True)

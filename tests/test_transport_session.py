@@ -16,6 +16,7 @@ from repro.presentation.negotiate import LocalSyntax
 from repro.transport import session as session_module
 from repro.transport.alf import RecoveryMode
 from repro.transport.drain import SharedDrainEngine
+from repro.transport.pacing import TrainPacer
 from repro.transport.session import (
     SessionConfig,
     SessionInitiator,
@@ -141,7 +142,7 @@ def test_pacing_auto_rate_seeds_from_init_rtt():
     initiator = SessionInitiator(
         path.loop, path.a, "b",
         SessionConfig(schema_name="ints"), SCHEMAS,
-        pacing=True, pacing_auto_rate=True,
+        pacing=TrainPacer(path.loop), pacing_auto_rate=True,
     )
     path.loop.run(until=5)
     assert initiator.established
@@ -163,7 +164,7 @@ def test_pacing_auto_rate_off_keeps_configured_default():
     initiator = SessionInitiator(
         path.loop, path.a, "b",
         SessionConfig(schema_name="ints"), SCHEMAS,
-        pacing=True,
+        pacing=TrainPacer(path.loop),
     )
     path.loop.run(until=5)
     assert initiator.established
@@ -180,7 +181,7 @@ def test_pacing_auto_rate_skips_retransmitted_handshake():
     initiator = SessionInitiator(
         path.loop, path.a, "b",
         SessionConfig(schema_name="ints"), SCHEMAS,
-        pacing=True, pacing_auto_rate=True,
+        pacing=TrainPacer(path.loop), pacing_auto_rate=True,
     )
     path.loop.run(until=30)
     assert initiator.established
@@ -328,10 +329,9 @@ def count_calls(monkeypatch, name):
 
 
 def test_one_configuration_negotiates_and_fingerprints_once(monkeypatch):
-    session_module._offered_fingerprint.cache_clear()
+    schema_fingerprint.cache_clear()
     session_module._accepted_plan.cache_clear()
     negotiations = count_calls(monkeypatch, "negotiate")
-    fingerprints = count_calls(monkeypatch, "schema_fingerprint")
     path = two_hosts(seed=8)
     listener = SessionListener(path.loop, path.b, SCHEMAS)
     initiators = [
@@ -343,9 +343,10 @@ def test_one_configuration_negotiates_and_fingerprints_once(monkeypatch):
     path.loop.run(until=5)
     assert all(initiator.established for initiator in initiators)
     assert len(listener.sessions) == 8
-    # One per side (the listener's at construction, the initiators'
-    # shared offer), not one per session.
-    assert len(fingerprints) == 2
+    # One fingerprint computation for the one schema (the memo's
+    # misses), whichever side asks, and one negotiation per side — not
+    # one per session.
+    assert schema_fingerprint.cache_info().misses == 1
     assert len(negotiations) == 2
     sessions = list(listener.sessions.values())
     assert all(s.config is sessions[0].config for s in sessions)
@@ -380,6 +381,7 @@ def first_reason(warm, schemas=SCHEMAS, **initiator_kwargs):
         ({"schemas": {"ints": ArrayOf(Int64())}}, "schema fingerprint mismatch"),
         ({"encryption": 0x1234}, "cipher mismatch"),
         ({"integrity": IntegrityPolicy.headers_only(8)}, "integrity policy mismatch"),
+        ({"presentation": True}, "presentation mismatch"),
     ],
 )
 def test_memo_hit_keeps_rejecting_mismatches(mismatch, reason):
@@ -387,6 +389,28 @@ def test_memo_hit_keeps_rejecting_mismatches(mismatch, reason):
     warm = first_reason(warm=True, **mismatch)
     assert reason in cold
     assert warm == cold
+
+
+@pytest.mark.parametrize("listener_converts", [True, False])
+def test_presentation_mismatch_is_rejected(listener_converts):
+    # One end converting to and from the negotiated wire syntax while
+    # the other sends or delivers raw bytes would hand up garbage that
+    # still checksums: the handshake must refuse it, in both directions.
+    path = two_hosts(seed=12)
+    listener = SessionListener(
+        path.loop, path.b, SCHEMAS, presentation=listener_converts,
+    )
+    failures = []
+    initiator = SessionInitiator(
+        path.loop, path.a, "b", SessionConfig(schema_name="ints"), SCHEMAS,
+        presentation=not listener_converts, on_failed=failures.append,
+    )
+    path.loop.run(until=2)
+    assert not initiator.established
+    assert listener.sessions == {}
+    assert listener.rejected == 1
+    assert len(failures) == 1
+    assert "presentation mismatch" in failures[0]
 
 
 def test_duplicate_init_after_memo_hit_reaccepts():
@@ -409,7 +433,7 @@ def test_duplicate_init_after_memo_hit_reaccepts():
         header={
             "kind": "init", "flow_id": flow_id, "schema": "ints",
             "schema_fp": schema_fingerprint(SCHEMAS["ints"]),
-            "cipher": None, "integrity": "full",
+            "cipher": None, "integrity": "full", "presentation": False,
             "recovery": RecoveryMode.TRANSPORT_BUFFER.value, "mtu": 1024,
             "syntax_name": "initiator", "byte_order": "big",
             "allow_direct": True,
