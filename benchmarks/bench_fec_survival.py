@@ -1,6 +1,6 @@
 """F5 — ADU survival with transmission-unit FEC (footnote 10).
 
-Times the real encode → drop → decode cycle for a 187-cell ADU and
+Times the real encode → drop → rebuild cycle for a 187-cell ADU and
 asserts that parity groups rescue ADU sizes plain fragmentation loses.
 """
 
@@ -8,9 +8,7 @@ import pytest
 
 from repro.bench import experiments
 from repro.bench.workloads import octet_payload
-from repro.core.adu import Adu
 from repro.sim.rng import RngStreams
-from repro.transport.alf.fec import FecDecoder, encode_with_parity
 
 
 @pytest.fixture(scope="module")
@@ -19,20 +17,18 @@ def result():
 
 
 def test_bench_fec_roundtrip_with_loss(benchmark, result, report):
-    adu = Adu(0, octet_payload(8192))
+    payload = octet_payload(8192)
     rng = RngStreams(5).stream("bench-fec")
 
     def roundtrip():
-        decoder = FecDecoder(mtu=44)
-        for unit in encode_with_parity(adu, mtu=44, group_size=8):
-            if rng.random() >= 1e-3:
-                decoder.add(unit)
-        return decoder.try_reassemble()
+        return experiments.fec_roundtrip(
+            payload, 44, 8, lambda: rng.random() >= 1e-3
+        )
 
     reassembled = benchmark(roundtrip)
     # A specific draw may lose >1 unit in a group; the shape test below
     # covers the statistics.
-    assert reassembled is None or reassembled.payload == adu.payload
+    assert reassembled is None or reassembled == payload
     report(result)
 
 

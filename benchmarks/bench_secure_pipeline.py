@@ -180,7 +180,10 @@ def make_fragment_packets(payloads: list[bytes]) -> list[Packet]:
                     dst="b",
                     protocol=PROTOCOL,
                     flow_id=1,
-                    header=AlfSender._fragment_header(fragment),
+                    header=AlfSender._header(
+                        fragment.adu_sequence, fragment.index, fragment.total,
+                        fragment.adu_length, fragment.adu_checksum, fragment.name,
+                    ),
                     payload=fragment.payload,
                 )
             )

@@ -198,7 +198,10 @@ def adu_stream(flow_id: int) -> tuple[list[Packet], list[bytes]]:
             packets.append(
                 Packet(
                     src="a", dst="b", protocol=PROTOCOL, flow_id=flow_id,
-                    header=AlfSender._fragment_header(fragment),
+                    header=AlfSender._header(
+                        fragment.adu_sequence, fragment.index, fragment.total,
+                        fragment.adu_length, fragment.adu_checksum, fragment.name,
+                    ),
                     payload=fragment.payload,
                 )
             )

@@ -15,16 +15,13 @@ Puts several subsystems together the way a downstream user would:
 Run:  python examples/session_over_atm.py
 """
 
+from repro.bench.experiments import fec_roundtrip
 from repro.core.adu import Adu
 from repro.net.topology import two_hosts
 from repro.presentation.abstract import ArrayOf, Int32
 from repro.presentation.negotiate import LocalSyntax
 from repro.sim.rng import RngStreams
-from repro.transport.alf.fec import (
-    FecDecoder,
-    encode_with_parity,
-    survival_probability,
-)
+from repro.transport.alf.fec import survival_probability
 from repro.transport.session import (
     SessionConfig,
     SessionInitiator,
@@ -81,19 +78,11 @@ def fec_demo() -> None:
     for group_size in (None, 8):
         survived = 0
         for trial in range(n_trials):
-            adu = Adu(trial, rng.randbytes(adu_bytes))
-            decoder = FecDecoder(mtu=CELL_MTU)
-            units = encode_with_parity(
-                adu, mtu=CELL_MTU,
-                group_size=group_size if group_size else 10**9,
+            payload = rng.randbytes(adu_bytes)
+            result = fec_roundtrip(
+                payload, CELL_MTU, group_size, lambda: rng.random() >= loss
             )
-            for unit in units:
-                if unit.is_parity and group_size is None:
-                    continue
-                if rng.random() >= loss:
-                    decoder.add(unit)
-            result = decoder.try_reassemble()
-            if result is not None and result.payload == adu.payload:
+            if result == payload:
                 survived += 1
         label = "plain" if group_size is None else f"FEC(k={group_size})"
         analytic = survival_probability(

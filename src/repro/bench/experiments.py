@@ -9,6 +9,8 @@ functions for pytest-benchmark and assert the paper's shape.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.bench.harness import ExperimentResult, Row
 from repro.bench.workloads import (
     PACKET_BYTES,
@@ -1204,6 +1206,43 @@ def word_fusion(payload_bytes: int = 65536) -> ExperimentResult:
 # F5 — ADU-level FEC moves the survival knee (footnote 10)
 
 
+def fec_roundtrip(
+    payload: bytes,
+    mtu: int,
+    group_size: int | None,
+    arrives: Callable[[], bool],
+) -> bytes | None:
+    """One ADU through transmission-unit FEC: cut into ``mtu`` pieces,
+    one parity per ``group_size`` of them (None: plain, no parity), and
+    ``arrives()`` asked once per unit in wire order — each group's
+    pieces, then its parity.  Returns the ADU rebuilt from the units
+    that arrived, or None when some group lost more than its parity
+    can rebuild."""
+    from repro.core.adu import fragment_payloads
+    from repro.transport.alf.fec import group_parity, rebuild_erasure
+
+    pieces = fragment_payloads(payload, mtu)
+    size = len(pieces) if group_size is None else group_size
+    rebuilt: list[bytes | memoryview] = []
+    intact = True
+    for base in range(0, len(pieces), size):
+        group = pieces[base : base + size]
+        parity = None if group_size is None else group_parity(group)
+        kept = [arrives() for _ in group]
+        parity_kept = parity is not None and arrives()
+        lost = kept.count(False)
+        if lost == 1 and parity_kept:
+            missing = kept.index(False)
+            survivors = [piece for piece, ok in zip(group, kept) if ok]
+            group[missing] = rebuild_erasure(
+                parity, survivors, len(group[missing])
+            )
+        elif lost:
+            intact = False
+        rebuilt.extend(group)
+    return b"".join(rebuilt) if intact else None
+
+
 def fec_survival(
     adu_sizes: tuple[int, ...] = (2048, 8192, 65536),
     cell_loss_rate: float = 1e-3,
@@ -1213,12 +1252,7 @@ def fec_survival(
 ) -> ExperimentResult:
     """F5 (extension figure): ADU survival with and without one-parity-
     per-group FEC at the transmission-unit level."""
-    from repro.core.adu import Adu
-    from repro.transport.alf.fec import (
-        FecDecoder,
-        encode_with_parity,
-        survival_probability,
-    )
+    from repro.transport.alf.fec import survival_probability
 
     rng = RngStreams(seed).stream("fec-loss")
     rows = []
@@ -1243,18 +1277,15 @@ def fec_survival(
                 extra={"gain": round(fec / plain, 2) if plain > 0 else float("inf")},
             )
         )
-    # Simulated spot-check at the middle size: real encode/drop/decode.
+    # Simulated spot-check at the middle size: real encode/drop/rebuild.
     size = adu_sizes[len(adu_sizes) // 2]
-    mtu = 44
     survived = 0
     for trial in range(n_trials):
-        adu = Adu(trial, octet_payload(size, seed=trial))
-        decoder = FecDecoder(mtu=mtu)
-        for unit in encode_with_parity(adu, mtu=mtu, group_size=group_size):
-            if rng.random() >= cell_loss_rate:
-                decoder.add(unit)
-        result = decoder.try_reassemble()
-        if result is not None and result.payload == adu.payload:
+        payload = octet_payload(size, seed=trial)
+        result = fec_roundtrip(
+            payload, 44, group_size, lambda: rng.random() >= cell_loss_rate
+        )
+        if result == payload:
             survived += 1
     rows.append(
         Row(

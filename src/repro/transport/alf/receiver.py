@@ -28,7 +28,7 @@ from repro.machine.profile import MIPS_R2000
 from repro.presentation.compiler import schema_fingerprint
 from repro.stages.encrypt import cipher_token
 from repro.stages.presentation import PresentationBinding
-from repro.transport.alf.fec import FecDecoder, FecFragment
+from repro.transport.alf.fec import rebuild_erasure
 from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
 from repro.transport.drain import ReadyAdu, SharedDrainEngine
 from repro.net.host import Host
@@ -48,16 +48,22 @@ class _PartialAdu:
     name: dict[str, Any]
     fragments: dict[int, AduFragment] = field(default_factory=dict)
     first_seen: float = 0.0
-    fec: FecDecoder | None = None
+    # FEC parity units waiting on their group, keyed by the group's
+    # first fragment index.
+    parity: dict[int, bytes | BufferChain] = field(default_factory=dict)
     # Fragment-relative (lo, hi) corruption hints from the PHY, keyed by
     # fragment index; mapped to ADU offsets when the ADU completes.
     corrupt_hints: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 #: The reassembly record of an ADU with no fragment buffers to release:
-#: one taken whole from a run (its chain came straight from the pool) or
-#: rebuilt by the FEC decoder (its units were linearized on arrival).
+#: one taken whole from a run (its chain came straight from the pool).
 _NO_FRAGMENTS = _PartialAdu(total=0, name={})
+
+#: What ``_partial`` holds for an ADU that is complete and queued for the
+#: drain engine: its fragments belong to the ready row, and a late
+#: fragment for it is dropped, not filed into a partial nothing completes.
+_QUEUED = _PartialAdu(total=0, name={})
 
 
 class AlfReceiver:
@@ -115,8 +121,9 @@ class AlfReceiver:
             dispatch per drain epoch.  Both routes end in
             :meth:`resolve_drained`, the one place that compares the
             checksum, counts failures, releases buffers and delivers.
-            FEC-recovered ADUs take the same routes: the wire plan is
-            the only verifier.
+            FEC-protected ADUs reassemble like any other (parity only
+            rebuilds a group's single erasure), so the wire plan is the
+            only verifier.
         integrity: an :class:`~repro.integrity.IntegrityPolicy`
             matching the sender's.  The wire plan's checksum covers
             only the policy's spans, and — the receive half of the
@@ -167,6 +174,7 @@ class AlfReceiver:
         self.stats = TransportStats()
 
         self.acks = SelectiveAckTracker(counter=self.counter)
+        # ADUs in reassembly, and _QUEUED for those awaiting the drain.
         self._partial: dict[int, _PartialAdu] = {}
         self._ready: deque[ReadyAdu] = deque()
         self._defer_acks = 0
@@ -191,25 +199,38 @@ class AlfReceiver:
             payload.release()
 
     def _release_fragments(self, partial: _PartialAdu) -> None:
-        """Release every buffered fragment's chain references."""
+        """Release every buffered fragment's and parity unit's chain
+        references."""
         for fragment in partial.fragments.values():
             self._discard_payload(fragment.payload)
         partial.fragments.clear()
+        if partial.parity:  # only an incomplete ADU still holds parity
+            for parity in partial.parity.values():
+                self._discard_payload(parity)
+            partial.parity.clear()
 
     def _on_fragment(self, packet: Packet) -> None:
         self.counter.note_packet()
         self.stats.segments_received += 1
         header = packet.header
         sequence = int(header["adu_seq"])
+        fec = header.get("fec")
+        partial = self._partial.get(sequence)
 
-        if sequence in self.acks:
-            self.stats.duplicates_discarded += 1
+        if sequence in self.acks or partial is _QUEUED:
+            # The ADU is complete: delivered, or queued for the next
+            # drain.  A new partial here would never complete.
             self._discard_payload(packet.payload)
-            # A retransmission of a delivered ADU means the sender
-            # missed our acknowledgement — re-ACK, or a lost ACK
-            # becomes an unbounded retransmit loop (the amplification
-            # the pacing loop's convergence gate forbids).
-            self._send_ack()
+            if fec is not None and fec["is_parity"]:
+                return  # parity trailing a group that needed none
+            self.stats.duplicates_discarded += 1
+            if sequence in self.acks:
+                # A retransmission of a delivered ADU means the sender
+                # missed our acknowledgement — re-ACK, or a lost ACK
+                # becomes an unbounded retransmit loop (the amplification
+                # the pacing loop's convergence gate forbids).  A queued
+                # row's delivery ACKs it anyway.
+                self._send_ack()
             return
 
         try:
@@ -234,8 +255,7 @@ class AlfReceiver:
         self.counter.record("sequence_check")  # which ADU, where in it
         self.counter.record("reassembly_bookkeeping")
 
-        fec_info = header.get("fec")
-        if fec_info is not None and "phy_corrupt" in header:
+        if fec is not None and "phy_corrupt" in header:
             # A unit the PHY flags as damaged is an erasure: parity can
             # rebuild it, while XOR over damaged bytes could only make
             # compensating errors the checksum misses.
@@ -243,7 +263,6 @@ class AlfReceiver:
             self._discard_payload(packet.payload)
             return
 
-        partial = self._partial.get(sequence)
         if partial is None:
             partial = _PartialAdu(
                 total=fragment.total, name=fragment.name, first_seen=self.loop.now
@@ -252,40 +271,81 @@ class AlfReceiver:
             if not self._ack_armed:
                 self._arm_ack_timer()
 
-        if fec_info is not None:
-            # The XOR decoder works on materialized bytes; a chain
-            # payload (e.g. from a DMA receive pool) is linearized here
-            # and its buffers returned immediately.
-            if isinstance(fragment.payload, BufferChain):
-                chain = fragment.payload
-                fragment = dataclasses.replace(fragment, payload=chain.linearize())
-                chain.release()
-            self._on_fec_unit(sequence, partial, fragment, fec_info)
-            return
-
-        if fragment.index in partial.fragments:
+        if fec is not None and fec["is_parity"]:
+            # Parity rides beside the fragments: held, keyed by its
+            # group's first index (the unit's ``frag``), until the group
+            # settles.
+            if fragment.index in partial.parity:
+                self.stats.duplicates_discarded += 1
+                self._discard_payload(fragment.payload)
+                return
+            partial.parity[fragment.index] = fragment.payload
+        elif fragment.index in partial.fragments:
             self.stats.duplicates_discarded += 1
             self._discard_payload(fragment.payload)
             return
-        partial.fragments[fragment.index] = fragment
-        hint = header.get("phy_corrupt")
-        if hint is not None:
-            # The PHY's damage hint is fragment-relative; remember it
-            # against the fragment we kept so _adu_corrupt_spans can
-            # rebase it once every fragment length is known.
-            lo, hi = hint
-            partial.corrupt_hints[fragment.index] = (int(lo), int(hi))
+        else:
+            partial.fragments[fragment.index] = fragment
+            hint = header.get("phy_corrupt")
+            if hint is not None:
+                # The PHY's damage hint is fragment-relative; remember it
+                # against the fragment we kept so _adu_corrupt_spans can
+                # rebase it once every fragment length is known.
+                lo, hi = hint
+                partial.corrupt_hints[fragment.index] = (int(lo), int(hi))
+        if fec is not None:
+            self._settle_group(partial, fragment, fec)
 
         if len(partial.fragments) == partial.total:
             self._complete_adu(sequence, partial)
+
+    def _settle_group(
+        self, partial: _PartialAdu, fragment: AduFragment, fec: dict[str, Any]
+    ) -> None:
+        """Use or drop the held parity of ``fragment``'s FEC group.
+
+        Groups are runs of ``group_size`` fragments from index 0 (the
+        last may be short).  A group with every data fragment present
+        releases its parity unread.  A group missing exactly one
+        rebuilds it from the parity into one fragment, the only place
+        FEC materializes bytes.  A group missing more keeps the parity
+        for a retransmission to complete.
+        """
+        size = int(fec["group_size"])
+        base = fragment.index - fragment.index % size
+        parity = partial.parity.get(base)
+        if parity is None:
+            return
+        end = min(base + size, partial.total)
+        fragments = partial.fragments
+        survivors = [fragments[i].payload for i in range(base, end) if i in fragments]
+        lost = end - base - len(survivors)
+        if lost > 1:
+            return
+        del partial.parity[base]
+        if lost:
+            missing = next(i for i in range(base, end) if i not in fragments)
+            # Every fragment is one MTU wide except the ADU's last.
+            mtu = int(fec["mtu"])
+            length = (
+                mtu if missing < partial.total - 1
+                else fragment.adu_length - mtu * missing
+            )
+            fragments[missing] = dataclasses.replace(
+                fragment,
+                index=missing,
+                payload=rebuild_erasure(parity, survivors, length),
+            )
+            self.fec_recoveries += 1
+        self._discard_payload(parity)
 
     def receive_run(self, packets: list[Packet], start: int) -> int:
         """Take one whole ADU from a burst in a single call.
 
         The ADU's fragments must be ``packets[start:start + n]``, indices
         ``0..n-1`` in order, with ``n >= 1``: byte payloads with no FEC
-        unit or PHY damage hint, for an ADU this flow has neither
-        delivered nor begun, and room in the pool for all of them.  The
+        unit or PHY damage hint, for an ADU this flow has not delivered,
+        begun or queued, and room in the pool for all of them.  The
         pool then DMAs the run in one call and its segments *are* the
         ADU's chain — no fragment records, no per-fragment share.  A
         single-fragment ADU is a run of one, whether it arrives alone
@@ -337,36 +397,6 @@ class AlfReceiver:
         adu = Adu(sequence, chain, dict(header["name"]))
         self._finish_adu(sequence, _NO_FRAGMENTS, adu, int(checksum), ())
         return total
-
-    def _on_fec_unit(
-        self,
-        sequence: int,
-        partial: _PartialAdu,
-        fragment: AduFragment,
-        fec_info: dict[str, Any],
-    ) -> None:
-        """FEC path: feed the per-ADU decoder; once it can rebuild the
-        ADU, verify and deliver it like any other (:meth:`_finish_adu`)."""
-        if partial.fec is None:
-            # The decoder needs the sender's fragmentation width to trim
-            # recovered payloads; the FEC header carries it.
-            partial.fec = FecDecoder(mtu=int(fec_info["mtu"]))
-        partial.fec.add(
-            FecFragment(
-                fragment=fragment,
-                group=int(fec_info["group"]),
-                is_parity=bool(fec_info["is_parity"]),
-                group_size=int(fec_info["group_size"]),
-                group_base=int(fec_info["group_base"]),
-            )
-        )
-        adu = partial.fec.try_reassemble()
-        if adu is not None:
-            self.fec_recoveries += partial.fec.recovered_fragments
-            del self._partial[sequence]
-            self._finish_adu(
-                sequence, _NO_FRAGMENTS, adu, fragment.adu_checksum, ()
-            )
 
     @property
     def wire_plan(self) -> CompiledPlan:
@@ -442,6 +472,7 @@ class AlfReceiver:
         entry = ReadyAdu(sequence, partial, adu, expected, corrupt_spans)
         if self.drain_engine is not None:
             self._ready.append(entry)
+            self._partial[sequence] = _QUEUED
             if not self._ack_armed:
                 self._arm_ack_timer()
             self.drain_engine.notify_ready(self)
@@ -498,8 +529,12 @@ class AlfReceiver:
         return len(self._ready)
 
     def pop_ready(self) -> ReadyAdu:
-        """Hand the oldest ready row to the drain engine (FIFO)."""
-        return self._ready.popleft()
+        """Hand the oldest ready row to the drain engine (FIFO).  Its
+        sequence leaves the queue: the row either delivers or, failing
+        verification, leaves the ADU receivable again."""
+        entry = self._ready.popleft()
+        del self._partial[entry.sequence]
+        return entry
 
     def resolve_drained(self, entry: ReadyAdu, checksum: int, out) -> int:
         """Resolve one verified row: compare, then deliver exactly once.
@@ -562,6 +597,7 @@ class AlfReceiver:
             # Keep the engine's backlog count exact.
             self.drain_engine.ready_discarded(self, len(ready))
         for entry in ready:
+            del self._partial[entry.sequence]
             self._discard_payload(entry.adu.payload)
             self._release_fragments(entry.partial)
 
@@ -738,11 +774,8 @@ class AlfReceiver:
         sack = self.acks.ack_payload()
         # ADUs with fragments present — or complete and queued for the
         # drain engine — are in flight, not missing yet.
-        pending = {entry.sequence for entry in self._ready}
         sack["missing"] = [
-            sequence
-            for sequence in sack["missing"]
-            if sequence not in self._partial and sequence not in pending
+            sequence for sequence in sack["missing"] if sequence not in self._partial
         ]
         header: dict = {"sack": sack}
         if self.drain_engine is not None:
@@ -780,4 +813,8 @@ class AlfReceiver:
 
     def missing_names(self) -> list[dict[str, Any]]:
         """Names of partially received ADUs (loss in application terms)."""
-        return [dict(partial.name) for partial in self._partial.values()]
+        return [
+            dict(partial.name)
+            for partial in self._partial.values()
+            if partial is not _QUEUED
+        ]

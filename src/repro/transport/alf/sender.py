@@ -10,7 +10,6 @@ loss (an ADU whose every fragment — or whose ACK — vanished).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -27,6 +26,7 @@ from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
 from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.stages.presentation import PresentationBinding
+from repro.transport.alf.fec import group_parity
 from repro.transport.alf.recovery import RecoveryMode
 from repro.transport.alf.wire import WIRE_CHECKSUM, WireConfig
 from repro.transport.base import TransportStats
@@ -166,9 +166,12 @@ class AlfSender:
         self.pacing = pacing
         if pacing is not None:
             pacing.bind(host.send)
-        # sequence -> (wire payload, checksum); the payload is None when
-        # it is the ADU's own (see _wire_form).
-        self._wire: dict[int, tuple[bytes | BufferChain | None, int]] = {}
+        # sequence -> (wire payload, checksum, parity); the payload is
+        # None when it is the ADU's own (see _wire_form), and the parity
+        # None until an FEC flow first cuts the ADU (see _wire_units).
+        self._wire: dict[
+            int, tuple[bytes | BufferChain | None, int, list[bytes] | None]
+        ] = {}
         self._pending: list[Adu] = []
         self.counter = InstructionCounter()
         self.tracer = tracer or DISABLED_TRACER
@@ -247,15 +250,16 @@ class AlfSender:
             memo = (
                 None if payload is adu.payload else payload,
                 observations[WIRE_CHECKSUM],
+                None,
             )
             self._wire[adu.sequence] = memo
-        payload, checksum = memo
+        payload, checksum, _ = memo
         return (adu.payload if payload is None else payload), checksum
 
     def _drop_wire_memo(self, sequence: int) -> None:
         """Forget an ADU's memoized wire form, releasing a ciphertext
         chain the plan made."""
-        payload, _ = self._wire.pop(sequence, (None, 0))
+        payload, _, _ = self._wire.pop(sequence, (None, 0, None))
         if isinstance(payload, BufferChain):
             payload.release()
 
@@ -342,37 +346,44 @@ class AlfSender:
             entry.last_sent = self.loop.now
 
     def _wire_units(self, adu: Adu):
-        """(header, payload) pairs for one ADU, FEC-encoded if enabled."""
-        if self.fec_group is None:
-            # A whole ADU needs no fragment records: each header is
-            # built straight from the payload pieces.
-            payload, checksum = self._wire_form(adu)
-            sequence = adu.sequence
-            pieces = fragment_payloads(payload, self.mtu)
-            total, length = len(pieces), len(payload)
-            for index, piece in enumerate(pieces):
-                yield self._header(
-                    sequence, index, total, length, checksum, dict(adu.name)
-                ), piece
-            return
-        from repro.transport.alf.fec import encode_with_parity
+        """(header, payload) pairs for one ADU: its fragments in order,
+        each FEC group's parity unit right after the group's last.
 
-        if self.wire.transforms or self.wire.convert is not None:
-            # FEC parity is computed over the wire-syntax (converted,
-            # encrypted) bytes the receiver will verify and invert.
-            payload, _ = self._wire_form(adu)
-            if payload is not adu.payload:
-                adu = dataclasses.replace(adu, payload=payload)
-        for unit in encode_with_parity(adu, self.mtu, self.fec_group):
-            header = self._fragment_header(unit.fragment)
-            header["fec"] = {
-                "group": unit.group,
-                "is_parity": unit.is_parity,
-                "group_size": unit.group_size,
-                "group_base": unit.group_base,
-                "mtu": self.mtu,
-            }
-            yield header, unit.fragment.payload
+        A group is a run of ``fec_group`` fragments from index 0 (the
+        last may be short); every FEC unit's header carries the group
+        size and MTU the receiver needs to rebuild an erasure, and a
+        parity unit's ``frag`` is its group's first index.  The parity
+        comes from the memoized wire form once per ADU and is kept in
+        its ``_wire`` entry, so retransmissions reuse it."""
+        payload, checksum = self._wire_form(adu)
+        sequence, name = adu.sequence, adu.name
+        pieces = fragment_payloads(payload, self.mtu)
+        total, length = len(pieces), len(payload)
+        size, parity = self.fec_group, None
+        if size is not None:
+            wire, _, parity = self._wire[sequence]
+            if parity is None:
+                parity = [
+                    group_parity(pieces[base : base + size])
+                    for base in range(0, total, size)
+                ]
+                self._wire[sequence] = (wire, checksum, parity)
+            data_tag = {"group_size": size, "mtu": self.mtu, "is_parity": False}
+            parity_tag = {**data_tag, "is_parity": True}
+        for index, piece in enumerate(pieces):
+            header = self._header(sequence, index, total, length, checksum, dict(name))
+            if parity is not None:
+                header["fec"] = data_tag
+            yield header, piece
+            if parity is not None and (
+                index % size == size - 1 or index == total - 1
+            ):
+                base = index - index % size
+                header = self._header(
+                    sequence, base, total, length, checksum, dict(name)
+                )
+                header["fec"] = parity_tag
+                yield header, parity[base // size]
 
     @staticmethod
     def _header(sequence, index, total, length, checksum, name) -> dict:
@@ -386,17 +397,6 @@ class AlfSender:
             "adu_csum": checksum,
             "name": name,
         }
-
-    @classmethod
-    def _fragment_header(cls, fragment) -> dict:
-        return cls._header(
-            fragment.adu_sequence,
-            fragment.index,
-            fragment.total,
-            fragment.adu_length,
-            fragment.adu_checksum,
-            fragment.name,
-        )
 
     # ------------------------------------------------------------------
     # ACK processing and repair

@@ -34,10 +34,10 @@ sharing a key into one ``run_batch`` call:
   flow's delivered-set;
 * **adaptive epochs** (``adaptive=True``) — the engine tracks offered
   load as a leaky integrator of pending rows: every ready notification
-  adds ``ewma_alpha`` × its pending backlog to the pressure, and the
+  adds :data:`EWMA_ALPHA` × its pending backlog to the pressure, and the
   pressure halves each ``max_delay`` of silence.  The flush policy
   scales with it — sustained arrivals earn longer windows (up to
-  ``adaptive_boost`` × the configured ``max_delay``) so more rows
+  :data:`ADAPTIVE_BOOST` × the configured ``max_delay``) so more rows
   coalesce per dispatch, while an idle engine collapses to an
   immediate flush: burst amortization when there are bursts, per-ADU
   latency when there are not.  Two orderings matter.  Each
@@ -80,6 +80,14 @@ from repro.transport.alf.wire import WIRE_CHECKSUM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.transport.alf.receiver import AlfReceiver
+
+#: Ceiling on how far backlog may stretch an adaptive engine's effective
+#: delay, as a multiple of ``max_delay``.
+ADAPTIVE_BOOST = 8.0
+
+#: Weight each ready notification's pending backlog adds to an adaptive
+#: engine's pressure integrator.
+EWMA_ALPHA = 0.5
 
 
 @dataclass
@@ -137,15 +145,11 @@ class SharedDrainEngine:
         adaptive: scale the flush policy with the backlog EWMA (see
             module docstring).  False (default) keeps the fixed
             ``max_rows`` / ``max_delay`` policy byte-for-byte.
-        adaptive_boost: ceiling on how far backlog may stretch the
-            effective delay, as a multiple of ``max_delay``.
         ramp_rows: pressure at which the effective delay reaches the
             configured ``max_delay`` (and effective rows reach
             ``max_rows``).  Defaults to ``min(64, max_rows)`` — a
             dispatch-size scale, deliberately independent of a possibly
             huge ``max_rows`` cap.
-        ewma_alpha: weight each notification's pending backlog adds to
-            the pressure integrator.
         counters: drain ledger (defaults to a fresh
             :class:`~repro.machine.accounting.DrainCounters`).
         tracer: optional event tracer.
@@ -157,9 +161,7 @@ class SharedDrainEngine:
         max_rows: int = 256,
         max_delay: float = 0.0,
         adaptive: bool = False,
-        adaptive_boost: float = 8.0,
         ramp_rows: int | None = None,
-        ewma_alpha: float = 0.5,
         counters: DrainCounters | None = None,
         tracer: Tracer | None = None,
     ):
@@ -167,23 +169,13 @@ class SharedDrainEngine:
             raise TransportError(f"max_rows must be positive, got {max_rows}")
         if max_delay < 0:
             raise TransportError(f"max_delay must be >= 0, got {max_delay}")
-        if adaptive_boost < 1.0:
-            raise TransportError(
-                f"adaptive_boost must be >= 1, got {adaptive_boost}"
-            )
         if ramp_rows is not None and ramp_rows <= 0:
             raise TransportError(f"ramp_rows must be positive, got {ramp_rows}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise TransportError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
-            )
         self.loop = loop
         self.max_rows = max_rows
         self.max_delay = max_delay
         self.adaptive = bool(adaptive)
-        self.adaptive_boost = adaptive_boost
         self.ramp_rows = ramp_rows if ramp_rows is not None else min(64, max_rows)
-        self.ewma_alpha = ewma_alpha
         self._backlog_ewma = 0.0
         self._ewma_stamp = loop.now
         self.counters = counters if counters is not None else DrainCounters()
@@ -284,7 +276,7 @@ class SharedDrainEngine:
             if elapsed > 0.0:
                 self._backlog_ewma *= 0.5 ** (elapsed / self.max_delay)
         self._ewma_stamp = now
-        self._backlog_ewma += self.ewma_alpha * pending
+        self._backlog_ewma += EWMA_ALPHA * pending
 
     @property
     def backlog_ewma(self) -> float:
@@ -302,14 +294,14 @@ class SharedDrainEngine:
 
         Idle engines (EWMA under one row) flush immediately; pressure
         ramps the window linearly to ``max_delay`` at ``ramp_rows`` and
-        on past it, capped at ``adaptive_boost`` × ``max_delay``.
+        on past it, capped at :data:`ADAPTIVE_BOOST` × ``max_delay``.
         """
         if not self.adaptive:
             return self.max_delay
         ewma = self.backlog_ewma
         if ewma < 1.0:
             return 0.0
-        return self.max_delay * min(self.adaptive_boost, ewma / self.ramp_rows)
+        return self.max_delay * min(ADAPTIVE_BOOST, ewma / self.ramp_rows)
 
     @property
     def effective_max_rows(self) -> int:

@@ -524,10 +524,14 @@ class SessionInitiator:
         )
         self._init_timer = self.loop.schedule(self.handshake_timeout, self._send_init)
 
-    def _stop_init_timer(self) -> None:
+    def _end_handshake(self) -> None:
+        """Stop the INIT timer and unbind: once ACCEPTed, rejected or
+        timed out, the initiator has nothing left to hear, and a late
+        ACCEPT is the host's to count as undeliverable."""
         if self._init_timer is not None:
             self._init_timer.cancel()
             self._init_timer = None
+        self.host.unbind(PROTOCOL, self.flow_id)
 
     def _on_packet(self, packet: Packet) -> None:
         kind = packet.header.get("kind")
@@ -536,7 +540,7 @@ class SessionInitiator:
             return
         if kind != "accept" or self.established:
             return
-        self._stop_init_timer()
+        self._end_handshake()
         if self._attempts == 1:
             self.init_rtt = max(self.loop.now - self._init_sent_at, 0.0)
         if (
@@ -597,7 +601,7 @@ class SessionInitiator:
 
     def _fail(self, reason: str) -> None:
         if self.failed_reason is None and not self.established:
-            self._stop_init_timer()
+            self._end_handshake()
             self.failed_reason = reason
             self.tracer.emit(self.loop.now, "session", "failed", reason=reason)
             if self.on_failed is not None:

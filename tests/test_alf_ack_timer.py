@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.bench.workloads import octet_payload
@@ -240,6 +241,47 @@ class TestTimerArming:
         assert path.loop.events_run == 0
         for receiver in receivers:
             receiver.close()
+
+    @pytest.mark.parametrize(
+        "link, engine, fec_group",
+        [
+            # A duplicate lands while its ADU's row waits out the epoch.
+            ({"duplicate_rate": 0.3}, {"max_delay": 5e-3}, None),
+            # Each ADU's trailing parity unit rides the train that
+            # completed the ADU, so it lands while the row is queued.
+            ({"max_train": 16, "train_window": 1e-3}, {}, 4),
+        ],
+        ids=["duplicates", "fec-trains"],
+    )
+    def test_late_fragment_of_a_queued_row_opens_no_partial(
+        self, monkeypatch, link, engine, fec_group
+    ):
+        ticks = record_calls(monkeypatch, AlfReceiver, "_periodic_ack")
+        path = two_hosts(seed=1, **link)
+        drain = SharedDrainEngine(path.loop, **engine)
+        delivered_at: dict[int, list[float]] = {}
+        receiver = AlfReceiver(
+            path.loop, path.b, "a", 1,
+            deliver=lambda d: delivered_at.setdefault(d.sequence, []).append(
+                path.loop.now
+            ),
+            drain_engine=drain,
+        )
+        sender = AlfSender(path.loop, path.a, "b", 1, mtu=1024,
+                           fec_group=fec_group)
+        for sequence in range(8):
+            sender.send_adu(Adu(sequence, octet_payload(8192, seed=sequence)))
+        sender.close()
+        path.loop.run(until=5.0)
+        assert {seq: len(times) for seq, times in delivered_at.items()} == {
+            seq: 1 for seq in range(8)
+        }
+        assert receiver.quiescent
+        assert path.loop.next_event_time() is None
+        last = max(max(times) for times in delivered_at.values())
+        assert not ticks or max(ticks) <= last + INTERVAL
+        receiver.close()
+        drain.shutdown()
 
     def test_established_initiator_init_timer_never_fires(self, monkeypatch):
         sends = record_calls(monkeypatch, SessionInitiator, "_send_init")

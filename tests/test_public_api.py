@@ -81,8 +81,8 @@ OPTION_PINS = {
         "drain_engine", "sharded",
     ),
     "repro.transport.drain.SharedDrainEngine": (
-        "loop", "max_rows", "max_delay", "adaptive", "adaptive_boost",
-        "ramp_rows", "ewma_alpha", "counters", "tracer",
+        "loop", "max_rows", "max_delay", "adaptive", "ramp_rows",
+        "counters", "tracer",
     ),
     "repro.net.shard.ShardedHost": (
         "front", "shards", "rng", "pool_buffers", "buffer_size", "max_rows",

@@ -277,7 +277,10 @@ def make_fragments(payloads, mtu=1024):
             packets.append(
                 Packet(
                     src="a", dst="b", protocol=PROTOCOL, flow_id=1,
-                    header=AlfSender._fragment_header(fragment),
+                    header=AlfSender._header(
+                        fragment.adu_sequence, fragment.index, fragment.total,
+                        fragment.adu_length, fragment.adu_checksum, fragment.name,
+                    ),
                     payload=fragment.payload,
                 )
             )

@@ -3,8 +3,8 @@
 The sender builds each wire header straight from the ADU's payload
 pieces (``fragment_payloads``), and the receiver takes whole ADUs as
 runs, so a whole ADU crosses the stack without one ``AduFragment``.
-These tests pin the sender's wire units to what ``fragment_adu`` plus
-``AlfSender._fragment_header`` produce, for ``bytes`` and
+These tests pin the sender's wire units to what ``fragment_adu``
+records, headed by ``AlfSender._header``, produce, for ``bytes`` and
 ``BufferChain`` ADUs alike, and count fragment records end to end.
 """
 
@@ -60,7 +60,13 @@ def reference_units(sender: AlfSender, adu: Adu) -> list:
     payload, checksum = sender._wire_form(adu)
     wire = dataclasses.replace(adu, payload=payload)
     return [
-        (AlfSender._fragment_header(fragment), fragment.payload)
+        (
+            AlfSender._header(
+                fragment.adu_sequence, fragment.index, fragment.total,
+                fragment.adu_length, fragment.adu_checksum, fragment.name,
+            ),
+            fragment.payload,
+        )
         for fragment in fragment_adu(wire, sender.mtu, checksum=checksum)
     ]
 

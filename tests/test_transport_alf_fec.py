@@ -1,13 +1,22 @@
 """FEC integrated into the ALF transport (zero-RTT repair)."""
 
+import random
+
 import pytest
 
 from repro.bench.workloads import octet_payload
 from repro.buffers.chain import BufferChain
+from repro.buffers.pool import BufferPool
 from repro.core.adu import Adu
 from repro.errors import TransportError
+from repro.machine.accounting import datapath_counters
+from repro.net.host import Host
+from repro.net.link import Link
 from repro.net.topology import two_hosts
+from repro.sim.eventloop import EventLoop
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
+from repro.transport.alf import sender as sender_module
+from repro.transport.alf.fec import group_parity
 
 
 def run(fec_group, loss_rate=0.06, n_adus=60, seed=11,
@@ -158,3 +167,68 @@ def test_fec_repairs_phy_corruption_as_erasures(seed):
     assert receiver.fec_erasures > 0
     assert receiver.fec_recoveries > 0
     assert sender.stats.retransmissions == 0
+
+
+def clean_pooled_run(fec_group, n_adus=8, loss_rate=0.0, seed=1):
+    """``n_adus`` × 8 KiB ADUs at MTU 1024 into a receive pool; returns
+    the receiver, sender, datapath ledger and pool after the run."""
+    loop = EventLoop()
+    pool = BufferPool(512, 1024, label="rx")
+    a, b = Host(loop, "a"), Host(loop, "b", rx_pool=pool)
+    forward = Link(loop, random.Random(seed), bandwidth_bps=1e8,
+                   loss_rate=loss_rate)
+    reverse = Link(loop, random.Random(seed + 1), bandwidth_bps=1e8)
+    forward.connect(b.receive)
+    reverse.connect(a.receive)
+    a.add_link("b", forward)
+    b.add_link("a", reverse)
+    got = {}
+    receiver = AlfReceiver(loop, b, "a", 1,
+                           deliver=lambda d: got.setdefault(d.sequence, bytes(d.payload)))
+    sender = AlfSender(loop, a, "b", 1, mtu=1024, fec_group=fec_group)
+    rng = random.Random(seed)
+    payloads = [rng.randbytes(8192) for _ in range(n_adus)]
+    counters = datapath_counters()
+    counters.reset()
+    for sequence, payload in enumerate(payloads):
+        sender.send_adu(Adu(sequence, payload, {"i": sequence}))
+    sender.close()
+    loop.run(until=30.0)
+    ledger = counters.snapshot()
+    counters.reset()
+    receiver.close()
+    assert got == dict(enumerate(payloads))
+    assert loop.next_event_time() is None
+    return receiver, sender, ledger, pool
+
+
+@pytest.mark.parametrize("fec_group", [None, 4])
+def test_intact_fec_adu_costs_what_a_plain_adu_costs(fec_group):
+    """An intact FEC ADU takes the whole-ADU path: one chain over the
+    pooled fragments, one copy at delivery, parity released unread, and
+    a trailing parity unit is neither a duplicate nor re-ACKed."""
+    receiver, _, ledger, pool = clean_pooled_run(fec_group)
+    assert ledger["copies"] == 8
+    assert ledger["bytes_copied"] == 8 * 8192
+    assert ledger["copies_by_label"] == {"linearize": 8 * 8192}
+    assert receiver.stats.acks_sent == 8
+    assert receiver.stats.duplicates_discarded == 0
+    assert receiver.fec_recoveries == 0
+    assert pool.leak_report() == []
+
+
+def test_parity_is_computed_once_per_adu_whatever_the_retransmissions(
+    monkeypatch,
+):
+    calls = []
+
+    def counted(pieces):
+        calls.append(len(pieces))
+        return group_parity(pieces)
+
+    monkeypatch.setattr(sender_module, "group_parity", counted)
+    receiver, sender, _, pool = clean_pooled_run(4, n_adus=32, loss_rate=0.08)
+    assert sender.stats.retransmissions > 0
+    assert receiver.fec_recoveries > 0
+    assert calls == [4, 4] * 32  # two groups of four per ADU, once each
+    assert pool.leak_report() == []

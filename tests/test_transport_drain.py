@@ -49,7 +49,10 @@ def encrypted_packets(flow_id, payloads, mtu=2048, key=KEY, start=0):
                     dst="b",
                     protocol=PROTOCOL,
                     flow_id=flow_id,
-                    header=AlfSender._fragment_header(fragment),
+                    header=AlfSender._header(
+                        fragment.adu_sequence, fragment.index, fragment.total,
+                        fragment.adu_length, fragment.adu_checksum, fragment.name,
+                    ),
                     payload=fragment.payload,
                 )
             )

@@ -123,6 +123,31 @@ def test_handshake_times_out_on_black_hole():
     assert failures == ["handshake timed out"]
 
 
+@pytest.mark.parametrize("outcome", ["accept", "reject", "timeout"])
+def test_initiator_unbinds_when_the_handshake_ends(outcome):
+    path = two_hosts(seed=2, loss_rate=1.0 if outcome == "timeout" else 0.0)
+    SessionListener(path.loop, path.b, SCHEMAS)
+    schemas = {"video": ArrayOf(Int32())} if outcome == "reject" else SCHEMAS
+    initiator = SessionInitiator(
+        path.loop, path.a, "b", SessionConfig(schema_name=next(iter(schemas))),
+        schemas, max_attempts=3,
+    )
+    assert ("session", initiator.flow_id) in path.a.bound_flows()
+    path.loop.run(until=30)
+    assert initiator.established == (outcome == "accept")
+    assert not [key for key in path.a.bound_flows() if key[0] == "session"]
+    if outcome == "accept":
+        # A late duplicate ACCEPT finds no handler on the initiator's host.
+        before = path.a.undeliverable
+        path.b.send(Packet(
+            src="b", dst="a", protocol="session", flow_id=initiator.flow_id,
+            header={"kind": "accept", "flow_id": initiator.flow_id,
+                    "syntax_name": "listener", "byte_order": "little"},
+        ))
+        path.loop.run(until=path.loop.now + 1)
+        assert path.a.undeliverable == before + 1
+
+
 def test_duplicate_init_is_idempotent():
     """Loss of the ACCEPT causes INIT retransmission; the listener must
     not create a second session."""
