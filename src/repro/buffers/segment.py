@@ -56,8 +56,10 @@ class Segment:
             mv = mv.cast("B")
         self._mv: memoryview | None = mv
         self.label = label or f"seg@{id(self):x}"
-        self._cell = cell if cell is not None else _RefCell()
-        self._cell.count += 1
+        if cell is None:
+            cell = _RefCell()
+        cell.count += 1
+        self._cell = cell
         self._alive = True
 
     @classmethod
@@ -79,22 +81,20 @@ class Segment:
     # ------------------------------------------------------------------
     # Data access (zero-copy except tobytes)
 
-    def _require_alive(self) -> memoryview:
-        if not self._alive or self._mv is None:
-            raise BufferError_(f"segment {self.label} used after release")
-        return self._mv
-
     def __len__(self) -> int:
         mv = self._mv
         return 0 if mv is None else len(mv)
 
     def memoryview(self) -> memoryview:
-        """The backing window itself (no copy)."""
-        return self._require_alive()
+        """The backing window itself (no copy); raises after release."""
+        mv = self._mv
+        if mv is None:
+            raise BufferError_(f"segment {self.label} used after release")
+        return mv
 
     def tobytes(self) -> bytes:
         """Materialize the segment's bytes (a real read of the data)."""
-        return bytes(self._require_alive())
+        return bytes(self.memoryview())
 
     # ------------------------------------------------------------------
     # Reference management
@@ -115,7 +115,7 @@ class Segment:
 
     def subview(self, offset: int, length: int | None = None) -> "Segment":
         """A narrower window sharing this segment's reference cell."""
-        mv = self._require_alive()
+        mv = self.memoryview()
         if length is None:
             length = len(mv) - offset
         if offset < 0 or length < 0 or offset + length > len(mv):
@@ -135,9 +135,12 @@ class Segment:
             raise BufferError_(f"segment {self.label} released twice")
         self._alive = False
         self._mv = None
-        self._cell.count -= 1
-        if self._cell.count == 0 and self._cell.on_zero is not None:
-            self._cell.on_zero()
+        cell = self._cell
+        cell.count -= 1
+        if cell.count == 0:
+            on_zero = cell.on_zero
+            if on_zero is not None:
+                on_zero()
 
     def __repr__(self) -> str:
         state = "alive" if self._alive else "released"

@@ -206,7 +206,7 @@ def _pack_batch(
     row then owns a pad byte, so there is nothing to re-zero.
     """
     rows = [
-        list(adu.memoryviews()) if isinstance(adu, BufferChain) else [adu]
+        adu.memoryviews() if isinstance(adu, BufferChain) else [adu]
         for adu in adus
     ]
     lengths = [

@@ -101,7 +101,7 @@ def gather_words(chain: BufferChain) -> tuple[Array, int]:
     the caller owns the result (kernels may transform it in place).
     """
     length = len(chain)
-    pieces = list(chain.memoryviews())
+    pieces = chain.memoryviews()
     pad = (-length) % 4
     if pad:
         pieces.append(bytes(pad))

@@ -149,8 +149,9 @@ class Host:
                 self.uplink.send(run)
                 return
             raise NetworkError(f"{self.name}: no link toward {run[0].dst!r}")
+        name = self.name
         for packet in run:
-            packet.src = self.name
+            packet.src = name
         link.send(run)
 
     def _dma(self, packet: Packet) -> bool:

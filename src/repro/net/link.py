@@ -259,69 +259,124 @@ class Link:
             raise NetworkError(f"{self.name}: no receiver connected")
         if isinstance(packets, Packet):
             packets = (packets,)
+        # Hot loop: a whole ADU's packets pass here, so everything read
+        # per packet is a local, the counters and the busy clock are
+        # written back once (also when a packet raises), and a packet
+        # joining the open train — the common case — boards inline.
         loop = self.loop
-        stats = self.stats
-        mtu = self.mtu
         now = loop.now
-        for packet in packets:
-            if mtu is not None and len(packet.payload) > mtu:
-                raise NetworkError(
-                    f"{self.name}: payload {len(packet.payload)} exceeds MTU {mtu}"
-                )
-            size = packet.wire_size
-            stats.sent += 1
-            stats.bytes_sent += size
+        mtu = self.mtu
+        bandwidth = self.bandwidth_bps
+        propagation = self.propagation_delay
+        random = self.rng.random
+        loss_rate = self.loss_rate
+        corrupt = self.corrupt_rate > 0.0
+        reorder_rate = self.reorder_rate
+        duplicate_rate = self.duplicate_rate
+        max_train = self.max_train
+        trains = max_train > 1
+        table = self._steering
+        busy = self._busy_until
+        sent = sent_bytes = 0
+        try:
+            for packet in packets:
+                payload = packet.payload
+                length = len(payload)
+                if mtu is not None and length > mtu:
+                    raise NetworkError(
+                        f"{self.name}: payload {length} exceeds MTU {mtu}"
+                    )
+                size = packet.header_overhead + length
+                sent += 1
+                sent_bytes += size
 
-            # Serialization: the link is busy until the last bit is out.
-            serialization = size * 8 / self.bandwidth_bps
-            start = max(now, self._busy_until)
-            self._busy_until = start + serialization
-            arrival_delay = (start - now) + serialization + self.propagation_delay
+                # Serialization: the link is busy until the last bit is out.
+                serialization = size * 8 / bandwidth
+                start = now if now >= busy else busy
+                busy = start + serialization
+                arrival_delay = (start - now) + serialization + propagation
 
-            if self.rng.random() < self.loss_rate:
-                stats.lost += 1
-                # A lost frame's receive buffers go back to the pool now —
-                # nothing downstream will ever release them.
-                if isinstance(packet.payload, BufferChain):
-                    packet.payload.release()
-                self.tracer.emit(now, "link", "lost", link=self.name,
-                                 packet_id=packet.packet_id)
-                continue
+                if random() < loss_rate:
+                    self.stats.lost += 1
+                    # A lost frame's receive buffers go back to the pool
+                    # now — nothing downstream will ever release them.
+                    if isinstance(payload, BufferChain):
+                        payload.release()
+                    self.tracer.emit(now, "link", "lost", link=self.name,
+                                     packet_id=packet.packet_id)
+                    continue
 
-            # The corruption draw happens only when the process is enabled,
-            # so enabling other failure modes never perturbs the seeded
-            # sequences of existing experiments.
-            if (
-                self.corrupt_rate > 0.0
-                and len(packet.payload)
-                and self.rng.random() < self.corrupt_rate
-            ):
-                self._corrupt(packet)
+                # The corruption draw happens only when the process is
+                # enabled, so enabling other failure modes never perturbs
+                # the seeded sequences of existing experiments.
+                if corrupt and length and random() < self.corrupt_rate:
+                    self._corrupt(packet)
 
-            reordered = self.rng.random() < self.reorder_rate
-            if reordered:
-                stats.reordered += 1
-                arrival_delay += self.propagation_delay * self.reorder_extra_delay
-                self.tracer.emit(now, "link", "reordered", link=self.name,
-                                 packet_id=packet.packet_id)
+                reordered = random() < reorder_rate
+                if reordered:
+                    self.stats.reordered += 1
+                    arrival_delay += propagation * self.reorder_extra_delay
+                    self.tracer.emit(now, "link", "reordered", link=self.name,
+                                     packet_id=packet.packet_id)
 
-            if self.max_train > 1 and not reordered:
-                # A reordered packet left its train by definition; everyone
-                # else boards the open train (or opens the next one).
-                self._board_train(packet, now + arrival_delay, size)
-            else:
-                loop.schedule(arrival_delay, self._deliver, packet, size)
+                if trains and not reordered:
+                    # A reordered packet left its train by definition;
+                    # everyone else boards the open train or opens the
+                    # next one.
+                    arrival = now + arrival_delay
+                    tag = packet.header.get("train")
+                    train = self._open_train
+                    if (
+                        train is not None
+                        and arrival <= train.close_time
+                        and tag == train.tag
+                    ):
+                        train.packets.append(packet)
+                        train.wire_bytes += size
+                        if table is not None:
+                            # Steering: a packet continuing the open run
+                            # costs three comparisons and an increment —
+                            # no hashing, no call.
+                            if (
+                                packet.flow_id == train.steer_flow
+                                and packet.protocol == train.steer_proto
+                                and table.epoch == train.steer_epoch
+                            ):
+                                charges = train.steer_charges
+                                if charges:
+                                    charges[-1][2] += 1
+                            else:
+                                self._place_run(train, packet)
+                        if arrival > train.last_arrival:
+                            train.last_arrival = arrival
+                        if len(train.packets) >= max_train:
+                            # Full: leave no later than the last member's
+                            # arrival.
+                            train.close_event.cancel()
+                            self._open_train = None
+                            loop.schedule_at(
+                                train.last_arrival, self._deliver_train, train
+                            )
+                    else:
+                        self._open_next_train(packet, arrival, size, tag)
+                else:
+                    loop.schedule(arrival_delay, self._deliver, packet, size)
 
-            if self.rng.random() < self.duplicate_rate:
-                stats.duplicated += 1
-                duplicate = packet.copy()
-                self.tracer.emit(now, "link", "duplicated", link=self.name,
-                                 packet_id=packet.packet_id)
-                # Duplicates ride alone even in train mode: they arrive a
-                # propagation delay late, past the train they came from.
-                loop.schedule(
-                    arrival_delay + self.propagation_delay, self._deliver, duplicate, size
-                )
+                if random() < duplicate_rate:
+                    self.stats.duplicated += 1
+                    duplicate = packet.copy()
+                    self.tracer.emit(now, "link", "duplicated", link=self.name,
+                                     packet_id=packet.packet_id)
+                    # Duplicates ride alone even in train mode: they arrive
+                    # a propagation delay late, past the train they came
+                    # from.
+                    loop.schedule(
+                        arrival_delay + propagation, self._deliver, duplicate, size
+                    )
+        finally:
+            self._busy_until = busy
+            self.stats.sent += sent
+            self.stats.bytes_sent += sent_bytes
 
     def _corrupt(self, packet: Packet) -> None:
         """Flip one payload bit in flight (the corruption draw hit)."""
@@ -356,38 +411,26 @@ class Link:
     # ------------------------------------------------------------------
     # Train aggregation
 
-    def _board_train(self, packet: Packet, arrival: float, size: int) -> None:
-        """Add one surviving packet of ``size`` wire bytes, arriving at
-        ``arrival``, to the open train, opening/closing trains as the
-        aggregation window and ``max_train`` dictate."""
-        tag = packet.header.get("train")
+    def _open_next_train(
+        self, packet: Packet, arrival: float, size: int, tag: object
+    ) -> None:
+        """Open a new train with one surviving packet of ``size`` wire
+        bytes, arriving at ``arrival``, that cannot join the open train.
+
+        If the open train is still inside its window, the packet carries
+        a different ``tag``: a shaped-train boundary, so the open train
+        closes early — pacer-drawn boundaries survive the link's
+        aggregation window instead of being glued to the next train's
+        head.  A train whose window has passed keeps its scheduled close
+        (its event owns the packet list).
+        """
         train = self._open_train
         if train is not None and arrival <= train.close_time:
-            if tag == train.tag:
-                train.packets.append(packet)
-                train.wire_bytes += size
-                if self._steering is not None:
-                    self._steer(train, packet)
-                train.last_arrival = max(train.last_arrival, arrival)
-                if len(train.packets) >= self.max_train:
-                    # Full: leave no later than the last member's arrival.
-                    train.close_event.cancel()
-                    self._open_train = None
-                    self.loop.schedule_at(
-                        train.last_arrival, self._deliver_train, train
-                    )
-                return
-            # A shaped-train boundary: this packet belongs to a
-            # different tagged train, so the open one closes early —
-            # pacer-drawn boundaries survive the link's aggregation
-            # window instead of being glued to the next train's head.
             train.close_event.cancel()
             self._open_train = None
             self.loop.schedule_at(
                 train.last_arrival, self._deliver_train, train
             )
-        # This packet opens a new train; a previous still-open train
-        # keeps its scheduled close (its event owns the packet list).
         train = _OpenTrain(
             packets=[packet],
             wire_bytes=size,
@@ -396,33 +439,20 @@ class Link:
             tag=tag,
         )
         if self._steering is not None:
-            self._steer(train, packet)
+            self._place_run(train, packet)
         train.close_event = self.loop.schedule_at(
             train.close_time, self._close_train, train
         )
         self._open_train = train
 
-    def _steer(self, train: _OpenTrain, packet: Packet) -> None:
-        """Resolve one boarding packet's shard, one lookup per run.
-
-        The common case — the packet continues the open run — is two
-        comparisons and an increment, no hashing and no tuple building:
-        the zero-extra-probes promise of the steered hot path.
-        """
+    def _place_run(self, train: _OpenTrain, packet: Packet) -> None:
+        """Resolve the shard of a boarding packet that opens a new run:
+        one steering-table lookup per run.  (A packet continuing the
+        open run is counted inline in :meth:`send`.)"""
         table = self._steering
-        epoch = table.epoch
-        if (
-            packet.flow_id == train.steer_flow
-            and packet.protocol == train.steer_proto
-            and epoch == train.steer_epoch
-        ):
-            charges = train.steer_charges
-            if charges:
-                charges[-1][2] += 1
-            return
         train.steer_proto = packet.protocol
         train.steer_flow = packet.flow_id
-        train.steer_epoch = epoch
+        train.steer_epoch = epoch = table.epoch
         if train.steer_first_epoch < 0:
             train.steer_first_epoch = epoch
         placed = table.steer(packet.protocol, packet.flow_id)

@@ -11,7 +11,6 @@ stays honest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.buffers.chain import BufferChain
@@ -24,9 +23,11 @@ HEADER_OVERHEAD_BYTES = 40
 _packet_ids = itertools.count(1)
 
 
-@dataclass
 class Packet:
     """One transmission unit.
+
+    A slotted record with a plain constructor: every wire unit of every
+    ADU is one, so building it costs a single call.
 
     Attributes:
         src: source host name.
@@ -34,7 +35,8 @@ class Packet:
         protocol: demultiplexing key at the host ("tcp-style", "alf", ...).
         flow_id: demultiplexing key within the protocol (connection /
             association identifier).
-        header: protocol-defined control fields.
+        header: protocol-defined control fields (a fresh dict when
+            omitted).
         payload: the data — ``bytes`` on the classic path, or a
             :class:`~repro.buffers.chain.BufferChain` on the zero-copy
             datapath (forwarding elements pass the reference along; only
@@ -43,18 +45,32 @@ class Packet:
         packet_id: unique id for tracing (assigned automatically).
     """
 
-    src: str
-    dst: str
-    protocol: str
-    flow_id: int
-    header: dict[str, Any] = field(default_factory=dict)
-    payload: bytes | BufferChain = b""
-    header_overhead: int = HEADER_OVERHEAD_BYTES
-    packet_id: int = field(default_factory=_packet_ids.__next__)
+    __slots__ = (
+        "src", "dst", "protocol", "flow_id", "header", "payload",
+        "header_overhead", "packet_id",
+    )
 
-    def __post_init__(self) -> None:
-        if self.header_overhead < 0:
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        protocol: str,
+        flow_id: int,
+        header: dict[str, Any] | None = None,
+        payload: bytes | BufferChain = b"",
+        header_overhead: int = HEADER_OVERHEAD_BYTES,
+        packet_id: int | None = None,
+    ):
+        if header_overhead < 0:
             raise NetworkError("header_overhead must be >= 0")
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.flow_id = flow_id
+        self.header = {} if header is None else header
+        self.payload = payload
+        self.header_overhead = header_overhead
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
 
     @property
     def wire_size(self) -> int:

@@ -78,8 +78,8 @@ class AlfReceiver:
             completes — this is the out-of-order delivery ALF exists for.
         ack_interval: seconds between repeats of the selective ACK, or
             0 for no timer.  Every delivery sends an ACK (one per flow
-            per drain dispatch) and a duplicate of a delivered ADU is
-            re-ACKed, so the ACK repeats only while the flow is
+            per drain dispatch) and a retransmission of a delivered ADU
+            is re-ACKed once, so the ACK repeats only while the flow is
             unresolved: it holds a partial ADU, has ready rows not yet
             drained, or has a gap below the highest ADU received.  The
             timer is armed when the flow becomes unresolved and re-arms
@@ -184,6 +184,8 @@ class AlfReceiver:
         self._ack_due = loop.now + ack_interval
         self._ack_armed = ack_interval <= 0  # no timer: never arm
         self._closed = False
+        # (sequence, sender stamp) of the transmission last re-ACKed.
+        self._reacked: tuple[int, object] | None = None
         self.out_of_order_deliveries = 0
         self.fec_recoveries = 0
         self.fec_erasures = 0
@@ -228,9 +230,15 @@ class AlfReceiver:
                 # A retransmission of a delivered ADU means the sender
                 # missed our acknowledgement — re-ACK, or a lost ACK
                 # becomes an unbounded retransmit loop (the amplification
-                # the pacing loop's convergence gate forbids).  A queued
-                # row's delivery ACKs it anyway.
-                self._send_ack()
+                # the pacing loop's convergence gate forbids).  Once per
+                # transmission: its units share the sender's ``ts``
+                # stamp, and the rest of them would restate the same
+                # ACK.  A unit without a stamp is re-ACKed on its own.
+                # A queued row's delivery ACKs it anyway.
+                stamp = (sequence, header.get("ts"))
+                if stamp[1] is None or stamp != self._reacked:
+                    self._reacked = stamp
+                    self._send_ack()
             return
 
         try:
@@ -368,23 +376,26 @@ class AlfReceiver:
         if sequence in self.acks or sequence in self._partial:
             return 0
         checksum = header["adu_csum"]
+        flow_id, protocol = self.flow_id, PROTOCOL
         payloads = []
+        append = payloads.append
         for index, packet in enumerate(packets[start:end]):
             fields = packet.header
+            payload = packet.payload
             if (
-                packet.flow_id != self.flow_id
-                or packet.protocol != PROTOCOL
+                packet.flow_id != flow_id
+                or packet.protocol != protocol
                 or fields["frag"] != index
                 or fields["adu_seq"] != sequence
                 or fields["nfrags"] != total
                 or fields["adu_csum"] != checksum
                 or "fec" in fields
                 or "phy_corrupt" in fields
-                or isinstance(packet.payload, BufferChain)
-                or not packet.payload
+                or isinstance(payload, BufferChain)
+                or not payload
             ):
                 return 0
-            payloads.append(packet.payload)
+            append(payload)
         if sum(map(len, payloads)) != header["adu_len"]:
             return 0
         chain = pool.dma_chain(payloads)

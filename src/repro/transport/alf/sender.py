@@ -323,10 +323,11 @@ class AlfSender:
         instead: the pacer's token bucket decides when each leaves."""
         now, src, dst, flow_id = self.loop.now, self.host.name, self.peer, self.flow_id
         packets = []
+        append = packets.append
         sent_bytes = 0
         for header, payload in self._wire_units(adu):
             header["ts"] = now
-            packets.append(Packet(src, dst, PROTOCOL, flow_id, header, payload))
+            append(Packet(src, dst, PROTOCOL, flow_id, header, payload))
             sent_bytes += len(payload)
         self.stats.segments_sent += len(packets)
         self.stats.bytes_sent += sent_bytes
@@ -345,21 +346,24 @@ class AlfSender:
         if entry is not None:
             entry.last_sent = self.loop.now
 
-    def _wire_units(self, adu: Adu):
+    def _wire_units(self, adu: Adu) -> list[tuple[dict, Any]]:
         """(header, payload) pairs for one ADU: its fragments in order,
         each FEC group's parity unit right after the group's last.
 
-        A group is a run of ``fec_group`` fragments from index 0 (the
-        last may be short); every FEC unit's header carries the group
-        size and MTU the receiver needs to rebuild an erasure, and a
-        parity unit's ``frag`` is its group's first index.  The parity
-        comes from the memoized wire form once per ADU and is kept in
-        its ``_wire`` entry, so retransmissions reuse it."""
+        Every header is one :meth:`_header` built per call, copied per
+        unit with the unit's own index and its own copy of the ADU's
+        name.  A group is a run of ``fec_group`` fragments from index 0
+        (the last may be short); every FEC unit's header carries the
+        group size and MTU the receiver needs to rebuild an erasure,
+        and a parity unit's ``frag`` is its group's first index.  The
+        parity comes from the memoized wire form once per ADU and is
+        kept in its ``_wire`` entry, so retransmissions reuse it."""
         payload, checksum = self._wire_form(adu)
         sequence, name = adu.sequence, adu.name
         pieces = fragment_payloads(payload, self.mtu)
-        total, length = len(pieces), len(payload)
-        size, parity = self.fec_group, None
+        total = len(pieces)
+        template = self._header(sequence, 0, total, len(payload), checksum, name)
+        size = self.fec_group
         if size is not None:
             wire, _, parity = self._wire[sequence]
             if parity is None:
@@ -368,22 +372,17 @@ class AlfSender:
                     for base in range(0, total, size)
                 ]
                 self._wire[sequence] = (wire, checksum, parity)
-            data_tag = {"group_size": size, "mtu": self.mtu, "is_parity": False}
-            parity_tag = {**data_tag, "is_parity": True}
+            template["fec"] = {"group_size": size, "mtu": self.mtu, "is_parity": False}
+            parity_tag = {**template["fec"], "is_parity": True}
+        units = []
+        append = units.append
         for index, piece in enumerate(pieces):
-            header = self._header(sequence, index, total, length, checksum, dict(name))
-            if parity is not None:
-                header["fec"] = data_tag
-            yield header, piece
-            if parity is not None and (
-                index % size == size - 1 or index == total - 1
-            ):
+            append((dict(template, frag=index, name={**name}), piece))
+            if size is not None and (index % size == size - 1 or index == total - 1):
                 base = index - index % size
-                header = self._header(
-                    sequence, base, total, length, checksum, dict(name)
-                )
-                header["fec"] = parity_tag
-                yield header, parity[base // size]
+                header = dict(template, frag=base, name={**name}, fec=parity_tag)
+                append((header, parity[base // size]))
+        return units
 
     @staticmethod
     def _header(sequence, index, total, length, checksum, name) -> dict:

@@ -1,7 +1,7 @@
 """The ALF receiver's ACK timer speaks only while the flow is unresolved.
 
-Every delivery sends an ACK, and a duplicate of a delivered ADU is
-re-ACKed, so a timer repeat of a caught-up receiver could only restate
+Every delivery sends an ACK, and a retransmission of a delivered ADU is
+re-ACKed once, so a timer repeat of a caught-up receiver could only restate
 its last ACK.  The timer therefore repeats while the receiver holds a
 partial ADU, ready rows not yet drained, or a hole below its highest
 arrival, and stays silent otherwise.  A closed receiver's timer neither
@@ -343,3 +343,41 @@ def test_lossy_ack_path_still_completes_exactly_once(case):
     for adu in adus:
         assert got[adu.sequence] == [adu.payload]
     receiver.close()
+
+
+def reack_run(seed: int):
+    """8 × 8 KiB ADUs at MTU 1024 over a path losing half its ACKs."""
+    path = two_hosts(seed=seed, reverse_loss_rate=0.5)
+    got: dict[int, bytes] = {}
+    receiver = AlfReceiver(
+        path.loop, path.b, "a", 1,
+        deliver=lambda d: got.__setitem__(d.sequence, bytes(d.payload)),
+    )
+    finished = []
+    sender = AlfSender(path.loop, path.a, "b", 1, mtu=1024,
+                       on_complete=lambda: finished.append(path.loop.now))
+    adus = [Adu(i, octet_payload(8192, seed=i), {"i": i}) for i in range(8)]
+    for adu in adus:
+        sender.send_adu(adu)
+    sender.close()
+    path.loop.run(until=60.0)
+    receiver.close()
+    assert got == {adu.sequence: adu.payload for adu in adus}
+    assert finished and not sender.adus_abandoned
+    return receiver, sender
+
+
+def test_a_retransmission_of_a_delivered_adu_is_reacked_once():
+    # Seed 3 loses enough ACKs to retransmit four delivered 8-fragment
+    # ADUs; one re-ACK per retransmission, not one per fragment (that
+    # was 41 ACKs for 8 ADUs).
+    receiver, sender = reack_run(3)
+    assert sender.stats.retransmissions == 4
+    assert receiver.stats.duplicates_discarded == 4 * 8
+    assert receiver.stats.acks_sent < 20
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_reack_per_retransmission_still_completes(seed):
+    receiver, _ = reack_run(seed)
+    assert receiver.stats.acks_sent < 20

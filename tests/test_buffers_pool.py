@@ -99,3 +99,18 @@ def test_run_takes_the_buffers_single_allocations_would():
     for chain in singles:
         chain.release()
     assert run_pool.leak_report() == single_pool.leak_report() == []
+
+
+def test_returned_buffers_leave_before_never_used_ones_in_stack_order():
+    run_pool = BufferPool(6, 8, label="p")
+    single_pool = BufferPool(6, 8, label="p")
+    for pool in (run_pool, single_pool):
+        first, second = pool.allocate_segment(), pool.allocate_segment()
+        assert (first.label, second.label) == ("p[5]", "p[4]")
+        first.release()
+    # One stack: the returned p[5] on top, then the never-used p[3], p[2].
+    pieces = [b"x" * 8, b"y" * 8, b"z" * 8]
+    run = run_pool.dma_chain(pieces)
+    singles = [single_pool.dma_chain(piece) for piece in pieces]
+    assert [s.label for s in run] == ["p[5]", "p[3]", "p[2]"]
+    assert [s.label for c in singles for s in c] == ["p[5]", "p[3]", "p[2]"]
