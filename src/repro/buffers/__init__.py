@@ -6,30 +6,25 @@ application's own address space ("moving to/from application address
 space" is one of the six manipulations).  This package provides the
 building blocks the stack uses:
 
-* :class:`Buffer` — a contiguous, addressable byte region;
-* :class:`BufferView` — a zero-copy window onto a buffer (reading a view
-  costs no data pass; materializing it does);
-* :class:`BufferChain` — an mbuf-style scatter/gather chain used for
-  header prepending and fragmentation without copying;
-* :class:`Segment` — a refcounted window whose backing buffer recycles
-  itself when the last reference is released;
+* :class:`Segment` — a refcounted zero-copy window over any storage,
+  whose owner learns (through a recycle hook) when the last reference
+  is released;
+* :class:`BufferChain` — an mbuf-style scatter/gather chain of segments
+  used for fragmentation and reassembly without copying;
 * :class:`BufferPool` — fixed-size allocator modelling finite interface
-  memory, with refcounted segment allocation for the zero-copy receive
-  path;
+  memory, handing out segments over its buffers that recycle themselves
+  on the last release (the zero-copy receive path);
 * :class:`ApplicationAddressSpace` — named, scattered destination regions
   (file extents, RPC argument slots, video frame slabs) that ADUs are
   delivered into.
 """
 
-from repro.buffers.buffer import Buffer, BufferView
 from repro.buffers.chain import BufferChain, as_buffer_chain
 from repro.buffers.segment import Segment
-from repro.buffers.pool import BufferPool, shared_rx_pool
+from repro.buffers.pool import BufferPool
 from repro.buffers.appspace import ApplicationAddressSpace, Region, ScatterMap
 
 __all__ = [
-    "Buffer",
-    "BufferView",
     "BufferChain",
     "BufferPool",
     "Segment",
@@ -37,5 +32,4 @@ __all__ = [
     "Region",
     "ScatterMap",
     "as_buffer_chain",
-    "shared_rx_pool",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.buffers.buffer import Buffer
 from repro.buffers.chain import BufferChain
 from repro.errors import BufferError_
 from repro.machine.accounting import datapath_counters
@@ -30,20 +29,20 @@ class Region:
 
     Attributes:
         name: application-level identifier ("file", "arg0", "frame-12").
-        buffer: backing storage.
-        offset: start of the region within the buffer.
+        data: backing storage.
+        offset: start of the region within ``data``.
         length: region size in bytes.
     """
 
     name: str
-    buffer: Buffer
+    data: bytearray
     offset: int
     length: int
 
     def __post_init__(self) -> None:
         if self.offset < 0 or self.length < 0:
             raise BufferError_("region offset/length must be >= 0")
-        if self.offset + self.length > len(self.buffer):
+        if self.offset + self.length > len(self.data):
             raise BufferError_(
                 f"region {self.name!r} [{self.offset}, "
                 f"{self.offset + self.length}) exceeds its buffer"
@@ -107,7 +106,7 @@ class ApplicationAddressSpace:
         """Create and register a fresh region of ``length`` bytes."""
         if name in self._regions:
             raise BufferError_(f"region {name!r} already exists in {self.label}")
-        region = Region(name, Buffer(length, label=f"{self.label}:{name}"), 0, length)
+        region = Region(name, bytearray(length), 0, length)
         self._regions[name] = region
         return region
 
@@ -157,7 +156,7 @@ class ApplicationAddressSpace:
             start = region.offset + entry.region_offset
             if is_chain:
                 payload.copy_into(
-                    memoryview(region.buffer.data)[start : start + entry.length],
+                    memoryview(region.data)[start : start + entry.length],
                     src_offset=entry.source_offset,
                     length=entry.length,
                 )
@@ -166,7 +165,7 @@ class ApplicationAddressSpace:
                     entry.source_offset : entry.source_offset + entry.length
                 ]
                 datapath_counters().record_copy(entry.length, label="deliver")
-                region.buffer.write(start, piece)
+                region.data[start : start + entry.length] = piece
             moved += entry.length
         self.bytes_delivered += moved
         return moved
@@ -174,4 +173,4 @@ class ApplicationAddressSpace:
     def read_region(self, name: str) -> bytes:
         """The current contents of a region."""
         region = self.region(name)
-        return region.buffer.read(region.offset, region.length)
+        return bytes(region.data[region.offset : region.offset + region.length])

@@ -1,53 +1,34 @@
 """mbuf-style scatter/gather buffer chains.
 
 Protocol implementations avoid copying by keeping a packet as a chain of
-segments: headers are *prepended* as new segments, payloads are *split*
-without touching the data.  A :class:`BufferChain` models exactly that.
-Only :meth:`linearize` and :meth:`copy_into` perform a real data pass,
-and both record it on the process-wide datapath counters
+refcounted :class:`~repro.buffers.segment.Segment` windows: payloads are
+*split* and *shared* without touching the data, and releasing the chain
+releases every reference it holds.  A :class:`BufferChain` models
+exactly that.  Only :meth:`linearize` and :meth:`copy_into` perform a
+real data pass, and both record it on the process-wide datapath counters
 (:func:`repro.machine.accounting.datapath_counters`), so the zero-copy
 claims of the chain datapath are measured rather than asserted.
-
-Segments may be plain :class:`BufferView` windows or refcounted
-:class:`~repro.buffers.segment.Segment` objects; the chain treats both
-uniformly (``__len__`` / ``memoryview`` / ``subview`` / ``tobytes``) and
-:meth:`share`/:meth:`release` manage references only where they exist.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.buffers.buffer import Buffer, BufferView
 from repro.buffers.segment import Segment
 from repro.errors import BufferError_
 from repro.machine.accounting import datapath_counters
 
 
 class BufferChain:
-    """An ordered chain of zero-copy segments.
+    """An ordered chain of refcounted segments.
 
     The chain's logical content is the concatenation of its segments.
-    All structural operations (prepend, append, split, trim) are
+    All structural operations (append, extend, split, share) are
     zero-copy.
     """
 
-    def __init__(self, segments: Iterable[BufferView | Segment] = ()):
-        self._segments: list[BufferView | Segment] = [
-            s for s in segments if len(s) > 0
-        ]
-
-    @classmethod
-    def from_bytes(cls, payload: bytes, label: str = "") -> "BufferChain":
-        """Chain holding a fresh buffer initialized with ``payload``.
-
-        This *copies* ``payload`` into the new buffer (and records the
-        copy); use :meth:`wrap` to reference existing storage instead.
-        """
-        if not payload:
-            return cls()
-        datapath_counters().record_copy(len(payload), label="chain-from-bytes")
-        return cls([Buffer.from_bytes(payload, label=label).view()])
+    def __init__(self, segments: Iterable[Segment] = ()):
+        self._segments: list[Segment] = [s for s in segments if len(s) > 0]
 
     @classmethod
     def wrap(cls, payload, label: str = "") -> "BufferChain":
@@ -59,29 +40,24 @@ class BufferChain:
         return cls([Segment.wrap(payload, label=label)])
 
     @property
-    def segments(self) -> tuple[BufferView | Segment, ...]:
+    def segments(self) -> tuple[Segment, ...]:
         """The chain's segments, in order."""
         return tuple(self._segments)
 
     def __len__(self) -> int:
         return sum(map(len, self._segments))
 
-    def __iter__(self) -> Iterator[BufferView | Segment]:
+    def __iter__(self) -> Iterator[Segment]:
         return iter(self._segments)
 
     def memoryviews(self) -> list[memoryview]:
         """The segments' backing windows, in order (no copies)."""
         return [segment.memoryview() for segment in self._segments]
 
-    def prepend(self, view: BufferView | Segment) -> None:
-        """Push a segment (typically a header) onto the front."""
-        if len(view) > 0:
-            self._segments.insert(0, view)
-
-    def append(self, view: BufferView | Segment) -> None:
+    def append(self, segment: Segment) -> None:
         """Add a segment at the end."""
-        if len(view) > 0:
-            self._segments.append(view)
+        if len(segment) > 0:
+            self._segments.append(segment)
 
     def extend(self, other: "BufferChain") -> None:
         """Append all of ``other``'s segments (zero-copy)."""
@@ -91,42 +67,33 @@ class BufferChain:
         """Split into (first ``at`` bytes, rest) without copying.
 
         Both result chains own fresh references to the underlying data
-        (refcounted segments are shared or subviewed); the original chain
-        keeps its own and must still be released by its owner.
+        (segments are shared or subviewed); the original chain keeps its
+        own and must still be released by its owner.
         """
         if at < 0 or at > len(self):
             raise BufferError_(f"split point {at} outside chain of length {len(self)}")
         datapath_counters().record_zero_copy()
-        head: list[BufferView | Segment] = []
-        tail: list[BufferView | Segment] = []
+        head: list[Segment] = []
+        tail: list[Segment] = []
         remaining = at
         for segment in self._segments:
             if remaining >= len(segment):
-                head.append(
-                    segment.share() if isinstance(segment, Segment) else segment
-                )
+                head.append(segment.share())
                 remaining -= len(segment)
             elif remaining > 0:
                 head.append(segment.subview(0, remaining))
                 tail.append(segment.subview(remaining))
                 remaining = 0
             else:
-                tail.append(
-                    segment.share() if isinstance(segment, Segment) else segment
-                )
+                tail.append(segment.share())
         return BufferChain(head), BufferChain(tail)
-
-    def trim_front(self, n: int) -> "BufferChain":
-        """Chain with the first ``n`` bytes removed (zero-copy)."""
-        _, rest = self.split(n)
-        return rest
 
     def chunks(self, size: int) -> Iterator["BufferChain"]:
         """Yield consecutive sub-chains of at most ``size`` bytes.
 
         Each yielded chunk owns its own references; the original chain is
         untouched.  Intermediate remainders are released internally so
-        refcounted segments never leak references here.
+        no reference leaks here.
         """
         if size <= 0:
             raise BufferError_(f"chunk size must be positive, got {size}")
@@ -140,23 +107,14 @@ class BufferChain:
     def share(self) -> "BufferChain":
         """A new chain referencing the same data (refcounts bumped)."""
         datapath_counters().record_zero_copy()
-        return BufferChain(
-            [
-                s.share() if isinstance(s, Segment) else s
-                for s in self._segments
-            ]
-        )
+        return BufferChain([segment.share() for segment in self._segments])
 
     def release(self) -> None:
-        """Release every refcounted segment (pool buffers may recycle).
-
-        Plain :class:`BufferView` segments have no reference to retire
-        and are simply dropped.  The chain is empty afterwards.
-        """
+        """Release every segment (pool buffers may recycle); the chain
+        is empty afterwards."""
         segments, self._segments = self._segments, []
         for segment in segments:
-            if isinstance(segment, Segment):
-                segment.release()
+            segment.release()
 
     def copy_into(self, target: memoryview, src_offset: int = 0,
                   length: int | None = None) -> int:
@@ -219,14 +177,6 @@ class BufferChain:
         datapath_counters().record_copy(total, label="linearize")
         return bytes(out)
 
-    def tobytes(self) -> bytes:
-        """Alias of :meth:`linearize` for symmetry with BufferView."""
-        return self.linearize()
-
-    def is_contiguous(self) -> bool:
-        """True when the chain is a single segment (no gather needed)."""
-        return len(self._segments) <= 1
-
     def __repr__(self) -> str:
         return f"BufferChain(segments={len(self._segments)}, length={len(self)})"
 
@@ -234,11 +184,9 @@ class BufferChain:
 def as_buffer_chain(payload, label: str = "") -> BufferChain:
     """Coerce any payload into a chain without copying.
 
-    Chains pass through; views and segments become single-segment
-    chains; ``bytes``/``bytearray``/``memoryview`` are wrapped zero-copy.
+    Chains pass through; ``bytes``/``bytearray``/``memoryview`` are
+    wrapped zero-copy.
     """
     if isinstance(payload, BufferChain):
         return payload
-    if isinstance(payload, (BufferView, Segment)):
-        return BufferChain([payload])
     return BufferChain.wrap(payload, label=label)

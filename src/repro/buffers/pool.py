@@ -2,22 +2,18 @@
 
 Network interfaces and kernels hold finite buffer memory; flow control
 exists precisely because the receiver's pool can be exhausted.  The pool
-hands out fixed-size :class:`Buffer` objects and recycles them, so the
-transport simulations get realistic backpressure.
-
-For the zero-copy datapath the pool also hands out refcounted
-:class:`~repro.buffers.segment.Segment` windows over its buffers
-(:meth:`BufferPool.allocate_segment`, :meth:`BufferPool.dma_chain`).
-Each buffer owns one slotted :class:`_PoolCell`, made the first time the
-buffer is handed out: the reference cell of every segment over that
-buffer, whose ``on_zero`` returns the buffer to the pool automatically
-when the last reference anywhere in the stack is released — mbuf
-clusters, in miniature.
+hands out refcounted :class:`~repro.buffers.segment.Segment` windows over
+its fixed-size buffers (:meth:`BufferPool.allocate_segment`,
+:meth:`BufferPool.dma_chain`), so the transport simulations get
+realistic backpressure.  Each buffer gets one slotted :class:`_PoolCell`
+the first time it is handed out: the owner of its storage and the
+reference cell of every segment over it, whose ``on_zero`` returns the
+buffer to the pool automatically when the last reference anywhere in the
+stack is released — mbuf clusters, in miniature.
 """
 
 from __future__ import annotations
 
-from repro.buffers.buffer import Buffer
 from repro.buffers.chain import BufferChain
 from repro.buffers.segment import Segment
 from repro.errors import BufferError_
@@ -25,28 +21,28 @@ from repro.machine.accounting import datapath_counters
 
 
 class _PoolCell:
-    """One pool buffer's record: its reference cell and pool state.
+    """One pool buffer's record: its storage, reference cell and pool state.
 
     Duck-types :class:`~repro.buffers.segment._RefCell` for every
     segment over the buffer: when the last reference is released,
     ``on_zero`` hands the buffer back.  Made once per buffer, the first
-    time the pool hands it out, together with ``window``, a memoryview
-    over the whole buffer that segments are sliced from.  ``out`` says
-    the buffer is handed out; ``filled`` bounds the bytes its holder
-    could have written, so the return scrubs only those.
+    time the pool hands it out, around the buffer's ``bytearray``:
+    ``window``, a memoryview over the whole of it, owns the storage and
+    is what segments are sliced from.  ``out`` says the buffer is handed
+    out; ``filled`` bounds the bytes its holder could have written, so
+    the return scrubs only those.
     """
 
-    __slots__ = ("count", "pool", "buffer", "label", "window", "out", "filled")
+    __slots__ = ("count", "pool", "label", "window", "out", "filled")
 
-    def __init__(self, pool: "BufferPool", buffer: Buffer):
+    def __init__(self, pool: "BufferPool", data: bytearray, index: int):
         self.count = 0
         self.pool = pool
-        self.buffer = buffer
-        self.label = buffer.label
-        self.window = memoryview(buffer.data)
+        self.label = f"{pool.label}[{index}]"
+        self.window = memoryview(data)
         self.out = False
         self.filled = 0
-        pool._cells[id(buffer)] = self
+        pool._cells.append(self)
 
     def on_zero(self) -> None:
         """Return the buffer to its pool, zeroed.
@@ -90,20 +86,19 @@ class BufferPool:
         self.label = label
         self.buffer_size = buffer_size
         self.capacity = n_buffers
-        # The free buffers form one stack, popped from the top: buffers
-        # never handed out at the bottom (``_fresh``), the cells of
-        # returned ones above them (``_free``).  id(buffer) -> cell finds
-        # a buffer handed back by :meth:`release`.
-        self._fresh: list[Buffer] = [
-            Buffer(buffer_size, label=f"{label}[{i}]") for i in range(n_buffers)
+        # The free buffers form one stack, popped from the top: the
+        # storage of buffers never handed out at the bottom (``_fresh``,
+        # buffer ``i`` at index ``i``), the cells of returned ones above
+        # them (``_free``).  ``_cells`` lists every cell made so far.
+        self._fresh: list[bytearray] = [
+            bytearray(buffer_size) for _ in range(n_buffers)
         ]
         self._free: list[_PoolCell] = []
-        self._cells: dict[int, _PoolCell] = {}
+        self._cells: list[_PoolCell] = []
         # Returned buffers are scrubbed from this one zero block.
         self._zeros = memoryview(bytes(buffer_size))
         self.allocation_failures = 0
         self.hits = 0
-        self.misses = 0
         self.recycled = 0
 
     @property
@@ -127,8 +122,9 @@ class BufferPool:
             fresh = self._fresh
             if short > len(fresh):
                 return False
-            cells = [_PoolCell(self, buffer) for buffer in fresh[len(fresh) - short :]]
-            del fresh[len(fresh) - short :]
+            first = len(fresh) - short
+            cells = [_PoolCell(self, fresh[i], i) for i in range(first, len(fresh))]
+            del fresh[first:]
             self._free[:0] = cells
         return True
 
@@ -137,46 +133,14 @@ class BufferPool:
         return None when the pool is empty."""
         if not self._free and not self._stock(1):
             self.allocation_failures += 1
-            self.misses += 1
             return None
         cell = self._free.pop()
         cell.out = True
         self.hits += 1
         return cell
 
-    def try_allocate(self) -> Buffer | None:
-        """Take a buffer, or return None (and count the failure) if empty."""
-        cell = self._take()
-        if cell is None:
-            return None
-        # The caller may write anywhere in the buffer.
-        cell.filled = self.buffer_size
-        return cell.buffer
-
-    def allocate(self) -> Buffer:
-        """Take a buffer; raises :class:`BufferError_` when exhausted."""
-        buffer = self.try_allocate()
-        if buffer is None:
-            raise BufferError_(f"{self.label} exhausted ({self.capacity} buffers)")
-        return buffer
-
-    def release(self, buffer: Buffer) -> None:
-        """Return a buffer to the pool.
-
-        Rejects buffers that did not come from this pool or are already
-        free (double release), since both indicate accounting bugs in the
-        caller.
-        """
-        cell = self._cells.get(id(buffer))
-        if cell is None:
-            raise BufferError_(
-                f"buffer {buffer.label} was not allocated from {self.label} "
-                "or was already released"
-            )
-        cell.on_zero()
-
     # ------------------------------------------------------------------
-    # Refcounted segment allocation (the zero-copy receive path)
+    # Segment allocation (the zero-copy receive path)
 
     def try_allocate_segment(self, length: int | None = None) -> Segment | None:
         """A refcounted window over a pool buffer, or None when exhausted.
@@ -281,9 +245,7 @@ class BufferPool:
 
     def leak_report(self) -> list[str]:
         """Labels of buffers allocated but never released (suspected leaks)."""
-        return sorted(
-            cell.label for cell in self._cells.values() if cell.out
-        )
+        return sorted(cell.label for cell in self._cells if cell.out)
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict counters for the CLI and benchmark records."""
@@ -294,7 +256,6 @@ class BufferPool:
             "available": self.available,
             "in_use": self.in_use,
             "hits": self.hits,
-            "misses": self.misses,
             "recycled": self.recycled,
             "allocation_failures": self.allocation_failures,
             "leaked": self.leak_report(),
@@ -305,18 +266,3 @@ class BufferPool:
             f"BufferPool({self.label!r}, {self.available}/{self.capacity} free, "
             f"buffer_size={self.buffer_size})"
         )
-
-
-_SHARED_RX_POOL: BufferPool | None = None
-
-
-def shared_rx_pool() -> BufferPool:
-    """The process-wide receive pool hosts DMA into by default.
-
-    Sized generously (256 × 8 KiB) so simulations only hit exhaustion
-    when they configure their own, smaller pools on purpose.
-    """
-    global _SHARED_RX_POOL
-    if _SHARED_RX_POOL is None:
-        _SHARED_RX_POOL = BufferPool(256, 8192, label="rx-pool")
-    return _SHARED_RX_POOL

@@ -10,10 +10,10 @@ Commands:
   check against Table 1.
 * ``verify`` — run the headline regression guards (exit 1 on drift).
 * ``stats`` — print the process-wide kernel and codec counters (plan
-  and codec caches, presentation, secure, integrity, datapath, shared
-  rx pool) as flat ``section.key value`` lines.  Counters that belong
-  to a host, shard, drain engine, pacer, link or switch live on that
-  object's ``counters``/``stats``.
+  and codec caches, presentation, secure, integrity, datapath) as flat
+  ``section.key value`` lines.  Counters that belong to a host, shard,
+  drain engine, pacer, link, switch or rx pool live on that object's
+  ``counters``/``stats``/``snapshot()``.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ def _flatten(tree: dict, prefix: str = ""):
 
 
 def _cmd_stats(_: argparse.Namespace) -> int:
-    from repro.buffers.pool import shared_rx_pool
     from repro.ilp.compiler import shared_plan_cache
     from repro.integrity import coverage_mask_cache_size
     from repro.machine.accounting import datapath_counters, integrity_counters
@@ -156,7 +155,6 @@ def _cmd_stats(_: argparse.Namespace) -> int:
             "mask_cache_entries": coverage_mask_cache_size(),
         },
         "datapath": datapath_counters().snapshot(),
-        "rx_pool": shared_rx_pool().snapshot(),
     }
     for key, value in _flatten(sections):
         print(f"{key} {value}")

@@ -65,7 +65,10 @@ class InstructionCounter:
         """Charge ``operation`` ``times`` times; returns instructions added."""
         if times < 0:
             raise ReproError("times must be >= 0")
-        added = self.costs.of(operation) * times
+        try:
+            added = self.costs.budgets[operation] * times
+        except KeyError:
+            raise ReproError(f"unknown control operation {operation!r}") from None
         self.by_operation[operation] = self.by_operation.get(operation, 0) + added
         return added
 

@@ -730,10 +730,11 @@ class PipelineCompiler:
 class PlanCacheStats(AtomicCacheStats):
     """Hit/miss/eviction counters for one :class:`PlanCache`.
 
-    The shared cache is read from every shard worker at once, so the
-    counters are atomic: increments go through lock-guarded record
-    methods rather than bare ``+=`` on plain ints (which can lose
-    updates between bytecodes under concurrent access).
+    The shared cache is public and process-wide, so a caller outside the
+    simulator may read it from several threads; the counters are atomic
+    for them: increments go through lock-guarded record methods rather
+    than bare ``+=`` on plain ints (which can lose updates between
+    bytecodes under concurrent access).
     """
 
 

@@ -106,11 +106,12 @@ def datapath_counters() -> DatapathCounters:
 class AtomicCacheStats:
     """Thread-safe hit/miss/eviction counters for a keyed cache.
 
-    The plan and codec caches are shared *by key* across every shard
-    worker, so their counters are bumped from several threads at once.
-    A plain ``int`` attribute incremented with ``+=`` is a read-modify-
-    write that can lose updates between bytecodes; here every increment
-    and every read goes through one lock, and :meth:`as_dict` returns a
+    The simulator is single-threaded (shards run serially), but the plan
+    and codec caches are public and process-wide, so a caller outside
+    the simulator may look them up from several threads.  A plain
+    ``int`` attribute incremented with ``+=`` is a read-modify-write
+    that can lose updates between bytecodes; here every increment and
+    every read goes through one lock, and :meth:`as_dict` returns a
     single consistent view (hits/misses/lookups always add up, even
     with a concurrent ``get_or_compile`` in flight).
     """

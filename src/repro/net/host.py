@@ -84,7 +84,6 @@ class Host:
         self.rx_dropped = 0
         self.demux_memo_hits = 0
         self.bursts = 0
-        self.burst_packets = 0
 
     def add_link(self, destination: str, link: Link) -> None:
         """Use ``link`` for packets addressed to ``destination``."""
@@ -231,7 +230,6 @@ class Host:
         called stale.
         """
         self.bursts += 1
-        self.burst_packets += len(packets)
         self.received += len(packets)
         # Hot loop: every attribute consulted per packet is hoisted to a
         # local once per burst — the steered zero-hop path lands whole

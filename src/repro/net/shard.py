@@ -56,9 +56,11 @@ packets, consecutive or not, into one list.  Control cost per train:
 one hand-off per touched shard, however long the train.
 
 Plan and codec caches are intentionally **not** sharded: compiled plans
-are immutable and shared *by key* across every shard (their counters
-are atomic — see :class:`~repro.machine.accounting.AtomicCacheStats`),
-so all shards serving the same wire-plan shape hit one cache entry.
+are immutable and shared *by key* across every shard, so all shards
+serving the same wire-plan shape hit one cache entry.  Shards run on one
+thread; the caches' locks (see
+:class:`~repro.machine.accounting.AtomicCacheStats`) are for callers
+outside the simulator, since the caches are public.
 
 Shards run serially: packets are delivered inline and a
 :class:`SerialShardScheduler` merges the shard loops into one global

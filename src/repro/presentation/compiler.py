@@ -1438,8 +1438,9 @@ class CodecCompiler:
 class CodecCacheStats(AtomicCacheStats):
     """Hit/miss/eviction counters for one :class:`CodecCache`.
 
-    Shared by key across shard workers like the plan cache, so the
-    counters are atomic (lock-guarded record methods, not bare ``+=``).
+    The cache is public and process-wide like the plan cache, so the
+    counters are atomic (lock-guarded record methods, not bare ``+=``)
+    for callers that use it from threads outside the simulator.
     """
 
 

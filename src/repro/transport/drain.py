@@ -189,9 +189,10 @@ class SharedDrainEngine:
         self.delivered_total = 0
         # Reentrant because flush() reads pending_rows and notify_ready
         # can run from delivery callbacks inside an in-flight flush.
-        # Guards registration, flushing and snapshots so a snapshot
-        # taken from another thread (a sharded front end, the CLI) never
-        # observes a half-applied epoch.
+        # The simulator drives an engine from one thread (shards run
+        # serially); the lock guards registration, flushing and
+        # snapshots for a caller outside it, so a snapshot taken from
+        # another thread never observes a half-applied epoch.
         self._mutex = threading.RLock()
 
     # ------------------------------------------------------------------

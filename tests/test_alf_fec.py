@@ -80,7 +80,7 @@ class TestParity:
     def test_unaligned_views_and_chains(self, parts):
         # Fragment payloads are views at any offset, or chain windows.
         views = [memoryview(b"x" + part)[1:] for part in parts]
-        chains = [BufferChain.from_bytes(part) for part in parts]
+        chains = [BufferChain.wrap(part) for part in parts]
         try:
             assert group_parity(views) == byte_xor(parts)
             assert group_parity(chains) == byte_xor(parts)

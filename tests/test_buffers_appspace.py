@@ -3,7 +3,6 @@
 import pytest
 
 from repro.buffers.appspace import ApplicationAddressSpace, Region, ScatterMap
-from repro.buffers.buffer import Buffer
 from repro.errors import BufferError_
 
 
@@ -30,17 +29,22 @@ def test_unknown_region(space):
 
 def test_region_validation():
     with pytest.raises(BufferError_):
-        Region("r", Buffer(10), 5, 10)  # overruns buffer
+        Region("r", bytearray(10), 5, 10)  # overruns its storage
     with pytest.raises(BufferError_):
-        Region("r", Buffer(10), -1, 5)
+        Region("r", bytearray(10), -1, 5)
 
 
 def test_add_existing(space):
-    region = Region("extra", Buffer(10), 0, 10)
+    storage = bytearray(12)
+    region = Region("extra", storage, 2, 10)
     space.add_existing(region)
     assert "extra" in space.region_names()
     with pytest.raises(BufferError_):
         space.add_existing(region)
+    # Delivery lands in the caller's own storage, at the region's offset.
+    space.deliver(b"abc", ScatterMap.linear("extra", 1, 3))
+    assert storage[3:6] == b"abc"
+    assert space.read_region("extra") == b"\x00abc" + bytes(6)
 
 
 def test_linear_delivery(space):

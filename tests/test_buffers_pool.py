@@ -15,55 +15,52 @@ def test_construction_validates():
 
 def test_allocate_release_cycle():
     pool = BufferPool(2, 64)
-    a = pool.allocate()
+    a = pool.allocate_segment()
     assert pool.available == 1
     assert pool.in_use == 1
-    pool.release(a)
+    a.release()
     assert pool.available == 2
 
 
 def test_exhaustion_raises():
     pool = BufferPool(1, 64)
-    pool.allocate()
+    pool.allocate_segment()
     with pytest.raises(BufferError_, match="exhausted"):
-        pool.allocate()
+        pool.allocate_segment()
 
 
 def test_try_allocate_counts_failures():
     pool = BufferPool(1, 64)
-    assert pool.try_allocate() is not None
-    assert pool.try_allocate() is None
+    assert pool.try_allocate_segment() is not None
+    assert pool.try_allocate_segment() is None
     assert pool.allocation_failures == 1
 
 
 def test_double_release_rejected():
     pool = BufferPool(2, 64)
-    buffer = pool.allocate()
-    pool.release(buffer)
+    segment = pool.allocate_segment()
+    cell = segment._cell
+    segment.release()
     with pytest.raises(BufferError_):
-        pool.release(buffer)
-
-
-def test_foreign_buffer_rejected():
-    from repro.buffers.buffer import Buffer
-
-    pool = BufferPool(1, 64)
-    with pytest.raises(BufferError_):
-        pool.release(Buffer(64))
+        segment.release()
+    # The buffer itself cannot go back twice either.
+    with pytest.raises(BufferError_, match="already released"):
+        cell.on_zero()
+    assert pool.available == 2
 
 
 def test_release_zeroes_contents():
     pool = BufferPool(1, 8)
-    buffer = pool.allocate()
-    buffer.write(0, b"secret!!")
-    pool.release(buffer)
-    again = pool.allocate()
-    assert again.read(0, 8) == b"\x00" * 8
+    segment = pool.allocate_segment()
+    segment.memoryview()[:] = b"secret!!"
+    segment.release()
+    again = pool.allocate_segment()
+    assert again.tobytes() == b"\x00" * 8
 
 
 def test_buffers_have_declared_size():
     pool = BufferPool(3, 128)
-    assert len(pool.allocate()) == 128
+    assert len(pool.allocate_segment()) == 128
 
 
 def test_shared_segment_of_a_released_run_keeps_exactly_its_buffer():

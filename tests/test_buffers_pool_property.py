@@ -2,14 +2,14 @@
 
 Hypothesis draws a pool and a program against it — single DMAs and runs
 of 1 byte to three buffers each, ``allocate_segment`` windows written
-through, raw buffers written anywhere, shares and subviews of held
-segments, and fills that run the pool dry part-way — then releases
+through, whole-buffer segments written anywhere, shares and subviews of
+held segments, and fills that run the pool dry part-way — then releases
 every handle in a drawn order.  Whatever the order:
 
 * every buffer back on the free list reads all-zero;
 * ``leak_report()`` ends empty, and lists every held buffer before that;
-* a second release of any segment or buffer still raises, and so does
-  touching a released segment.
+* a second release of any segment still raises, and so does touching a
+  released segment.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.buffers.buffer import Buffer
 from repro.buffers.chain import BufferChain
 from repro.buffers.pool import BufferPool
 from repro.buffers.segment import Segment
@@ -59,8 +58,8 @@ def held_segments(handles) -> list[Segment]:
 
 
 def run_program(pool: BufferPool, ops) -> list:
-    """Execute ``ops``; returns the handles (chains, segments, buffers)
-    still held, each checked to read what was written into it."""
+    """Execute ``ops``; returns the handles (chains and segments) still
+    held, each checked to read what was written into it."""
     handles: list = []
     expected: dict[int, bytes] = {}
     for op in ops:
@@ -78,7 +77,7 @@ def run_program(pool: BufferPool, ops) -> list:
                 assert pool.available == free
                 continue
             data = b"".join(payload) if kind == "run" else payload
-            assert chain is not None and chain.tobytes() == data
+            assert chain is not None and chain.linearize() == data
             expected[id(chain)] = data
             handles.append(chain)
         elif kind == "segment":
@@ -92,14 +91,14 @@ def run_program(pool: BufferPool, ops) -> list:
             handles.append(segment)
         elif kind == "buffer":
             _, data, offset = op
-            buffer = pool.try_allocate()
-            if buffer is None:
+            segment = pool.try_allocate_segment()
+            if segment is None:
                 continue
-            # A raw buffer's holder may write anywhere in it.
-            offset = min(offset, len(buffer) - len(data))
-            buffer.write(offset, data)
-            expected[id(buffer)] = bytes(buffer.data)
-            handles.append(buffer)
+            # A whole-buffer segment's holder may write anywhere in it.
+            offset = min(offset, len(segment) - len(data))
+            segment.memoryview()[offset : offset + len(data)] = data
+            expected[id(segment)] = segment.tobytes()
+            handles.append(segment)
         else:
             segments = held_segments(handles)
             if not segments:
@@ -115,17 +114,11 @@ def run_program(pool: BufferPool, ops) -> list:
             handles.append(segment)
     for handle in handles:
         data = (
-            bytes(handle.data) if isinstance(handle, Buffer) else handle.tobytes()
+            handle.linearize() if isinstance(handle, BufferChain)
+            else handle.tobytes()
         )
         assert data == expected[id(handle)]
     return handles
-
-
-def release(pool: BufferPool, handle) -> None:
-    if isinstance(handle, Buffer):
-        pool.release(handle)
-    else:
-        handle.release()
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,17 +127,14 @@ def test_pool_returns_every_buffer_zeroed_in_any_release_order(program, data):
     size, n_buffers, ops = program
     pool = BufferPool(n_buffers, size, label="p")
     handles = run_program(pool, ops)
-    labels = {
-        segment.label for segment in held_segments(handles)
-    } | {handle.label for handle in handles if isinstance(handle, Buffer)}
+    labels = {segment.label for segment in held_segments(handles)}
     assert set(pool.leak_report()) == labels
     assert len(pool.leak_report()) == pool.in_use
 
     order = data.draw(st.permutations(handles), label="release order")
     segments = held_segments(order)
-    buffers = [handle for handle in order if isinstance(handle, Buffer)]
     for handle in order:
-        release(pool, handle)
+        handle.release()
     assert pool.leak_report() == []
     assert pool.available == pool.capacity
 
@@ -155,16 +145,11 @@ def test_pool_returns_every_buffer_zeroed_in_any_release_order(program, data):
             segment.release()
         with pytest.raises(BufferError_):
             segment.memoryview()
-    for buffer in buffers:
-        with pytest.raises(BufferError_):
-            pool.release(buffer)
-    with pytest.raises(BufferError_):
-        pool.release(Buffer(size))
     assert pool.available == pool.capacity
 
     # Every free buffer reads all-zero.
-    everything = [pool.allocate() for _ in range(pool.capacity)]
-    assert all(bytes(buffer.data) == bytes(size) for buffer in everything)
-    for buffer in everything:
-        pool.release(buffer)
+    everything = [pool.allocate_segment() for _ in range(pool.capacity)]
+    assert all(segment.tobytes() == bytes(size) for segment in everything)
+    for segment in everything:
+        segment.release()
     assert pool.leak_report() == []

@@ -96,7 +96,8 @@ class TestPoolRecycling:
         segment = pool.allocate_segment(64)
         assert pool.try_allocate_segment(64) is None
         snap = pool.snapshot()
-        assert snap["hits"] == 1 and snap["misses"] == 1
+        assert snap["hits"] == 1 and snap["allocation_failures"] == 1
+        assert "misses" not in snap
         segment.release()
 
     def test_dma_chain_spans_buffers_and_recycles(self):
@@ -105,7 +106,7 @@ class TestPoolRecycling:
         chain = pool.dma_chain(payload)
         assert chain is not None
         assert len(chain.segments) == 3
-        assert chain.tobytes() == payload
+        assert chain.linearize() == payload
         chain.release()
         assert pool.in_use == 0
         assert pool.snapshot()["recycled"] == 3
@@ -125,7 +126,7 @@ class TestPoolRecycling:
         # One segment per buffer each payload needs, as separate calls
         # would allocate; one DMA write recorded per payload.
         assert [len(s) for s in chain.segments] == [10, 16, 4, 16]
-        assert chain.tobytes() == b"".join(payloads)
+        assert chain.linearize() == b"".join(payloads)
         assert dma.dma_writes - writes == 3
         assert dma.dma_bytes - written == 46
         assert pool.in_use == 4
@@ -139,7 +140,7 @@ class TestPoolRecycling:
         # falls back to one call per payload.
         snap = pool.snapshot()
         assert snap["in_use"] == 0
-        assert snap["hits"] == snap["misses"] == snap["allocation_failures"] == 0
+        assert snap["hits"] == snap["allocation_failures"] == 0
 
     def test_recycled_segment_buffers_are_scrubbed(self):
         pool = BufferPool(4, 16, label="p")
@@ -148,8 +149,11 @@ class TestPoolRecycling:
         assert pool.snapshot()["recycled"] == 3
         # The last reference handed every buffer back zeroed, so the
         # next user of the pool never reads an earlier frame.
-        buffers = [pool.allocate() for _ in range(4)]
-        assert all(bytes(buffer.data) == bytes(16) for buffer in buffers)
+        segments = [pool.allocate_segment() for _ in range(4)]
+        assert all(segment.tobytes() == bytes(16) for segment in segments)
+        for segment in segments:
+            segment.release()
+        assert pool.leak_report() == []
 
 
 class TestChainReferenceDiscipline:
@@ -157,8 +161,8 @@ class TestChainReferenceDiscipline:
         pool = BufferPool(4, 32, label="p")
         chain = pool.dma_chain(bytes(range(100)))
         head, tail = chain.split(37)
-        assert head.tobytes() == bytes(range(37))
-        assert tail.tobytes() == bytes(range(37, 100))
+        assert head.linearize() == bytes(range(37))
+        assert tail.linearize() == bytes(range(37, 100))
         chain.release()
         assert pool.in_use > 0  # head/tail hold their own references
         head.release()
@@ -169,7 +173,7 @@ class TestChainReferenceDiscipline:
         pool = BufferPool(4, 32, label="p")
         chain = pool.dma_chain(bytes(range(100)))
         pieces = list(chain.chunks(44))
-        assert b"".join(p.tobytes() for p in pieces) == bytes(range(100))
+        assert b"".join(p.linearize() for p in pieces) == bytes(range(100))
         chain.release()
         for piece in pieces:
             piece.release()

@@ -121,13 +121,14 @@ def test_buffers_stats(capsys):
 
     # Put something recognisable on the counters first.
     datapath_counters().reset()
-    chain = BufferChain.from_bytes(b"x" * 128)
+    chain = BufferChain.wrap(b"x" * 128)
     chain.linearize()
     chain.release()
 
     stats = _stats(capsys)
     assert stats["datapath.copies_by_label.linearize"] == "128"
-    assert "rx_pool.hits" in stats
+    # Rx pools belong to their hosts; no process-wide pool is printed.
+    assert not any(key.startswith("rx_pool.") for key in stats)
     datapath_counters().reset()
 
 

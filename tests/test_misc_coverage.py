@@ -31,12 +31,12 @@ class TestReprs:
         assert "one" in repr(pipeline)
 
     def test_buffer_reprs(self):
-        from repro.buffers.buffer import Buffer
         from repro.buffers.chain import BufferChain
         from repro.buffers.pool import BufferPool
+        from repro.buffers.segment import Segment
 
-        assert "size=4" in repr(Buffer(4, label="x"))
-        assert "length=3" in repr(BufferChain.from_bytes(b"abc"))
+        assert "length=4" in repr(Segment.wrap(b"abcd", label="x"))
+        assert "length=3" in repr(BufferChain.wrap(b"abc"))
         assert "free" in repr(BufferPool(2, 8))
 
 

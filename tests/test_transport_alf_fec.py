@@ -128,7 +128,7 @@ def test_chain_adu_with_fec_is_delivered_byte_exact(lost):
         deliver=lambda d: got.setdefault(d.sequence, bytes(d.payload)),
     )
     sender = AlfSender(path.loop, path.a, "b", 1, mtu=256, fec_group=4)
-    chain = BufferChain.from_bytes(payload)
+    chain = BufferChain.wrap(payload)
     sender.send_adu(Adu(0, chain, {}))
     sender.close()
     path.loop.run(until=5)

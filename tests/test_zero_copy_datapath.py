@@ -206,7 +206,7 @@ class TestFragmentChains:
         fragments = fragment_adu(Adu(0, chain, {}), 4096, checksum=0)
         assert counters.snapshot()["copies"] == 0
         assert all(isinstance(f.payload, BufferChain) for f in fragments)
-        assert b"".join(f.payload.tobytes() for f in fragments) == payload
+        assert b"".join(f.payload.linearize() for f in fragments) == payload
         # A bytes ADU fragments into views over its buffer.
         counters.reset()
         fragments = fragment_adu(Adu(1, payload, {}), 4096, checksum=0)
@@ -224,4 +224,4 @@ class TestFragmentChains:
         rebuilt = reassemble_fragments(fragments, verify=False, as_chain=True)
         assert counters.snapshot()["copies"] == 0
         assert isinstance(rebuilt.payload, BufferChain)
-        assert rebuilt.payload.tobytes() == payload
+        assert rebuilt.payload.linearize() == payload
