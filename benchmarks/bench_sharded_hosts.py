@@ -9,9 +9,10 @@ sharing one wire-plan shape.  Two engineerings:
   (a running pending count) and a drain window examines only the
   backlogged flows, so the host does O(flows) shared-structure work.
 * **4 shards** — a :class:`~repro.net.shard.ShardedHost` demuxes flows
-  by stable hash to four shards, each with its own loop, engine and rx
-  pool.  The bookkeeping per ADU is the same; what sharding adds is
-  isolation (private loops, pools and counters) and a front-end demux.
+  by stable hash to four shards, each with its own host, engine and rx
+  pool on the one event loop.  The bookkeeping per ADU is the same;
+  what sharding adds is isolation (private pools and counters) and a
+  front-end demux.
 
 Both engineerings run the identical packets through the identical
 demux/reassembly/verify/deliver path (zero-copy, per-shard DMA pools);
@@ -19,22 +20,27 @@ delivery is asserted byte-identical and exactly-once, and every shard
 tears down to a clean ``leak_report``.  The gates are honest about what
 sharding buys on one core: the scan stays O(1) per ADU (1-shard backlog
 visits per ADU ≤ 2 — one notification plus one window visit), and the
-4-shard serial scheduler keeps at least 0.75× the 1-shard ADUs/sec (it
-pays a front-end demux and four loops for no parallelism).  Emits a
-machine-readable JSON record (``SHARDED_HOSTS_JSON`` line and
-``benchmarks/out/bench_sharded_hosts.json``) for the CI gate and
-artifact.
+4-shard side's work is an exact count, not wall-clock: the calls the
+program makes per ADU from the burst's arrival through its drain (see
+:func:`calls_per_adu`).  Counts repeat to the call, so the gate cannot
+flake.  ``scaling`` (1-shard over 4-shard wall time) stays in the
+record, ungated: at best of 3 runs of 0.1–0.2 s it moves by a third
+from run to run.  Emits a machine-readable JSON record
+(``SHARDED_HOSTS_JSON`` line and ``benchmarks/out/bench_sharded_hosts.json``)
+for the CI gate and artifact.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.ilp.compiler import PlanCache
 from repro.machine.accounting import ShardCounters
 from repro.machine.profile import MIPS_R2000
@@ -53,9 +59,17 @@ MAX_ROWS = 16384  # one coalesced dispatch per shard per drain epoch
 BUFFER = 256  # per-shard rx pool buffer size (one segment per packet)
 N_SHARDS = 4
 SCAN_GATE = 2.0  # backlog visits per ADU, 1 shard
-SCALING_GATE = 0.75  # 4-shard serial ADUs/sec over 1-shard
+
+#: Ceiling on the 4-shard side's calls per ADU (see
+#: :func:`calls_per_adu`): today's 139.08 rounded up by less than one
+#: call, so one more call per ADU fails the gate.  Lower it when the
+#: path gets cheaper.
+SHARDED_CALLS_PER_ADU_MAX = 139.5
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
+
+#: Source directory of the program's own code.
+_PROGRAM = str(Path(repro.__file__).parent)
 
 PAYLOADS = [
     bytes((flow_id * 131 + offset) & 0xFF for offset in range(PAYLOAD))
@@ -79,8 +93,7 @@ def build_scenario(n_shards: int):
     )
     ack_rng = RngStreams(9)
     for shard in sharded.shards:
-        # ACK egress rides a shard-local link (events stay on the
-        # shard's own loop).
+        # ACK egress rides a shard-local link, not the front's uplink.
         sink = Host(shard.loop, "a")
         link = Link(
             shard.loop,
@@ -172,6 +185,44 @@ def run_once(n_shards: int) -> dict[str, object]:
     }
 
 
+def calls_per_adu(n_shards: int) -> float:
+    """Calls the program makes per ADU, from the burst's arrival to the
+    end of its drain.
+
+    Counts every call, to a Python function or a builtin, that the
+    program's own code makes during :meth:`ShardedHost.receive_burst`
+    and :meth:`ShardedHost.drain` of one full run: the demux, DMA,
+    reassembly, batch verify, delivery, ACKs and the event loop.  Calls
+    made inside the benchmark's delivery callback, the standard library
+    or numpy are left out, so the count depends on this program's code
+    alone.
+    """
+    sharded, _, delivered, cache = build_scenario(n_shards)
+    packets = build_packets(cache)
+    calls = 0
+
+    def ours(frame) -> bool:
+        return frame is not None and frame.f_code.co_filename.startswith(_PROGRAM)
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += ours(frame.f_back)
+        elif event == "c_call":
+            calls += ours(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        sharded.receive_burst(packets)
+        sharded.drain()
+    finally:
+        sys.setprofile(previous)
+    assert sum(len(rows) for rows in delivered.values()) == N_FLOWS
+    sharded.shutdown()
+    return calls / N_FLOWS
+
+
 def check_delivery(result: dict[str, object]) -> None:
     """Byte-identical, exactly-once, and leak-free."""
     delivered = result["delivered"]
@@ -221,6 +272,8 @@ def record():
             "scan_visits_per_adu": sharded["scan_visits"] / N_FLOWS,
             "dispatches": sharded["dispatches"],
             "demux": sharded["demux"],
+            "calls_per_adu": calls_per_adu(N_SHARDS),
+            "calls_per_adu_repeat": calls_per_adu(N_SHARDS),
         },
         "scaling": scaling,
     }
@@ -245,9 +298,10 @@ def test_acceptance_sharded_hosts(record):
     # share the engine.
     assert record["single"]["scan_visits_per_adu"] <= SCAN_GATE, record
     assert record["sharded"]["scan_visits_per_adu"] <= SCAN_GATE, record
-    # Serial sharding costs a front-end demux and four loops; it must
-    # not cost more than a quarter of the 1-shard throughput.
-    assert record["scaling"] >= SCALING_GATE, record
+    # Exact: a second counted run makes the same calls.
+    calls = record["sharded"]["calls_per_adu"]
+    assert calls == record["sharded"]["calls_per_adu_repeat"], record
+    assert calls <= SHARDED_CALLS_PER_ADU_MAX, record
     # One coalesced dispatch per shard (max_rows covers the backlog).
     assert record["sharded"]["dispatches"] == N_SHARDS, record
     assert record["single"]["dispatches"] == 1, record

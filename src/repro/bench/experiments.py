@@ -2548,7 +2548,7 @@ def _sharded_scenario(
 ) -> dict:
     """One machine serving ``n_flows`` across ``n_shards`` workers.
 
-    Fixed flow ids (0..F-1) and the serial deterministic scheduler, so
+    Fixed flow ids (0..F-1) and one deterministic event loop, so
     the crc32 placement — and every counter below — is identical on
     every run.  Returns deterministic counters plus the delivered
     payload map and the teardown leak reports.
@@ -2629,9 +2629,9 @@ def sharded_hosts(
     window examines only the backlogged flows, so the scan costs O(1)
     per ADU whether one engine holds every flow or four engines split
     them.  Sharding therefore does not divide a scan; it isolates
-    shard-private loops, pools and counters while delivery stays
+    shard-private pools and counters while delivery stays
     byte-identical and exactly-once.  All counters are deterministic
-    (serial scheduler, fixed flow ids, no wall clock).
+    (one event loop, fixed flow ids, no wall clock).
     """
     single = _sharded_scenario(1, n_flows, n_adus, payload_bytes)
     sharded = _sharded_scenario(4, n_flows, n_adus, payload_bytes)
@@ -2686,10 +2686,10 @@ def sharded_hosts(
         "Sharded hosts: per-shard drain workers",
         rows,
         notes=f"{n_flows} flows on one machine, demuxed by stable flow "
-        "hash to 4 worker shards (own loop, engine and rx pool each): "
+        "hash to 4 worker shards (own engine and rx pool each): "
         "the drain engine's backlog bookkeeping is O(1) per ADU on one "
         "shard and on four, delivery stays byte-identical and "
         "exactly-once, and every shard tears down to a clean leak "
-        "report — counters only, so the result is deterministic under "
-        "the serial shard scheduler",
+        "report — counters only, so the result is deterministic on "
+        "the one event loop the shards share",
     )

@@ -16,7 +16,6 @@ from repro.net.switch import StoreAndForwardSwitch
 from repro.net.host import Host
 from repro.net.shard import (
     HostShard,
-    SerialShardScheduler,
     ShardedHost,
     shard_index,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "StoreAndForwardSwitch",
     "Host",
     "HostShard",
-    "SerialShardScheduler",
     "ShardedHost",
     "shard_index",
     "AtmCell",

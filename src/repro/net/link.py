@@ -484,8 +484,9 @@ class Link:
         self.stats.train_packets += len(packets)
         self.stats.delivered += len(packets)
         self.stats.bytes_delivered += train.wire_bytes
-        self.tracer.emit(self.loop.now, "link", "train", link=self.name,
-                         packets=len(packets))
+        if self.tracer.enabled:
+            self.tracer.emit(self.loop.now, "link", "train", link=self.name,
+                             packets=len(packets))
         table = self._steering
         if table is not None and self._steered_receiver is not None:
             current = train.steer_first_epoch == table.epoch

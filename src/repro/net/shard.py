@@ -12,8 +12,6 @@ parallelism, throughput; it does not divide a scan.)
 :class:`ShardedHost` splits the machine into N shards, each a
 self-contained receive stack:
 
-* its own :class:`~repro.sim.eventloop.EventLoop` (drain epochs and
-  timers are shard-private — no cross-shard event contention);
 * its own :class:`~repro.transport.drain.SharedDrainEngine` with
   private :class:`~repro.machine.accounting.DrainCounters`, so a
   shard's drain epochs batch only its own flows;
@@ -62,12 +60,15 @@ thread; the caches' locks (see
 :class:`~repro.machine.accounting.AtomicCacheStats`) are for callers
 outside the simulator, since the caches are public.
 
-Shards run serially: packets are delivered inline and a
-:class:`SerialShardScheduler` merges the shard loops into one global
-time order, so tests and experiments stay exactly reproducible.  The
-word loops are GIL-bound, so running shards on threads cannot beat the
-serial schedule.  Flows bound on a shard may send through shard-local
-links or fall back to the front host via ``uplink``.
+Shards run serially on the front host's
+:class:`~repro.sim.eventloop.EventLoop`: packets are delivered inline,
+and a shard's drain epochs and timers go on the one heap every other
+event of the simulation uses, so they run at their due time and tests
+and experiments stay exactly reproducible.  Sharding schedules nothing
+of its own.  The word loops are GIL-bound, so running shards on threads
+cannot beat the serial schedule.  Flows bound on a shard may send
+through shard-local links or fall back to the front host via
+``uplink``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from repro.errors import NetworkError
 from repro.machine.accounting import DrainCounters, ShardCounters
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.sim.trace import DISABLED_TRACER, Tracer
 
@@ -363,7 +363,7 @@ class RebalancePolicy:
 
 
 class HostShard:
-    """One shard: a private loop, host, engine and rx pool.
+    """One shard: a private host, engine and rx pool on the front's loop.
 
     Built by :class:`ShardedHost`; not normally constructed directly.
     The shard's host shares the front's *name* (transport replies must
@@ -385,7 +385,7 @@ class HostShard:
         tracer: Tracer,
     ):
         self.index = index
-        self.loop = EventLoop()
+        self.loop = front.loop
         self.rng = root_rng.derive(f"shard-{index}")
         self.rx_pool = (
             BufferPool(
@@ -417,66 +417,22 @@ class HostShard:
             tracer=tracer,
         )
 
-    def advance_to(self, time: float) -> None:
-        """Run this shard's loop up to ``time`` (clock catches up too)."""
-        if self.loop.now < time:
-            self.loop.run(until=time)
-
     def leak_report(self) -> list[str]:
         """Outstanding rx-pool buffers (empty when the shard is clean)."""
         return self.rx_pool.leak_report() if self.rx_pool is not None else []
 
 
 class SerialShardScheduler:
-    """Deterministic merge of several event loops into one time order.
-
-    The one shard execution model, and what keeps sharded simulations
-    reproducible: at each step the loop with the earliest live event
-    runs exactly one event (ties broken by registration order), so N
-    shard loops behave as one global discrete-event simulation — same
-    semantics whether the host runs 1 shard or 8.
-    """
-
-    def __init__(self, loops: list[EventLoop]):
-        if not loops:
-            raise NetworkError("scheduler needs at least one loop")
-        self.loops = list(loops)
-        self.steps = 0
+    """Retired: shards schedule on their front host's loop, so there is
+    no merge left to run.  The name is kept only because the end-to-end
+    benchmark's span table (``benchmarks/e2e/spans.py``) imports it;
+    :meth:`run` raises."""
 
     def run(self, until: float | None = None) -> int:
-        """Run merged events; returns how many ran.
-
-        Args:
-            until: stop once every loop's next event is later than this
-                (each loop's clock advances to ``until``).  None runs
-                all loops to quiescence — beware self-rescheduling
-                events: an open receiver's ACK timer keeps ticking
-                while its flow is unresolved (a caught-up or closed
-                one schedules nothing).
-        """
-        ran = 0
-        while True:
-            best: EventLoop | None = None
-            best_time: float | None = None
-            for loop in self.loops:
-                next_time = loop.next_event_time()
-                if next_time is None:
-                    continue
-                if best_time is None or next_time < best_time:
-                    best, best_time = loop, next_time
-            if best is None or (until is not None and best_time > until):
-                break
-            best.step()
-            ran += 1
-        if until is not None:
-            # The merge stopped because every loop's next live event is
-            # later than `until` (or it has none): nothing is left to
-            # run, so each clock moves forward directly.
-            for loop in self.loops:
-                if loop.now < until:
-                    loop.now = until
-        self.steps += ran
-        return ran
+        raise NetworkError(
+            "SerialShardScheduler is retired: shards run on the front "
+            "host's EventLoop"
+        )
 
 
 class ShardedHost:
@@ -544,8 +500,6 @@ class ShardedHost:
             )
             for index in range(shards)
         ]
-        self.scheduler = SerialShardScheduler([shard.loop for shard in self.shards])
-        self._pump_scheduled = False
         self._protocols = tuple(protocols)
         self._claimed = frozenset(self._protocols) or None
         self.steering = SteeringTable(
@@ -698,27 +652,16 @@ class ShardedHost:
             self._train_boundary()
 
     def _deliver(self, shard: HostShard, packets: list[Packet]) -> None:
-        """Hand one shard its packets, inline at the front's current
-        time.  The shard's clock catches up first so flush epochs
-        scheduled by this delivery land at the same global timestep."""
+        """Hand one shard its packets, inline at the current time."""
         if len(packets) > 1:
             self.counters.record_shard_load(
                 shard.index, len(packets), shard.engine.pending_rows
             )
-        shard.advance_to(self.front.loop.now)
         if len(packets) == 1:
             shard.host.receive(packets[0])
         else:
             shard.host.receive_burst(packets)
         self.counters.record_service()
-        if not self._pump_scheduled:
-            self._pump_scheduled = True
-            self.front.loop.schedule(0.0, self._pump)
-
-    def _pump(self) -> None:
-        """Front-loop event: run shard events due at the current time."""
-        self._pump_scheduled = False
-        self.scheduler.run(until=self.front.loop.now)
 
     # ------------------------------------------------------------------
     # Skew-aware rebalancing
@@ -782,7 +725,7 @@ class ShardedHost:
         """Remap one bucket and rehome its registered flows.
 
         The stability contract: a commit happens at a train boundary,
-        with the shards' zero-delay work settled, every registered flow
+        with the source shard's ready rows drained, every registered flow
         in the bucket quiescent (no in-flight reassembly rows, no
         undrained ready rows), and no *unregistered* flow bound on the
         source shard inside the bucket (remapping one would route its
@@ -801,10 +744,10 @@ class ShardedHost:
         flows = self._bucket_flows.get(bucket, ())
         source_shard = self.shards[source]
         target_shard = self.shards[target]
-        # Settle zero-delay flush epochs first (the pump that would run
-        # them is scheduled behind this event at the same timestamp) so
-        # "quiescent" reflects this train's drains.
-        self.scheduler.run(until=self.front.loop.now)
+        # Drain the source shard's ready rows now (their epoch is queued
+        # behind this event) so "quiescent" reflects this train.
+        if source_shard.engine.pending_rows:
+            source_shard.engine.flush()
         # The register_flow contract: a bucket carrying traffic the
         # migration registry doesn't know about keeps its placement.  A
         # per-flow handler bound on the source shard (e.g. a receiver
@@ -825,7 +768,6 @@ class ShardedHost:
             if not receiver.quiescent:
                 return False
             receivers.append(receiver)
-        target_shard.advance_to(self.front.loop.now)
         for receiver in receivers:
             engine = (
                 target_shard.engine
@@ -845,9 +787,10 @@ class ShardedHost:
     # Lifecycle
 
     def drain(self, until: float | None = None) -> None:
-        """Settle every shard: run the merged scheduler up to ``until``
-        (default: the front's current time)."""
-        self.scheduler.run(until=self.front.loop.now if until is None else until)
+        """Settle every shard: run the loop up to ``until`` (default:
+        the current time)."""
+        loop = self.front.loop
+        loop.run(until=loop.now if until is None else until)
 
     def shutdown(self) -> dict[int, list[str]]:
         """Tear every shard down; returns per-shard leak reports.

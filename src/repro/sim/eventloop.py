@@ -141,35 +141,13 @@ class EventLoop:
         """Time of the earliest live event, or None when idle.
 
         Cancelled heap heads are discarded on the way, so the answer is
-        exact.  This is what lets a
-        :class:`~repro.net.shard.SerialShardScheduler` merge several
-        loops into one global time order without running any of them.
+        exact: None means no live timer is left, without running any.
         """
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled -= 1
         return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Run exactly one (live) event; returns False when idle.
-
-        The single-event counterpart of :meth:`run`, used by the serial
-        shard scheduler to interleave several loops deterministically.
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            if event.time < self.now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self.now = event.time
-            event.callback(*event.args)
-            self.events_run += 1
-            return True
-        return False
 
     @property
     def pending(self) -> int:

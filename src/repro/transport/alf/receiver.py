@@ -727,8 +727,9 @@ class AlfReceiver:
             integrity_counters().record_tolerant_delivery(len(corrupt_spans))
             self.tracer.emit(self.loop.now, "alf", "tolerant-deliver",
                              seq=sequence, spans=len(corrupt_spans))
-        self.tracer.emit(self.loop.now, "alf", "deliver-adu",
-                         seq=sequence, in_order=in_order)
+        if self.tracer.enabled:
+            self.tracer.emit(self.loop.now, "alf", "deliver-adu",
+                             seq=sequence, in_order=in_order)
         self.deliver(
             DeliveredAdu(
                 sequence=sequence,

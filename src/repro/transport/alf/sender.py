@@ -336,8 +336,9 @@ class AlfSender:
         else:
             for packet in packets:
                 self.pacing.submit(packet, on_release=self._on_paced_release)
-        self.tracer.emit(now, "alf", "send-adu",
-                         seq=adu.sequence, length=len(adu.payload))
+        if self.tracer.enabled:
+            self.tracer.emit(now, "alf", "send-adu",
+                             seq=adu.sequence, length=len(adu.payload))
 
     def _on_paced_release(self, packet: Packet) -> None:
         """A paced fragment reached the wire: restart its ADU's repair

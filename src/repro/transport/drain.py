@@ -438,8 +438,9 @@ class SharedDrainEngine:
                 seen.add(id(receiver))
                 receivers.append(receiver)
         self.counters.record_dispatch(len(rows), len(receivers), capped)
-        self.tracer.emit(self.loop.now, "drain", "dispatch",
-                         rows=len(rows), flows=len(receivers), capped=capped)
+        if self.tracer.enabled:
+            self.tracer.emit(self.loop.now, "drain", "dispatch",
+                             rows=len(rows), flows=len(receivers), capped=capped)
         # Bracket delivery so each flow coalesces its acks: one ACK per
         # flow per dispatch instead of one per delivered ADU.
         for receiver in receivers:

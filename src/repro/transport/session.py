@@ -153,7 +153,7 @@ class SessionListener:
             ADU on arrival.
         sharded: a :class:`~repro.net.shard.ShardedHost` to place
             accepted flows on: each accepted receiver is built on its
-            flow's home shard (that shard's loop, host and drain engine),
+            flow's home shard (that shard's host and drain engine),
             so the machine's flows divide across independent receive
             stacks.  The caller keeps ownership and shuts it down.
     """
@@ -216,12 +216,10 @@ class SessionListener:
         session = Session(flow_id=flow_id, config=config, plan=plan)
         rx_loop, rx_host, rx_engine = self.loop, self.host, self.drain_engine
         if self.sharded is not None:
-            # The flow lives on its home shard: that shard's loop runs
-            # its timers, its host demuxes its fragments, its engine
-            # drains its ADUs.  The shard clock catches up to the
-            # handshake time first so nothing is scheduled in the past.
+            # The flow lives on its home shard: its host demuxes the
+            # flow's fragments and its engine drains the flow's ADUs.
+            # Timers run on the one loop the shards share.
             shard = self.sharded.shard_for("alf", flow_id)
-            shard.advance_to(self.loop.now)
             rx_loop, rx_host, rx_engine = shard.loop, shard.host, shard.engine
         session.receiver = AlfReceiver(
             rx_loop,

@@ -1,4 +1,4 @@
-"""Sharded hosts: flow-hash demux, serial scheduler, worker shards."""
+"""Sharded hosts: flow-hash demux, one event heap, worker shards."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ from repro.machine.accounting import ShardCounters
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.shard import (
-    SerialShardScheduler,
-    ShardedHost,
-    shard_index,
-)
+from repro.net.shard import SerialShardScheduler, ShardedHost, shard_index
 from repro.net.topology import two_hosts
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
@@ -209,85 +205,89 @@ class TestCounterIsolation:
         assert second.counters.packets == 0
 
 
-class TestSerialShardScheduler:
-    def test_merges_loops_in_global_time_order(self):
-        loops = [EventLoop(), EventLoop()]
-        order: list[str] = []
-        loops[0].schedule(0.3, lambda: order.append("a@0.3"))
-        loops[1].schedule(0.1, lambda: order.append("b@0.1"))
-        loops[0].schedule(0.2, lambda: order.append("a@0.2"))
-        scheduler = SerialShardScheduler(loops)
-        assert scheduler.run(until=1.0) == 3
-        assert order == ["b@0.1", "a@0.2", "a@0.3"]
-        assert scheduler.steps == 3
-        assert all(loop.now == 1.0 for loop in loops)
+class TestOneEventHeap:
+    def test_shards_schedule_on_the_front_loop(self):
+        path, sharded, _ = make_sharded(4)
+        assert all(shard.loop is path.b.loop for shard in sharded.shards)
 
-    def test_simultaneous_events_break_ties_by_registration(self):
-        loops = [EventLoop(), EventLoop()]
-        order: list[int] = []
-        loops[1].schedule(0.5, lambda: order.append(1))
-        loops[0].schedule(0.5, lambda: order.append(0))
-        SerialShardScheduler(loops).run(until=1.0)
-        assert order == [0, 1]
+    def test_delayed_drain_epoch_fires_at_its_due_time(self):
+        # The epoch is an ordinary event on the front's loop: running
+        # that loop delivers it on time, with no drain() call.
+        path, sharded, _ = make_sharded(4, max_delay=0.005)
+        flow_id = 3
+        arrivals = []
+        shard = sharded.shard_for(PROTOCOL, flow_id)
+        AlfReceiver(
+            shard.loop, shard.host, "a", flow_id,
+            deliver=lambda d: arrivals.append((d.arrival_time, bytes(d.payload))),
+            ack_interval=0, drain_engine=shard.engine,
+        )
+        payload = adu_payload(31)
+        sharded.receive_burst(adu_packets(flow_id, [payload]))
+        assert arrivals == []
+        path.loop.run()
+        assert arrivals == [(0.005, payload)]
 
-    def test_until_bounds_execution_and_advances_clocks(self):
-        loops = [EventLoop(), EventLoop()]
-        order: list[str] = []
-        loops[0].schedule(0.1, lambda: order.append("early"))
-        loops[1].schedule(5.0, lambda: order.append("late"))
-        scheduler = SerialShardScheduler(loops)
-        assert scheduler.run(until=1.0) == 1
-        assert order == ["early"]
-        assert all(loop.now == 1.0 for loop in loops)
-        assert scheduler.run(until=10.0) == 1
-        assert order == ["early", "late"]
+    def test_sharding_schedules_no_events_of_its_own(self):
+        # The same traffic runs the same events on the one loop whether
+        # its receivers sit on a plain host or on 1 or 4 shards.
+        def run(n_shards):
+            path = two_hosts(seed=11)
+            if n_shards:
+                sharded = ShardedHost(path.b, n_shards, counters=ShardCounters())
+                homes = [
+                    sharded.shard_for(PROTOCOL, fid).host for fid in range(8)
+                ]
+            else:
+                homes = [path.b] * 8
+            delivered: dict[int, list[bytes]] = {}
+            for fid, host in enumerate(homes):
+                AlfReceiver(
+                    path.loop, host, "a", fid,
+                    deliver=lambda d, fid=fid: delivered.setdefault(
+                        fid, []
+                    ).append(bytes(d.payload)),
+                )
+            payloads = {
+                fid: [adu_payload(500 + 4 * fid + i) for i in range(3)]
+                for fid in range(8)
+            }
+            for fid in range(8):
+                for packet in adu_packets(fid, payloads[fid], mtu=64):
+                    path.a.send(packet)
+            path.loop.run(until=1.0)
+            assert delivered == payloads
+            return path.loop.events_run
 
-    def test_needs_at_least_one_loop(self):
-        with pytest.raises(NetworkError):
-            SerialShardScheduler([])
+        plain = run(0)
+        assert run(1) == plain
+        assert run(4) == plain
 
-    def test_tail_clock_advance_matches_running_each_loop(self):
-        """A tie at ``until`` and an idle loop end the same either way.
+    def test_migration_drains_the_source_shard_first(self):
+        # A ready row waiting on a delayed epoch is drained by the
+        # commit itself, so the move goes ahead instead of deferring.
+        path, sharded, _ = make_sharded(4, max_delay=0.005)
+        delivered: dict[int, list[bytes]] = {}
+        home, receiver = bind_flow(sharded, 7, delivered)
+        sharded.register_flow(PROTOCOL, 7, receiver)
+        payloads = [adu_payload(90)]
+        sharded.receive_burst(adu_packets(7, payloads))
+        assert not receiver.quiescent
+        target = sharded.shards[(home.index + 1) % 4]
+        bucket = sharded.steering.bucket_of(PROTOCOL, 7)
+        assert sharded.migrate_bucket(bucket, target.index)
+        assert delivered == {7: payloads}
+        assert receiver.host is target.host
+        path.loop.run(until=0.01)
+        assert delivered == {7: payloads}  # exactly once
+        assert all(report == [] for report in sharded.shutdown().values())
 
-        The reference is the scheduler's earlier tail, which called
-        ``loop.run(until)`` on every loop once the merge stopped.
-        """
+    def test_retired_scheduler_only_raises(self):
+        import repro.net
 
-        def build():
-            loops = [EventLoop(), EventLoop(), EventLoop()]
-            order: list[str] = []
-            loops[0].schedule(0.5, order.append, "a@0.5")
-            loops[1].schedule(1.0, order.append, "b@until")  # tie at until
-            loops[0].schedule(1.0, order.append, "a@until")
-            loops[1].schedule(1.5, order.append, "b@1.5")
-            loops[0].schedule(0.7, order.append, "dead").cancel()
-            # loops[2] is idle throughout.
-            return loops, order
-
-        def reference_run(loops, until):
-            while True:
-                live = [(loop.next_event_time(), i) for i, loop in enumerate(loops)]
-                live = [entry for entry in live if entry[0] is not None]
-                if not live or min(live)[0] > until:
-                    break
-                loops[min(live)[1]].step()
-            for loop in loops:
-                if loop.now < until:
-                    loop.run(until=until)
-
-        loops, order = build()
-        scheduler = SerialShardScheduler(loops)
-        ref_loops, ref_order = build()
-        for until in (1.0, 1.2, 2.0):
-            scheduler.run(until=until)
-            reference_run(ref_loops, until)
-            assert order == ref_order
-            assert [loop.now for loop in loops] == [loop.now for loop in ref_loops]
-            assert all(loop.now == until for loop in loops)
-            assert [loop.pending for loop in loops] == [
-                loop.pending for loop in ref_loops
-            ]
-        assert order == ["a@0.5", "a@until", "b@until", "b@1.5"]
+        assert "SerialShardScheduler" not in repro.net.__all__
+        with pytest.raises(NetworkError, match="retired"):
+            SerialShardScheduler().run(until=1.0)
 
 
 class TestShardRng:

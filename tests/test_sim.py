@@ -91,7 +91,7 @@ class TestEventLoop:
 
     def test_late_event_raises(self):
         # An event timed before the loop's clock can only come from heap
-        # corruption: both the run and the single-step path refuse it.
+        # corruption: the run refuses it.
         def make_late():
             loop = EventLoop()
             loop.schedule(2.0, lambda: None)
@@ -102,8 +102,6 @@ class TestEventLoop:
 
         with pytest.raises(SimulationError, match="time went backwards"):
             make_late().run()
-        with pytest.raises(SimulationError, match="time went backwards"):
-            make_late().step()
 
     def test_ten_thousand_ties_fire_fifo_with_unorderable_args(self):
         # Heap entries are (time, sequence, event) tuples and sequence
@@ -138,10 +136,9 @@ class TestEventLoop:
         assert loop.next_event_time() == 3.0
         assert loop.pending == 1  # the cancelled heads were discarded
         assert loop._cancelled == 0
-        assert loop.step() is True
+        loop.run()
         assert loop.now == 3.0
         assert loop.next_event_time() is None
-        assert loop.step() is False
 
     def test_schedule_at_keeps_relative_arithmetic(self):
         # schedule_at(t) lands at now + (t - now), which can differ from
