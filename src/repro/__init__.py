@@ -29,7 +29,6 @@ from repro.core import (
     ApplicationProcess,
     ProtocolStack,
     StackConfig,
-    TwoStageReceiver,
 )
 from repro.machine import (
     MachineProfile,
@@ -69,7 +68,6 @@ __all__ = [
     "ApplicationProcess",
     "ProtocolStack",
     "StackConfig",
-    "TwoStageReceiver",
     "MachineProfile",
     "MICROVAX_III",
     "MIPS_R2000",

@@ -110,14 +110,6 @@ class ApplicationAddressSpace:
         self._regions[name] = region
         return region
 
-    def add_existing(self, region: Region) -> None:
-        """Register a region backed by caller-owned storage."""
-        if region.name in self._regions:
-            raise BufferError_(
-                f"region {region.name!r} already exists in {self.label}"
-            )
-        self._regions[region.name] = region
-
     def region(self, name: str) -> Region:
         """Look up a region by name."""
         if name not in self._regions:

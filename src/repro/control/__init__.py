@@ -14,10 +14,10 @@ experiment E5 can measure the paper's claim directly.
 """
 
 from repro.control.instructions import InstructionCounter, InstructionCosts
-from repro.control.flow import SlidingWindow, RatePacer, AimdCongestionControl
+from repro.control.flow import SlidingWindow, AimdCongestionControl
 from repro.control.ack import AckGenerator, SelectiveAckTracker
 from repro.control.timestamp import JitterEstimator, PlayoutBuffer
-from repro.control.framing import LengthPrefixFramer, StreamReassembler
+from repro.control.framing import StreamReassembler
 from repro.control.ratecontrol import PacedAduSource, ReceiverRateController
 from repro.control.rtt import RttEstimator
 
@@ -25,13 +25,11 @@ __all__ = [
     "InstructionCounter",
     "InstructionCosts",
     "SlidingWindow",
-    "RatePacer",
     "AimdCongestionControl",
     "AckGenerator",
     "SelectiveAckTracker",
     "JitterEstimator",
     "PlayoutBuffer",
-    "LengthPrefixFramer",
     "StreamReassembler",
     "PacedAduSource",
     "ReceiverRateController",

@@ -76,11 +76,6 @@ class AckGenerator:
             return True
         return False
 
-    @property
-    def pending_islands(self) -> int:
-        """Out-of-order islands currently held."""
-        return len(self._out_of_order)
-
 
 class SelectiveAckTracker:
     """Per-ADU receipt tracking: ACKs name ADUs, not bytes.

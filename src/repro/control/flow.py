@@ -7,10 +7,11 @@ transmitter and the monitoring of arrivals at the receiver.  The actual
 computation and negotiation of the transfer rate can be performed on an
 out-of-band basis" (§3).
 
-Accordingly this module separates the two: :class:`SlidingWindow` and
-:class:`AimdCongestionControl` are the in-band mechanisms (cheap,
-per-packet), while :class:`RatePacer` is the out-of-band rate computed in
-the background and merely *enforced* in-band.
+:class:`SlidingWindow` and :class:`AimdCongestionControl` here are the
+in-band mechanisms (cheap, per-packet).  The out-of-band rate and its
+in-band enforcement live in :mod:`repro.control.ratecontrol` (a
+receiver-computed rate pacing ADU sources) and
+:class:`~repro.transport.pacing.TrainPacer` (the wire shaper).
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class SlidingWindow:
         """Retransmission does not change window occupancy; note the event."""
         self.counter.record("flow_window_update")
 
-    def update_window(self, window_bytes: int) -> None:
-        """Receiver granted a new window size (out-of-band computation)."""
-        if window_bytes <= 0:
-            raise TransportError("window_bytes must be positive")
-        self.window_bytes = window_bytes
-
 
 class AimdCongestionControl:
     """Additive-increase / multiplicative-decrease congestion window."""
@@ -113,59 +108,3 @@ class AimdCongestionControl:
     def window_bytes(self) -> int:
         """The current congestion window."""
         return self.cwnd
-
-
-class RatePacer:
-    """Token-bucket pacing: the out-of-band rate, enforced in-band.
-
-    The rate itself is set by :meth:`set_rate` from outside the data
-    path; the in-band check is two or three instructions of arithmetic.
-    """
-
-    def __init__(
-        self,
-        rate_bps: float,
-        burst_bytes: int,
-        counter: InstructionCounter | None = None,
-    ):
-        if rate_bps <= 0:
-            raise TransportError("rate_bps must be positive")
-        if burst_bytes <= 0:
-            raise TransportError("burst_bytes must be positive")
-        self.counter = counter or InstructionCounter()
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self._tokens = float(burst_bytes)
-        self._last_time = 0.0
-
-    def set_rate(self, rate_bps: float) -> None:
-        """Out-of-band rate adjustment."""
-        if rate_bps <= 0:
-            raise TransportError("rate_bps must be positive")
-        self.rate_bps = rate_bps
-
-    def _refill(self, now: float) -> None:
-        if now < self._last_time:
-            raise TransportError("time went backwards in pacer")
-        self._tokens = min(
-            self._tokens + (now - self._last_time) * self.rate_bps / 8.0,
-            float(self.burst_bytes),
-        )
-        self._last_time = now
-
-    def try_send(self, now: float, n_bytes: int) -> bool:
-        """Consume tokens for ``n_bytes`` if available."""
-        self.counter.record("flow_window_update")
-        self._refill(now)
-        if n_bytes <= self._tokens:
-            self._tokens -= n_bytes
-            return True
-        return False
-
-    def delay_until_ready(self, now: float, n_bytes: int) -> float:
-        """Seconds until ``n_bytes`` worth of tokens will exist."""
-        self._refill(now)
-        deficit = n_bytes - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit * 8.0 / self.rate_bps

@@ -1,62 +1,16 @@
 """Framing: conveying boundaries between sender and receiver.
 
 "Encapsulation-based protocols require that frame boundaries be conveyed
-between sending and receiving entities" (§3).  Two pieces:
-
-* :class:`LengthPrefixFramer` — frame boundaries *inside a byte stream*.
-  This is what an application over a TCP-style transport must do for
-  itself, because the stream erases boundaries; it is the contrast case
-  for ALF, where the transport preserves ADU boundaries natively.
-* :class:`StreamReassembler` — receiver-side byte-stream hole tracking,
-  used by the TCP-style receiver to deliver in-order data.
+between sending and receiving entities" (§3).  ALF preserves ADU
+boundaries natively (:mod:`repro.core.adu`); a byte stream erases them.
+:class:`StreamReassembler` is the byte-stream side: receiver hole
+tracking, used by the TCP-style receiver to deliver in-order data.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro.control.instructions import InstructionCounter
 from repro.errors import FramingError
-
-
-class LengthPrefixFramer:
-    """4-byte length-prefixed frames over a byte stream."""
-
-    HEADER = 4
-    MAX_FRAME = 2**31
-
-    def __init__(self, counter: InstructionCounter | None = None):
-        self.counter = counter or InstructionCounter()
-        self._pending = bytearray()
-
-    def frame(self, payload: bytes) -> bytes:
-        """Encode one frame (length prefix + payload)."""
-        if len(payload) >= self.MAX_FRAME:
-            raise FramingError(f"frame of {len(payload)} bytes is too large")
-        self.counter.record("framing_check")
-        return struct.pack(">I", len(payload)) + payload
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Add stream bytes; return all frames completed by them."""
-        self.counter.record("framing_check")
-        self._pending += data
-        frames: list[bytes] = []
-        while True:
-            if len(self._pending) < self.HEADER:
-                break
-            (length,) = struct.unpack_from(">I", self._pending)
-            if length >= self.MAX_FRAME:
-                raise FramingError(f"corrupt length prefix {length}")
-            if len(self._pending) < self.HEADER + length:
-                break
-            frames.append(bytes(self._pending[self.HEADER : self.HEADER + length]))
-            del self._pending[: self.HEADER + length]
-        return frames
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Stream bytes held waiting for a complete frame."""
-        return len(self._pending)
 
 
 class StreamReassembler:

@@ -33,7 +33,6 @@ class InstructionCosts:
     timer_set: int = 8
     timer_cancel: int = 4
     timestamp: int = 4
-    framing_check: int = 6
     reassembly_bookkeeping: int = 10
 
     @cached_property
@@ -41,13 +40,6 @@ class InstructionCosts:
         """Every operation's budget by name, resolved once per costs
         object (every counter sharing it reads the same table)."""
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
-
-    def of(self, operation: str) -> int:
-        """The budget of ``operation`` (a field name)."""
-        try:
-            return self.budgets[operation]
-        except KeyError:
-            raise ReproError(f"unknown control operation {operation!r}") from None
 
 
 DEFAULT_COSTS = InstructionCosts()

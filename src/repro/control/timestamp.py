@@ -57,13 +57,3 @@ class PlayoutBuffer:
             return None
         self.scheduled.append((play_time, unit_id))
         return play_time
-
-    @property
-    def on_time_count(self) -> int:
-        """Units admitted in time for playback."""
-        return len(self.scheduled)
-
-    @property
-    def late_count(self) -> int:
-        """Units that missed their play time."""
-        return len(self.late)

@@ -124,10 +124,3 @@ class ApplicationProcess:
         if self._busy_started is not None:
             busy += self.loop.now - self._busy_started
         return min(busy / horizon, 1.0)
-
-    def effective_throughput_bps(self, elapsed: float | None = None) -> float:
-        """Delivered application throughput over the elapsed time."""
-        horizon = self.loop.now if elapsed is None else elapsed
-        if horizon <= 0:
-            return 0.0
-        return self.processed_bytes * 8 / horizon

@@ -123,8 +123,3 @@ class AlfEndSystem:
         if not self.processor.completed:
             return 0.0
         return self.processor.completed[-1].finished_at
-
-    @property
-    def processor_utilization(self) -> float:
-        """Busy fraction of the host processor so far."""
-        return self.processor.utilization()

@@ -182,19 +182,3 @@ class SharedHeader:
             app_name=name,
         )
         return info, self.LAYOUT.size
-
-
-def overhead_comparison(payload_bytes: int) -> dict[str, float]:
-    """Header overhead of both schemes for one fragment size.
-
-    Returns per-scheme wire efficiency (payload / total) and the header
-    byte counts — the A4 experiment's raw numbers.
-    """
-    layered = LayeredEncapsulation()
-    shared = SharedHeader()
-    return {
-        "layered_header_bytes": float(layered.header_bytes),
-        "shared_header_bytes": float(shared.header_bytes),
-        "layered_efficiency": payload_bytes / (payload_bytes + layered.header_bytes),
-        "shared_efficiency": payload_bytes / (payload_bytes + shared.header_bytes),
-    }

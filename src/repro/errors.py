@@ -56,10 +56,6 @@ class TransportError(ReproError):
     """Transport protocol failure."""
 
 
-class ConnectionClosedError(TransportError):
-    """Operation attempted on a closed connection."""
-
-
 class FramingError(ReproError):
     """ADU framing/fragmentation failure."""
 

@@ -187,11 +187,6 @@ class IntegrityPolicy:
         return self.mode == MODE_FULL
 
     @property
-    def is_none(self) -> bool:
-        """True when no byte is covered."""
-        return self.mode == MODE_NONE
-
-    @property
     def tolerant(self) -> bool:
         """True when some bytes are uncovered — corruption there is
         deliverable (ALF "ignore" recovery) instead of fatal."""

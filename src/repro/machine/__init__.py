@@ -25,7 +25,7 @@ from repro.machine.profile import (
     profile_by_name,
 )
 from repro.machine.accounting import CycleLedger, LedgerEntry
-from repro.machine.throughput import throughput_mbps, combined_serial_mbps
+from repro.machine.throughput import combined_serial_mbps
 from repro.machine.cache import DirectMappedCache, CacheStats
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "profile_by_name",
     "CycleLedger",
     "LedgerEntry",
-    "throughput_mbps",
     "combined_serial_mbps",
     "DirectMappedCache",
     "CacheStats",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.errors import MachineModelError
 from repro.machine.costs import CostVector
 from repro.machine.profile import MachineProfile
-from repro.units import MEGA, bits_of_bytes
 
 
 @dataclass
@@ -686,23 +685,6 @@ class CycleLedger:
         self.entries.append(LedgerEntry(label, category, n_bytes, cycles))
         return cycles
 
-    def charge_cycles(
-        self, label: str, cycles: float, n_bytes: int = 0, category: str = "control"
-    ) -> float:
-        """Record pre-computed cycles (used for control instruction counts)."""
-        if cycles < 0:
-            raise MachineModelError("cycles must be >= 0")
-        self.entries.append(LedgerEntry(label, category, n_bytes, cycles))
-        return cycles
-
-    def charge_instructions(
-        self, label: str, n_instructions: float, category: str = "control"
-    ) -> float:
-        """Record a straight-line control path of ``n_instructions``."""
-        cycles = self.profile.instruction_cycles(n_instructions)
-        self.entries.append(LedgerEntry(label, category, 0, cycles))
-        return cycles
-
     @property
     def total_cycles(self) -> float:
         """Sum of all recorded cycles."""
@@ -715,32 +697,12 @@ class CycleLedger:
             totals[entry.category] = totals.get(entry.category, 0.0) + entry.cycles
         return totals
 
-    def cycles_by_label(self) -> dict[str, float]:
-        """Total cycles grouped by entry label."""
-        totals: dict[str, float] = {}
-        for entry in self.entries:
-            totals[entry.label] = totals.get(entry.label, 0.0) + entry.cycles
-        return totals
-
     def share(self, category: str) -> float:
         """Fraction of total cycles attributed to ``category`` (0..1)."""
         total = self.total_cycles
         if total == 0:
             return 0.0
         return self.cycles_by_category().get(category, 0.0) / total
-
-    def throughput_mbps(self, payload_bytes: int) -> float:
-        """Effective end-to-end throughput for moving ``payload_bytes``.
-
-        This divides the payload by the *total* recorded cycles, which is
-        how the paper rates a whole stack: the serial composition of all
-        recorded passes.
-        """
-        total = self.total_cycles
-        if total <= 0:
-            raise MachineModelError("no cycles recorded; throughput undefined")
-        seconds = self.profile.seconds_for_cycles(total)
-        return bits_of_bytes(payload_bytes) / seconds / MEGA
 
     def reset(self) -> None:
         """Drop all recorded entries."""

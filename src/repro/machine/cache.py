@@ -97,7 +97,3 @@ class DirectMappedCache:
     def flush(self) -> None:
         """Invalidate every line (counters are preserved)."""
         self._tags = [None] * self.n_lines
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters."""
-        self.stats = CacheStats()

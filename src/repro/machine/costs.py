@@ -91,30 +91,6 @@ class CostVector:
             upstream.per_call_ops + self.per_call_ops,
         )
 
-    def without_write(self) -> "CostVector":
-        """This pass with its store eliminated (value stays in register).
-
-        Used by the fusion engine when a downstream fused stage consumes
-        the produced value and nothing else needs the intermediate copy.
-        """
-        return CostVector(
-            self.reads_per_word,
-            0.0,
-            self.alu_per_word,
-            self.calls_per_word,
-            self.per_call_ops,
-        )
-
-    def without_read(self) -> "CostVector":
-        """This pass with its (first) load eliminated (value in register)."""
-        return CostVector(
-            max(self.reads_per_word - 1.0, 0.0),
-            self.writes_per_word,
-            self.alu_per_word,
-            self.calls_per_word,
-            self.per_call_ops,
-        )
-
     def scaled(self, factor: float) -> "CostVector":
         """All per-word counts multiplied by ``factor`` (>= 0)."""
         if factor < 0:

@@ -11,13 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import MachineModelError
-from repro.machine.costs import CostVector
-from repro.machine.profile import MachineProfile
-
-
-def throughput_mbps(profile: MachineProfile, cost: CostVector) -> float:
-    """Steady-state Mb/s of one pass on one machine."""
-    return profile.mbps_for_cost(cost)
 
 
 def combined_serial_mbps(rates_mbps: Iterable[float]) -> float:

@@ -235,11 +235,6 @@ class Link:
         self._steered_receiver = steered_receiver
         self._placed_receiver = placed_receiver
 
-    @property
-    def train_mode(self) -> bool:
-        """Whether this link aggregates deliveries into trains."""
-        return self.max_train > 1
-
     def send(self, packets: Packet | Sequence[Packet]) -> None:
         """Transmit a packet, or a run of packets, applying serialization,
         delay and failures.

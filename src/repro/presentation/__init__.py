@@ -58,7 +58,7 @@ from repro.presentation.costs import (
     TUNED_LWTS,
     RAW_IMAGE,
 )
-from repro.presentation.namespace import ElementExtent, SyntaxMap, elements_for_range
+from repro.presentation.namespace import ElementExtent, SyntaxMap
 from repro.presentation.negotiate import (
     LocalSyntax,
     ConversionPlan,
@@ -102,7 +102,6 @@ __all__ = [
     "RAW_IMAGE",
     "ElementExtent",
     "SyntaxMap",
-    "elements_for_range",
     "LocalSyntax",
     "ConversionPlan",
     "negotiate",

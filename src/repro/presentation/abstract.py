@@ -228,32 +228,6 @@ def flatten_paths(value: Any, astype: ASType, path: Path = ()) -> Iterator[Path]
         yield path
 
 
-def element_at(value: Any, path: Path) -> Any:
-    """The sub-value addressed by ``path`` (root for the empty path)."""
-    current = value
-    for step in path:
-        try:
-            current = current[step]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise PresentationError(f"no element at path {path!r}") from exc
-    return current
-
-
-def type_at(astype: ASType, path: Path) -> ASType:
-    """The abstract type addressed by ``path``."""
-    current = astype
-    for step in path:
-        if isinstance(current, ArrayOf) and isinstance(step, int):
-            current = current.element
-        elif isinstance(current, Struct) and isinstance(step, str):
-            current = current.field_type(step)
-        else:
-            raise PresentationError(
-                f"path step {step!r} does not apply to {current.describe()}"
-            )
-    return current
-
-
 def _fmt_path(path: Path) -> str:
     if not path:
         return "<root>"

@@ -81,13 +81,6 @@ class SyntaxMap:
     def __len__(self) -> int:
         return len(self.extents)
 
-    def extent_of(self, path: Path) -> ElementExtent:
-        """The extent of the element at ``path``."""
-        for extent in self.extents:
-            if extent.path == path:
-                return extent
-        raise PresentationError(f"no element at path {path!r} in this map")
-
     def elements_in_range(self, start: int, end: int) -> list[ElementExtent]:
         """Leaf elements whose encodings intersect [start, end)."""
         if start < 0 or end < start:
@@ -106,13 +99,3 @@ class SyntaxMap:
     def paths_in_range(self, start: int, end: int) -> list[Path]:
         """Paths of the elements intersecting [start, end)."""
         return [extent.path for extent in self.elements_in_range(start, end)]
-
-
-def elements_for_range(syntax_map: SyntaxMap, start: int, end: int) -> list[Path]:
-    """Convenience wrapper: which application elements does a byte-range
-    loss destroy?
-
-    This is the operation a TCP-style transport *cannot* perform (it has
-    no syntax map) and an ALF stack performs routinely.
-    """
-    return syntax_map.paths_in_range(start, end)

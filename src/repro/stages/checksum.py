@@ -69,16 +69,6 @@ def coverage_internet_checksum(data: bytes, policy: IntegrityPolicy) -> int:
     return internet_checksum(bytes(masked))
 
 
-def verify_internet_checksum(data: bytes, checksum: int) -> bool:
-    """True when ``checksum`` matches ``data``.
-
-    Folding the transmitted checksum into the sum must yield 0xFFFF
-    before complement; equivalently the recomputed checksum equals the
-    transmitted one for our byte-block usage.
-    """
-    return internet_checksum(data) == checksum
-
-
 def fletcher32(data: bytes) -> int:
     """Fletcher-32 checksum (position-dependent, catches reordering)."""
     if len(data) % 2:

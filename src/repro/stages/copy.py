@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from repro.buffers.appspace import ApplicationAddressSpace, ScatterMap
 from repro.buffers.chain import BufferChain
-from repro.buffers.pool import BufferPool
-from repro.buffers.segment import Segment
 from repro.errors import StageError
 from repro.machine.accounting import datapath_counters
 from repro.machine.costs import COPY_COST
@@ -54,46 +52,29 @@ class CopyStage(Stage):
 class BufferForRetransmitStage(Stage):
     """Sender-side retransmission buffering (one of the six manipulations).
 
-    Keeps a reference to everything that passes through, retrievable by
-    offset for retransmission.  An ALF sender whose application
-    recomputes lost data omits this stage entirely — that is one of the
-    recovery options §5 requires the architecture to permit, and skipping
-    the stage is exactly how its cost disappears.
+    Keeps a reference to everything that passes through, so a lost unit
+    could be sent again.  An ALF sender whose application recomputes
+    lost data omits this stage entirely — that is one of the recovery
+    options §5 requires the architecture to permit, and skipping the
+    stage is exactly how its cost disappears.  The stage prices the save
+    on a :class:`~repro.core.stack.ProtocolStack` send path; the live
+    ALF sender keeps each outstanding ADU itself.
 
     On the chain datapath the save is a reference snapshot
     (:meth:`~repro.buffers.chain.BufferChain.share` bumps segment
-    refcounts, so pool buffers cannot recycle underneath it) — no bytes
-    move until a retransmission actually asks for the unit, at which
-    point one gather pass materializes it into a pooled segment (when a
-    pool is configured and the unit fits) or a fresh region.  Both the
-    snapshot and the deferred gather land on the datapath counters.
+    refcounts, so pool buffers cannot recycle underneath it) and no
+    bytes move.
     """
 
     name = "retransmit-buffer"
     category = "transport"
     cost = COPY_COST
 
-    def __init__(
-        self,
-        capacity_bytes: int | None = None,
-        pool: BufferPool | None = None,
-    ):
-        self._saved: list[bytes | BufferChain | Segment] = []
+    def __init__(self):
+        self._saved: list[bytes | BufferChain] = []
         self._total = 0
-        self.capacity_bytes = capacity_bytes
-        self.pool = pool
-        #: Retrievals served as a zero-copy chain over the snapshot
-        #: segment (no ``tobytes``) — the proof of the no-copy path.
-        self.zero_copy_retrievals = 0
 
     def apply(self, data):
-        if (
-            self.capacity_bytes is not None
-            and self._total + len(data) > self.capacity_bytes
-        ):
-            raise StageError(
-                f"retransmit buffer full ({self._total}/{self.capacity_bytes} bytes)"
-            )
         if isinstance(data, BufferChain):
             saved: bytes | BufferChain = data.share()
         else:
@@ -107,80 +88,9 @@ class BufferForRetransmitStage(Stage):
         """Bytes currently retained."""
         return self._total
 
-    def _settle(self, index: int) -> bytes | Segment:
-        """Collapse a chain snapshot into its stored form (pooled
-        segment or plain bytes), paying the single deferred gather."""
-        unit = self._saved[index]
-        if isinstance(unit, BufferChain):
-            length = len(unit)
-            if self.pool is not None and length <= self.pool.buffer_size:
-                # Gather into a pooled segment: the snapshot lives in
-                # recyclable memory and returns to the pool when acked.
-                segment = self.pool.allocate_segment(length)
-                unit.copy_into(segment.memoryview())
-                unit.release()
-                self._saved[index] = segment
-                return segment
-            out = bytearray(length)
-            unit.copy_into(memoryview(out))
-            unit.release()
-            snapshot = bytes(out)
-            self._saved[index] = snapshot
-            return snapshot
-        return unit
-
-    def _materialize(self, index: int) -> bytes:
-        unit = self._settle(index)
-        if isinstance(unit, Segment):
-            return unit.tobytes()
-        return unit
-
-    def retrieve(self, index: int) -> bytes:
-        """The ``index``-th buffered unit (for retransmission).
-
-        A chain snapshot pays its single gather pass here, on first
-        retrieval — acked data that is never retransmitted never copies.
-        """
-        if not 0 <= index < len(self._saved):
-            raise StageError(f"no buffered unit {index} (have {len(self._saved)})")
-        return self._materialize(index)
-
-    def retrieve_chain(self, index: int) -> BufferChain:
-        """The ``index``-th buffered unit as a zero-copy chain.
-
-        Retransmissions are served straight from the pooled snapshot
-        segment: the returned chain shares the stored segment
-        (refcounted — the store's copy survives the caller's release),
-        so a repeat retransmission moves **no** bytes.  Only the first
-        retrieval of a chain snapshot pays the gather into the pooled
-        segment; units stored as plain ``bytes`` (no pool, or oversize)
-        are wrapped without copying.  The caller releases the chain when
-        the retransmission is on the wire.
-        """
-        if not 0 <= index < len(self._saved):
-            raise StageError(f"no buffered unit {index} (have {len(self._saved)})")
-        unit = self._settle(index)
-        self.zero_copy_retrievals += 1
-        if isinstance(unit, Segment):
-            datapath_counters().record_zero_copy()
-            return BufferChain([unit.share()])
-        # BufferChain.wrap records the zero-copy op itself.
-        return BufferChain.wrap(unit, label="retransmit-snapshot")
-
-    def release_through(self, index: int) -> None:
-        """Drop units up to and including ``index`` (acked data)."""
-        if index >= len(self._saved):
-            raise StageError(f"cannot release through {index}; have {len(self._saved)}")
-        dropped = self._saved[: index + 1]
-        self._saved = self._saved[index + 1 :]
-        self._total -= sum(len(unit) for unit in dropped)
-        for unit in dropped:
-            if isinstance(unit, (BufferChain, Segment)):
-                unit.release()
-
     def reset(self) -> None:
         for unit in self._saved:
-            if isinstance(unit, (BufferChain, Segment)):
+            if isinstance(unit, BufferChain):
                 unit.release()
         self._saved.clear()
         self._total = 0
@@ -222,13 +132,3 @@ class MoveToAppStage(Stage):
 
     def reset(self) -> None:
         self._scatter = None
-
-    @property
-    def scatter_complexity(self) -> int:
-        """Entries in the current map — the outboard-processor metric.
-
-        The paper argues an outboard processor would need "information of
-        the same bulk and complexity as the incoming data itself" to do
-        this move; this property is that bulk, measurable.
-        """
-        return 0 if self._scatter is None else len(self._scatter)

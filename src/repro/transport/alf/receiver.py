@@ -822,11 +822,3 @@ class AlfReceiver:
         if self.expected_adus is None:
             return False
         return len(self.acks) >= self.expected_adus
-
-    def missing_names(self) -> list[dict[str, Any]]:
-        """Names of partially received ADUs (loss in application terms)."""
-        return [
-            dict(partial.name)
-            for partial in self._partial.values()
-            if partial is not _QUEUED
-        ]

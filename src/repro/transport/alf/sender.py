@@ -182,7 +182,9 @@ class AlfSender:
         self.adus_recomputed = 0
         self.adus_abandoned: set[int] = set()
         self._outstanding: dict[int, _Outstanding] = {}
-        self._acked: set[int] = set()
+        # Every sequence send_adu has taken, queued or sent; an
+        # abandoned one leaves it and may be sent again.
+        self._accepted: set[int] = set()
         self._acked_up_to = 0  # the highest ACK cumulative point seen
         self._closed = False
         self._completed = False
@@ -201,8 +203,9 @@ class AlfSender:
         """
         if self._closed:
             raise TransportError("sender is closed")
-        if adu.sequence in self._outstanding or adu.sequence in self._acked:
+        if adu.sequence in self._accepted:
             raise TransportError(f"ADU {adu.sequence} already sent")
+        self._accepted.add(adu.sequence)
         if (
             self.max_outstanding is not None
             and len(self._outstanding) >= self.max_outstanding
@@ -422,7 +425,6 @@ class AlfSender:
         for sequence in itertools.chain(covered, sack["received"]):
             if outstanding.pop(sequence, None) is not None:
                 self.counter.record("sequence_check")
-                self._acked.add(sequence)
                 self._drop_wire_memo(sequence)
 
         for sequence in sack["missing"]:
@@ -469,6 +471,7 @@ class AlfSender:
         self._outstanding.pop(sequence, None)
         self._drop_wire_memo(sequence)
         self.adus_abandoned.add(sequence)
+        self._accepted.discard(sequence)
         self.tracer.emit(self.loop.now, "alf", "abandon", seq=sequence)
         self._pump_pending()
 

@@ -216,11 +216,6 @@ class TrainPacer:
         """Packets waiting in the shaping queue."""
         return len(self._queue)
 
-    @property
-    def queued_bytes(self) -> int:
-        """Wire bytes waiting in the shaping queue."""
-        return self._queued_bytes
-
     def holds(self, flow_id: int, sequence: int) -> bool:
         """Whether any fragment of (flow, ADU) is still queued here.
 

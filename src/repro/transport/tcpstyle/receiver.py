@@ -134,11 +134,6 @@ class TcpStyleReceiver:
         self.host.send(ack_packet)
 
     @property
-    def in_order_bytes(self) -> int:
-        """Bytes delivered to the application so far."""
-        return self.stats.bytes_delivered
-
-    @property
     def blocked_bytes(self) -> int:
         """Bytes currently parked behind a hole (the §5 stall)."""
         return self.reassembler.blocked_bytes

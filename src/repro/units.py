@@ -12,9 +12,7 @@ BITS_PER_BYTE = 8
 WORD_BYTES = 4
 WORD_BITS = WORD_BYTES * BITS_PER_BYTE
 
-KILO = 1_000
 MEGA = 1_000_000
-GIGA = 1_000_000_000
 
 
 def bytes_to_words(n_bytes: int) -> int:
@@ -44,19 +42,3 @@ def seconds_for_cycles(cycles: float, clock_hz: float) -> float:
     if clock_hz <= 0:
         raise ValueError("clock_hz must be positive")
     return cycles / clock_hz
-
-
-def fmt_mbps(value: float) -> str:
-    """Render a throughput the way the paper's tables do (1 decimal)."""
-    return f"{value:.1f} Mb/s"
-
-
-def fmt_bytes(n: int) -> str:
-    """Human-readable byte count."""
-    if n >= GIGA:
-        return f"{n / GIGA:.2f} GB"
-    if n >= MEGA:
-        return f"{n / MEGA:.2f} MB"
-    if n >= KILO:
-        return f"{n / KILO:.2f} KB"
-    return f"{n} B"

@@ -34,19 +34,6 @@ def test_region_validation():
         Region("r", bytearray(10), -1, 5)
 
 
-def test_add_existing(space):
-    storage = bytearray(12)
-    region = Region("extra", storage, 2, 10)
-    space.add_existing(region)
-    assert "extra" in space.region_names()
-    with pytest.raises(BufferError_):
-        space.add_existing(region)
-    # Delivery lands in the caller's own storage, at the region's offset.
-    space.deliver(b"abc", ScatterMap.linear("extra", 1, 3))
-    assert storage[3:6] == b"abc"
-    assert space.read_region("extra") == b"\x00abc" + bytes(6)
-
-
 def test_linear_delivery(space):
     scatter = ScatterMap.linear("file", 10, 5)
     moved = space.deliver(b"hello", scatter)

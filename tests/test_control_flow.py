@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.flow import AimdCongestionControl, RatePacer, SlidingWindow
+from repro.control.flow import AimdCongestionControl, SlidingWindow
 from repro.errors import TransportError
 
 
@@ -40,13 +40,6 @@ class TestSlidingWindow:
         window.on_ack(20)  # older ack: no regression
         assert window.acked == 30
 
-    def test_window_update(self):
-        window = SlidingWindow(100)
-        window.update_window(200)
-        assert window.available() == 200
-        with pytest.raises(TransportError):
-            window.update_window(0)
-
     def test_construction_validation(self):
         with pytest.raises(TransportError):
             SlidingWindow(0)
@@ -82,43 +75,3 @@ class TestAimd:
     def test_validation(self):
         with pytest.raises(TransportError):
             AimdCongestionControl(mss=0)
-
-
-class TestPacer:
-    def test_burst_then_blocked(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=1000)
-        assert pacer.try_send(0.0, 1000)
-        assert not pacer.try_send(0.0, 1)
-
-    def test_refill_over_time(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=1000)
-        pacer.try_send(0.0, 1000)
-        assert pacer.try_send(0.5, 500)  # 8000bps = 1000B/s; 0.5s = 500B
-
-    def test_refill_caps_at_burst(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=100)
-        assert not pacer.try_send(1000.0, 101)
-
-    def test_delay_until_ready(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=1000)
-        pacer.try_send(0.0, 1000)
-        assert pacer.delay_until_ready(0.0, 500) == pytest.approx(0.5)
-        assert pacer.delay_until_ready(0.0, 0) == 0.0
-
-    def test_out_of_band_rate_change(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=1000)
-        pacer.set_rate(16000)
-        pacer.try_send(0.0, 1000)
-        assert pacer.delay_until_ready(0.0, 500) == pytest.approx(0.25)
-
-    def test_time_must_advance(self):
-        pacer = RatePacer(rate_bps=8000, burst_bytes=1000)
-        pacer.try_send(1.0, 10)
-        with pytest.raises(TransportError):
-            pacer.try_send(0.5, 10)
-
-    def test_validation(self):
-        with pytest.raises(TransportError):
-            RatePacer(0, 100)
-        with pytest.raises(TransportError):
-            RatePacer(100, 0)

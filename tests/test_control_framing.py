@@ -1,56 +1,10 @@
-"""Framing over streams and byte-stream reassembly."""
-
-import struct
+"""Byte-stream reassembly."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.control.framing import LengthPrefixFramer, StreamReassembler
+from repro.control.framing import StreamReassembler
 from repro.errors import FramingError
-
-
-class TestFramer:
-    def test_frame_roundtrip(self):
-        framer = LengthPrefixFramer()
-        wire = framer.frame(b"hello")
-        assert framer.feed(wire) == [b"hello"]
-
-    def test_partial_feed(self):
-        framer = LengthPrefixFramer()
-        wire = framer.frame(b"hello world")
-        assert framer.feed(wire[:3]) == []
-        assert framer.buffered_bytes == 3
-        assert framer.feed(wire[3:]) == [b"hello world"]
-        assert framer.buffered_bytes == 0
-
-    def test_multiple_frames_in_one_feed(self):
-        framer = LengthPrefixFramer()
-        wire = framer.frame(b"a") + framer.frame(b"bb") + framer.frame(b"")
-        assert framer.feed(wire) == [b"a", b"bb", b""]
-
-    def test_corrupt_length_rejected(self):
-        framer = LengthPrefixFramer()
-        with pytest.raises(FramingError, match="corrupt"):
-            framer.feed(struct.pack(">I", 2**31) + b"xx")
-
-    def test_oversize_frame_rejected(self):
-        with pytest.raises(FramingError):
-            LengthPrefixFramer().frame(b"x" * (2**31))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.binary(max_size=30), max_size=8),
-        st.integers(min_value=1, max_value=7),
-    )
-    def test_any_chunking_reassembles(self, frames, chunk):
-        """The framing property: however the stream is sliced, the exact
-        frame sequence comes back."""
-        framer = LengthPrefixFramer()
-        wire = b"".join(framer.frame(f) for f in frames)
-        out = []
-        for start in range(0, len(wire), chunk):
-            out.extend(framer.feed(wire[start : start + chunk]))
-        assert out == frames
 
 
 class TestStreamReassembler:

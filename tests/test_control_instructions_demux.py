@@ -9,18 +9,19 @@ from repro.errors import ReproError
 class TestCosts:
     def test_lookup_by_name(self):
         costs = InstructionCosts()
-        assert costs.of("demux_lookup") == 12
-        assert costs.of("ack_compute") == 15
+        assert costs.budgets["demux_lookup"] == 12
+        assert costs.budgets["ack_compute"] == 15
 
     def test_unknown_operation(self):
         with pytest.raises(ReproError, match="unknown control operation"):
-            InstructionCosts().of("quantum_teleport")
+            InstructionCounter().record("quantum_teleport")
 
     def test_every_budget_is_tens_not_hundreds(self):
         """The paper's claim, enforced on the budgets themselves."""
         costs = InstructionCosts()
-        for field_name in costs.__dataclass_fields__:
-            assert 1 <= costs.of(field_name) < 100
+        assert set(costs.budgets) == set(costs.__dataclass_fields__)
+        for budget in costs.budgets.values():
+            assert 1 <= budget < 100
 
 
 class TestCounter:

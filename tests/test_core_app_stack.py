@@ -55,13 +55,6 @@ class TestApplicationProcess:
         loop.run()
         assert done[0].label == "x"
 
-    def test_effective_throughput(self):
-        loop = EventLoop()
-        app = ApplicationProcess(loop, processing_rate_bps=8000)
-        app.submit("a", 1000)
-        loop.run()
-        assert app.effective_throughput_bps() == pytest.approx(8000.0)
-
     def test_validation(self):
         loop = EventLoop()
         with pytest.raises(ApplicationError):

@@ -8,7 +8,6 @@ from repro.core.headers import (
     FragmentInfo,
     LayeredEncapsulation,
     SharedHeader,
-    overhead_comparison,
 )
 from repro.core.outboard import (
     OffloadPartition,
@@ -64,13 +63,6 @@ class TestHeaders:
     def test_fragment_info_validation(self):
         with pytest.raises(FramingError):
             FragmentInfo(1, 1, 9, 5, 100, 0, 0)
-
-    def test_overhead_comparison(self):
-        numbers = overhead_comparison(44)
-        assert numbers["shared_efficiency"] > numbers["layered_efficiency"]
-        assert numbers["layered_header_bytes"] == 46.0
-        # At cell-size payloads the layered headers eat half the wire.
-        assert numbers["layered_efficiency"] < 0.5
 
 
 class TestOutboard:

@@ -65,14 +65,6 @@ def test_flush_preserves_stats():
     assert cache.stats.misses == 2
 
 
-def test_reset_stats():
-    cache = DirectMappedCache(256, line_bytes=16)
-    cache.access(0)
-    cache.reset_stats()
-    assert cache.stats.accesses == 0
-    assert cache.stats.hit_rate == 0.0
-
-
 def test_hit_rate():
     cache = DirectMappedCache(256, line_bytes=16)
     cache.access(0)

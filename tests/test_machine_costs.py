@@ -50,16 +50,6 @@ def test_fuse_after_with_no_reads_saves_nothing():
     assert fused.writes_per_word == 2.0
 
 
-def test_without_write():
-    assert COPY_COST.without_write().writes_per_word == 0.0
-    assert COPY_COST.without_write().reads_per_word == 1.0
-
-
-def test_without_read_floors_at_zero():
-    assert ZERO_COST.without_read().reads_per_word == 0.0
-    assert COPY_COST.without_read().reads_per_word == 0.0
-
-
 def test_scaled():
     doubled = COPY_COST.scaled(2.0)
     assert doubled.reads_per_word == 2.0

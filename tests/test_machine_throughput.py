@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MachineModelError
-from repro.machine.costs import CHECKSUM_COST, COPY_COST
-from repro.machine.profile import MIPS_R2000
-from repro.machine.throughput import combined_serial_mbps, throughput_mbps
+from repro.machine.throughput import combined_serial_mbps
 
 
 def test_papers_separate_number():
@@ -16,10 +14,6 @@ def test_papers_separate_number():
 
 def test_single_rate_is_identity():
     assert combined_serial_mbps([42.0]) == pytest.approx(42.0)
-
-
-def test_throughput_wrapper():
-    assert throughput_mbps(MIPS_R2000, COPY_COST) == pytest.approx(130.0)
 
 
 def test_empty_rejected():

@@ -12,9 +12,7 @@ from repro.presentation.abstract import (
     Struct,
     UInt32,
     Utf8String,
-    element_at,
     flatten_paths,
-    type_at,
     validate,
 )
 
@@ -119,15 +117,3 @@ class TestPaths:
 
     def test_scalar_flattens_to_root(self):
         assert list(flatten_paths(5, Int32())) == [()]
-
-    def test_element_at(self):
-        assert element_at(RECORD_VALUE, ("point", "y")) == -2
-        assert element_at(RECORD_VALUE, ()) is RECORD_VALUE
-        with pytest.raises(PresentationError):
-            element_at(RECORD_VALUE, ("missing",))
-
-    def test_type_at(self):
-        assert isinstance(type_at(RECORD, ("tags", 0)), Utf8String)
-        assert isinstance(type_at(RECORD, ("point",)), Struct)
-        with pytest.raises(PresentationError):
-            type_at(RECORD, ("id", 0))

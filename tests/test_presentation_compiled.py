@@ -285,23 +285,21 @@ class TestSyntaxMapFromLayout:
             ] == [(e.path, e.start, e.end) for e in interpreted.extents]
 
     def test_lost_byte_ranges_name_the_elements(self):
-        from repro.presentation.namespace import elements_for_range
-
         compiled = CodecCache().get_or_compile(FIXED_SCHEMA, LwtsCodec("little"))
         syntax_map = compiled.syntax_map()
         # id 4B @0, tag 5B @4, samples 8B each @9 and @17.
-        assert elements_for_range(syntax_map, 0, 4) == [("id",)]
-        assert elements_for_range(syntax_map, 2, 10) == [
+        assert syntax_map.paths_in_range(0, 4) == [("id",)]
+        assert syntax_map.paths_in_range(2, 10) == [
             ("id",), ("tag",), ("samples", 0),
         ]
-        assert elements_for_range(syntax_map, 17, 25) == [("samples", 1)]
+        assert syntax_map.paths_in_range(17, 25) == [("samples", 1)]
         # A whole-ADU loss names everything; an empty range nothing.
-        assert len(elements_for_range(syntax_map, 0, syntax_map.total_length)) == 4
-        assert elements_for_range(syntax_map, 4, 4) == []
+        assert len(syntax_map.paths_in_range(0, syntax_map.total_length)) == 4
+        assert syntax_map.paths_in_range(4, 4) == []
 
     def test_xdr_pad_bytes_charged_to_the_padded_element(self):
         compiled = CodecCache().get_or_compile(FIXED_SCHEMA, XdrCodec())
-        extent = compiled.syntax_map().extent_of(("tag",))
+        (extent,) = [e for e in compiled.syntax_map().extents if e.path == ("tag",)]
         # 5 content bytes + 3 pad bytes: losing the pad loses the element.
         assert extent.length == 8
 

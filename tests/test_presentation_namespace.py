@@ -5,11 +5,7 @@ import pytest
 from repro.errors import PresentationError
 from repro.presentation.abstract import ArrayOf, Field, Int32, Struct, Utf8String
 from repro.presentation.ber import BerCodec
-from repro.presentation.namespace import (
-    ElementExtent,
-    SyntaxMap,
-    elements_for_range,
-)
+from repro.presentation.namespace import ElementExtent, SyntaxMap
 from repro.presentation.xdr import XdrCodec
 
 
@@ -48,13 +44,6 @@ def test_map_rejects_overrun():
         SyntaxMap("x", 4, [ElementExtent(("a",), 0, 8)])
 
 
-def test_extent_of():
-    syntax_map = build_map()
-    assert syntax_map.extent_of(("id",)).start == 0
-    with pytest.raises(PresentationError):
-        syntax_map.extent_of(("missing",))
-
-
 def test_elements_in_range_exact():
     syntax_map = build_map()
     # XDR layout: id [0,4), names[0] [8,16), names[1] [16,24).
@@ -82,11 +71,6 @@ def test_invalid_range():
     syntax_map = build_map()
     with pytest.raises(PresentationError):
         syntax_map.paths_in_range(5, 2)
-
-
-def test_elements_for_range_wrapper():
-    syntax_map = build_map()
-    assert elements_for_range(syntax_map, 0, 2) == [("id",)]
 
 
 def test_tcp_cannot_ber_can():

@@ -4,7 +4,7 @@ Covers the fused encryption fast path end to end: the streaming
 ``xor_chain`` kernel, checksum correctness over partial-word tails (the
 fused loop's padding must not leak into the sum), compiled-vs-interpreted
 equivalence, ciphertext on the wire, the drain engine's batched verify
-with per-row failure isolation, zero-copy retransmit serving, and the
+with per-row failure isolation, and the
 handshake's schema-fingerprint / cipher negotiation.
 """
 
@@ -25,7 +25,6 @@ from repro.net.packet import Packet
 from repro.net.topology import two_hosts
 from repro.presentation.abstract import ArrayOf, Int32
 from repro.stages.checksum import ChecksumComputeStage, internet_checksum
-from repro.stages.copy import BufferForRetransmitStage
 from repro.stages.encrypt import WordXorStage, secure_counters
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
 from repro.transport.alf.receiver import PROTOCOL
@@ -328,67 +327,6 @@ def test_run_batch_empty_queue_is_noop():
     )
     assert engine.flush() == 0
     assert engine.counters.dispatches == 0
-
-
-# ----------------------------------------------------------------------
-# Zero-copy retransmit serving
-
-
-def test_retrieve_chain_serves_snapshot_without_copy():
-    stage = BufferForRetransmitStage()
-    data = bytes(random.Random(2).randbytes(600))
-    stage.apply(data)
-    chain_unit = chain_of(bytes(random.Random(3).randbytes(900)), [300])
-    stage.apply(chain_unit)
-
-    first = stage.retrieve_chain(0)
-    assert first.linearize() == data
-    assert stage.zero_copy_retrievals == 1
-    first.release()
-    # The stored unit survives the caller's release.
-    again = stage.retrieve_chain(0)
-    assert again.linearize() == data
-    assert stage.zero_copy_retrievals == 2
-    again.release()
-
-    second = stage.retrieve_chain(1)
-    assert second.linearize() == chain_unit.linearize()
-    second.release()
-    stage.reset()
-
-
-def test_retrieve_chain_from_pool_shares_pooled_segment():
-    from repro.buffers.pool import BufferPool
-
-    pool = BufferPool(n_buffers=4, buffer_size=4096, label="rtx")
-    stage = BufferForRetransmitStage(pool=pool)
-    data = bytes(random.Random(8).randbytes(2000))
-    chain = chain_of(data, [512, 1024])
-    stage.apply(chain.share())
-    chain.release()
-    counters = datapath_counters()
-    counters.reset()
-    served = stage.retrieve_chain(0)
-    repeat = stage.retrieve_chain(0)
-    snap = counters.snapshot()
-    counters.reset()
-    assert served.linearize() == data
-    assert repeat.linearize() == data
-    # One deferred gather into the pooled segment; the repeat moved no
-    # bytes (both retrievals recorded as zero-copy ops).
-    assert snap["bytes_copied"] == len(data)
-    assert snap["zero_copy_ops"] >= 2
-    served.release()
-    repeat.release()
-    stage.reset()
-
-
-def test_retrieve_chain_bounds_check():
-    from repro.errors import StageError
-
-    stage = BufferForRetransmitStage()
-    with pytest.raises(StageError):
-        stage.retrieve_chain(0)
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,39 @@ class TestCleanPath:
         with pytest.raises(TransportError, match="already sent"):
             sender.send_adu(Adu(0, b"y"))
 
+    def test_duplicate_of_a_queued_adu_rejected(self):
+        """A sequence waiting for a window slot is taken.  Accepted, the
+        copy would go out after the first ADU 1 was acknowledged, where
+        no ACK can retire it: retransmitted until abandoned, its payload
+        lost without an error."""
+        path = two_hosts(seed=1)
+        got = []
+        AlfReceiver(
+            path.loop, path.b, "a", 1,
+            deliver=lambda d: got.append((d.sequence, d.payload)),
+        )
+        sender = AlfSender(path.loop, path.a, "b", 1, max_outstanding=1)
+        sender.send_adu(Adu(0, b"zero"))
+        sender.send_adu(Adu(1, b"one"))
+        assert sender.queued_count == 1
+        with pytest.raises(TransportError, match="already sent"):
+            sender.send_adu(Adu(1, b"other"))
+        sender.close()
+        path.loop.run(until=30)
+        assert got == [(0, b"zero"), (1, b"one")]
+        assert sender.stats.retransmissions == 0
+        assert not sender.adus_abandoned
+
+    def test_acknowledged_adu_cannot_be_sent_again(self):
+        path = two_hosts(seed=1)
+        AlfReceiver(path.loop, path.b, "a", 1, deliver=lambda d: None)
+        sender = AlfSender(path.loop, path.a, "b", 1)
+        sender.send_adu(Adu(0, b"zero"))
+        path.loop.run(until=1.0)
+        assert sender.outstanding_count == 0
+        with pytest.raises(TransportError, match="already sent"):
+            sender.send_adu(Adu(0, b"again"))
+
     def test_send_after_close_rejected(self):
         path = two_hosts()
         sender = AlfSender(path.loop, path.a, "b", 1)
@@ -163,24 +196,50 @@ class TestLossRecovery:
         assert 0 in sender.adus_abandoned
         assert sender.outstanding_count == 0
 
-
-class TestReceiverReporting:
-    def test_missing_names_in_app_terms(self):
-        """Losses are reported as ADU names, not byte ranges."""
-        path = two_hosts(seed=8)
-        receiver = AlfReceiver(
-            path.loop, path.b, "a", 1, deliver=lambda d: None,
+    def test_abandoned_sequence_may_be_sent_again(self):
+        path = two_hosts(seed=7, loss_rate=1.0)  # black hole
+        sender = AlfSender(
+            path.loop, path.a, "b", 1, rto=0.05, max_attempts=3,
         )
-        sender = AlfSender(path.loop, path.a, "b", 1, mtu=500)
-        # Send one ADU but drop its second fragment by hand: build the
-        # fragments and inject only some via a private path.
-        from repro.core.adu import fragment_adu
-        from repro.net.packet import Packet
+        sender.send_adu(Adu(0, bytes(100)))
+        path.loop.run(until=30)
+        assert 0 in sender.adus_abandoned
+        sender.send_adu(Adu(0, bytes(100)))
+        assert sender.outstanding_count == 1
 
-        adu = Adu(0, bytes(1200), {"frame": 3, "slot": 1})
+
+class TestTwoStageReceive:
+    @pytest.mark.parametrize("drained", [False, True], ids=["on-arrival", "shared-drain"])
+    def test_stage_one_is_control_only(self, monkeypatch, drained):
+        """§6's two-stage receive on the live receiver: reassembly
+        charges control instructions and runs no data pass; the wire
+        plan runs once, on the complete ADU."""
+        from repro.core.adu import fragment_adu
+        from repro.ilp.compiler import CompiledPlan
+        from repro.net.packet import Packet
+        from repro.transport.drain import SharedDrainEngine
+
+        plan_runs = []
+        for method in ("run", "run_chain", "run_batch"):
+            original = getattr(CompiledPlan, method)
+
+            def counted(plan, *args, _original=original, _method=method, **kwargs):
+                plan_runs.append(_method)
+                return _original(plan, *args, **kwargs)
+
+            monkeypatch.setattr(CompiledPlan, method, counted)
+
+        path = two_hosts(seed=8)
+        got = []
+        receiver = AlfReceiver(
+            path.loop, path.b, "a", 1, deliver=got.append,
+            drain_engine=SharedDrainEngine(path.loop) if drained else None,
+        )
+        adu = Adu(0, octet_payload(1200, seed=3), {"frame": 3})
         fragments = fragment_adu(adu, 500)
-        for fragment in fragments[:-1]:
-            packet = Packet(
+
+        def inject(fragment):
+            path.a.send(Packet(
                 src="a", dst="b", protocol="alf", flow_id=1,
                 header={
                     "adu_seq": fragment.adu_sequence,
@@ -192,11 +251,23 @@ class TestReceiverReporting:
                     "ts": 0.0,
                 },
                 payload=fragment.payload,
-            )
-            path.a.send(packet)
-        path.loop.run(until=1.0)
-        assert receiver.missing_names() == [{"frame": 3, "slot": 1}]
+            ))
 
+        for fragment in fragments[:-1]:
+            inject(fragment)
+        path.loop.run(until=1.0)
+        assert receiver.counter.by_operation["reassembly_bookkeeping"] > 0
+        assert plan_runs == []
+        assert got == []
+
+        inject(fragments[-1])
+        path.loop.run(until=2.0)
+        assert len(plan_runs) == 1
+        assert [(d.sequence, d.payload) for d in got] == [(0, adu.payload)]
+        receiver.close()
+
+
+class TestReceiverReporting:
     def test_expected_adus_completion_flag(self):
         adus = make_adus(5)
         got, _, receiver, _ = run_transfer(adus)

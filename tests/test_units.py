@@ -45,14 +45,3 @@ def test_seconds_for_cycles():
 def test_seconds_for_cycles_rejects_bad_clock():
     with pytest.raises(ValueError):
         units.seconds_for_cycles(10, 0)
-
-
-def test_fmt_mbps():
-    assert units.fmt_mbps(129.96) == "130.0 Mb/s"
-
-
-def test_fmt_bytes_scales():
-    assert units.fmt_bytes(512) == "512 B"
-    assert "KB" in units.fmt_bytes(2048)
-    assert "MB" in units.fmt_bytes(3_000_000)
-    assert "GB" in units.fmt_bytes(2_500_000_000)
