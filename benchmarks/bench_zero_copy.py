@@ -13,6 +13,12 @@ end-to-end (sender -> link -> host -> receiver -> delivered bytes) at
 Each path copies each ADU exactly once (the join, or the linearize) and
 reads it once per end; the acceptance test pins those counts.
 
+A third gate takes the pooled, drained receive path alone: a whole
+16-fragment run of a converted, enciphered ADU lands in one rx-pool
+extent and the shared drain's fused checksum→decrypt→convert plan runs
+on it in place, so the receive side records no ``batch-gather`` copy and
+exactly one copy, the hand-off of the plaintext.
+
 Delivered payloads are asserted byte-identical between the two.  The
 copy and memory-pass figures come from the substrate's own
 :func:`repro.machine.accounting.datapath_counters` — measured, not
@@ -29,12 +35,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.buffers.pool import BufferPool
 from repro.core.adu import Adu
 from repro.machine.accounting import datapath_counters
 from repro.net.host import Host
 from repro.net.link import Link
+from repro.net.packet import Packet
+from repro.presentation.abstract import ArrayOf, Int32
+from repro.presentation.lwts import LwtsCodec
 from repro.sim.eventloop import EventLoop
+from repro.stages.presentation import PresentationBinding
 from repro.transport.alf import AlfReceiver, AlfSender
+from repro.transport.alf.receiver import PROTOCOL
+from repro.transport.drain import SharedDrainEngine
 
 MTU = 8192
 #: (label, adu_bytes, n_adus) — 64 KB / MTU 8 KB is the acceptance
@@ -149,3 +162,62 @@ def test_acceptance_copy_reduction(record):
         assert layered["read_passes"] == 2 * n
     row_64k = next(r for r in record["rows"] if r["size"] == "64KB")
     assert row_64k["fragments_per_adu"] == 8
+
+
+#: The drained-run gate's ADU: 4096 little-endian int32 words, converted
+#: to a big-endian wire syntax and enciphered, cut at MTU 1024 into 16
+#: fragments that land in a pool of 2 KiB buffers.
+RUN_INTS = 4096
+RUN_MTU = 1024
+RUN_KEY = 0x5A5AC3D2
+
+
+def secure_binding() -> PresentationBinding:
+    return PresentationBinding(
+        ArrayOf(Int32(), fixed_count=RUN_INTS),
+        LwtsCodec(byte_order="little"),
+        LwtsCodec(byte_order="big"),
+    )
+
+
+def test_acceptance_drained_run_is_not_gathered():
+    payload = random.Random(16).randbytes(4 * RUN_INTS)
+    loop = EventLoop()
+    sender = AlfSender(
+        loop, Host(loop, "a"), "b", 1, mtu=RUN_MTU,
+        presentation=secure_binding(), encryption=RUN_KEY,
+    )
+    packets = [
+        Packet(src="a", dst="b", protocol=PROTOCOL, flow_id=1,
+               header=header, payload=bytes(data))
+        for header, data in sender._wire_units(Adu(0, payload, {"i": 0}))
+    ]
+    assert len(packets) == 16
+
+    pool = BufferPool(32, 2048, label="rx")
+    host = Host(loop, "b", rx_pool=pool)
+    ack_link = Link(loop, random.Random(0), bandwidth_bps=1e9)
+    ack_link.connect(lambda packet: None)
+    host.add_link("a", ack_link)
+    delivered = []
+    AlfReceiver(
+        loop, host, "a", 1, deliver=delivered.append,
+        drain_engine=SharedDrainEngine(loop),
+        presentation=secure_binding(), encryption=RUN_KEY,
+    )
+    counters = datapath_counters()
+    counters.reset()
+    host.receive_burst(packets)
+    loop.run(until=1.0)
+    snap = counters.snapshot()
+    counters.reset()
+
+    (adu,) = delivered
+    assert bytes(adu.payload) == payload
+    # One extent, one DMA write per fragment, no gather: the only copy
+    # is the hand-off of the converted plaintext.
+    assert snap["dma_writes"] == 16 and snap["dma_bytes"] == len(payload)
+    assert snap["copies_by_label"] == {"batch-unpack": len(payload)}, snap
+    assert snap["copies"] == 1
+    assert pool.hits == 16 and pool.scattered_runs == 0
+    assert pool.leak_report() == []

@@ -1,18 +1,22 @@
 """Fixed-size buffer pools.
 
 Network interfaces and kernels hold finite buffer memory; flow control
-exists precisely because the receiver's pool can be exhausted.  The pool
-hands out refcounted :class:`~repro.buffers.segment.Segment` windows over
-its fixed-size buffers (:meth:`BufferPool.allocate_segment`,
-:meth:`BufferPool.dma_chain`), so the transport simulations get
-realistic backpressure.  Each buffer gets one slotted :class:`_PoolCell`
-the first time it is handed out: the owner of its storage and the
-reference cell of every segment over it, whose ``on_zero`` returns the
-buffer to the pool automatically when the last reference anywhere in the
-stack is released — mbuf clusters, in miniature.
+exists precisely because the receiver's pool can be exhausted.  A pool
+is one slab of ``n_buffers × buffer_size`` bytes, buffer *i* at offset
+*i × buffer_size*, and hands out refcounted
+:class:`~repro.buffers.segment.Segment` windows over it
+(:meth:`BufferPool.allocate_segment`, :meth:`BufferPool.dma_chain`), so
+the transport simulations get realistic backpressure.  A segment's
+reference cell hands its buffers back to the pool, scrubbed, when the
+last reference anywhere in the stack is released — mbuf clusters, in
+miniature.  A buffer gets one slotted :class:`_PoolCell` the first
+time it is handed out alone or as a one-buffer run, and keeps it; a
+received run's adjacent buffers share one for as long as the run lives.
 """
 
 from __future__ import annotations
+
+import mmap
 
 from repro.buffers.chain import BufferChain
 from repro.buffers.segment import Segment
@@ -21,33 +25,43 @@ from repro.machine.accounting import datapath_counters
 
 
 class _PoolCell:
-    """One pool buffer's record: its storage, reference cell and pool state.
+    """The reference cell of an extent of a pool's slab: buffers
+    ``first`` up to ``first + need``, and their state.
 
     Duck-types :class:`~repro.buffers.segment._RefCell` for every
-    segment over the buffer: when the last reference is released,
-    ``on_zero`` hands the buffer back.  Made once per buffer, the first
-    time the pool hands it out, around the buffer's ``bytearray``:
-    ``window``, a memoryview over the whole of it, owns the storage and
-    is what segments are sliced from.  ``out`` says the buffer is handed
-    out; ``filled`` bounds the bytes its holder could have written, so
-    the return scrubs only those.
+    segment over the extent: when the last reference is released,
+    ``on_zero`` hands its buffers back.  A buffer handed out alone, or
+    as a one-buffer run, has a one-buffer cell, made the first time and
+    kept; a longer run gets a cell over all of its buffers for as long
+    as it lives.  ``window`` is the extent's slice of the slab, what
+    segments are sliced from.  ``out`` says the extent is handed out;
+    ``filled`` bounds the bytes its holder could have written from its
+    start, so the return scrubs only those.
     """
 
-    __slots__ = ("count", "pool", "label", "window", "out", "filled")
+    __slots__ = (
+        "count", "pool", "first", "need", "label", "window", "out", "filled",
+    )
 
-    def __init__(self, pool: "BufferPool", data: bytearray, index: int):
+    def __init__(self, pool: "BufferPool", first: int, need: int):
+        size = pool.buffer_size
         self.count = 0
         self.pool = pool
-        self.label = f"{pool.label}[{index}]"
-        self.window = memoryview(data)
+        self.first = first
+        self.need = need
+        self.label = (
+            f"{pool.label}[{first}]"
+            if need == 1
+            else f"{pool.label}[{first}:{first + need}]"
+        )
+        self.window = pool._slab[first * size : (first + need) * size]
         self.out = False
         self.filled = 0
-        pool._cells.append(self)
 
     def on_zero(self) -> None:
-        """Return the buffer to its pool, zeroed.
+        """Return the extent's buffers to the pool, zeroed, ascending.
 
-        Rejects a buffer that is already back (double release), since
+        Rejects an extent that is already back (double release), since
         that indicates an accounting bug in the caller.
         """
         pool = self.pool
@@ -57,13 +71,14 @@ class _PoolCell:
                 f"{pool.label} or was already released"
             )
         self.out = False
-        pool.recycled += 1
+        pool.recycled += self.need
         filled = self.filled
         if filled:
             # A memoryview store copies once; a bytearray slice store
             # would first copy its source into a temporary.
             self.window[:filled] = pool._zeros[:filled]
-        pool._free.append(self)
+        first = self.first
+        pool._free += range(first, first + self.need)
 
 
 class BufferPool:
@@ -86,55 +101,46 @@ class BufferPool:
         self.label = label
         self.buffer_size = buffer_size
         self.capacity = n_buffers
-        # The free buffers form one stack, popped from the top: the
-        # storage of buffers never handed out at the bottom (``_fresh``,
-        # buffer ``i`` at index ``i``), the cells of returned ones above
-        # them (``_free``).  ``_cells`` lists every cell made so far.
-        self._fresh: list[bytearray] = [
-            bytearray(buffer_size) for _ in range(n_buffers)
-        ]
-        self._free: list[_PoolCell] = []
-        self._cells: list[_PoolCell] = []
-        # Returned buffers are scrubbed from this one zero block.
-        self._zeros = memoryview(bytes(buffer_size))
+        # The slab is a private anonymous mapping: the kernel hands it
+        # out zeroed, and a page costs a fault and memory only when a
+        # buffer on it is first written, not when the pool is built.
+        self._slab = memoryview(
+            mmap.mmap(-1, n_buffers * buffer_size, flags=mmap.MAP_PRIVATE)
+        )
+        # Returned buffers are scrubbed from this one zero block, as
+        # long as the slab.  ``bytes(n)`` is calloc'd: its pages cost
+        # memory only once a scrub has read them.
+        self._zeros = memoryview(bytes(n_buffers * buffer_size))
+        # The free buffers' indices form one stack, popped from the top;
+        # a fresh pool hands out buffer n-1 first.
+        self._free = list(range(n_buffers))
+        self._cells: list[_PoolCell | None] = [None] * n_buffers
         self.allocation_failures = 0
         self.hits = 0
         self.recycled = 0
+        self.scattered_runs = 0
 
     @property
     def available(self) -> int:
         """Buffers currently free."""
-        return len(self._free) + len(self._fresh)
+        return len(self._free)
 
     @property
     def in_use(self) -> int:
         """Buffers currently allocated."""
         return self.capacity - self.available
 
-    def _stock(self, k: int) -> bool:
-        """Make the top ``k`` of the free stack cells, giving the
-        never-used buffers among them theirs; False when fewer than
-        ``k`` buffers are free.  The new cells go below the returned
-        ones, where their buffers sat, so buffers leave in the order one
-        stack of buffers would hand them out."""
-        short = k - len(self._free)
-        if short > 0:
-            fresh = self._fresh
-            if short > len(fresh):
-                return False
-            first = len(fresh) - short
-            cells = [_PoolCell(self, fresh[i], i) for i in range(first, len(fresh))]
-            del fresh[first:]
-            self._free[:0] = cells
-        return True
-
     def _take(self) -> _PoolCell | None:
         """Hand out one free buffer's cell, or count the failure and
         return None when the pool is empty."""
-        if not self._free and not self._stock(1):
+        free = self._free
+        if not free:
             self.allocation_failures += 1
             return None
-        cell = self._free.pop()
+        index = free.pop()
+        cell = self._cells[index]
+        if cell is None:
+            cell = self._cells[index] = _PoolCell(self, index, 1)
         cell.out = True
         self.hits += 1
         return cell
@@ -179,73 +185,100 @@ class BufferPool:
         in place, which is where the zero-copy path starts.
 
         ``payload`` may also be a *run*: a list of payloads, such as one
-        train's fragments of one ADU.  Each payload fills its own
-        segments and records its own DMA write, exactly as separate calls
-        would, and the result is one chain over all of them in order.  A
-        run lands whole or not at all: when the pool has fewer free
-        buffers than it needs, nothing is allocated and no failure is
+        train's fragments of one ADU.  The run takes the buffers
+        separate calls would (the top Σ⌈len/buffer_size⌉ of the free
+        stack) and, when they are adjacent in the slab, in any stack
+        order, lands in them back to back: one segment over the whole
+        run, one DMA write recorded per non-empty payload, and one
+        reference cell that returns all of them on the last release —
+        so a share of any part of the chain keeps the whole run out.  A
+        run lands this way or not at all: when the pool has too few free
+        buffers, or the ones it would take are not adjacent (counted in
+        ``scattered_runs``), nothing is allocated and no failure is
         counted — the caller falls back to one call per payload.
         """
-        chain = BufferChain()
         if isinstance(payload, list):
             size = self.buffer_size
-            need = sum([-(-len(piece) // size) for piece in payload])
+            need = total = writes = 0
+            for piece in payload:
+                length = len(piece)
+                if length:
+                    total += length
+                    need += -(-length // size)
+                    writes += 1
+            if not need:
+                return BufferChain()
             free = self._free
-            if need > len(free) and not self._stock(need):
+            if need > len(free):
                 return None
-            # The run's k buffers leave the free list in one slice, in
-            # the order k single allocations would pop them.
-            taken = free[len(free) - need :]
-            del free[len(free) - need :]
-            taken.reverse()
-            self.hits += need
-            self._fill(payload, chain, iter(taken).__next__)
-            return chain
-        if not self._fill((payload,), chain, self._take):
-            chain.release()
-            return None
-        return chain
-
-    def _fill(self, payloads, chain: BufferChain, take) -> bool:
-        """DMA each payload into fresh segments appended to ``chain``, one
-        DMA write per payload; False when the pool ran dry part-way.
-        ``take()`` supplies each buffer's cell (None when dry): the next
-        of the buffers a run already took, or a fresh allocation.  The
-        segments are non-empty by construction, so they go straight onto
-        the chain's segment list."""
-        size = self.buffer_size
-        record_dma = datapath_counters().record_dma
-        append = chain._segments.append
-        for payload in payloads:
-            total = len(payload)
-            if total > size:
-                payload = memoryview(payload)
-            offset = 0
-            while offset < total:
-                cell = take()
+            if need == 1:
+                # A one-buffer run is that buffer's own kept cell.
+                first = free[-1]
+                cell = self._cells[first]
                 if cell is None:
-                    return False
-                filled = total - offset
-                if filled > size:
-                    filled = size
-                window = cell.window[:filled]
-                window[:] = (
-                    payload if filled == total else payload[offset : offset + filled]
-                )
-                cell.out = True
-                cell.filled = filled
-                append(Segment(window, cell.label, cell))
-                offset += filled
-            if total:
-                record_dma(total)
-        return True
+                    cell = self._cells[first] = _PoolCell(self, first, 1)
+            else:
+                # The top ``need`` indices are distinct: they are one
+                # extent exactly when they span ``need`` buffers.
+                taken = free[-need:]
+                first = min(taken)
+                if max(taken) - first >= need:
+                    self.scattered_runs += 1
+                    return None
+                cell = _PoolCell(self, first, need)
+            del free[-need:]
+            self.hits += need
+            cell.out = True
+            cell.filled = total
+            extent = cell.window[:total]
+            offset = 0
+            for piece in payload:
+                end = offset + len(piece)
+                extent[offset:end] = piece
+                offset = end
+            datapath_counters().record_dma(total, writes)
+            chain = BufferChain()
+            chain._segments.append(Segment(extent, cell.label, cell))
+            return chain
+        chain = BufferChain()
+        size = self.buffer_size
+        total = len(payload)
+        if total > size:
+            payload = memoryview(payload)
+        # The segments are non-empty by construction, so they go
+        # straight onto the chain's segment list.
+        append = chain._segments.append
+        offset = 0
+        while offset < total:
+            cell = self._take()
+            if cell is None:
+                chain.release()
+                return None
+            filled = total - offset
+            if filled > size:
+                filled = size
+            window = cell.window[:filled]
+            window[:] = (
+                payload if filled == total else payload[offset : offset + filled]
+            )
+            cell.filled = filled
+            append(Segment(window, cell.label, cell))
+            offset += filled
+        if total:
+            datapath_counters().record_dma(total)
+        return chain
 
     # ------------------------------------------------------------------
     # Introspection
 
     def leak_report(self) -> list[str]:
         """Labels of buffers allocated but never released (suspected leaks)."""
-        return sorted(cell.label for cell in self._cells if cell.out)
+        free = set(self._free)
+        return sorted(
+            f"{self.label}[{index}]"
+            for index in range(self.capacity)
+            if index not in free
+        )
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict counters for the CLI and benchmark records."""
@@ -258,6 +291,7 @@ class BufferPool:
             "hits": self.hits,
             "recycled": self.recycled,
             "allocation_failures": self.allocation_failures,
+            "scattered_runs": self.scattered_runs,
             "leaked": self.leak_report(),
         }
 

@@ -63,9 +63,10 @@ class DatapathCounters:
         """Structural operations that would have copied in a layered stack."""
         self.zero_copy_ops += count
 
-    def record_dma(self, n_bytes: int) -> None:
-        """The NIC writing into host memory (bus traffic, not a CPU copy)."""
-        self.dma_writes += 1
+    def record_dma(self, n_bytes: int, count: int = 1) -> None:
+        """The NIC writing into host memory (bus traffic, not a CPU
+        copy): one frame, or ``count`` of them moving ``n_bytes`` in all."""
+        self.dma_writes += count
         self.dma_bytes += n_bytes
 
     def reset(self) -> None:

@@ -86,7 +86,8 @@ class Link:
 
     Args:
         loop: the event loop driving the simulation.
-        rng: random stream for the failure processes.
+        rng: random stream for the failure processes, drawn from only
+            while one of their rates is non-zero.
         bandwidth_bps: serialization rate in bits per second.
         propagation_delay: seconds of flight time.
         loss_rate: per-packet independent loss probability.
@@ -268,6 +269,9 @@ class Link:
         corrupt = self.corrupt_rate > 0.0
         reorder_rate = self.reorder_rate
         duplicate_rate = self.duplicate_rate
+        # A lossless link draws nothing: no failure process can fire,
+        # and nothing else reads its stream.
+        draws = bool(loss_rate or corrupt or reorder_rate or duplicate_rate)
         max_train = self.max_train
         trains = max_train > 1
         table = self._steering
@@ -291,7 +295,7 @@ class Link:
                 busy = start + serialization
                 arrival_delay = (start - now) + serialization + propagation
 
-                if random() < loss_rate:
+                if draws and random() < loss_rate:
                     self.stats.lost += 1
                     # A lost frame's receive buffers go back to the pool
                     # now — nothing downstream will ever release them.
@@ -307,7 +311,7 @@ class Link:
                 if corrupt and length and random() < self.corrupt_rate:
                     self._corrupt(packet)
 
-                reordered = random() < reorder_rate
+                reordered = draws and random() < reorder_rate
                 if reordered:
                     self.stats.reordered += 1
                     arrival_delay += propagation * self.reorder_extra_delay
@@ -357,7 +361,7 @@ class Link:
                 else:
                     loop.schedule(arrival_delay, self._deliver, packet, size)
 
-                if random() < duplicate_rate:
+                if draws and random() < duplicate_rate:
                     self.stats.duplicated += 1
                     duplicate = packet.copy()
                     self.tracer.emit(now, "link", "duplicated", link=self.name,

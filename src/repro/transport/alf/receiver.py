@@ -353,11 +353,12 @@ class AlfReceiver:
         The ADU's fragments must be ``packets[start:start + n]``, indices
         ``0..n-1`` in order, with ``n >= 1``: byte payloads with no FEC
         unit or PHY damage hint, for an ADU this flow has not delivered,
-        begun or queued, and room in the pool for all of them.  The
-        pool then DMAs the run in one call and its segments *are* the
-        ADU's chain — no fragment records, no per-fragment share.  A
-        single-fragment ADU is a run of one, whether it arrives alone
-        (:meth:`Host.receive`) or inside a burst.
+        begun or queued, and room in the pool for all of them in
+        adjacent buffers.  The pool then DMAs the run back to back into
+        that extent in one call, and the one segment over it *is* the
+        ADU's chain — no fragment records, no per-fragment segment or
+        share.  A single-fragment ADU is a run of one, whether it
+        arrives alone (:meth:`Host.receive`) or inside a burst.
         Returns ``n``, or 0 to leave the packets to :meth:`_on_fragment`,
         which then behaves as it always has.
         """

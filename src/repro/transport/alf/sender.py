@@ -182,10 +182,12 @@ class AlfSender:
         self.adus_recomputed = 0
         self.adus_abandoned: set[int] = set()
         self._outstanding: dict[int, _Outstanding] = {}
-        # Every sequence send_adu has taken, queued or sent; an
-        # abandoned one leaves it and may be sent again.
+        # Every sequence send_adu has taken, queued or sent, at or above
+        # the highest ACK cumulative point seen; one below that point
+        # was taken and delivered.  An abandoned sequence leaves the set
+        # and may be sent again.
         self._accepted: set[int] = set()
-        self._acked_up_to = 0  # the highest ACK cumulative point seen
+        self._acked_up_to = 0
         self._closed = False
         self._completed = False
         self._timer_armed = False
@@ -203,7 +205,7 @@ class AlfSender:
         """
         if self._closed:
             raise TransportError("sender is closed")
-        if adu.sequence in self._accepted:
+        if adu.sequence < self._acked_up_to or adu.sequence in self._accepted:
             raise TransportError(f"ADU {adu.sequence} already sent")
         self._accepted.add(adu.sequence)
         if (
@@ -426,6 +428,7 @@ class AlfSender:
             if outstanding.pop(sequence, None) is not None:
                 self.counter.record("sequence_check")
                 self._drop_wire_memo(sequence)
+        self._accepted.difference_update(covered)
 
         for sequence in sack["missing"]:
             self._repair(sequence)

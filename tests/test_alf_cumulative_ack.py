@@ -14,10 +14,12 @@ lists.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.control.ack import SelectiveAckTracker
 from repro.core.adu import Adu
+from repro.errors import TransportError
 from repro.net.packet import Packet
 from repro.net.topology import two_hosts
 from repro.transport.alf import AlfReceiver, AlfSender, RecoveryMode
@@ -107,9 +109,16 @@ def test_sender_state_matches_full_history_reference(case, data):
                 outstanding.discard(sequence)
                 acked.add(sequence)
         assert set(sender._outstanding) == outstanding
-        # A retired ADU leaves the window but stays taken.
-        assert sender._accepted - set(sender._outstanding) == acked
+        # A retired ADU leaves the window but stays taken; the sender
+        # keeps only the ones the ACK point has not passed.
+        point = sender._acked_up_to
+        assert sender._accepted - set(sender._outstanding) == {
+            sequence for sequence in acked if sequence >= point
+        }
         assert sender.stats.retransmissions == 0
+    for sequence in acked:
+        with pytest.raises(TransportError, match="already sent"):
+            sender.send_adu(Adu(sequence, b"again"))
 
 
 def test_in_order_flow_sends_empty_received_lists_and_holds_no_holes():

@@ -1,10 +1,11 @@
 """Pool buffers and the zero-copy windows over them.
 
-A pool buffer is one contiguous ``bytearray`` that its pool cell owns;
-every :class:`~repro.buffers.segment.Segment` the pool hands out is a
-window onto one.  Reading, narrowing or writing through a window never
-copies, windows are bounds-checked, and no two buffers share storage.
-Only the DMA fill (the NIC writing a frame) and ``tobytes`` copy.
+A pool buffer is one slice of its pool's slab; every
+:class:`~repro.buffers.segment.Segment` the pool hands out is a window
+onto one buffer, or onto a received run's adjacent buffers.  Reading,
+narrowing or writing through a window never copies, windows are
+bounds-checked, and no two buffers share storage.  Only the DMA fill
+(the NIC writing a frame) and ``tobytes`` copy.
 """
 
 import pytest
@@ -70,14 +71,25 @@ def test_read_out_of_range():
 
 
 def test_distinct_buffers_never_alias():
-    pool = BufferPool(2, 16, label="b")
-    a, b = pool.allocate_segment(), pool.allocate_segment()
-    assert a.label != b.label
-    assert a.memoryview().obj is not b.memoryview().obj
-    a.memoryview()[:] = b"\xff" * 16
-    assert b.tobytes() == bytes(16)
-    a.release()
-    b.release()
+    # Every buffer is its own slice of the pool's one slab: filling a
+    # window, a single buffer's or a whole run's, reaches no other.
+    pool = BufferPool(4, 16, label="b")
+    top = pool.allocate_segment()
+    run = pool.dma_chain([b"\xee" * 16, b"\xdd" * 16])
+    bottom = pool.allocate_segment()
+    assert [top.label, *(s.label for s in run), bottom.label] == [
+        "b[3]", "b[1:3]", "b[0]"
+    ]
+    top.memoryview()[:] = b"\xff" * 16
+    bottom.memoryview()[:] = b"\xcc" * 16
+    assert run.linearize() == b"\xee" * 16 + b"\xdd" * 16
+    (extent,) = run.segments
+    extent.memoryview()[:] = bytes(32)
+    assert top.tobytes() == b"\xff" * 16
+    assert bottom.tobytes() == b"\xcc" * 16
+    for handle in (top, run, bottom):
+        handle.release()
+    assert pool.leak_report() == []
 
 
 def test_view_tobytes():

@@ -63,51 +63,78 @@ def test_buffers_have_declared_size():
     assert len(pool.allocate_segment()) == 128
 
 
-def test_shared_segment_of_a_released_run_keeps_exactly_its_buffer():
+def test_shared_segment_of_a_released_run_keeps_exactly_its_runs_buffers():
     pool = BufferPool(8, 16, label="rx")
-    # Four payloads in one run: three fit one buffer each, one spans two.
+    other = pool.allocate_segment()
+    # Four payloads in one run take five buffers (one spans two), which
+    # it fills back to back as one segment.
     chain = pool.dma_chain([b"a" * 16, b"b" * 4, b"c" * 20, b"d" * 12])
-    assert [len(segment) for segment in chain] == [16, 4, 16, 4, 12]
+    assert [len(segment) for segment in chain] == [52]
+    assert pool.available == 2
+    held = chain.segments[0].subview(16, 8)
+    chain.release()
+    other.release()
+    # A share of eight bytes keeps every buffer of its run out, and
+    # nothing else.
     assert pool.available == 3
-    for index, content in ((1, b"b" * 4), (3, b"c" * 4)):
-        held = chain.segments[index].share()
-        chain.release()
-        # Only the buffer under the held segment stays out of the pool.
-        assert pool.available == 7
-        assert pool.leak_report() == [held.label]
-        assert held.memoryview().tobytes() == content
-        held.release()
-        assert pool.available == 8
-        assert pool.leak_report() == []
-        if index == 1:
-            chain = pool.dma_chain([b"a" * 16, b"b" * 4, b"c" * 20, b"d" * 12])
-    assert pool.recycled == pool.hits == 10
+    assert pool.leak_report() == [f"rx[{index}]" for index in range(2, 7)]
+    assert held.tobytes() == b"b" * 4 + b"c" * 4
+    held.release()
+    assert pool.available == 8
+    assert pool.leak_report() == []
+    assert pool.recycled == pool.hits == 6
 
 
 def test_run_takes_the_buffers_single_allocations_would():
-    run_pool = BufferPool(6, 8, label="p")
-    single_pool = BufferPool(6, 8, label="p")
+    # However compactly a run lands, it occupies what one DMA per
+    # payload would: sum(ceil(len / buffer_size)) buffers, 1 + 2 + 1.
     pieces = [b"x" * 8, b"y" * 12, b"z" * 3]
-    run = run_pool.dma_chain(pieces)
-    singles = [single_pool.dma_chain(piece) for piece in pieces]
-    assert [s.label for s in run] == [s.label for c in singles for s in c]
-    assert run_pool.leak_report() == single_pool.leak_report()
-    run.release()
-    for chain in singles:
-        chain.release()
-    assert run_pool.leak_report() == single_pool.leak_report() == []
+    for capacity in (3, 4, 6):
+        run_pool = BufferPool(capacity, 8, label="p")
+        single_pool = BufferPool(capacity, 8, label="p")
+        run = run_pool.dma_chain(pieces)
+        singles = [single_pool.dma_chain(piece) for piece in pieces]
+        # The same pools run dry: the run lands exactly when every
+        # separate call does, and a run that does not takes nothing.
+        fits = capacity >= 4
+        assert (run is not None) == (None not in singles) == fits
+        if not fits:
+            assert run_pool.available == capacity
+            for chain in singles:
+                if chain is not None:
+                    chain.release()
+            continue
+        assert run_pool.available == single_pool.available == capacity - 4
+        assert len(run_pool.leak_report()) == len(single_pool.leak_report()) == 4
+        assert run_pool.hits == single_pool.hits == 4
+        run.release()
+        for chain in singles:
+            chain.release()
+        assert run_pool.available == single_pool.available == capacity
+        assert run_pool.recycled == single_pool.recycled == 4
+        assert run_pool.leak_report() == single_pool.leak_report() == []
 
 
 def test_returned_buffers_leave_before_never_used_ones_in_stack_order():
-    run_pool = BufferPool(6, 8, label="p")
-    single_pool = BufferPool(6, 8, label="p")
-    for pool in (run_pool, single_pool):
-        first, second = pool.allocate_segment(), pool.allocate_segment()
-        assert (first.label, second.label) == ("p[5]", "p[4]")
-        first.release()
+    pool = BufferPool(6, 8, label="p")
+    first, second = pool.allocate_segment(), pool.allocate_segment()
+    assert (first.label, second.label) == ("p[5]", "p[4]")
+    first.release()
     # One stack: the returned p[5] on top, then the never-used p[3], p[2].
+    # Those are not adjacent, so a run of three takes nothing and is
+    # counted; separate calls take them in stack order.
     pieces = [b"x" * 8, b"y" * 8, b"z" * 8]
-    run = run_pool.dma_chain(pieces)
-    singles = [single_pool.dma_chain(piece) for piece in pieces]
-    assert [s.label for s in run] == ["p[5]", "p[3]", "p[2]"]
+    assert pool.dma_chain(pieces) is None
+    assert pool.scattered_runs == 1
+    assert pool.available == 5 and pool.allocation_failures == 0
+    singles = [pool.dma_chain(piece) for piece in pieces]
     assert [s.label for c in singles for s in c] == ["p[5]", "p[3]", "p[2]"]
+    for chain in (second, *singles):
+        chain.release()
+    # Returned in that order, p[3] and p[2] are the top two, adjacent in
+    # the slab though not in stack order: a run of two lands on both.
+    (extent,) = pool.dma_chain(pieces[:2]).segments
+    assert extent.label == "p[2:4]"
+    assert pool.scattered_runs == 1
+    extent.release()
+    assert pool.leak_report() == []

@@ -1,13 +1,20 @@
 """Property: a pool returns every buffer clean, whatever its users did.
 
 Hypothesis draws a pool and a program against it — single DMAs and runs
-of 1 byte to three buffers each, ``allocate_segment`` windows written
-through, whole-buffer segments written anywhere, shares and subviews of
-held segments, and fills that run the pool dry part-way — then releases
-every handle in a drawn order.  Whatever the order:
+of 0 bytes to three buffers a payload, ``allocate_segment`` windows
+written through, whole-buffer segments written anywhere, shares and
+subviews of held segments, releases part-way (so shares outlive what
+they were taken from, and the free stack stops being adjacent), and
+fills that run the pool dry — then releases every remaining handle in
+a drawn order.  Whatever the order:
 
-* every buffer back on the free list reads all-zero;
-* ``leak_report()`` ends empty, and lists every held buffer before that;
+* a run lands as one segment over adjacent buffers, or takes nothing:
+  too few free buffers, or scattered ones (counted, and then DMA'd one
+  payload at a time, as the receiver falls back);
+* ``leak_report()`` lists exactly the buffers under live references —
+  a whole run's for any share of it — and ends empty;
+* every buffer handed out reads all-zero except what was written into
+  it, and every buffer back on the free list reads all-zero;
 * a second release of any segment still raises, and so does touching a
   released segment.
 """
@@ -31,19 +38,20 @@ def programs(draw):
     """A pool's shape and the operations run against it."""
     size = draw(st.sampled_from(SIZES))
     n_buffers = draw(st.integers(1, 12))
-    payload = st.binary(min_size=1, max_size=3 * size)
+    payload = st.binary(max_size=3 * size)
     index = st.integers(0, 10_000)
     op = st.one_of(
         st.tuples(st.just("dma"), payload),
-        st.tuples(st.just("run"), st.lists(payload, min_size=1, max_size=4)),
+        st.tuples(st.just("run"), st.lists(payload, max_size=4)),
         st.tuples(
             st.just("segment"), st.integers(0, size), st.binary(max_size=size)
         ),
         st.tuples(st.just("buffer"), st.binary(max_size=size), st.integers(0, size)),
         st.tuples(st.just("share"), index),
         st.tuples(st.just("subview"), index, index, index),
+        st.tuples(st.just("release"), index),
     )
-    return size, n_buffers, draw(st.lists(op, max_size=24))
+    return size, n_buffers, draw(st.lists(op, max_size=32))
 
 
 def held_segments(handles) -> list[Segment]:
@@ -57,6 +65,19 @@ def held_segments(handles) -> list[Segment]:
     return segments
 
 
+def buffers_under(handles) -> list[str]:
+    """The labels of the buffers the handles' segments hold out: one
+    buffer's (``p[3]``), or every buffer of a run's (``p[3:6]``)."""
+    labels = set()
+    for segment in held_segments(handles):
+        name, _, span = segment.label[:-1].partition("[")
+        first, _, end = span.partition(":")
+        stop = int(end) if end else int(first) + 1
+        for index in range(int(first), stop):
+            labels.add(f"{name}[{index}]")
+    return sorted(labels)
+
+
 def run_program(pool: BufferPool, ops) -> list:
     """Execute ``ops``; returns the handles (chains and segments) still
     held, each checked to read what was written into it."""
@@ -67,6 +88,7 @@ def run_program(pool: BufferPool, ops) -> list:
         if kind in ("dma", "run"):
             payload = op[1]
             free = pool.available
+            scattered = pool.scattered_runs
             need = sum(-(-len(piece) // pool.buffer_size)
                        for piece in (payload if kind == "run" else [payload]))
             chain = pool.dma_chain(payload)
@@ -75,9 +97,24 @@ def run_program(pool: BufferPool, ops) -> list:
                 # a single DMA rolls its partial fill back.
                 assert chain is None
                 assert pool.available == free
+                assert pool.scattered_runs == scattered
                 continue
             data = b"".join(payload) if kind == "run" else payload
-            assert chain is not None and chain.linearize() == data
+            if kind == "run":
+                assert pool.scattered_runs == scattered + (chain is None)
+                if chain is None:
+                    # Scattered buffers: nothing taken; one DMA per
+                    # payload lands the run instead.
+                    assert pool.available == free
+                    chains = [pool.dma_chain(piece) for piece in payload]
+                    assert None not in chains
+                    chain = BufferChain()
+                    for piece in chains:
+                        chain.extend(piece)
+                else:
+                    assert len(chain.segments) == (1 if data else 0)
+            assert pool.available == free - need
+            assert chain.linearize() == data
             expected[id(chain)] = data
             handles.append(chain)
         elif kind == "segment":
@@ -94,11 +131,16 @@ def run_program(pool: BufferPool, ops) -> list:
             segment = pool.try_allocate_segment()
             if segment is None:
                 continue
+            assert segment.tobytes() == bytes(len(segment))
             # A whole-buffer segment's holder may write anywhere in it.
             offset = min(offset, len(segment) - len(data))
             segment.memoryview()[offset : offset + len(data)] = data
             expected[id(segment)] = segment.tobytes()
             handles.append(segment)
+        elif kind == "release":
+            if handles:
+                handles.pop(op[1] % len(handles)).release()
+                assert pool.leak_report() == buffers_under(handles)
         else:
             segments = held_segments(handles)
             if not segments:
@@ -127,8 +169,7 @@ def test_pool_returns_every_buffer_zeroed_in_any_release_order(program, data):
     size, n_buffers, ops = program
     pool = BufferPool(n_buffers, size, label="p")
     handles = run_program(pool, ops)
-    labels = {segment.label for segment in held_segments(handles)}
-    assert set(pool.leak_report()) == labels
+    assert pool.leak_report() == buffers_under(handles)
     assert len(pool.leak_report()) == pool.in_use
 
     order = data.draw(st.permutations(handles), label="release order")

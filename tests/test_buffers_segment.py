@@ -117,21 +117,24 @@ class TestPoolRecycling:
         assert pool.in_use == 0  # partial allocation was rolled back
         assert pool.snapshot()["allocation_failures"] == 1
 
-    def test_dma_chain_run_is_one_chain_of_per_payload_segments(self):
+    def test_dma_chain_run_is_one_segment_over_its_buffers(self):
         pool = BufferPool(8, 16, label="p")
         payloads = [bytes(range(10)), bytes(range(20, 40)), bytes(range(50, 66))]
         dma = datapath_counters()
         writes, written = dma.dma_writes, dma.dma_bytes
         chain = pool.dma_chain(payloads)
-        # One segment per buffer each payload needs, as separate calls
-        # would allocate; one DMA write recorded per payload.
-        assert [len(s) for s in chain.segments] == [10, 16, 4, 16]
-        assert chain.linearize() == b"".join(payloads)
+        # The payloads land back to back in one segment over the four
+        # adjacent buffers separate calls would take (1 + 2 + 1); one
+        # DMA write is still recorded per payload.
+        (segment,) = chain.segments
+        assert segment.label == "p[4:8]"
+        assert segment.tobytes() == b"".join(payloads)
         assert dma.dma_writes - writes == 3
         assert dma.dma_bytes - written == 46
         assert pool.in_use == 4
         chain.release()
         assert pool.in_use == 0
+        assert pool.recycled == 4
 
     def test_dma_chain_run_lands_whole_or_not_at_all(self):
         pool = BufferPool(3, 16, label="p")
