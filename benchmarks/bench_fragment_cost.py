@@ -1,4 +1,4 @@
-"""Per-fragment control cost of the bulk datapath, as an exact call count.
+"""Per-fragment and per-small-ADU control cost, as exact call counts.
 
 The paper budgets transfer control at tens of instructions per packet
 (§4), and ALF makes the ADU the unit of work.  On the end-to-end
@@ -26,8 +26,16 @@ fragments the pass offers.  The count is reported as two shares:
 
 Counts repeat to the call, so the gate is exact and cannot flake: the
 total must stay at or under :data:`CALLS_PER_FRAGMENT_MAX`.  Builtin
-calls are reported beside it, ungated.  Emits a machine-readable JSON
-record (``FRAGMENT_COST_JSON`` line and
+calls are reported beside it, ungated.
+
+The same counting rules gate the other end of the size range: a
+1/16-scale seed-1 ``manyflow`` pass (64-byte ADUs, one fragment each,
+on front-end demux and the shared drain), where the control path *is*
+the ADU's whole cost — send, event heap, demux, drain dispatch,
+delivery and ACK.  Its program calls per ADU must stay at or under
+:data:`CALLS_PER_SMALL_ADU_MAX`.
+
+Emits a machine-readable JSON record (``FRAGMENT_COST_JSON`` line and
 ``benchmarks/out/bench_fragment_cost.json``).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_fragment_cost.py``.
@@ -53,10 +61,16 @@ WORKLOAD = "bulk_secure"
 SCALE = 1 / 16
 SEED = 1
 
-#: Ceiling on the program's Python calls per fragment: today's 10.76
+#: Ceiling on the program's Python calls per fragment: today's 8.33
 #: rounded up by less than one call, so one more call per fragment
 #: fails the gate.  Lower it when the datapath gets cheaper.
-CALLS_PER_FRAGMENT_MAX = 11.0
+CALLS_PER_FRAGMENT_MAX = 8.5
+
+SMALL_ADU_WORKLOAD = "manyflow"
+
+#: Ceiling on the program's Python calls per single-fragment ADU on the
+#: ``manyflow`` pass: today's 72.50 rounded up by less than one call.
+CALLS_PER_SMALL_ADU_MAX = 73.0
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 
@@ -94,30 +108,30 @@ def counting(counts: dict[str, int]):
         sys.setprofile(previous)
 
 
-def count_pass(workload, inputs) -> dict[str, float]:
-    """One counted pass: calls per fragment, by share."""
+def count_pass(workload, inputs, unit: str = "fragment") -> dict[str, float]:
+    """One counted pass: calls per fragment (or per ADU), by share."""
     counts = {"send": 0, "receive": 0, "builtin": 0}
     result = workloads.run_pass(workload, inputs, SEED, traced=counting(counts))
     assert result.delivered == result.offered
-    fragments = inputs.fragments
+    units = inputs.fragments if unit == "fragment" else len(inputs.adus)
     return {
-        "fragments": fragments,
-        "send_calls_per_fragment": counts["send"] / fragments,
-        "receive_calls_per_fragment": counts["receive"] / fragments,
-        "calls_per_fragment": (counts["send"] + counts["receive"]) / fragments,
-        "builtin_calls_per_fragment": counts["builtin"] / fragments,
+        f"{unit}s": units,
+        f"send_calls_per_{unit}": counts["send"] / units,
+        f"receive_calls_per_{unit}": counts["receive"] / units,
+        f"calls_per_{unit}": (counts["send"] + counts["receive"]) / units,
+        f"builtin_calls_per_{unit}": counts["builtin"] / units,
     }
 
 
-@pytest.fixture(scope="module")
-def record():
-    workload = workloads.WORKLOADS[WORKLOAD]
+def counted_record(name: str, unit: str) -> dict:
+    """Warm every shared cache with one pass, then count two more."""
+    workload = workloads.WORKLOADS[name]
     inputs = workload.make_inputs(SCALE, SEED)
-    workloads.run_pass(workload, inputs, SEED)  # warm every shared cache
-    first = count_pass(workload, inputs)
-    second = count_pass(workload, inputs)
+    workloads.run_pass(workload, inputs, SEED)
+    first = count_pass(workload, inputs, unit)
+    second = count_pass(workload, inputs, unit)
     return {
-        "workload": WORKLOAD,
+        "workload": name,
         "scale": SCALE,
         "seed": SEED,
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -126,20 +140,41 @@ def record():
     }
 
 
-def test_bench_fragment_cost(benchmark, record):
+@pytest.fixture(scope="module")
+def record():
+    return counted_record(WORKLOAD, "fragment")
+
+
+@pytest.fixture(scope="module")
+def small_adu_record():
+    return counted_record(SMALL_ADU_WORKLOAD, "adu")
+
+
+def test_bench_fragment_cost(benchmark, record, small_adu_record):
     workload = workloads.WORKLOADS[WORKLOAD]
     inputs = workload.make_inputs(SCALE, SEED)
     benchmark(lambda: workloads.run_pass(workload, inputs, SEED))
 
+    document = {**record, "small_adu": small_adu_record}
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     out = OUT_DIR / "bench_fragment_cost.json"
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print("FRAGMENT_COST_JSON " + json.dumps(record, sort_keys=True))
+    out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print("FRAGMENT_COST_JSON " + json.dumps(document, sort_keys=True))
 
 
-def test_acceptance_fragment_cost(record):
+def assert_repeats(record):
     # Exact: a second counted pass makes the same calls, share by share.
     repeat = record["repeat"]
     for key, value in repeat.items():
         assert record[key] == value, (key, record)
+
+
+def test_acceptance_fragment_cost(record):
+    assert_repeats(record)
     assert record["calls_per_fragment"] <= CALLS_PER_FRAGMENT_MAX, record
+
+
+def test_acceptance_small_adu_cost(small_adu_record):
+    record = small_adu_record
+    assert_repeats(record)
+    assert record["calls_per_adu"] <= CALLS_PER_SMALL_ADU_MAX, record

@@ -61,10 +61,10 @@ N_SHARDS = 4
 SCAN_GATE = 2.0  # backlog visits per ADU, 1 shard
 
 #: Ceiling on the 4-shard side's calls per ADU (see
-#: :func:`calls_per_adu`): today's 121.08 rounded up by less than one
+#: :func:`calls_per_adu`): today's 84.08 rounded up by less than one
 #: call, so one more call per ADU fails the gate.  Lower it when the
 #: path gets cheaper.
-SHARDED_CALLS_PER_ADU_MAX = 121.5
+SHARDED_CALLS_PER_ADU_MAX = 84.5
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
 

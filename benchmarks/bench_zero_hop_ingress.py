@@ -74,10 +74,10 @@ WAVES = 24
 PAYLOAD = 64
 
 #: Ceiling on the steered path's calls per ADU (see
-#: :func:`ingest_calls_per_adu`): today's 3.63 rounded up by less than
+#: :func:`ingest_calls_per_adu`): today's 3.38 rounded up by less than
 #: one call, so one more call per ADU fails the gate (the front-end hop
-#: makes 5.38).  Lower it when the path gets cheaper.
-STEERED_CALLS_PER_ADU_MAX = 4.0
+#: makes 5.31).  Lower it when the path gets cheaper.
+STEERED_CALLS_PER_ADU_MAX = 3.5
 
 SKEW_FLOWS = 30  # 27 on the hot shard, 1 on each of the others
 SKEW_ADUS = 40

@@ -1862,13 +1862,13 @@ def zero_copy_datapath(
     the ADU) received once with a joined reassembly and once with
     refcounted buffer chains up to the delivery hand-off, counting
     actual Python-side materializations on
-    :func:`repro.machine.accounting.datapath_counters`.  Each path
+    :data:`repro.machine.accounting.DATAPATH`.  Each path
     copies each ADU once; the ratios read 1.0.  Delivered ADUs
     are asserted byte-identical.  (The wall-clock figures live in
     ``benchmarks/bench_zero_copy.py``; this battery stays
     bit-reproducible.)
     """
-    from repro.machine.accounting import datapath_counters
+    from repro.machine.accounting import DATAPATH
 
     def transfer(zero_copy: bool) -> tuple[list[bytes], dict]:
         path = two_hosts(seed=41, bandwidth_bps=1e9)
@@ -1881,7 +1881,7 @@ def zero_copy_datapath(
         sender = AlfSender(path.loop, path.a, "b", 1, mtu=mtu)
         rng = RngStreams(42).stream("payloads")
         payloads = [rng.randbytes(adu_bytes) for _ in range(n_adus)]
-        counters = datapath_counters()
+        counters = DATAPATH
         counters.reset()
         for index, payload in enumerate(payloads):
             sender.send_adu(Adu(sequence=index, payload=payload, name={}))
@@ -1966,7 +1966,7 @@ def compiled_presentation(
     from repro.buffers.chain import BufferChain
     from repro.buffers.segment import Segment
     from repro.ilp.compiler import PlanCache
-    from repro.machine.accounting import datapath_counters
+    from repro.machine.accounting import DATAPATH
     from repro.presentation.compiler import CodecCache
     from repro.presentation.lwts import LwtsCodec
     from repro.stages.presentation import CONVERT_COST, PresentationConvertStage
@@ -2006,7 +2006,7 @@ def compiled_presentation(
             name="presentation-wire",
         )
 
-    counters = datapath_counters()
+    counters = DATAPATH
     counters.reset()
     compiled_outputs = []
     compiled_checksums = []
@@ -2144,7 +2144,7 @@ def secure_pipeline(
     from repro.buffers.chain import BufferChain
     from repro.buffers.segment import Segment
     from repro.ilp.compiler import PlanCache
-    from repro.machine.accounting import datapath_counters
+    from repro.machine.accounting import DATAPATH
     from repro.presentation.compiler import CodecCache
     from repro.presentation.lwts import LwtsCodec
     from repro.stages.encrypt import WORD_XOR_COST, WordXorStage, secure_counters
@@ -2211,7 +2211,7 @@ def secure_pipeline(
 
     secure = secure_counters()
     secure.reset()
-    counters = datapath_counters()
+    counters = DATAPATH
     counters.reset()
     fused_wire = []
     fused_checksums = []

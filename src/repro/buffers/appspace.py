@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.buffers.chain import BufferChain
 from repro.errors import BufferError_
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class ApplicationAddressSpace:
                 piece = payload[
                     entry.source_offset : entry.source_offset + entry.length
                 ]
-                datapath_counters().record_copy(entry.length, label="deliver")
+                DATAPATH.record_copy(entry.length, label="deliver")
                 region.data[start : start + entry.length] = piece
             moved += entry.length
         self.bytes_delivered += moved

@@ -6,7 +6,7 @@ refcounted :class:`~repro.buffers.segment.Segment` windows: payloads are
 releases every reference it holds.  A :class:`BufferChain` models
 exactly that.  Only :meth:`linearize` and :meth:`copy_into` perform a
 real data pass, and both record it on the process-wide datapath counters
-(:func:`repro.machine.accounting.datapath_counters`), so the zero-copy
+(:data:`repro.machine.accounting.DATAPATH`), so the zero-copy
 claims of the chain datapath are measured rather than asserted.
 """
 
@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.buffers.segment import Segment
 from repro.errors import BufferError_
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 
 
 class BufferChain:
@@ -36,7 +36,7 @@ class BufferChain:
         memoryview...)."""
         if len(payload) == 0:
             return cls()
-        datapath_counters().record_zero_copy()
+        DATAPATH.record_zero_copy()
         return cls([Segment.wrap(payload, label=label)])
 
     @property
@@ -72,7 +72,7 @@ class BufferChain:
         """
         if at < 0 or at > len(self):
             raise BufferError_(f"split point {at} outside chain of length {len(self)}")
-        datapath_counters().record_zero_copy()
+        DATAPATH.record_zero_copy()
         head: list[Segment] = []
         tail: list[Segment] = []
         remaining = at
@@ -106,7 +106,7 @@ class BufferChain:
 
     def share(self) -> "BufferChain":
         """A new chain referencing the same data (refcounts bumped)."""
-        datapath_counters().record_zero_copy()
+        DATAPATH.record_zero_copy()
         return BufferChain([segment.share() for segment in self._segments])
 
     def release(self) -> None:
@@ -151,7 +151,7 @@ class BufferChain:
             ]
             written += take
             skip = 0
-        datapath_counters().record_copy(written, label="gather")
+        DATAPATH.record_copy(written, label="gather")
         return written
 
     def linearize(self) -> bytes:
@@ -165,7 +165,7 @@ class BufferChain:
         if total == 0:
             return b""
         if len(self._segments) == 1:
-            datapath_counters().record_copy(total, label="linearize")
+            DATAPATH.record_copy(total, label="linearize")
             return self._segments[0].tobytes()
         out = bytearray(total)
         target = memoryview(out)
@@ -174,7 +174,7 @@ class BufferChain:
             seg_len = len(segment)
             target[written : written + seg_len] = segment.memoryview()
             written += seg_len
-        datapath_counters().record_copy(total, label="linearize")
+        DATAPATH.record_copy(total, label="linearize")
         return bytes(out)
 
     def __repr__(self) -> str:

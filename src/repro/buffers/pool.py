@@ -21,7 +21,7 @@ import mmap
 from repro.buffers.chain import BufferChain
 from repro.buffers.segment import Segment
 from repro.errors import BufferError_
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 
 
 class _PoolCell:
@@ -236,7 +236,7 @@ class BufferPool:
                 end = offset + len(piece)
                 extent[offset:end] = piece
                 offset = end
-            datapath_counters().record_dma(total, writes)
+            DATAPATH.record_dma(total, writes)
             chain = BufferChain()
             chain._segments.append(Segment(extent, cell.label, cell))
             return chain
@@ -265,7 +265,7 @@ class BufferPool:
             append(Segment(window, cell.label, cell))
             offset += filled
         if total:
-            datapath_counters().record_dma(total)
+            DATAPATH.record_dma(total)
         return chain
 
     # ------------------------------------------------------------------

@@ -138,7 +138,7 @@ def _flatten(tree: dict, prefix: str = ""):
 def _cmd_stats(_: argparse.Namespace) -> int:
     from repro.ilp.compiler import shared_plan_cache
     from repro.integrity import coverage_mask_cache_size
-    from repro.machine.accounting import datapath_counters, integrity_counters
+    from repro.machine.accounting import DATAPATH, integrity_counters
     from repro.presentation.compiler import (
         presentation_counters,
         shared_codec_cache,
@@ -154,7 +154,7 @@ def _cmd_stats(_: argparse.Namespace) -> int:
             **integrity_counters().snapshot(),
             "mask_cache_entries": coverage_mask_cache_size(),
         },
-        "datapath": datapath_counters().snapshot(),
+        "datapath": DATAPATH.snapshot(),
     }
     for key, value in _flatten(sections):
         print(f"{key} {value}")

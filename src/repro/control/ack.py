@@ -46,8 +46,7 @@ class AckGenerator:
         """
         if start < 0 or length < 0:
             raise TransportError("segment start/length must be >= 0")
-        self.counter.record("sequence_check")
-        self.counter.record("ack_compute")
+        self.counter.record("sequence_check", "ack_compute")
         end = start + length
 
         if start > self.cumulative:
@@ -104,13 +103,15 @@ class SelectiveAckTracker:
         self._highest = -1
 
     def on_adu(self, adu_sequence: int) -> bool:
-        """Record a complete ADU; returns True if it was new."""
+        """Record a complete ADU; returns True if it was new.
+
+        A duplicate returns False before any control cost is charged.
+        """
         if adu_sequence < 0:
             raise TransportError("adu_sequence must be >= 0")
-        self.counter.record("sequence_check")
-        self.counter.record("ack_compute")
         if adu_sequence < self.cumulative or adu_sequence in self._above:
             return False
+        self.counter.record("sequence_check", "ack_compute")
         if adu_sequence > self._highest:
             if adu_sequence > self._highest + 1:
                 self._holes.update(
@@ -161,10 +162,12 @@ class SelectiveAckTracker:
         return list(self._holes)
 
     def ack_payload(self) -> dict[str, list[int] | int]:
-        """The control information an ALF ACK carries."""
+        """The control information an ALF ACK carries: the cumulative
+        point, :meth:`received_above`, :meth:`missing_below_highest` and
+        the highest arrival, built in this one call."""
         return {
             "cum": self.cumulative,
-            "received": self.received_above(),
-            "missing": self.missing_below_highest(),
+            "received": sorted(self._above),
+            "missing": list(self._holes),
             "highest": self._highest,
         }

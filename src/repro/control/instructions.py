@@ -53,15 +53,22 @@ class InstructionCounter:
     by_operation: dict[str, int] = field(default_factory=dict)
     packets_processed: int = 0
 
-    def record(self, operation: str, times: int = 1) -> int:
-        """Charge ``operation`` ``times`` times; returns instructions added."""
+    def record(self, *operations: str, times: int = 1) -> int:
+        """Charge each of ``operations`` ``times`` times, in order;
+        returns instructions added.  One layer event that performs
+        several control operations charges them in one call."""
         if times < 0:
             raise ReproError("times must be >= 0")
+        budgets = self.costs.budgets
+        by_operation = self.by_operation
+        added = 0
         try:
-            added = self.costs.budgets[operation] * times
-        except KeyError:
-            raise ReproError(f"unknown control operation {operation!r}") from None
-        self.by_operation[operation] = self.by_operation.get(operation, 0) + added
+            for operation in operations:
+                cost = budgets[operation] * times
+                by_operation[operation] = by_operation.get(operation, 0) + cost
+                added += cost
+        except KeyError as error:
+            raise ReproError(f"unknown control operation {error.args[0]!r}") from None
         return added
 
     def note_packet(self) -> None:

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.buffers.chain import BufferChain, as_buffer_chain
 from repro.errors import FramingError
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.stages.checksum import internet_checksum, internet_checksum_chain
 
 
@@ -114,7 +114,7 @@ def fragment_payloads(
             return [payload]
         payload = memoryview(payload)
     elif not isinstance(payload, memoryview):
-        datapath_counters().record_copy(len(payload), label="fragment-slice")
+        DATAPATH.record_copy(len(payload), label="fragment-slice")
     return [payload[start : start + mtu] for start in range(0, len(payload), mtu)]
 
 
@@ -194,7 +194,7 @@ def reassemble_fragments(
             else by_index[i].payload
             for i in range(first.total)
         )
-        datapath_counters().record_copy(len(payload), label="reassemble-join")
+        DATAPATH.record_copy(len(payload), label="reassemble-join")
     try:
         if len(payload) != first.adu_length:
             raise FramingError(

@@ -46,7 +46,7 @@ from repro.ilp.kernels import PAD_LANES, Array, WordKernel, gather_words, pack_n
 from repro.ilp.kernels import words_to_bytes as unpack_words
 from repro.machine.accounting import (
     AtomicCacheStats,
-    datapath_counters,
+    DATAPATH,
     integrity_counters,
 )
 from repro.ilp.pipeline import Pipeline
@@ -226,7 +226,7 @@ def _pack_batch(
         if length != row_bytes:
             pieces.append(bytes(row_bytes - length))
             ragged = True
-    datapath_counters().record_copy(sum(lengths), label="batch-gather")
+    DATAPATH.record_copy(sum(lengths), label="batch-gather")
     words = np.frombuffer(bytearray().join(pieces), dtype=np.uint32)
     words = words.reshape(-1, width)
     if not ragged:
@@ -270,7 +270,7 @@ def _unpack_batch(
         copied += length
         handed += 1
     if handed:
-        datapath_counters().record_copy(copied, label="batch-unpack", count=handed)
+        DATAPATH.record_copy(copied, label="batch-unpack", count=handed)
     return outputs
 
 
@@ -334,7 +334,7 @@ def _run_loop(
     if transformed or type(data) is not bytes:
         return unpack_words(words, length)
     if reads and not owned:
-        datapath_counters().record_read_pass(length)
+        DATAPATH.record_read_pass(length)
     return data
 
 
@@ -581,7 +581,7 @@ class CompiledPlan:
                     # kernel writes there may survive to be observed.
                     np.bitwise_and(words, word_keep, out=words)
             if reads and not owned:
-                datapath_counters().record_read_pass(sum(lengths))
+                DATAPATH.record_read_pass(sum(lengths))
             if byte_keep is not None and transformed and index != last:
                 # Between loops the unbatched path stores to bytes and
                 # reloads, which re-zeroes each row's sub-word padding.
@@ -625,7 +625,7 @@ class CompiledPlan:
                 data = payload
             else:
                 data = bytes(payload)
-                datapath_counters().record_copy(len(data), label="batch-bytes")
+                DATAPATH.record_copy(len(data), label="batch-bytes")
             outputs.append(data)
             if len(data) > limit:
                 skipped += len(data) - limit

@@ -49,7 +49,7 @@ import numpy as np
 from repro.buffers.chain import BufferChain
 from repro.buffers.segment import Segment
 from repro.errors import StageError
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.machine.costs import CostVector
 
 Array = np.ndarray
@@ -80,14 +80,14 @@ def pack_native(data) -> tuple[Array, int, bool]:
         return np.frombuffer(mv, dtype=np.uint32), length, False
     padded = bytearray(length + pad)
     memoryview(padded)[:length] = mv
-    datapath_counters().record_copy(length, label="pack-pad")
+    DATAPATH.record_copy(length, label="pack-pad")
     return np.frombuffer(padded, dtype=np.uint32), length, True
 
 
 def words_to_bytes(words: Array, length: int) -> bytes:
     """Unpack a native word array back to its first ``length`` bytes:
     one ``tobytes`` of the byte image, recorded as ``unpack-words``."""
-    datapath_counters().record_copy(length, label="unpack-words")
+    DATAPATH.record_copy(length, label="unpack-words")
     return np.ascontiguousarray(words).view(np.uint8)[:length].tobytes()
 
 
@@ -106,7 +106,7 @@ def gather_words(chain: BufferChain) -> tuple[Array, int]:
     if pad:
         pieces.append(bytes(pad))
     buf = bytearray().join(pieces)
-    datapath_counters().record_copy(length, label="gather-words")
+    DATAPATH.record_copy(length, label="gather-words")
     return np.frombuffer(buf, dtype=np.uint32), length
 
 
@@ -132,24 +132,30 @@ _PAD_LANES = [int(mask) for mask in PAD_LANES]
 
 
 def _fold(total: int) -> int:
-    """One's-complement fold of a word sum into the 16-bit checksum."""
-    total = (total & 0xFFFF) + ((total >> 16) & 0xFFFF) + (total >> 32)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    """One's-complement fold of a non-negative word sum into the 16-bit
+    checksum, in closed form.
+
+    Adding the carries back in (RFC 1071's end-around fold) keeps the
+    sum's residue modulo 0xFFFF, because 2**16 is 1 modulo 0xFFFF, and
+    leaves a positive sum in 1..0xFFFF.  Its complement, 0xFFFF minus
+    that, is then the residue of ``-total`` (0..0xFFFE).  Only a zero
+    sum folds to 0, whose complement is 0xFFFF.
+    """
+    return -total % 0xFFFF if total else 0xFFFF
+
+
+#: ``total * _NATIVE_SCALE % 0xFFFF`` is :func:`_fold_native`'s closed
+#: form.  On a little-endian host each 16-bit lane of a native word holds
+#: a byte-swapped network-order value; a one's-complement sum commutes
+#: with the swap (RFC 1071 §2(B)), so the checksum is swapped once, and
+#: swapping the bytes of a 16-bit value below 0xFFFF multiplies it by
+#: 256 modulo 0xFFFF.
+_NATIVE_SCALE = -256 if _LITTLE_ENDIAN else -1
 
 
 def _fold_native(total: int) -> int:
-    """:func:`_fold` of a sum of native words.
-
-    On a little-endian host each 16-bit lane of a native word holds a
-    byte-swapped network-order value; a one's-complement sum commutes
-    with the swap (RFC 1071 §2(B)), so the folded result is swapped once.
-    """
-    folded = _fold(total)
-    if _LITTLE_ENDIAN:
-        return ((folded & 0xFF) << 8) | (folded >> 8)
-    return folded
+    """:func:`_fold` of a sum of native words (see :data:`_NATIVE_SCALE`)."""
+    return total * _NATIVE_SCALE % 0xFFFF if total else 0xFFFF
 
 
 def checksum_chain(chain: BufferChain) -> int:
@@ -172,7 +178,7 @@ def checksum_chain(chain: BufferChain) -> int:
             low, high = arr[0::2], arr[1::2]
         total += (int(high.sum()) << 8) + int(low.sum())
         offset += len(arr)
-    datapath_counters().record_read_pass(offset)
+    DATAPATH.record_read_pass(offset)
     return _fold(total)
 
 
@@ -287,7 +293,7 @@ def xor_chain(chain: BufferChain, key: int) -> BufferChain:
         stream = key_bytes[np.arange(offset, offset + n) % 4]
         out.append(Segment.wrap((data ^ stream).tobytes(), label="xor-chain"))
         offset += n
-    datapath_counters().record_copy(offset, label="xor-chain")
+    DATAPATH.record_copy(offset, label="xor-chain")
     return out
 
 
@@ -344,7 +350,7 @@ def coverage_checksum_chain(chain: BufferChain, policy) -> int:
             covered += stop - start
         offset = end
     integrity_counters().record_fold(covered, offset - covered)
-    datapath_counters().record_read_pass(covered)
+    DATAPATH.record_read_pass(covered)
     return _fold(total)
 
 
@@ -408,7 +414,7 @@ def _coverage_checksum_kernel(policy) -> WordKernel:
             # byte image, so pad lanes are never read at all.
             checksum, covered = _span_fold(memoryview(words).cast("B"), spans, length)
             integrity_counters().record_fold(covered, length - covered)
-            datapath_counters().record_read_pass(covered)
+            DATAPATH.record_read_pass(covered)
             return checksum
         indices, masks, full = coverage_masks(policy, width)
         if indices.size:
@@ -422,7 +428,7 @@ def _coverage_checksum_kernel(policy) -> WordKernel:
                 total -= int(words[width - 1]) & lane & _PAD_LANES[rem]
         covered = policy.covered_bytes(length)
         integrity_counters().record_fold(covered, length - covered)
-        datapath_counters().record_read_pass(covered)
+        DATAPATH.record_read_pass(covered)
         return _fold_native(total)
 
     def batch_finalize(words: Array, lengths: Array) -> list[int]:
@@ -447,8 +453,9 @@ def _coverage_checksum_kernel(policy) -> WordKernel:
         integrity_counters().record_fold(
             covered_total, int(lengths.sum()) - covered_total
         )
-        datapath_counters().record_read_pass(covered_total)
-        return [_fold_native(total) for total in totals.tolist()]
+        DATAPATH.record_read_pass(covered_total)
+        scale = _NATIVE_SCALE  # _fold_native, inline per row
+        return [t * scale % 0xFFFF if t else 0xFFFF for t in totals.tolist()]
 
     return WordKernel(
         name="checksum",
@@ -484,21 +491,23 @@ def checksum_kernel(coverage=None) -> WordKernel:
         return _coverage_checksum_kernel(coverage)
 
     def finalize(words: Array, length: int) -> int:
-        total = int(words.sum(dtype=np.uint64))
+        total = int(np.add.reduce(words, dtype=np.uint64))
         rem = length % 4
         if rem and len(words):
             total -= int(words[-1]) & _PAD_LANES[rem]
-        return _fold_native(total)
+        # _fold_native, inline.
+        return total * _NATIVE_SCALE % 0xFFFF if total else 0xFFFF
 
     def batch_finalize(words: Array, lengths: Array) -> list[int]:
-        totals = words.sum(axis=1, dtype=np.uint64)
+        totals = np.add.reduce(words, axis=1, dtype=np.uint64)
         rem = lengths % 4
-        partial = np.nonzero(rem)[0]
+        partial = rem.nonzero()[0]
         if partial.size:
             nwords = np.maximum((lengths + 3) // 4, 1)
             last = words[partial, nwords[partial] - 1].astype(np.uint64)
             totals[partial] -= last & PAD_LANES[rem[partial]]
-        return [_fold_native(total) for total in totals.tolist()]
+        scale = _NATIVE_SCALE  # _fold_native, inline per row
+        return [t * scale % 0xFFFF if t else 0xFFFF for t in totals.tolist()]
 
     return WordKernel(
         name="checksum",

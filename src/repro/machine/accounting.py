@@ -95,12 +95,15 @@ class DatapathCounters:
         }
 
 
-_DATAPATH = DatapathCounters()
+#: The process-wide datapath counters the buffer substrate records into.
+#: The datapath reads this one object directly; it is never replaced
+#: (:meth:`DatapathCounters.reset` zeroes it in place).
+DATAPATH = DatapathCounters()
 
 
 def datapath_counters() -> DatapathCounters:
-    """The process-wide datapath counters the buffer substrate records into."""
-    return _DATAPATH
+    """The process-wide datapath counters (:data:`DATAPATH`)."""
+    return DATAPATH
 
 
 class AtomicCacheStats:
@@ -348,16 +351,18 @@ class ShardCounters:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record_run(self, n_packets: int) -> None:
-        """Account one same-flow run of ``n_packets`` inside a train.
+    def record_runs(self, runs: int, n_packets: int) -> None:
+        """Account ``runs`` same-flow runs inside a train, ``n_packets``
+        packets in all.
 
-        The run's first packet pays the single placement probe; the
-        rest ride the run for free and are counted as ``probes_saved``.
+        Each run's first packet pays the single placement probe; the
+        rest ride their run for free and are counted as
+        ``probes_saved``.
         """
         with self._lock:
             self.packets += n_packets
-            self.demux_runs += 1
-            self.probes_saved += n_packets - 1
+            self.demux_runs += runs
+            self.probes_saved += n_packets - runs
 
     def record_burst(self, n_packets: int = 0) -> None:
         """Account one ``receive_burst`` train through the demux."""

@@ -10,7 +10,7 @@ instruction cost (``header_parse`` plus ``demux_lookup``) to its own
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.buffers.chain import BufferChain
 from repro.buffers.pool import BufferPool
@@ -21,13 +21,17 @@ from repro.sim.eventloop import EventLoop
 from repro.sim.trace import DISABLED_TRACER, Tracer
 
 Handler = Callable[[Packet], None]
-#: Takes ``packets[start:]`` as one unit if it can; returns how many.
-RunHandler = Callable[[list[Packet], int], int]
+#: ``run(owner, packets, start)``: the handler's object takes
+#: ``packets[start:]`` as one unit if it can; returns how many.
+RunEntry = Callable[[Any, list[Packet], int], int]
 
 
-def _run_entry(handler: Handler) -> RunHandler | None:
-    """The ``receive_run`` of the object ``handler`` is bound to, if any."""
-    return getattr(getattr(handler, "__self__", None), "receive_run", None)
+def _run_entry(handler: Handler) -> RunEntry | None:
+    """The ``receive_run`` of the class of the object ``handler`` is
+    bound to, if any: one function shared by every binding of that
+    class, so resolving it at bind allocates nothing."""
+    owner = getattr(handler, "__self__", None)
+    return None if owner is None else getattr(type(owner), "receive_run", None)
 
 
 class Host:
@@ -57,7 +61,8 @@ class Host:
     start)`` gets the first offer of each burst run of its flow (see
     :meth:`receive_burst`), and of each single packet (see
     :meth:`receive`): it takes as many packets as it can process as one
-    unit and the rest go to the handler as before.
+    unit and the rest go to the handler as before.  The ``receive_run``
+    is looked up once, when the handler is bound.
     """
 
     def __init__(
@@ -76,9 +81,12 @@ class Host:
         self._links: dict[str, Link] = {}
         self._handlers: dict[tuple[str, int], Handler] = {}
         self._default_handlers: dict[str, Handler] = {}
+        # The run entries of the bindings that have one, keyed like
+        # their handlers: (protocol, flow), or protocol for a fallback.
+        self._runs: dict[tuple[str, int] | str, RunEntry] = {}
         self._memo_key: tuple[str, int] | None = None
         self._memo_handler: Handler | None = None
-        self._memo_run: RunHandler | None = None
+        self._memo_run: RunEntry | None = None
         self.received = 0
         self.undeliverable = 0
         self.rx_dropped = 0
@@ -96,12 +104,18 @@ class Host:
         self._memo_handler = None
         self._memo_run = None
 
+    def _bind_run(self, key: tuple[str, int] | str, handler: Handler) -> None:
+        run = _run_entry(handler)
+        if run is not None:
+            self._runs[key] = run
+
     def bind(self, protocol: str, flow_id: int, handler: Handler) -> None:
         """Dispatch packets for (protocol, flow) to ``handler``."""
         key = (protocol, flow_id)
         if key in self._handlers:
             raise NetworkError(f"{self.name}: {key} already bound")
         self._handlers[key] = handler
+        self._bind_run(key, handler)
         self._invalidate_memo()
 
     def bind_protocol(self, protocol: str, handler: Handler) -> None:
@@ -109,11 +123,14 @@ class Host:
         if protocol in self._default_handlers:
             raise NetworkError(f"{self.name}: protocol {protocol!r} already bound")
         self._default_handlers[protocol] = handler
+        self._bind_run(protocol, handler)
         self._invalidate_memo()
 
     def unbind(self, protocol: str, flow_id: int) -> None:
         """Remove a (protocol, flow) binding."""
-        self._handlers.pop((protocol, flow_id), None)
+        key = (protocol, flow_id)
+        self._handlers.pop(key, None)
+        self._runs.pop(key, None)
         self._invalidate_memo()
 
     def bound_flows(self) -> tuple[tuple[str, int], ...]:
@@ -129,6 +146,7 @@ class Host:
         :meth:`bind_protocol`), so a listener can be torn down and a new
         one bound in the same simulation."""
         self._default_handlers.pop(protocol, None)
+        self._runs.pop(protocol, None)
         self._invalidate_memo()
 
     def send(self, packets: Packet | Sequence[Packet]) -> None:
@@ -196,20 +214,23 @@ class Host:
             # Hot-flow fast path: a packet train for one flow resolves
             # its handler once and skips the hash lookups after that.
             self.demux_memo_hits += 1
-            handler = self._memo_handler
+            handler, run = self._memo_handler, self._memo_run
         else:
             handler = self._handlers.get(key)
             if handler is None:
                 handler = self._default_handlers.get(packet.protocol)
-            if handler is None:
-                self._drop_undeliverable(packet)
-                return
+                if handler is None:
+                    self._drop_undeliverable(packet)
+                    return
+                run = self._runs.get(packet.protocol)
+            else:
+                run = self._runs.get(key)
             self._memo_key = key
             self._memo_handler = handler
-            self._memo_run = _run_entry(handler)
-        if self._memo_run is not None and self._memo_run([packet], 0):
+            self._memo_run = run
+        if run is not None and run(handler.__self__, [packet], 0):
             return
-        if self._dma(packet):
+        if self.rx_pool is None or self._dma(packet):
             handler(packet)
 
     def receive_burst(self, packets: list[Packet]) -> None:
@@ -237,6 +258,7 @@ class Host:
         dma = self._dma
         handlers = self._handlers
         defaults = self._default_handlers
+        runs = self._runs
         run_key: tuple[str, int] | None = None
         handler: Handler | None = None
         index, count = 0, len(packets)
@@ -258,12 +280,15 @@ class Host:
                 handler = self._memo_handler
             else:
                 handler = handlers.get(key)
-                if handler is None:
+                if handler is not None:
+                    run = runs.get(key)
+                else:
                     handler = defaults.get(packet.protocol)
+                    run = runs.get(packet.protocol)
                 if handler is not None:
                     self._memo_key = key
                     self._memo_handler = handler
-                    self._memo_run = _run_entry(handler)
+                    self._memo_run = run
             if handler is None:
                 # Undeliverable packets skip the DMA (nothing downstream
                 # would ever release the chain) but must release a chain
@@ -271,7 +296,7 @@ class Host:
                 self._drop_undeliverable(packet)
                 continue
             if self._memo_run is not None:
-                taken = self._memo_run(packets, index - 1)
+                taken = self._memo_run(handler.__self__, packets, index - 1)
                 if taken:
                     # Each packet after the run's first is a memo hit
                     # packet by packet; the next packet may open a unit.

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.buffers.chain import BufferChain
@@ -506,7 +507,7 @@ class Link:
                 self.stats.stale_steer_trains += 1
             elif (
                 current
-                and sum(n for _, _, n in train.steer_charges) == len(packets)
+                and sum(map(itemgetter(2), train.steer_charges)) == len(packets)
             ):
                 # A mixed-shard train whose placements are all current
                 # and cover every packet (no unclaimed protocol): the

@@ -615,37 +615,38 @@ class ShardedHost:
         claimed = self._claimed
         placed = None if placements is None else iter(placements)
         per_shard: dict[HostShard, list[Packet]] = {}
+        charges: list[list[int]] = []  # [bucket, shard, n] per flow-run
+        charge: list[int] = []  # the run's
+        unclaimed = 0
         run_key: tuple[str, int] | None = None
         run_into: list[Packet] = []  # the run's shard's packet list
-        run_index = run_bucket = run_len = 0
         for packet in packets:
             key = (packet.protocol, packet.flow_id)
             if key == run_key:
-                run_len += 1
+                charge[2] += 1
                 run_into.append(packet)
                 continue
-            if run_len:
-                counters.record_run(run_len)
-                table.charge(run_bucket, run_index, run_len)
             if claimed is not None and packet.protocol not in claimed:
                 run_key = None
-                run_len = 0
+                unclaimed += 1
                 self.front.receive(packet)
                 continue
             if placed is None:
-                run_index, run_bucket = table.place(packet.protocol, packet.flow_id)
+                index, bucket = table.place(packet.protocol, packet.flow_id)
             else:
-                run_bucket, run_index, _ = next(placed)
+                bucket, index, _ = next(placed)
+            charge = [bucket, index, 1]
+            charges.append(charge)
             run_key = key
-            run_len = 1
-            shard = self.shards[run_index]
+            shard = self.shards[index]
             run_into = per_shard.get(shard)
             if run_into is None:
                 run_into = per_shard[shard] = []
             run_into.append(packet)
-        if run_len:
-            counters.record_run(run_len)
-            table.charge(run_bucket, run_index, run_len)
+        if charges:
+            # The walk's accounting, settled once per train.
+            counters.record_runs(len(charges), len(packets) - unclaimed)
+            table.apply_charges(charges)
         for shard, shard_packets in per_shard.items():
             self._deliver(shard, shard_packets)
         if train:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.buffers.chain import BufferChain
 from repro.errors import NetworkError
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
@@ -178,9 +178,10 @@ class StoreAndForwardSwitch:
                              switch=self.name, dst=packet.dst)
         else:
             self.stats.record_queue_drop(packet.dst)
-            self.tracer.emit(self.loop.now, "switch", "queue-drop",
-                             switch=self.name, port=port.name,
-                             dst=packet.dst, packet_id=packet.packet_id)
+            if self.tracer.enabled:
+                self.tracer.emit(self.loop.now, "switch", "queue-drop",
+                                 switch=self.name, port=port.name,
+                                 dst=packet.dst, packet_id=packet.packet_id)
 
     def _train_tag(self, packet: Packet) -> tuple[str, object] | None:
         if not self.preserve_trains:
@@ -198,7 +199,7 @@ class StoreAndForwardSwitch:
             self._drop(packet, port)
             return
         if isinstance(packet.payload, BufferChain):
-            datapath_counters().record_zero_copy()
+            DATAPATH.record_zero_copy()
         tag = self._train_tag(packet)
         if tag is not None:
             unit = port.open_units.get(tag)

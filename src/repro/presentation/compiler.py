@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.buffers.chain import BufferChain
 from repro.errors import DecodeError, PresentationError
-from repro.machine.accounting import AtomicCacheStats, datapath_counters
+from repro.machine.accounting import AtomicCacheStats, DATAPATH
 from repro.machine.costs import CostVector
 from repro.presentation.abstract import (
     INT32_MAX,
@@ -1342,7 +1342,7 @@ class CompiledCodec:
         cur = ChainCursor(chain)
         length = cur.length
         value = self._decode_cursor(cur)
-        datapath_counters().record_read_pass(length)
+        DATAPATH.record_read_pass(length)
         _COUNTERS.compiled_decodes += 1
         _COUNTERS.chain_decodes += 1
         _COUNTERS.bytes_decoded += length
@@ -1356,7 +1356,7 @@ class CompiledCodec:
         for data in datas:
             if isinstance(data, BufferChain):
                 values.append(self._decode_cursor(ChainCursor(data)))
-                datapath_counters().record_read_pass(len(data))
+                DATAPATH.record_read_pass(len(data))
                 _COUNTERS.chain_decodes += 1
                 _COUNTERS.bytes_decoded += len(data)
             else:

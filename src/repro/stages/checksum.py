@@ -98,7 +98,7 @@ def fletcher32_chain(chain: BufferChain) -> int:
     carries its high byte across) and the running sums fold at the same
     global 359-word block boundaries the contiguous loop uses.
     """
-    from repro.machine.accounting import datapath_counters
+    from repro.machine.accounting import DATAPATH
 
     sum1 = 0xFFFF
     sum2 = 0xFFFF
@@ -144,7 +144,7 @@ def fletcher32_chain(chain: BufferChain) -> int:
         sum2 = (sum2 & 0xFFFF) + (sum2 >> 16)
     sum1 = (sum1 & 0xFFFF) + (sum1 >> 16)
     sum2 = (sum2 & 0xFFFF) + (sum2 >> 16)
-    datapath_counters().record_read_pass(length)
+    DATAPATH.record_read_pass(length)
     return (sum2 << 16) | sum1
 
 
@@ -159,14 +159,14 @@ def crc32_chain(chain: BufferChain) -> int:
     CRCs compose across segments by construction — feed each segment's
     window into the running remainder.
     """
-    from repro.machine.accounting import datapath_counters
+    from repro.machine.accounting import DATAPATH
 
     crc = 0
     length = 0
     for mv in chain.memoryviews():
         crc = binascii.crc32(mv, crc)
         length += len(mv)
-    datapath_counters().record_read_pass(length)
+    DATAPATH.record_read_pass(length)
     return crc & 0xFFFFFFFF
 
 # Declared per-word costs.  The Internet checksum's is the Table 1

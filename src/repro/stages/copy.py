@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.buffers.appspace import ApplicationAddressSpace, ScatterMap
 from repro.buffers.chain import BufferChain
 from repro.errors import StageError
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.machine.costs import COPY_COST
 from repro.stages.base import Facts, Stage
 
@@ -33,7 +33,7 @@ class CopyStage(Stage):
 
     def apply(self, data):
         if isinstance(data, BufferChain):
-            datapath_counters().record_zero_copy()
+            DATAPATH.record_zero_copy()
             return data
         return bytes(data)
 

@@ -17,7 +17,7 @@ the one classical exception (a NIC that checksums on the fly) modelled by
 from __future__ import annotations
 
 from repro.buffers.chain import BufferChain
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.machine.costs import CostVector
 from repro.stages.base import Facts, Stage
 
@@ -45,7 +45,7 @@ class NetworkExtractStage(Stage):
         if isinstance(data, BufferChain):
             # The DMA engine already filled the chain's pool buffers; the
             # extraction leaves the data exactly where it landed.
-            datapath_counters().record_zero_copy()
+            DATAPATH.record_zero_copy()
             return data
         return bytes(data)
 
@@ -67,6 +67,6 @@ class NetworkInjectStage(Stage):
         if isinstance(data, BufferChain):
             # Injection serializes the chain onto the wire segment by
             # segment (the NIC gathers); no host-memory copy happens.
-            datapath_counters().record_zero_copy()
+            DATAPATH.record_zero_copy()
             return data
         return bytes(data)

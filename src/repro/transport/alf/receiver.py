@@ -20,7 +20,7 @@ from repro.buffers.chain import BufferChain
 from repro.control.ack import SelectiveAckTracker
 from repro.control.instructions import InstructionCounter
 from repro.errors import FramingError
-from repro.core.adu import Adu, AduFragment, reassemble_fragments
+from repro.core.adu import AduFragment, reassemble_fragments
 from repro.ilp.compiler import CompiledPlan, PlanCache, shared_plan_cache
 from repro.integrity import IntegrityPolicy, integrity_token
 from repro.machine.accounting import integrity_counters
@@ -79,13 +79,14 @@ class AlfReceiver:
         ack_interval: seconds between repeats of the selective ACK, or
             0 for no timer.  Every delivery sends an ACK (one per flow
             per drain dispatch) and a retransmission of a delivered ADU
-            is re-ACKed once, so the ACK repeats only while the flow is
-            unresolved: it holds a partial ADU, has ready rows not yet
-            drained, or has a gap below the highest ADU received.  The
-            timer is armed when the flow becomes unresolved and re-arms
-            only while it stays so; a caught-up or closed receiver
-            schedules nothing.  Ticks keep the phase of a timer started
-            at construction (whole intervals since then).
+            is re-ACKed once, so the ACK repeats only while the flow
+            can still need repair: the timer is armed when the flow
+            first holds a partial ADU or a gap below the highest ADU
+            received, and re-arms only while it holds either or a ready
+            row.  A complete ADU queued for the drain arms nothing: its
+            delivery ACKs it.  A caught-up or closed receiver schedules
+            nothing.  Ticks keep the phase of a timer started at
+            construction (whole intervals since then).
         expected_adus: when known, lets :attr:`complete` report overall
             transfer completion.
         plan_cache: plan cache to compile through; the wire pipeline's
@@ -176,9 +177,9 @@ class AlfReceiver:
         self.acks = SelectiveAckTracker(counter=self.counter)
         # ADUs in reassembly, and _QUEUED for those awaiting the drain.
         self._partial: dict[int, _PartialAdu] = {}
-        self._ready: deque[ReadyAdu] = deque()
-        self._defer_acks = 0
-        self._ack_pending = False
+        #: Ready rows queued for the drain engine, oldest first; its
+        #: length is the flow's backlog, which the engine reads.
+        self.ready: deque[ReadyAdu] = deque()
         # The ACK timer's next tick, on the grid of whole intervals since
         # construction, and whether an event for it is scheduled.
         self._ack_due = loop.now + ack_interval
@@ -238,7 +239,7 @@ class AlfReceiver:
                 stamp = (sequence, header.get("ts"))
                 if stamp[1] is None or stamp != self._reacked:
                     self._reacked = stamp
-                    self._send_ack()
+                    self.send_ack()
             return
 
         try:
@@ -260,8 +261,8 @@ class AlfReceiver:
                              seq=sequence, reason=str(error))
             return
 
-        self.counter.record("sequence_check")  # which ADU, where in it
-        self.counter.record("reassembly_bookkeeping")
+        # Which ADU, and where in it.
+        self.counter.record("sequence_check", "reassembly_bookkeeping")
 
         if fec is not None and "phy_corrupt" in header:
             # A unit the PHY flags as damaged is an erasure: parity can
@@ -403,11 +404,10 @@ class AlfReceiver:
         if chain is None:
             return 0
         self.counter.packets_processed += total
-        self.counter.record("sequence_check", total)
-        self.counter.record("reassembly_bookkeeping", total)
+        self.counter.record("sequence_check", "reassembly_bookkeeping", times=total)
         self.stats.segments_received += total
-        adu = Adu(sequence, chain, dict(header["name"]))
-        self._finish_adu(sequence, _NO_FRAGMENTS, adu, int(checksum), ())
+        name = dict(header["name"])
+        self._finish_adu(ReadyAdu(sequence, _NO_FRAGMENTS, chain, name, int(checksum)))
         return total
 
     @property
@@ -469,39 +469,35 @@ class AlfReceiver:
             self.tracer.emit(self.loop.now, "alf", "bad-adu", seq=sequence)
             self._release_fragments(partial)
             return
-        self._finish_adu(sequence, partial, adu, expected, corrupt_spans)
+        self._finish_adu(
+            ReadyAdu(sequence, partial, adu.payload, adu.name, expected, corrupt_spans)
+        )
 
-    def _finish_adu(
-        self,
-        sequence: int,
-        partial: _PartialAdu,
-        adu: Adu,
-        expected: int,
-        corrupt_spans: tuple[tuple[int, int], ...],
-    ) -> None:
-        """Queue a reassembled ADU for the drain engine, or verify it
-        now; either way :meth:`resolve_drained` settles it."""
-        entry = ReadyAdu(sequence, partial, adu, expected, corrupt_spans)
+    def _finish_adu(self, entry: ReadyAdu) -> None:
+        """Queue a reassembled ADU's row for the drain engine, or verify
+        it now; either way :meth:`resolve_drained` settles it."""
         if self.drain_engine is not None:
-            self._ready.append(entry)
-            self._partial[sequence] = _QUEUED
-            if not self._ack_armed:
-                self._arm_ack_timer()
+            # No ACK timer: the row drains within the engine's window and
+            # its delivery ACKs it.
+            self.ready.append(entry)
+            self._partial[entry.sequence] = _QUEUED
             self.drain_engine.notify_ready(self)
             return
-        if isinstance(adu.payload, BufferChain):
+        payload = entry.payload
+        if isinstance(payload, BufferChain):
             # Observer-only wire plans verify in place: one read pass
             # over the segments, zero materialization.  A fused
             # presentation/decrypt plan gathers that same single pass
             # (or streams the decrypt over the segments) and emits the
             # plaintext local-syntax form alongside the checksum.
-            out, observations = self.wire_plan.run_chain(adu.payload)
+            out, observations = self.wire_plan.run_chain(payload)
         else:
-            out, observations = self.wire_plan.run(adu.payload)
+            out, observations = self.wire_plan.run(payload)
         # An observer-only plan's output is the ADU itself: delivery
         # hands up the ADU's own bytes (a chain's single linearize).
         plan_out = out if self.wire.transforms else None
-        self.resolve_drained(entry, observations[WIRE_CHECKSUM], plan_out)
+        if self.resolve_drained(entry, observations[WIRE_CHECKSUM], plan_out):
+            self.send_ack()
 
     # ------------------------------------------------------------------
     # Host-level drain engine interface
@@ -535,16 +531,11 @@ class AlfReceiver:
             integrity_token(self.integrity),
         )
 
-    @property
-    def pending_ready(self) -> int:
-        """Completed-but-unverified ADUs queued for the next drain."""
-        return len(self._ready)
-
     def pop_ready(self) -> ReadyAdu:
         """Hand the oldest ready row to the drain engine (FIFO).  Its
         sequence leaves the queue: the row either delivers or, failing
         verification, leaves the ADU receivable again."""
-        entry = self._ready.popleft()
+        entry = self.ready.popleft()
         del self._partial[entry.sequence]
         return entry
 
@@ -559,44 +550,23 @@ class AlfReceiver:
         releases the row's buffers, plan output included; a verified
         row rides the normal delivery path, whose receipt-tracker
         dedupe guarantees exactly-once.  Returns ADUs delivered (0 or 1).
+
+        It sends no ACK: the caller sends one per flow once its rows are
+        resolved (:meth:`_finish_adu` per ADU, the engine per dispatch),
+        so a dispatch delivering many of a flow's ADUs ACKs them once.
         """
+        partial = entry.partial
         if checksum != entry.expected:
             self.stats.checksum_failures += 1
             self.tracer.emit(self.loop.now, "alf", "bad-adu", seq=entry.sequence)
             self._discard_payload(out)
-            self._discard_payload(entry.adu.payload)
-            self._release_fragments(entry.partial)
+            self._discard_payload(entry.payload)
+            if partial is not _NO_FRAGMENTS:
+                self._release_fragments(partial)
             return 0
-        self._release_fragments(entry.partial)
-        before = len(self.acks)
-        self._deliver_adu(
-            entry.sequence,
-            entry.adu,
-            plan_out=out,
-            corrupt_spans=entry.corrupt_spans,
-        )
-        return len(self.acks) - before
-
-    def begin_drain_dispatch(self) -> None:
-        """Start coalescing ACKs for one engine dispatch.
-
-        A cross-flow dispatch can deliver many of this flow's ADUs
-        back-to-back; sending the selective ACK once per delivery is
-        per-ADU control overhead the batch already paid to avoid.  While
-        bracketed, :meth:`_send_ack` latches instead of sending; the
-        matching :meth:`finish_drain_dispatch` emits one ACK carrying
-        the dispatch's whole delivered set.  Nests safely.
-        """
-        self._defer_acks += 1
-
-    def finish_drain_dispatch(self) -> None:
-        """End the ACK-coalescing bracket; flush the latched ACK."""
-        self._defer_acks -= 1
-        if self._defer_acks <= 0:
-            self._defer_acks = 0
-            if self._ack_pending:
-                self._ack_pending = False
-                self._send_ack()
+        if partial is not _NO_FRAGMENTS:  # a run-taken ADU holds none
+            self._release_fragments(partial)
+        return self._deliver_adu(entry, out)
 
     def discard_ready(self) -> None:
         """Release every queued ready row's buffer references.
@@ -604,13 +574,13 @@ class AlfReceiver:
         Used at teardown (engine shutdown or :meth:`close`) so flows
         with in-flight ready rows return their pooled segments.
         """
-        ready, self._ready = self._ready, deque()
+        ready, self.ready = self.ready, deque()
         if ready and self.drain_engine is not None:
             # Keep the engine's backlog count exact.
             self.drain_engine.ready_discarded(self, len(ready))
         for entry in ready:
             del self._partial[entry.sequence]
-            self._discard_payload(entry.adu.payload)
+            self._discard_payload(entry.payload)
             self._release_fragments(entry.partial)
 
     @property
@@ -622,7 +592,7 @@ class AlfReceiver:
         no partially reassembled ADU and no ready-but-undrained row, so
         the move can never split an ADU's fragments across engines.
         """
-        return not self._partial and not self._ready
+        return not self._partial and not self.ready
 
     def rehome(self, loop, host, drain_engine=None) -> bool:
         """Move this flow to another shard's loop/host/engine.
@@ -671,30 +641,30 @@ class AlfReceiver:
         self.host.unbind(PROTOCOL, self.flow_id)
 
     def _deliver_adu(
-        self,
-        sequence: int,
-        adu,
-        plan_out: bytes | BufferChain | None = None,
-        corrupt_spans: tuple[tuple[int, int], ...] = (),
-    ) -> None:
-        if sequence in self.acks:
+        self, entry: ReadyAdu, plan_out: bytes | BufferChain | None
+    ) -> int:
+        """Hand one verified row's ADU to the application; returns 1, or
+        0 for a duplicate (released unread)."""
+        sequence = entry.sequence
+        acks = self.acks
+        in_order = sequence == acks.cumulative
+        if not acks.on_adu(sequence):
             self.stats.duplicates_discarded += 1
-            self._discard_payload(adu.payload)
+            self._discard_payload(entry.payload)
             self._discard_payload(plan_out)
-            return
-        in_order = sequence == self.acks.cumulative
-        self.acks.on_adu(sequence)
+            return 0
         if not in_order:
             self.out_of_order_deliveries += 1
-            if not self._ack_armed and self.acks.has_gaps:
+            if not self._ack_armed and acks.has_gaps:
                 self._arm_ack_timer()
 
-        chain = adu.payload if isinstance(adu.payload, BufferChain) else None
+        wire_payload = entry.payload
+        chain = wire_payload if isinstance(wire_payload, BufferChain) else None
         convert = self.wire.staged_convert
         if convert is not None:
             # Stage-path conversion: the compiled codec decodes the
             # (decrypted) wire form and re-encodes in the local syntax.
-            source = adu.payload if plan_out is None else plan_out
+            source = wire_payload if plan_out is None else plan_out
             payload = convert.apply(source)
             if isinstance(plan_out, BufferChain):
                 plan_out.release()
@@ -719,8 +689,9 @@ class AlfReceiver:
             # application's contiguous bytes here, and nowhere else.
             payload = chain.linearize()
         else:
-            payload = adu.payload
+            payload = wire_payload
         self.stats.bytes_delivered += len(payload)
+        corrupt_spans = entry.corrupt_spans
         if corrupt_spans:
             # ALF "ignore" mode: the covered checksum matched, so the
             # damage sits in bytes the policy chose not to protect —
@@ -733,19 +704,14 @@ class AlfReceiver:
                              seq=sequence, in_order=in_order)
         self.deliver(
             DeliveredAdu(
-                sequence=sequence,
-                name=adu.name,
-                payload=payload,
-                arrival_time=self.loop.now,
-                in_order=in_order,
-                chain=chain,
-                corrupt_spans=corrupt_spans,
+                sequence, entry.name, payload, self.loop.now, in_order, chain,
+                corrupt_spans,
             )
         )
         if chain is not None:
             # The loan ends with the callback: recycle the buffers.
             chain.release()
-        self._send_ack()
+        return 1
 
     # ------------------------------------------------------------------
     # Acknowledgement
@@ -770,44 +736,43 @@ class AlfReceiver:
             return
         # Repeat only what can still drive repair; a caught-up flow's
         # last delivery ACK already said everything this one would, and
-        # its timer goes quiet until the flow is unresolved again.
+        # its timer goes quiet until the flow is unresolved again.  A
+        # partial ADU, a ready row (its sequence is _QUEUED in
+        # _partial) or a gap keeps it ticking.
         self._ack_due = self.loop.now + self.ack_interval
-        if self._partial or self._ready or self.acks.has_gaps:
-            self._send_ack()
+        if self._partial or self.acks.has_gaps:
+            self.send_ack()
             self.loop.schedule(self.ack_interval, self._periodic_ack)
         else:
             self._ack_armed = False
 
-    def _send_ack(self) -> None:
-        if self._defer_acks:
-            self._ack_pending = True
-            return
+    def send_ack(self) -> None:
+        """Send the flow's selective ACK now.
+
+        The drain engine calls this once per flow per dispatch, after
+        every row of the dispatch is resolved, so the one ACK carries
+        the dispatch's whole delivered set.
+        """
         self.counter.record("ack_compute")
         self.stats.acks_sent += 1
         sack = self.acks.ack_payload()
-        # ADUs with fragments present — or complete and queued for the
-        # drain engine — are in flight, not missing yet.
-        sack["missing"] = [
-            sequence for sequence in sack["missing"] if sequence not in self._partial
-        ]
+        if sack["missing"]:
+            # ADUs with fragments present — or complete and queued for
+            # the drain engine — are in flight, not missing yet.
+            sack["missing"] = [
+                sequence for sequence in sack["missing"]
+                if sequence not in self._partial
+            ]
         header: dict = {"sack": sack}
         if self.drain_engine is not None:
             # Piggyback the drain engine's pressure quantum (§3: the
             # rate is "computed on an out-of-band basis" — here, from
-            # receive-side backlog).  Computed *here*, after the
-            # coalescing latch above, so a latched ACK flushed by
-            # finish_drain_dispatch carries the quantum current at
-            # flush time, not the one when the first delivery latched.
+            # receive-side backlog).  An engine sends a dispatch's ACKs
+            # after its last row, so each carries the quantum current
+            # then, not the one when the flow's first row delivered.
             header["dp"] = self.drain_engine.pressure_quantum
-        ack = Packet(
-            src=self.host.name,
-            dst=self.peer,
-            protocol=PROTOCOL,
-            flow_id=self.flow_id,
-            header=header,
-            payload=b"",
-        )
-        self.host.send(ack)
+        host = self.host
+        host.send(Packet(host.name, self.peer, PROTOCOL, self.flow_id, header))
 
     # ------------------------------------------------------------------
     # Progress reporting

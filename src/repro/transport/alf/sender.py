@@ -163,6 +163,8 @@ class AlfSender:
         self.wire = WireConfig(
             False, presentation, encryption, integrity, MIPS_R2000, self.plan_cache
         )
+        # The wire plan, held once the first ADU resolves it.
+        self._plan: CompiledPlan | None = None
         self.pacing = pacing
         if pacing is not None:
             pacing.bind(host.send)
@@ -239,16 +241,20 @@ class AlfSender:
         memo = self._wire.get(adu.sequence)
         if memo is None:
             source = adu.payload
-            convert = self.wire.staged_convert
+            wire = self.wire
+            convert = wire.staged_convert
             if convert is not None:
                 # Variable layout (e.g. a TLV wire syntax): convert through
                 # the compiled codecs' streaming path first; encryption and
                 # checksum still run fused over the converted bytes.
                 source = convert.apply(source)
+            plan = self._plan
+            if plan is None:
+                plan = self._plan = wire.plan
             if isinstance(source, BufferChain):
-                payload, observations = self.wire_plan.run_chain(source)
+                payload, observations = plan.run_chain(source)
             else:
-                payload, observations = self.wire_plan.run(source)
+                payload, observations = plan.run(source)
             # The ADU's own payload is stored as None: the memo holds
             # only what the sender made, and never releases the
             # application's chain.
@@ -271,18 +277,17 @@ class AlfSender:
     def _dispatch(self, adu: Adu) -> None:
         keep = adu if self.recovery is RecoveryMode.TRANSPORT_BUFFER else None
         if self.recovery is not RecoveryMode.NO_RETRANSMIT:
+            # adu, name, length, last_sent
             self._outstanding[adu.sequence] = _Outstanding(
-                adu=keep,
-                name=dict(adu.name),
-                length=len(adu.payload),
-                last_sent=self.loop.now,
+                keep, dict(adu.name), len(adu.payload), self.loop.now
             )
         self.adus_sent += 1
         self._transmit(adu)
         if self.recovery is RecoveryMode.NO_RETRANSMIT:
             # Nothing outstanding to retransmit; drop the wire-form memo.
             self._drop_wire_memo(adu.sequence)
-        self._arm_timer()
+        if not self._timer_armed:
+            self._arm_timer()
 
     def _pump_pending(self) -> None:
         while self._pending and (
@@ -383,10 +388,10 @@ class AlfSender:
         units = []
         append = units.append
         for index, piece in enumerate(pieces):
-            append((dict(template, frag=index, name={**name}), piece))
+            append(({**template, "frag": index, "name": {**name}}, piece))
             if size is not None and (index % size == size - 1 or index == total - 1):
                 base = index - index % size
-                header = dict(template, frag=base, name={**name}, fec=parity_tag)
+                header = {**template, "frag": base, "name": {**name}, "fec": parity_tag}
                 append((header, parity[base // size]))
         return units
 
@@ -407,9 +412,7 @@ class AlfSender:
     # ACK processing and repair
 
     def _on_ack_packet(self, packet: Packet) -> None:
-        self.counter.note_packet()
-        self.counter.record("header_parse")
-        self.counter.record("demux_lookup")
+        self.counter.packets_processed += 1
         self.stats.acks_received += 1
         quantum = packet.header.get("dp")
         if quantum is not None and self.pacing is not None:
@@ -424,17 +427,25 @@ class AlfSender:
         covered = range(self._acked_up_to, cumulative)
         self._acked_up_to = max(self._acked_up_to, cumulative)
         outstanding = self._outstanding
+        retired = 0
         for sequence in itertools.chain(covered, sack["received"]):
             if outstanding.pop(sequence, None) is not None:
-                self.counter.record("sequence_check")
+                retired += 1
                 self._drop_wire_memo(sequence)
+        # The ACK's control cost in one charge: parse, demultiplex, and a
+        # sequence check per ADU it retired.
+        self.counter.record(
+            "header_parse", "demux_lookup", *("sequence_check",) * retired
+        )
         self._accepted.difference_update(covered)
 
         for sequence in sack["missing"]:
             self._repair(sequence)
 
-        self._pump_pending()
-        self._maybe_complete()
+        if self._pending:
+            self._pump_pending()
+        if self._closed:
+            self._maybe_complete()
 
     def _repair(self, sequence: int) -> None:
         entry = self._outstanding.get(sequence)
@@ -453,7 +464,8 @@ class AlfSender:
         if self.recovery is RecoveryMode.TRANSPORT_BUFFER:
             assert entry.adu is not None
             self.stats.retransmissions += 1
-            self.tracer.emit(self.loop.now, "alf", "retransmit", seq=sequence)
+            if self.tracer.enabled:
+                self.tracer.emit(self.loop.now, "alf", "retransmit", seq=sequence)
             self._transmit(entry.adu)
         elif self.recovery is RecoveryMode.APP_RECOMPUTE:
             assert self.recompute is not None

@@ -90,6 +90,8 @@ class WireConfig:
             (shared by every endpoint with that key and direction), or
             None for cleartext.  The only place a key becomes a stage.
         integrity: the checksum's coverage policy (None covers all).
+        staged_convert: the conversion when it runs outside the plan
+            (on the compiled codecs' stage path), else None.
         transforms: the plan rewrites the payload (fused conversion
             and/or cipher) rather than only observing it.
         token: the configuration the plan depends on: direction, fused
@@ -98,8 +100,8 @@ class WireConfig:
     """
 
     __slots__ = (
-        "receiving", "convert", "fused", "encrypt", "integrity", "transforms",
-        "machine", "plan_cache", "token", "_plan",
+        "receiving", "convert", "fused", "staged_convert", "encrypt", "integrity",
+        "transforms", "machine", "plan_cache", "token", "_plan",
     )
 
     def __init__(
@@ -120,6 +122,7 @@ class WireConfig:
             convert = presentation.sender_stage()
         self.convert = convert
         self.fused = convert is not None and convert.to_word_kernel() is not None
+        self.staged_convert = None if self.fused else convert
         encrypt = None if key is None else _cipher(key, receiving)
         self.encrypt = encrypt
         self.integrity = integrity
@@ -134,11 +137,6 @@ class WireConfig:
             machine.name,
         )
         self._plan: CompiledPlan | None = None
-
-    @property
-    def staged_convert(self) -> PresentationConvertStage | None:
-        """The conversion when it runs outside the plan, else None."""
-        return None if self.fused else self.convert
 
     def pipeline(self) -> Pipeline:
         """The wire pipeline this configuration compiles."""

@@ -77,6 +77,7 @@ from repro.machine.accounting import DrainCounters
 from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import DISABLED_TRACER, Tracer
 from repro.transport.alf.wire import WIRE_CHECKSUM
+from repro.transport.pacing import quantize_pressure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.transport.alf.receiver import AlfReceiver
@@ -90,7 +91,7 @@ ADAPTIVE_BOOST = 8.0
 EWMA_ALPHA = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadyAdu:
     """One completed-but-unverified ADU: a ready row queued for the
     engine, or, without one, the ADU its receiver resolves on arrival.
@@ -99,7 +100,9 @@ class ReadyAdu:
         sequence: the ADU's sequence number on its flow.
         partial: the receiver's reassembly record (fragment buffers are
             released when the row resolves).
-        adu: the reassembled ADU (payload may be a scatter-gather chain).
+        payload: the reassembled ADU's wire bytes (may be a
+            scatter-gather chain).
+        name: the ADU's application-level name fields.
         expected: the checksum the wire plan's observation must match.
         corrupt_spans: ADU-relative ``(lo, hi)`` byte ranges the PHY
             flagged as corrupted that fall outside the flow's integrity
@@ -110,7 +113,8 @@ class ReadyAdu:
 
     sequence: int
     partial: Any
-    adu: Any
+    payload: Any
+    name: dict[str, Any]
     expected: int
     corrupt_spans: tuple[tuple[int, int], ...] = ()
 
@@ -212,11 +216,12 @@ class SharedDrainEngine:
             group.flows[receiver] = self._ordinal
             self._ordinal += 1
             self._flow_groups[receiver] = group
-            if receiver.pending_ready:
+            if receiver.ready:
                 group.ready.add(receiver)
-                self._pending += receiver.pending_ready
-            self.tracer.emit(self.loop.now, "drain", "register",
-                             flow_id=receiver.flow_id, groups=len(self._groups))
+                self._pending += len(receiver.ready)
+            if self.tracer.enabled:
+                self.tracer.emit(self.loop.now, "drain", "register",
+                                 flow_id=receiver.flow_id, groups=len(self._groups))
 
     def unregister(self, receiver: "AlfReceiver") -> None:
         """Remove a flow (its still-queued rows stay with the receiver;
@@ -228,7 +233,7 @@ class SharedDrainEngine:
                 return
             del group.flows[receiver]
             group.ready.discard(receiver)
-            self._pending -= receiver.pending_ready
+            self._pending -= len(receiver.ready)
             if not group.flows:
                 del self._groups[group.key]
 
@@ -325,8 +330,6 @@ class SharedDrainEngine:
         """
         if not self.adaptive:
             return 0
-        from repro.transport.pacing import quantize_pressure
-
         return quantize_pressure(self.backlog_ewma, self.ramp_rows)
 
     # ------------------------------------------------------------------
@@ -351,16 +354,18 @@ class SharedDrainEngine:
             self._pending += 1
             self.counters.record_notify_scan()
             pending = self._pending
-            delay = (
-                0.0
-                if pending >= self.effective_max_rows
-                else self.effective_max_delay
-            )
             if self.adaptive:
+                delay = (
+                    0.0
+                    if pending >= self.effective_max_rows
+                    else self.effective_max_delay
+                )
                 # Observed AFTER computing the delay: the first row
                 # after silence flushes immediately, and only *then*
                 # starts re-building pressure.
                 self._observe_backlog(pending)
+            else:
+                delay = 0.0 if pending >= self.max_rows else self.max_delay
             due = self.loop.now + delay
             if self._flush_event is not None:
                 if self._flush_due <= due:
@@ -390,7 +395,7 @@ class SharedDrainEngine:
                 self._flush_event = None
             self.counters.record_epoch()
             delivered = 0
-            row_cap = self.effective_max_rows
+            row_cap = self.effective_max_rows if self.adaptive else self.max_rows
             for group in list(self._groups.values()):
                 delivered += self._drain_group(group, row_cap)
             self.delivered_total += delivered
@@ -414,9 +419,9 @@ class SharedDrainEngine:
                 active = active[: row_cap - len(rows)]
                 for flow in active:
                     rows.append((flow, flow.pop_ready()))
-                active = [flow for flow in active if flow.pending_ready]
+                active = [flow for flow in active if flow.ready]
             for flow in order[:row_cap]:  # every flow this window touched
-                if not flow.pending_ready:
+                if not flow.ready:
                     group.ready.discard(flow)
             self._pending -= len(rows)
             capped = bool(group.ready)
@@ -428,35 +433,31 @@ class SharedDrainEngine:
     def _dispatch(
         self, rows: list[tuple["AlfReceiver", ReadyAdu]], capped: bool
     ) -> int:
-        plan = rows[0][0].wire_plan
-        batch = plan.run_batch([entry.adu.payload for _, entry in rows])
+        plan = rows[0][0].wire.plan
+        batch = plan.run_batch([entry.payload for _, entry in rows])
         checksums = batch.observations[WIRE_CHECKSUM]
-        receivers: list["AlfReceiver"] = []
-        seen: set[int] = set()
+        # Each touched flow, in first-row order, and the rows it delivered.
+        delivered_by: dict["AlfReceiver", int] = {}
         for receiver, _ in rows:
-            if id(receiver) not in seen:
-                seen.add(id(receiver))
-                receivers.append(receiver)
-        self.counters.record_dispatch(len(rows), len(receivers), capped)
+            delivered_by[receiver] = 0
+        self.counters.record_dispatch(len(rows), len(delivered_by), capped)
         if self.tracer.enabled:
             self.tracer.emit(self.loop.now, "drain", "dispatch",
-                             rows=len(rows), flows=len(receivers), capped=capped)
-        # Bracket delivery so each flow coalesces its acks: one ACK per
-        # flow per dispatch instead of one per delivered ADU.
-        for receiver in receivers:
-            receiver.begin_drain_dispatch()
-        delivered = 0
+                             rows=len(rows), flows=len(delivered_by), capped=capped)
         try:
             for (receiver, entry), checksum, out in zip(
                 rows, checksums, batch.outputs
             ):
                 if checksum != entry.expected:
                     self.counters.record_corrupt_row()
-                delivered += receiver.resolve_drained(entry, checksum, out)
+                delivered_by[receiver] += receiver.resolve_drained(entry, checksum, out)
         finally:
-            for receiver in receivers:
-                receiver.finish_drain_dispatch()
-        return delivered
+            # One ACK per flow that delivered, sent after the dispatch's
+            # last row: it carries the flow's whole delivered set.
+            for receiver, delivered in delivered_by.items():
+                if delivered:
+                    receiver.send_ack()
+        return sum(delivered_by.values())
 
     # ------------------------------------------------------------------
     # Teardown

@@ -337,8 +337,9 @@ class TrainPacer:
                 callbacks.append((on_release, packet))
         self.trains += 1
         self.counters.record_release(n, full=n >= self.target_train)
-        self.tracer.emit(self.loop.now, "pacing", "release",
-                         pacer=self.name, train=train_id, packets=n)
+        if self.tracer.enabled:
+            self.tracer.emit(self.loop.now, "pacing", "release",
+                             pacer=self.name, train=train_id, packets=n)
         for on_release, packet in callbacks:
             on_release(packet)
         self._arm()

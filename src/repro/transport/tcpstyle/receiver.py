@@ -15,7 +15,7 @@ from repro.buffers.chain import BufferChain
 from repro.control.ack import AckGenerator
 from repro.control.framing import StreamReassembler
 from repro.control.instructions import InstructionCounter
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import EventLoop
@@ -82,7 +82,7 @@ class TcpStyleReceiver:
 
         # Manipulation: error detection (charged by the stack layer when
         # one is attached; functionally verified here).
-        datapath_counters().record_read_pass(len(payload))
+        DATAPATH.record_read_pass(len(payload))
         if internet_checksum(payload) != packet.header["checksum"]:
             self.stats.checksum_failures += 1
             self.tracer.emit(self.loop.now, "tcp", "bad-checksum", seq=seq)

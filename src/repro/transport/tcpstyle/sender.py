@@ -15,7 +15,7 @@ from repro.control.flow import AimdCongestionControl, SlidingWindow
 from repro.control.instructions import InstructionCounter
 from repro.control.rtt import RttEstimator
 from repro.errors import TransportError
-from repro.machine.accounting import datapath_counters
+from repro.machine.accounting import DATAPATH
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.eventloop import Event, EventLoop
@@ -148,7 +148,7 @@ class TcpStyleSender:
             payload = bytes(
                 memoryview(self._buffer)[unsent_offset : unsent_offset + length]
             )
-            datapath_counters().record_copy(length, label="segment-slice")
+            DATAPATH.record_copy(length, label="segment-slice")
             self._transmit(self._next_seq, payload)
             self.window.on_send(length)
             self._next_seq += length
@@ -175,8 +175,7 @@ class TcpStyleSender:
 
     def _on_ack_packet(self, packet: Packet) -> None:
         self.counter.note_packet()
-        self.counter.record("header_parse")
-        self.counter.record("demux_lookup")
+        self.counter.record("header_parse", "demux_lookup")
         self.stats.acks_received += 1
         ack = int(packet.header["ack"])
         self.counter.record("sequence_check")
@@ -232,7 +231,7 @@ class TcpStyleSender:
         if length <= 0:
             return
         payload = bytes(memoryview(self._buffer)[:length])
-        datapath_counters().record_copy(length, label="segment-slice")
+        DATAPATH.record_copy(length, label="segment-slice")
         self.stats.retransmissions += 1
         self._last_retransmit_time = self.loop.now
         self.window.on_retransmit(length)

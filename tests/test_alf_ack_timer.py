@@ -1,16 +1,18 @@
 """The ALF receiver's ACK timer speaks only while the flow is unresolved.
 
-Every delivery sends an ACK, and a retransmission of a delivered ADU is
-re-ACKed once, so a timer repeat of a caught-up receiver could only restate
-its last ACK.  The timer therefore repeats while the receiver holds a
-partial ADU, ready rows not yet drained, or a hole below its highest
-arrival, and stays silent otherwise.  A closed receiver's timer neither
-sends nor re-arms.
+Every delivery sends an ACK (one per flow per drain dispatch), and a
+retransmission of a delivered ADU is re-ACKed once, so a timer repeat of
+a caught-up receiver could only restate its last ACK.  The timer
+therefore repeats while the receiver holds a partial ADU, ready rows not
+yet drained, or a hole below its highest arrival, and stays silent
+otherwise.  A closed receiver's timer neither sends nor re-arms.
 
-Arming follows the same rule: the timer is scheduled when the flow
-becomes unresolved and re-arms only while it stays so, so a caught-up or
-idle receiver schedules nothing, and a session's INIT timer stops at
-ACCEPT.
+Arming follows the same rule, except that a complete ADU queued for the
+drain starts no timer (its delivery ACKs it): the timer is scheduled
+when the flow first holds a partial ADU or a hole and re-arms only while
+it stays unresolved, so a caught-up or idle receiver, or one whose ADUs
+all arrive whole and drain in their timestep, schedules nothing, and a
+session's INIT timer stops at ACCEPT.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.bench.workloads import octet_payload
+from repro.buffers.pool import BufferPool
 from repro.control.ack import SelectiveAckTracker
 from repro.core.adu import Adu
 from repro.net.packet import Packet
@@ -149,7 +152,7 @@ class TestTimerRule:
         assert acks_over(path, receiver, 5) == 0  # caught up: silent
         sender.send_adu(adus[1])
         path.loop.run(until=path.loop.now + 0.1)
-        assert receiver.pending_ready == 1 and not got.get(1)
+        assert len(receiver.ready) == 1 and not got.get(1)
         assert acks_over(path, receiver, 10) == 10
         path.loop.run(until=path.loop.now + hold)
         assert sorted(got) == [0, 1]
@@ -282,6 +285,60 @@ class TestTimerArming:
         assert not ticks or max(ticks) <= last + INTERVAL
         receiver.close()
         drain.shutdown()
+
+    def test_run_taken_rows_schedule_no_ack_timer(self, monkeypatch):
+        # Whole single-fragment ADUs take the run path, queue as ready
+        # rows and drain in their timestep: no partial, no gap, and no
+        # timer event, while each delivery still sends its ACK.
+        arms = record_calls(monkeypatch, AlfReceiver, "_arm_ack_timer")
+        runs = record_calls(monkeypatch, AlfReceiver, "receive_run")
+        fragments = record_calls(monkeypatch, AlfReceiver, "_on_fragment")
+        path, receiver, sender, adus, got = make_flow(
+            [100, 200, MTU], drain_engine=SharedDrainEngine,
+        )
+        path.b.rx_pool = BufferPool(8, MTU, label="rx")
+        for adu in adus:
+            sender.send_adu(adu)
+        sender.close()
+        path.loop.run(until=1.0)
+        assert sorted(got) == [0, 1, 2] and sender._completed
+        assert len(runs) == 3 and not fragments
+        assert not arms
+        assert receiver.stats.acks_sent == 3
+        assert path.loop.next_event_time() is None
+        assert path.b.rx_pool.leak_report() == []
+
+    @pytest.mark.parametrize(
+        "doomed",
+        [
+            # ADU 0's second fragment never arrives: a partial ADU.
+            lambda p: p.header["adu_seq"] == 0 and p.header["frag"] == 1,
+            # ADU 1 never arrives: 0 and 2 are delivered around a gap.
+            lambda p: p.header["adu_seq"] == 1,
+        ],
+        ids=["partial", "gap"],
+    )
+    def test_run_path_flow_left_unresolved_ticks_on_the_grid(
+        self, monkeypatch, doomed
+    ):
+        ticks = record_calls(monkeypatch, AlfReceiver, "_periodic_ack")
+        path, receiver, sender, adus, got = make_flow(
+            [2 * MTU, MTU, MTU], rto=10.0, doomed=doomed,
+            drain_engine=SharedDrainEngine,
+        )
+        path.b.rx_pool = BufferPool(16, MTU, label="rx")
+        for adu in adus:
+            sender.send_adu(adu)
+        path.loop.run(until=0.5)
+        assert receiver._partial or receiver.acks.has_gaps
+        assert acks_over(path, receiver, 10) == 10
+        # Every tick lands on the grid of whole intervals since
+        # construction, one per interval.
+        assert ticks and all(
+            math.isclose(tick / INTERVAL, round(tick / INTERVAL)) for tick in ticks
+        )
+        assert len(set(round(tick / INTERVAL) for tick in ticks)) == len(ticks)
+        receiver.close()
 
     def test_established_initiator_init_timer_never_fires(self, monkeypatch):
         sends = record_calls(monkeypatch, SessionInitiator, "_send_init")

@@ -10,6 +10,7 @@ from repro.bench.workloads import octet_payload
 from repro.core.adu import Adu
 from repro.errors import NetworkError, TransportError
 from repro.machine.accounting import PacingCounters
+from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.switch import StoreAndForwardSwitch, SwitchStats
@@ -490,14 +491,14 @@ class TestAckPressureStamp:
         path, engine, receiver, acks = self.make_receiver()
         for _ in range(8):
             engine._observe_backlog(16)
-        receiver._send_ack()
+        receiver.send_ack()
         path.loop.run()
         assert acks
         assert acks[-1].header["dp"] >= PRESSURE_HIGH
 
     def test_idle_engine_stamps_zero(self):
         path, engine, receiver, acks = self.make_receiver()
-        receiver._send_ack()
+        receiver.send_ack()
         path.loop.run()
         assert acks[-1].header["dp"] == 0
 
@@ -508,25 +509,37 @@ class TestAckPressureStamp:
         )
         acks = []
         path.a.bind("alf", 1, acks.append)
-        receiver._send_ack()
+        receiver.send_ack()
         path.loop.run()
         assert "dp" not in acks[-1].header
 
     def test_coalesced_ack_carries_latest_quantum(self):
-        # Regression (satellite): an ACK latched at the *start* of a
-        # drain dispatch must be stamped with the quantum current when
-        # it finally flushes — pressure that built during the dispatch
+        # A dispatch sends each flow's one ACK after its last row, so
+        # the ACK is stamped with the quantum current then, not when the
+        # first row delivered: pressure that built during the dispatch
         # is exactly what the sender needs to hear about.
         path, engine, receiver, acks = self.make_receiver()
-        receiver.begin_drain_dispatch()
-        receiver._send_ack()  # latched: quantum would be 0 right now
-        assert not acks
-        for _ in range(8):
-            engine._observe_backlog(16)  # pressure builds mid-dispatch
-        receiver.finish_drain_dispatch()
+        quanta = []
+
+        def deliver(adu):
+            quanta.append(engine.pressure_quantum)
+            for _ in range(8):
+                engine._observe_backlog(16)  # pressure builds mid-dispatch
+
+        receiver.deliver = deliver
+        wire = []
+        origin = Host(path.loop, "a")
+        origin.send = wire.extend  # capture the sender's packets
+        sender = AlfSender(path.loop, origin, "b", 1)
+        for sequence in range(2):
+            sender.send_adu(Adu(sequence, octet_payload(100, seed=sequence)))
+        path.b.receive_burst(wire)  # both rows queue before the epoch
         path.loop.run()
+        assert engine.counters.dispatches == 1
+        assert quanta[0] < PRESSURE_HIGH  # when the first row delivered
         assert len(acks) == 1
         assert acks[0].header["dp"] >= PRESSURE_HIGH
+        assert acks[0].header["sack"]["cum"] == 2
 
 
 class TestTopologyAndSessionWiring:

@@ -57,6 +57,12 @@ def wire_packets(n_adus=2, adu_bytes=256, flow=FLOW, **sender_kwargs) -> list[Pa
     return packets
 
 
+class FragmentOnlyReceiver(AlfReceiver):
+    """An ALF receiver the host never offers a run: fragments only."""
+
+    receive_run = None
+
+
 @contextmanager
 def counting(cls, name, calls: Counter):
     """Count calls to ``cls.name`` into ``calls[name]`` while active."""
@@ -98,17 +104,18 @@ def run_case(bursts, feed, flows=(FLOW,), pool_buffers=64, buffer_size=256,
         if close_on_deliver:
             receivers[flow].close()
 
+    # The reference feed offers no run: the per-fragment path alone.
+    # The host looks ``receive_run`` up when the flow binds, so the
+    # reference receiver has none from the start.
+    receiver_type = FragmentOnlyReceiver if feed == "reference" else AlfReceiver
     with counting(AlfReceiver, "_on_fragment", calls):
         for flow in flows:
-            receivers[flow] = AlfReceiver(
+            receivers[flow] = receiver_type(
                 loop, host, "a", flow,
                 deliver=lambda adu, flow=flow: deliver(adu, flow),
                 ack_interval=0, drain_engine=engine, integrity=integrity,
                 zero_copy=zero_copy,
             )
-            if feed == "reference":
-                # No run is ever offered: the per-fragment path alone.
-                receivers[flow].receive_run = None
         if pool is not None:
             dma_chain = pool.dma_chain
 

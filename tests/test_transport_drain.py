@@ -167,6 +167,51 @@ class TestCrossFlowDispatch:
             rows = delivered[receiver.flow_id]
             assert [rows[i] for i in range(4)] == payloads[receiver.flow_id]
 
+    def test_one_ack_per_flow_carries_the_whole_delivered_set(self):
+        path, engine, receivers, delivered = make_env(n_flows=2)
+        flow_a, flow_b = receivers
+        sent = []
+        send = path.b.send
+
+        def capture(packet):
+            sent.append(packet)
+            send(packet)
+
+        path.b.send = capture
+        payloads = [adu_payload(600 + i) for i in range(4)]
+        # Flow a's ADU 1 never arrives: its rows 0, 2 and 3 deliver
+        # around the gap.  Flow b's second row fails verification.
+        for packet in encrypted_packets(flow_a.flow_id, payloads):
+            if packet.header["adu_seq"] != 1:
+                path.b.receive(packet)
+        b_packets = encrypted_packets(flow_b.flow_id, payloads[:2])
+        b_packets[1].header["adu_csum"] = (b_packets[1].header["adu_csum"] + 1) & 0xFFFF
+        for packet in b_packets:
+            path.b.receive(packet)
+        assert not sent
+        assert engine.flush() == 4
+        assert engine.counters.dispatches == 1
+        # One ACK per flow, after the dispatch's last row, in row order.
+        assert [packet.flow_id for packet in sent] == [flow_a.flow_id, flow_b.flow_id]
+        assert sent[0].header["sack"] == {
+            "cum": 1, "received": [2, 3], "missing": [1], "highest": 3,
+        }
+        assert sent[1].header["sack"] == {
+            "cum": 1, "received": [], "missing": [], "highest": 0,
+        }
+        assert flow_a.stats.acks_sent == flow_b.stats.acks_sent == 1
+        assert sorted(delivered[flow_a.flow_id]) == [0, 2, 3]
+
+    def test_flow_with_no_delivered_row_sends_no_ack(self):
+        path, engine, receivers, delivered = make_env(n_flows=1)
+        (flow,) = receivers
+        packets = encrypted_packets(flow.flow_id, [adu_payload(700)])
+        packets[0].header["adu_csum"] = (packets[0].header["adu_csum"] + 1) & 0xFFFF
+        path.b.receive(packets[0])
+        assert engine.flush() == 0
+        assert flow.stats.checksum_failures == 1
+        assert flow.stats.acks_sent == 0
+
     def test_max_rows_splits_epoch_round_robin(self):
         path, engine, receivers, delivered = make_env(
             n_flows=2, engine_kwargs={"max_rows": 4}
@@ -439,9 +484,9 @@ class TestConcurrentSnapshot:
 
 def assert_exact(engine, registered):
     """The running count and the per-group ready sets match a full walk."""
-    assert engine.pending_rows == sum(r.pending_ready for r in registered)
+    assert engine.pending_rows == sum(len(r.ready) for r in registered)
     for group in engine._groups.values():
-        assert group.ready == {r for r in group.flows if r.pending_ready}
+        assert group.ready == {r for r in group.flows if r.ready}
 
 
 class TestLinearBookkeeping:
